@@ -111,15 +111,21 @@ def _load_json_config(path, overrides: list[str]) -> dict:
 
 def _parse_days(spec: str) -> tuple[int, ...]:
     """Parse 'start:end:step' (inclusive of end when aligned) or 'a,b,c'."""
+    parts = spec.split(":") if ":" in spec else spec.split(",")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"bad day spec {spec!r}: values must be integers") from None
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+        if len(values) != 3:
             raise ValidationError(f"bad day range {spec!r}, want start:end:step")
-        start, end, step = (int(p) for p in parts)
+        start, end, step = values
         if step <= 0 or start <= 0 or end < start:
             raise ValidationError(f"bad day range {spec!r}")
         return tuple(range(start, end + 1, step))
-    return tuple(int(p) for p in spec.split(","))
+    if min(values) < 1:
+        raise ValidationError(f"bad day list {spec!r}, every N must be >= 1")
+    return tuple(values)
 
 
 def _write_manifest(out_path, subcommand, config, inputs, outputs, seed, t0) -> None:

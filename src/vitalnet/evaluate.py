@@ -108,6 +108,8 @@ def window_metrics(
     the mean window probability and the prediction is the majority vote of
     thresholded windows (ties predict positive).
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
     if not per_patient:
         return accuracy(probs, dataset.y, threshold), roc_auc(probs, dataset.y)
     scores, votes, labels = [], [], []
@@ -134,6 +136,8 @@ def windows_from_cohort(
     """Resample each patient hourly, optionally truncate to the first
     max_days days (anchored at the first observation), and window.
     """
+    if max_days is not None and max_days < 1:
+        raise ValidationError(f"number of days must be >= 1, got {max_days}")
     series = []
     for p in cohort.patients:
         reg = resample(p, timedelta(hours=1))

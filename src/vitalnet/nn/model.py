@@ -8,6 +8,7 @@ the t-SNE projection; the final unit yields the positive-class probability.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,6 +37,12 @@ TENSOR_ORDER = (
 )
 
 
+def require_int(name: str, value) -> None:
+    """Reject a config value that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     conv1_filters: int = 32
@@ -52,21 +59,25 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        sizes = (
+            "conv1_filters",
+            "conv1_kernel",
+            "conv2_filters",
+            "conv2_kernel",
+            "pool_size",
+            "pool_stride",
+            "lstm_hidden",
+        )
+        for name in (*sizes, "dense1_units", "dense2_units", "seed"):
+            require_int(name, getattr(self, name))
         if self.dense1_units != 100:
             raise ValidationError("dense1_units is fixed at 100 (the feature layer)")
         if self.dense2_units != 1:
             raise ValidationError("dense2_units is fixed at 1")
-        sizes = (
-            self.conv1_filters,
-            self.conv1_kernel,
-            self.conv2_filters,
-            self.conv2_kernel,
-            self.pool_size,
-            self.pool_stride,
-            self.lstm_hidden,
-        )
-        if any(s < 1 for s in sizes):
+        if any(getattr(self, name) < 1 for name in sizes):
             raise ValidationError(f"all layer sizes must be >= 1, got {self}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def min_window_len(self) -> int:
         # smallest input length that survives both convs and the pool

@@ -111,8 +111,7 @@ def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
 
 def realized_perplexities(cond: np.ndarray) -> np.ndarray:
     """2^H of every row of a row-stochastic conditional matrix (base-2 H)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(cond > 0, np.log(cond, where=cond > 0), 0.0)
+    logp = np.log(cond, out=np.zeros_like(cond), where=cond > 0)
     h_nats = -np.sum(cond * logp, axis=1)
     return np.exp(h_nats)
 

@@ -163,6 +163,55 @@ class TestTrainEvalSweep:
         assert code == 1
 
 
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["sweep", "--days", "-2"],
+            ["sweep", "--days", "0"],
+            ["sweep", "--days", "2,0,4"],
+            ["sweep", "--days", "0:4:2"],
+            ["sweep", "--days", "two"],
+            ["sweep", "--threshold", "7"],
+            ["eval", "--threshold", "7"],
+            ["eval", "--threshold", "-0.1"],
+            ["eval", "--threshold", "nan"],
+            ["embed", "--days", "0"],
+        ],
+    )
+    def test_rejected_with_error_exit(
+        self, tmp_path, small_cohort_csv, small_model, capsys, extra
+    ):
+        command, *flags = extra
+        data_flag = "--data" if command == "embed" else "--test"
+        out = tmp_path / "out.csv"
+        code = run([command, "--model", str(small_model), data_flag,
+                    str(small_cohort_csv), *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--set", "seed=1e3"],
+            ["--set", "lstm_hidden=8.5"],
+            ["--set-train", "epochs=2.0"],
+            ["--set-train", "learning_rate=fast"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_bad_config_values_rejected(self, tmp_path, small_cohort_csv, capsys, flags):
+        out = tmp_path / "model.json"
+        code = run(["train", "--train", str(small_cohort_csv), *FAST_TRAIN, *flags,
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEmbed:
     def test_embedding_csv_and_determinism(self, tmp_path, small_cohort_csv, small_model):
         a, b = tmp_path / "emb_a.csv", tmp_path / "emb_b.csv"

@@ -194,6 +194,17 @@ class TestDaySweep:
         assert a.accuracy == b.accuracy
         assert a.auc == b.auc
 
+    @pytest.mark.parametrize("days", [(0,), (-2,), (2, 0)])
+    def test_days_below_one_rejected(self, small_cohort, stats, days):
+        with pytest.raises(ValidationError):
+            day_sweep(init_params(TINY), small_cohort, stats, 16, 24, days=days)
+
+    @pytest.mark.parametrize("threshold", [-0.01, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, small_cohort, stats, threshold):
+        with pytest.raises(ValidationError):
+            day_sweep(init_params(TINY), small_cohort, stats, 16, 24, days=(2,),
+                      threshold=threshold)
+
     def test_metrics_row_validation(self):
         with pytest.raises(ValidationError):
             MetricsRow(days=2, n_windows=5, accuracy=1.5, auc=0.5)

@@ -81,6 +81,23 @@ class TestModelBasics:
             ModelConfig(dense2_units=2).validate()
 
 
+    @pytest.mark.parametrize(
+        "field,value", [("seed", 1e3), ("seed", -1), ("conv1_kernel", 2.0),
+                        ("pool_size", True), ("lstm_hidden", "8")]
+    )
+    def test_model_config_needs_integers(self, field, value):
+        with pytest.raises(ValidationError):
+            ModelConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field,value", [("seed", 1e3), ("epochs", 2.0), ("batch_size", "32"),
+                        ("learning_rate", "fast"), ("eps", float("inf"))]
+    )
+    def test_train_config_field_types(self, field, value):
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value}).validate()
+
+
 class TestAdam:
     def test_zero_gradients_no_change(self):
         params = init_params(TINY)
