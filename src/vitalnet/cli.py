@@ -27,7 +27,7 @@ from .data import (
     split_by_patient,
     write_cohort,
 )
-from .errors import ParseError, ValidationError, VitalnetError
+from .errors import ValidationError, VitalnetError
 from .evaluate import (
     day_sweep,
     extract_features,
@@ -39,6 +39,7 @@ from .nn.model import ModelConfig, load_checkpoint, save_checkpoint
 from .nn.train import TrainConfig, train
 from .stats import boxplot_stats, confidence_interval, point_biserial
 from .synth import (
+    STATS,
     VITALS,
     calibration_report,
     default_config,
@@ -210,9 +211,9 @@ def _cmd_stats(args) -> None:
     if len(set(labels.tolist())) < 2:
         raise ValidationError("stats: need both labels present in the cohort")
     rows = []
-    features = [(v, s) for v in VITALS for s in ("mean", "std", "min", "max")]
-    for vital, stat in features:
-        values = table[f"{vital}_{stat}"]
+    columns = [(v, s, table[f"{v}_{s}"]) for v in VITALS for s in STATS]
+    columns.append(("age", "value", table["age"].astype(float)))
+    for vital, stat, values in columns:
         corr = point_biserial(values, labels)
         ci_pos = confidence_interval(values[labels == 1])
         ci_neg = confidence_interval(values[labels == 0])
@@ -220,14 +221,6 @@ def _cmd_stats(args) -> None:
             [vital, stat, repr(corr.r), repr(corr.p),
              repr(ci_pos[0]), repr(ci_pos[1]), repr(ci_neg[0]), repr(ci_neg[1])]
         )
-    age = table["age"].astype(float)
-    corr = point_biserial(age, labels)
-    ci_pos = confidence_interval(age[labels == 1])
-    ci_neg = confidence_interval(age[labels == 0])
-    rows.append(
-        ["age", "value", repr(corr.r), repr(corr.p),
-         repr(ci_pos[0]), repr(ci_pos[1]), repr(ci_neg[0]), repr(ci_neg[1])]
-    )
     _write_rows(args.out, STATS_HEADER, rows)
     outputs = [args.out]
     if args.boxplot_out:
@@ -516,8 +509,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except (ParseError, ValidationError, VitalnetError) as exc:
+    except (VitalnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 1
     return 0
 

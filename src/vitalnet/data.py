@@ -4,6 +4,11 @@ patient-level splitting.
 Cohort CSV schema (UTF-8, one row per observation):
     patient_id,timestamp,hr,sbp,dbp,age,label
 with ISO-8601 UTC timestamps (e.g. 2020-03-21T14:00:00Z) and label in {0,1}.
+
+A patient is two arrays, `times` (datetime64[us], UTC) and `values` (n x 3),
+checked once when the record is built. Loading, writing and resampling work
+on whole arrays; `resample` averages each grid slot and forward-fills the
+empty ones.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,53 +30,44 @@ CHANNELS = ("hr", "sbp", "dbp")
 
 HOUR = timedelta(hours=1)
 
+_CHUNK_ROWS = 1024  # rows per vectorized block; small blocks hold few strings at once
+
 
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VitalSample:
-    """One timestamped observation of the three vital-sign channels."""
-
-    timestamp: datetime
-    hr: float
-    sbp: float
-    dbp: float
-
-    def __post_init__(self):
-        for name in CHANNELS:
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValidationError(f"{name} must be finite and > 0, got {v}")
-        if self.dbp >= self.sbp:
-            raise ValidationError(
-                f"dbp must be < sbp, got dbp={self.dbp}, sbp={self.sbp}"
-            )
-        if self.timestamp.tzinfo is None:
-            raise ValidationError("timestamps must be timezone-aware UTC")
-
-
 @dataclass
 class PatientRecord:
+    """One patient's observations as two arrays: `times` (datetime64[us],
+    UTC, strictly increasing) and `values` (n x 3: hr, sbp, dbp)."""
+
     patient_id: str
     age: int
     label: int
-    samples: list[VitalSample]
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValidationError(f"label must be 0 or 1, got {self.label}")
         if not 21 <= self.age <= 100:
             raise ValidationError(f"age must be in [21, 100], got {self.age}")
-        if not self.samples:
-            raise ValidationError(f"patient {self.patient_id} has no samples")
-        times = [s.timestamp for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError(
-                f"patient {self.patient_id}: timestamps not strictly increasing"
-            )
+        self.times = np.asarray(self.times, dtype="datetime64[us]")
+        self.values = np.asarray(self.values, dtype=float)
+        pid, n = self.patient_id, len(self.times)
+        if n == 0:
+            raise ValidationError(f"patient {pid} has no samples")
+        if self.times.ndim != 1 or self.values.shape != (n, 3):
+            raise ValidationError(f"patient {pid}: need n times and n x 3 values, got "
+                                  f"{self.times.shape} and {self.values.shape}")
+        if not (np.isfinite(self.values).all() and (self.values > 0).all()):
+            raise ValidationError(f"patient {pid}: vitals must be finite and > 0")
+        if (self.values[:, 2] >= self.values[:, 1]).any():
+            raise ValidationError(f"patient {pid}: dbp must be < sbp")
+        if np.isnat(self.times).any() or not (np.diff(self.times) > np.timedelta64(0)).all():
+            raise ValidationError(f"patient {pid}: timestamps not strictly increasing")
 
 
 @dataclass
@@ -94,7 +91,7 @@ class Cohort:
 class RegularSeries:
     """Regularly gridded T x 3 matrix (HR, SBP, DBP), no missing values."""
 
-    start: datetime
+    start: np.datetime64
     step: timedelta
     values: np.ndarray
 
@@ -153,14 +150,14 @@ class WindowedDataset:
 # ---------------------------------------------------------------------------
 
 
-def _parse_timestamp(raw: str, line_no: int) -> datetime:
+def _parse_timestamp(raw: str, line_no: int) -> np.datetime64:
     try:
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
         raise ParseError(f"line {line_no}: bad timestamp {raw!r}") from None
     if ts.tzinfo is None:
         raise ParseError(f"line {line_no}: timestamp {raw!r} lacks a UTC offset")
-    return ts.astimezone(timezone.utc)
+    return np.datetime64(ts.astimezone(timezone.utc).replace(tzinfo=None), "us")
 
 
 def _parse_float(raw: str, name: str, line_no: int) -> float:
@@ -180,22 +177,34 @@ def _parse_int(raw: str, name: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-integer {name} {raw!r}") from None
 
 
-def load_cohort(path) -> Cohort:
-    """Read a cohort CSV, grouping rows by patient and sorting by timestamp."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
+def _parse_chunk(rows: list[list[str]]) -> tuple | None:
+    """Vectorized parse of a block of rows; None if a row has the wrong field
+    count, a field that does not parse or a timestamp not 'YYYY-MM-DDTHH:MM:SSZ'."""
+    if set(map(len, rows)) != {len(CSV_HEADER)}:
+        return None
+    pids, stamps, hr, sbp, dbp, ages, labels = zip(*rows)
+    raw = np.array(stamps)
+    try:
+        times = raw.astype("U19").astype("datetime64[us]")
+        values = np.array([list(map(float, col)) for col in (hr, sbp, dbp)]).T
+        ages = np.fromiter(map(int, ages), np.int64, len(rows))
+        labels = np.fromiter(map(int, labels), np.int64, len(rows))
+    except (ValueError, OverflowError):
+        return None
+    # canonical: prints back as itself, in a year (>= 1) that datetime accepts
+    canon = np.char.add(np.datetime_as_string(times, unit="s"), "Z") == raw
+    canon &= times >= np.datetime64("0001")
+    canon &= np.fromiter(map(len, stamps), int, len(rows)) == 20
+    return (pids, times, values, ages, labels) if canon.all() else None
+
+
+def _load_rows(path: Path) -> Cohort:
+    """Row-at-a-time reader for files the block reader rejects: raises at the
+    first bad line, or reads what the blocks leave out (offset timestamps)."""
     per_patient: dict[str, dict] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header != CSV_HEADER:
-            raise ParseError(
-                f"{path}: bad header {header!r}, expected {CSV_HEADER!r}"
-            )
+        next(reader)  # the header, checked by load_cohort
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -209,20 +218,14 @@ def load_cohort(path) -> Cohort:
             age = _parse_int(age_raw, "age", line_no)
             label = _parse_int(label_raw, "label", line_no)
             if dbp >= sbp:
-                raise ValidationError(
-                    f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})"
-                )
+                raise ValidationError(f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})")
             if min(hr, sbp, dbp) <= 0:
                 raise ValidationError(f"line {line_no}: vitals must be > 0")
             if label not in (0, 1):
                 raise ValidationError(f"line {line_no}: label must be 0 or 1")
-            entry = per_patient.setdefault(
-                pid, {"age": age, "label": label, "rows": {}, "first_line": line_no}
-            )
+            entry = per_patient.setdefault(pid, {"age": age, "label": label, "rows": {}})
             if entry["age"] != age or entry["label"] != label:
-                raise ValidationError(
-                    f"line {line_no}: patient {pid} has inconsistent age/label"
-                )
+                raise ValidationError(f"line {line_no}: patient {pid} has inconsistent age/label")
             if ts in entry["rows"]:
                 raise ValidationError(
                     f"line {line_no}: duplicate timestamp {ts_raw} for patient {pid}"
@@ -230,41 +233,73 @@ def load_cohort(path) -> Cohort:
             entry["rows"][ts] = (hr, sbp, dbp)
     patients = []
     for pid, entry in per_patient.items():
-        samples = [
-            VitalSample(timestamp=ts, hr=v[0], sbp=v[1], dbp=v[2])
-            for ts, v in sorted(entry["rows"].items())
-        ]
-        patients.append(
-            PatientRecord(
-                patient_id=pid, age=entry["age"], label=entry["label"], samples=samples
-            )
-        )
+        times, values = zip(*sorted(entry["rows"].items()))
+        patients.append(PatientRecord(pid, entry["age"], entry["label"], times, values))
     return Cohort(patients=patients)
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def load_cohort(path) -> Cohort:
+    """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
+
+    Rows are parsed and checked in vectorized blocks of `_CHUNK_ROWS`. If any
+    check fails, or a timestamp is not canonical, the file is read again row
+    by row, so an error names the first bad line: its own fields first, then
+    a patient's inconsistent age/label or a repeated timestamp.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"no such file: {path}")
+    index: dict[str, int] = {}  # patient id -> code, in order of first row
+    parts = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if header != CSV_HEADER:
+            raise ParseError(
+                f"{path}: bad header {header!r}, expected {CSV_HEADER!r}"
+            )
+        data_rows = filter(None, reader)  # blank lines carry no data
+        while rows := list(islice(data_rows, _CHUNK_ROWS)):
+            columns = _parse_chunk(rows)
+            if columns is None:
+                return _load_rows(path)
+            pids, *columns = columns  # ids come in runs: look each run up once
+            runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
+            parts.append((np.repeat(*np.array(runs).T), *columns))
+    if not parts:
+        return Cohort()
+    codes, times, values, ages, labels = map(np.concatenate, zip(*parts))
+    first = np.unique(codes, return_index=True)[1]  # each patient's first row
+    if (ages != ages[first][codes]).any() or (labels != labels[first][codes]).any():
+        return _load_rows(path)
+    order = np.lexsort((times, codes))
+    splits = np.searchsorted(codes[order], np.arange(1, len(index)))
+    try:  # the records check values, labels, ages and repeated times
+        return Cohort([
+            PatientRecord(pid, int(ages[f]), int(labels[f]), t, v)
+            for pid, f, t, v in zip(
+                index, first, np.split(times[order], splits), np.split(values[order], splits)
+            )
+        ])
+    except ValidationError:
+        return _load_rows(path)
 
 
 def write_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort CSV; floats use shortest round-trip formatting."""
+    """Write a cohort CSV, one `writerows` call per patient: timestamps in
+    whole UTC seconds with a Z suffix, floats in shortest round-trip form."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for p in cohort.patients:
-            for s in p.samples:
-                writer.writerow(
-                    [
-                        p.patient_id,
-                        format_timestamp(s.timestamp),
-                        repr(s.hr),
-                        repr(s.sbp),
-                        repr(s.dbp),
-                        p.age,
-                        p.label,
-                    ]
-                )
+            stamps = np.char.add(np.datetime_as_string(p.times, unit="s"), "Z").tolist()
+            hr, sbp, dbp = (map(repr, col) for col in p.values.T.tolist())
+            writer.writerows(zip(repeat(p.patient_id), stamps, hr, sbp, dbp,
+                                 repeat(p.age), repeat(p.label)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,39 +309,21 @@ def write_cohort(cohort: Cohort, path) -> None:
 
 def resample(record: PatientRecord, step: timedelta = HOUR) -> RegularSeries:
     """Average samples onto a regular grid from the first to the last
-    timestamp; empty slots are forward-filled, then backward-filled.
+    timestamp; empty slots are forward-filled.
 
-    Slot t covers [start + t*step, start + (t+1)*step).
+    Slot t covers [start + t*step, start + (t+1)*step). Slot 0 holds the
+    first sample, so every empty slot has a filled one before it.
     """
     if step <= timedelta(0):
         raise ValidationError(f"step must be positive, got {step}")
-    start = record.samples[0].timestamp
-    last = record.samples[-1].timestamp
-    n_slots = int((last - start) / step) + 1
-    sums = np.zeros((n_slots, 3))
-    counts = np.zeros(n_slots)
-    for s in record.samples:
-        idx = int((s.timestamp - start) / step)
-        sums[idx] += (s.hr, s.sbp, s.dbp)
-        counts[idx] += 1
-    values = np.full((n_slots, 3), np.nan)
-    filled = counts > 0
-    values[filled] = sums[filled] / counts[filled, None]
-    # forward fill
-    last_seen = None
-    for t in range(n_slots):
-        if filled[t]:
-            last_seen = values[t]
-        elif last_seen is not None:
-            values[t] = last_seen
-    # backward fill for any leading gap
-    nxt = None
-    for t in range(n_slots - 1, -1, -1):
-        if np.isfinite(values[t]).all():
-            nxt = values[t]
-        elif nxt is not None:
-            values[t] = nxt
-    return RegularSeries(start=start, step=step, values=values)
+    start = record.times[0]
+    slots = (record.times - start) // np.timedelta64(step)
+    n_slots = int(slots[-1]) + 1
+    counts = np.bincount(slots, minlength=n_slots)
+    sums = np.column_stack([np.bincount(slots, col, n_slots) for col in record.values.T])
+    # each slot reads the mean of the last filled slot at or before it
+    src = np.maximum.accumulate(np.where(counts > 0, np.arange(n_slots), 0))
+    return RegularSeries(start=start, step=step, values=sums[src] / counts[src, None])
 
 
 def compute_channel_stats(train: list[RegularSeries]) -> ChannelStats:

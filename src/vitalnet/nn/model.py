@@ -111,31 +111,34 @@ class ModelParams:
                 raise ValidationError(f"non-finite values in parameter {name}")
 
 
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor, in TENSOR_ORDER."""
+    f1, k1 = config.conv1_filters, config.conv1_kernel
+    f2, k2 = config.conv2_filters, config.conv2_kernel
+    h, d1 = config.lstm_hidden, config.dense1_units
+    return {
+        "conv1_w": (f1, k1, N_CHANNELS), "conv1_b": (f1,),
+        "conv2_w": (f2, k2, f1), "conv2_b": (f2,),
+        "lstm_wx": (f2, 4 * h), "lstm_wh": (h, 4 * h), "lstm_b": (4 * h,),
+        "dense1_w": (h, d1), "dense1_b": (d1,),
+        "dense2_w": (d1, 1), "dense2_b": (1,),
+    }
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded uniform fan-in initialization; LSTM forget-gate bias set to 1."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-
-    def uniform(shape, fan_in):
+    tensors = {}
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith("_b"):
+            tensors[name] = np.zeros(shape)
+            continue
+        # fan-in: kernel x input channels for a conv, the input width otherwise
+        fan_in = shape[1] * shape[2] if name.startswith("conv") else shape[0]
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    f1, k1 = config.conv1_filters, config.conv1_kernel
-    f2, k2 = config.conv2_filters, config.conv2_kernel
+        tensors[name] = rng.uniform(-bound, bound, size=shape)
     h = config.lstm_hidden
-    tensors = {
-        "conv1_w": uniform((f1, k1, N_CHANNELS), k1 * N_CHANNELS),
-        "conv1_b": np.zeros(f1),
-        "conv2_w": uniform((f2, k2, f1), k2 * f1),
-        "conv2_b": np.zeros(f2),
-        "lstm_wx": uniform((f2, 4 * h), f2),
-        "lstm_wh": uniform((h, 4 * h), h),
-        "lstm_b": np.zeros(4 * h),
-        "dense1_w": uniform((h, config.dense1_units), h),
-        "dense1_b": np.zeros(config.dense1_units),
-        "dense2_w": uniform((config.dense1_units, 1), config.dense1_units),
-        "dense2_b": np.zeros(1),
-    }
     tensors["lstm_b"][h : 2 * h] = 1.0  # forget gate bias
     return ModelParams(tensors=tensors, config=config)
 
@@ -237,20 +240,31 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
     with Path(path).open(encoding="utf-8") as fh:
         doc = json.load(fh)
-    version = doc.get("format_version")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValidationError(
             f"unsupported checkpoint format_version {version!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    config = ModelConfig.from_dict(doc["model_config"])
+    try:
+        config = ModelConfig.from_dict(doc["model_config"])
+        entries = {e["name"]: (e["shape"], e["data"]) for e in doc["tensors"]}
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed checkpoint: missing or bad field {exc}") from None
+    shapes = tensor_shapes(config)
+    if set(entries) != set(shapes):
+        missing, unknown = set(shapes) - set(entries), set(entries) - set(shapes)
+        raise ValidationError(f"checkpoint missing tensors: {sorted(missing)}, "
+                              f"unknown tensors: {sorted(unknown, key=str)}")
     tensors = {}
-    for entry in doc["tensors"]:
-        arr = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        tensors[entry["name"]] = arr
-    missing = set(TENSOR_ORDER) - set(tensors)
-    if missing:
-        raise ValidationError(f"checkpoint missing tensors: {sorted(missing)}")
+    for name, (shape, data) in entries.items():
+        want = list(shapes[name])
+        if shape != want:
+            raise ValidationError(f"checkpoint tensor {name} has shape {shape}, config: {want}")
+        try:
+            tensors[name] = np.array(data, dtype=float).reshape(want)
+        except (TypeError, ValueError):
+            raise ValidationError(f"checkpoint tensor {name}: data does not fill {want}") from None
     params = ModelParams(tensors=tensors, config=config)
     params.check_finite()
     return params, doc.get("preprocess", {})

@@ -1,5 +1,6 @@
-"""Statistical analysis: per-patient summary features, point-biserial
-correlation with two-sided p-values, and t-based confidence intervals.
+"""Statistical analysis: point-biserial correlation with two-sided
+p-values, t-based confidence intervals and box-plot statistics. The
+per-patient summary features are `synth.patient_feature_table`.
 
 The t-distribution tail probabilities are computed from scratch via the
 regularized incomplete beta function so the package has no runtime
@@ -16,30 +17,13 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "SummaryFeatures",
     "CorrelationResult",
-    "summary_features",
-    "series_summary_features",
     "point_biserial",
     "confidence_interval",
     "t_sf",
     "t_quantile",
     "boxplot_stats",
 ]
-
-
-@dataclass(frozen=True)
-class SummaryFeatures:
-    """mean / std / min / max of one scalar series (std is population std)."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-
-    def __post_init__(self):
-        if not (self.min <= self.mean <= self.max) or self.std < 0:
-            raise ValidationError(f"inconsistent summary features: {self}")
 
 
 @dataclass(frozen=True)
@@ -51,27 +35,6 @@ class CorrelationResult:
     def __post_init__(self):
         if abs(self.r) > 1 + 1e-12 or not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"correlation out of range: r={self.r}, p={self.p}")
-
-
-def summary_features(values) -> SummaryFeatures:
-    """Exact sample statistics of a 1-D series; std uses divisor n."""
-    x = np.asarray(values, dtype=float)
-    if x.size == 0:
-        raise ValidationError("summary_features: empty series")
-    return SummaryFeatures(
-        mean=float(np.mean(x)),
-        std=float(np.std(x)),
-        min=float(np.min(x)),
-        max=float(np.max(x)),
-    )
-
-
-def series_summary_features(series) -> dict[str, SummaryFeatures]:
-    """Per-channel summary features of a regular series (hr, sbp, dbp)."""
-    return {
-        name: summary_features(series.values[:, i])
-        for i, name in enumerate(("hr", "sbp", "dbp"))
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
 from importlib import resources
 
 import numpy as np
 
-from .data import Cohort, PatientRecord, VitalSample, resample
+from .data import Cohort, PatientRecord, resample
 from .errors import ValidationError
 from .stats import confidence_interval
 
 VITALS = ("hr", "sbp", "dbp")
 STATS = ("mean", "std", "min", "max")
 
-_BASE_DATE = datetime(2020, 3, 21, tzinfo=timezone.utc)
+_BASE_DATE = np.datetime64("2020-03-21", "us")  # UTC
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ def _generate_patient(
         - dyn.dip_gain["dbp"] * dips,
     }
 
-    start = _BASE_DATE + timedelta(minutes=float(rng.integers(0, 90 * 24 * 60)))
+    start_minute = int(rng.integers(0, 90 * 24 * 60))
     channels = {}
     for vital in VITALS:
         zc = z[vital]
@@ -346,16 +345,26 @@ def _generate_patient(
     channels["dbp"] = np.minimum(channels["dbp"], channels["sbp"] - 10.0)
     channels["dbp"] = np.clip(channels["dbp"], _CLIP["dbp"][0], None)
 
-    samples = [
-        VitalSample(
-            timestamp=start + timedelta(minutes=cadence_min * k),
-            hr=round(float(channels["hr"][k]), 2),
-            sbp=round(float(channels["sbp"][k]), 2),
-            dbp=round(float(channels["dbp"][k]), 2),
-        )
-        for k in range(n)
-    ]
-    return PatientRecord(patient_id=pid, age=age, label=group.label, samples=samples)
+    return _patient_record(pid, age, group.label, start_minute, cadence_min, channels)
+
+
+def _round2(x: np.ndarray) -> np.ndarray:
+    """Elementwise Python `round(v, 2)`. `np.round` agrees unless x*100 is within
+    rounding error of a half-integer, |x| >= 1e7 or x is not finite: Python rounds those."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 100.0
+        redo = ~(np.abs(x) < 1e7) | (np.abs(y - np.floor(y) - 0.5) < 1e-6)
+        out = np.round(x, 2)
+    out[redo] = [round(v, 2) for v in x[redo].tolist()]
+    return out
+
+
+def _patient_record(pid, age, label, start_minute, cadence_min, channels) -> PatientRecord:
+    """A sample every cadence_min minutes from start_minute past the base date."""
+    steps = np.arange(len(channels["hr"])) * np.timedelta64(cadence_min, "m")
+    times = _BASE_DATE + np.timedelta64(start_minute, "m") + steps
+    values = _round2(np.stack([channels[v] for v in VITALS], axis=1))
+    return PatientRecord(patient_id=pid, age=age, label=label, times=times, values=values)
 
 
 # ---------------------------------------------------------------------------

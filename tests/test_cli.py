@@ -69,6 +69,38 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys):
+        code = run(["synth", "--out", str(tmp_path / "absent" / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["synth", "--config"], ["train", "--model-config"]])
+    def test_malformed_json_config_is_validation_error(
+        self, tmp_path, small_cohort_csv, capsys, command
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seed": 1,')
+        out = tmp_path / "out"
+        extra = ["--train", str(small_cohort_csv)] if command[0] == "train" else []
+        code = run([*command, str(bad), *extra, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_checkpoint_without_shape_is_validation_error(
+        self, tmp_path, small_cohort_csv, small_model, capsys
+    ):
+        doc = json.loads(small_model.read_text())
+        del doc["tensors"][0]["shape"]
+        small_model.write_text(json.dumps(doc))
+        code = run(["eval", "--model", str(small_model), "--test", str(small_cohort_csv),
+                    "--out", str(tmp_path / "eval.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "shape" in err and "Traceback" not in err
+
     def test_success_is_zero(self, small_cohort_csv):
         assert small_cohort_csv.exists()
 

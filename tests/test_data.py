@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from vitalnet.data import (
     ChannelStats,
     Cohort,
     PatientRecord,
-    VitalSample,
     compute_channel_stats,
     load_cohort,
     make_windows,
@@ -18,25 +17,23 @@ from vitalnet.data import (
 )
 from vitalnet.errors import ParseError, ValidationError
 
-UTC = timezone.utc
 HOUR = timedelta(hours=1)
+T0 = np.datetime64("2020-03-21T00:00", "us")
 
 
-def ts(hours: float) -> datetime:
-    return datetime(2020, 3, 21, tzinfo=UTC) + timedelta(hours=hours)
+def ts(hours: float) -> np.datetime64:
+    return T0 + np.timedelta64(round(hours * 3600e6), "us")
 
 
-def sample(hours, hr=80.0, sbp=120.0, dbp=70.0):
-    return VitalSample(timestamp=ts(hours), hr=hr, sbp=sbp, dbp=dbp)
+def patient(rows, pid="p", age=50, label=0):
+    """A record from (hours, hr, sbp, dbp) rows."""
+    return PatientRecord(
+        pid, age, label, times=[ts(r[0]) for r in rows], values=[r[1:] for r in rows]
+    )
 
 
 def record(pid="p1", hours_hr=((0, 80.0),), age=50, label=0):
-    return PatientRecord(
-        patient_id=pid,
-        age=age,
-        label=label,
-        samples=[sample(h, hr=v) for h, v in hours_hr],
-    )
+    return patient([(h, v, 120.0, 70.0) for h, v in hours_hr], pid, age, label)
 
 
 def write_lines(path, rows):
@@ -48,15 +45,15 @@ def write_lines(path, rows):
 class TestTypes:
     def test_vital_invariants(self):
         with pytest.raises(ValidationError):
-            VitalSample(timestamp=ts(0), hr=-1, sbp=120, dbp=70)
+            patient([(0, -1, 120, 70)])
         with pytest.raises(ValidationError):
-            VitalSample(timestamp=ts(0), hr=80, sbp=80, dbp=90)
+            patient([(0, 80, 80, 90)])
 
     def test_patient_requires_increasing_times(self):
         with pytest.raises(ValidationError):
-            PatientRecord("p", 50, 0, [sample(1), sample(0)])
+            patient([(1, 80, 120, 70), (0, 80, 120, 70)])
         with pytest.raises(ValidationError):
-            PatientRecord("p", 50, 0, [sample(0), sample(0)])
+            patient([(0, 80, 120, 70), (0, 80, 120, 70)])
 
     def test_cohort_unique_ids(self):
         with pytest.raises(ValidationError):
@@ -75,7 +72,7 @@ class TestLoadCohort:
         )
         cohort = load_cohort(f)
         assert len(cohort) == 1
-        assert len(cohort.patients[0].samples) == 2
+        assert len(cohort.patients[0].times) == 2
         assert cohort.patients[0].label == 1
 
     def test_rows_sorted_per_patient(self, tmp_path):
@@ -87,8 +84,8 @@ class TestLoadCohort:
                 ["p1", "2020-03-21T14:00:00Z", 80, 120, 70, 55, 1],
             ],
         )
-        samples = load_cohort(f).patients[0].samples
-        assert samples[0].hr == 80
+        values = load_cohort(f).patients[0].values
+        assert values[0, 0] == 80
 
     def test_bad_timestamp_names_line(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -192,8 +189,8 @@ class TestResample:
         hours = np.cumsum(rng.uniform(0.1, 3.0, size=40))
         rec = record(hours_hr=[(h, 60 + 30 * rng.random()) for h in hours])
         reg = resample(rec, HOUR)
-        span = rec.samples[-1].timestamp - rec.samples[0].timestamp
-        assert len(reg) == int(span / HOUR) + 1
+        span = rec.times[-1] - rec.times[0]
+        assert len(reg) == int(span / np.timedelta64(HOUR)) + 1
         assert np.isfinite(reg.values).all()
 
 
@@ -204,9 +201,7 @@ class TestChannelStats:
             compute_channel_stats([reg])
 
     def test_two_point(self):
-        rec = PatientRecord(
-            "p", 50, 0, [sample(0, hr=70, sbp=100, dbp=60), sample(1, hr=90, sbp=140, dbp=80)]
-        )
+        rec = patient([(0, 70, 100, 60), (1, 90, 140, 80)])
         stats = compute_channel_stats([resample(rec, HOUR)])
         assert stats.mean[0] == pytest.approx(80)
         assert stats.std[0] == pytest.approx(10)
@@ -216,19 +211,12 @@ class TestChannelStats:
         series = []
         for i in range(5):
             hours = np.arange(30)
-            rec = PatientRecord(
-                f"p{i}",
-                50,
-                0,
+            rec = patient(
                 [
-                    VitalSample(
-                        ts(float(h)),
-                        hr=60 + 30 * rng.random(),
-                        sbp=100 + 40 * rng.random(),
-                        dbp=50 + 20 * rng.random(),
-                    )
+                    (h, 60 + 30 * rng.random(), 100 + 40 * rng.random(), 50 + 20 * rng.random())
                     for h in hours
                 ],
+                pid=f"p{i}",
             )
             series.append(resample(rec, HOUR))
         stats = compute_channel_stats(series)
@@ -239,19 +227,13 @@ class TestChannelStats:
 
 def _series_of_length(n_slots, pid="p1", label=0, seed=0):
     rng = np.random.default_rng(seed)
-    rec = PatientRecord(
-        pid,
-        50,
-        label,
+    rec = patient(
         [
-            VitalSample(
-                ts(float(h)),
-                hr=70 + 20 * rng.random(),
-                sbp=110 + 20 * rng.random(),
-                dbp=60 + 10 * rng.random(),
-            )
+            (h, 70 + 20 * rng.random(), 110 + 20 * rng.random(), 60 + 10 * rng.random())
             for h in range(n_slots)
         ],
+        pid=pid,
+        label=label,
     )
     return resample(rec, HOUR)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,58 @@ class TestCheckpoint:
         path.write_text(doc)
         with pytest.raises(ValidationError, match="format_version"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _saved_doc(tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(TINY))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("field", ["name", "shape", "data"])
+    def test_tensor_entry_missing_field(self, tmp_path, field):
+        path, doc = self._saved_doc(tmp_path)
+        del doc["tensors"][3][field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=field):
+            load_checkpoint(path)
+
+    def test_shape_checked_against_model_config(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        entry = next(e for e in doc["tensors"] if e["name"] == "conv2_w")
+        entry["shape"] = [entry["shape"][0], entry["shape"][2], entry["shape"][1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="conv2_w has shape"):
+            load_checkpoint(path)
+
+    def test_data_must_fill_shape(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["tensors"][0]["data"] = doc["tensors"][0]["data"][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="does not fill"):
+            load_checkpoint(path)
+
+    def test_unknown_tensor_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["tensors"].append({"name": "extra_w", "shape": [1], "data": [0.0]})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="unknown tensors: \\['extra_w'\\]"):
+            load_checkpoint(path)
+
+    def test_older_layout_still_loads(self, tmp_path):
+        # tensors in any order, default model_config keys left out, as an
+        # earlier writer may have produced
+        params = init_params(TINY)
+        path, doc = self._saved_doc(tmp_path)
+        doc["tensors"].reverse()
+        doc["model_config"] = {
+            k: v for k, v in doc["model_config"].items()
+            if v != getattr(ModelConfig(), k)
+        }
+        path.write_text(json.dumps(doc, indent=1))
+        loaded, preprocess = load_checkpoint(path)
+        assert preprocess == {}
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded.tensors[name], t)
 
 
 class TestGradCheck:

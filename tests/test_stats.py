@@ -6,52 +6,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from vitalnet.data import Cohort, PatientRecord
 from vitalnet.errors import ValidationError
 from vitalnet.stats import (
     boxplot_stats,
     confidence_interval,
     point_biserial,
-    summary_features,
     t_quantile,
     t_sf,
 )
+from vitalnet.synth import patient_feature_table
+
+
+def features(hr, sbp=None, dbp=None) -> dict[str, float]:
+    """`patient_feature_table` row of one patient with one sample per hour."""
+    n = len(hr)
+    sbp = [120.0] * n if sbp is None else sbp
+    dbp = [70.0] * n if dbp is None else dbp
+    times = np.datetime64("2020-03-21T00:00", "us") + np.arange(n) * np.timedelta64(1, "h")
+    record = PatientRecord("p", 50, 0, times, np.column_stack([hr, sbp, dbp]))
+    return {k: v[0] for k, v in patient_feature_table(Cohort([record])).items()}
 
 
 class TestSummaryFeatures:
     def test_constant(self):
-        f = summary_features([80, 80, 80])
-        assert (f.mean, f.std, f.min, f.max) == (80, 0, 80, 80)
+        f = features([80, 80, 80])
+        assert (f["hr_mean"], f["hr_std"], f["hr_min"], f["hr_max"]) == (80, 0, 80, 80)
 
     def test_two_point(self):
-        f = summary_features([70, 90])
-        assert (f.mean, f.std, f.min, f.max) == (80, 10, 70, 90)
+        f = features([70, 90])
+        assert (f["hr_mean"], f["hr_std"], f["hr_min"], f["hr_max"]) == (80, 10, 70, 90)
 
     def test_population_std(self):
         # direct definition: sqrt(mean of squared deviations)
         x = [1, 2, 3, 4]
         expected = math.sqrt(sum((v - 2.5) ** 2 for v in x) / 4)
-        assert summary_features(x).std == pytest.approx(expected, abs=1e-12)
+        assert features(x)["hr_std"] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.118034, abs=1e-6)
 
     def test_empty_rejected(self):
+        # a patient without samples has no feature row: the record refuses it
         with pytest.raises(ValidationError):
-            summary_features([])
+            PatientRecord("p", 50, 0, np.array([], "datetime64[us]"), np.zeros((0, 3)))
 
     def test_per_channel_on_regular_series(self):
-        from datetime import datetime, timedelta, timezone
-
-        from vitalnet.data import RegularSeries
-        from vitalnet.stats import series_summary_features
-
-        series = RegularSeries(
-            start=datetime(2020, 3, 21, tzinfo=timezone.utc),
-            step=timedelta(hours=1),
-            values=np.array([[70.0, 110.0, 60.0], [90.0, 130.0, 70.0]]),
-        )
-        feats = series_summary_features(series)
-        assert set(feats) == {"hr", "sbp", "dbp"}
-        assert feats["hr"].mean == 80 and feats["hr"].std == 10
-        assert feats["sbp"].min == 110 and feats["dbp"].max == 70
+        feats = features([70.0, 90.0], sbp=[110.0, 130.0], dbp=[60.0, 70.0])
+        assert {k.split("_")[0] for k in feats} == {"hr", "sbp", "dbp", "label", "age"}
+        assert feats["hr_mean"] == 80 and feats["hr_std"] == 10
+        assert feats["sbp_min"] == 110 and feats["dbp_max"] == 70
 
 
 class TestTSf:

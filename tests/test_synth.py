@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,14 @@ from vitalnet.synth import (
 
 # published group totals for raw observation counts per vital
 NEG_ROWS, POS_ROWS = 23057, 19449
+
+# SHA-256 of `vitalnet synth --seed S` with the default config, as written by
+# the per-row (VitalSample) generator that the array code replaced
+PINNED_SHA256 = {
+    0: "1a7d3a72a6920edb561b0475293fb7920f236c8a70ba16fdb395c01f058e991d",
+    1: "af78d0ae1bb30f8af1be5f99b047a19afa1371658980d63b89b2e25f98a39f54",
+    42: "2a9a54b9e0a9752dd9ec2b5686dfd603f67408e111cda07e3cae29087222e472",
+}
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +48,7 @@ class TestGenerateCohort:
     def test_row_counts_near_published_totals(self, cohort):
         rows = {0: 0, 1: 0}
         for p in cohort.patients:
-            rows[p.label] += len(p.samples)
+            rows[p.label] += len(p.times)
         assert abs(rows[0] - NEG_ROWS) / NEG_ROWS < 0.10
         assert abs(rows[1] - POS_ROWS) / POS_ROWS < 0.10
 
@@ -52,8 +61,8 @@ class TestGenerateCohort:
         labels = loaded.labels()
         assert len(loaded) == 70
         assert int(labels.sum()) == 32 and int((labels == 0).sum()) == 38
-        assert [len(p.samples) for p in loaded.patients] == [
-            len(p.samples) for p in cohort.patients
+        assert [len(p.times) for p in loaded.patients] == [
+            len(p.times) for p in cohort.patients
         ]
 
     def test_deterministic_bytes(self, tmp_path, cohort):
@@ -62,6 +71,14 @@ class TestGenerateCohort:
         write_cohort(cohort, a)
         write_cohort(again, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_SHA256))
+    def test_pinned_bytes(self, tmp_path, seed):
+        cfg = default_config()
+        cfg.seed = seed
+        path = tmp_path / "cohort.csv"
+        write_cohort(generate_cohort(cfg), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[seed]
 
     def test_different_seed_differs(self, cohort, tmp_path):
         cfg = default_config()
@@ -75,18 +92,16 @@ class TestGenerateCohort:
     def test_sample_invariants(self, cohort):
         # constructors enforce these; assert directly as well
         for p in cohort.patients:
-            hr = np.array([s.hr for s in p.samples])
-            sbp = np.array([s.sbp for s in p.samples])
-            dbp = np.array([s.dbp for s in p.samples])
+            hr, sbp, dbp = p.values.T
             assert (hr > 0).all() and (sbp > 0).all() and (dbp > 0).all()
             assert (dbp < sbp).all()
-            times = [s.timestamp for s in p.samples]
+            times = p.times.tolist()
             assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_cadence_from_config_set(self, cohort):
         cadences = set()
         for p in cohort.patients:
-            delta = p.samples[1].timestamp - p.samples[0].timestamp
+            delta = (p.times[1] - p.times[0]).item()
             cadences.add(int(delta.total_seconds() / 60))
         assert cadences <= {15, 30, 60}
         assert len(cadences) > 1
