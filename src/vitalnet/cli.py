@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,7 +36,7 @@ from .evaluate import (
     window_metrics,
     windows_from_cohort,
 )
-from .nn.model import ModelConfig, load_checkpoint, save_checkpoint
+from .nn.model import ModelConfig, load_checkpoint, require_int, save_checkpoint
 from .nn.train import TrainConfig, train
 from .stats import boxplot_stats, confidence_interval, point_biserial
 from .synth import (
@@ -72,9 +73,11 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _read_rows(path, expected_header) -> list[dict]:
+    """Data rows of a CSV with exactly `expected_header`; blank lines skipped."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
+    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -83,7 +86,25 @@ def _read_rows(path, expected_header) -> list[dict]:
                 f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(header or [])}"
             )
-        return [dict(zip(expected_header, row)) for row in reader]
+        for row in filter(None, reader):
+            if len(row) != len(expected_header):
+                raise ValidationError(f"{path}: line {reader.line_num}: expected "
+                                      f"{len(expected_header)} fields, got {len(row)}")
+            rows.append(dict(zip(expected_header, row)))
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return rows
+
+
+def _numbers(rows, key, path, cast=float) -> list:
+    """Column `key` of `_read_rows` output as finite numbers."""
+    try:
+        values = [cast(r[key]) for r in rows]
+    except ValueError:
+        raise ValidationError(f"{path}: non-numeric value in column {key}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"{path}: non-finite value in column {key}")
+    return values
 
 
 def _coerce(value: str):
@@ -147,14 +168,26 @@ def _write_manifest(out_path, subcommand, config, inputs, outputs, seed, t0) -> 
 
 def _load_model(path):
     params, preprocess = load_checkpoint(path)
+    if not isinstance(preprocess, dict):
+        raise ValidationError("checkpoint preprocess must be an object")
     for key in ("window_len", "stride", "channel_mean", "channel_std"):
         if key not in preprocess:
             raise ValidationError(f"checkpoint missing preprocess field {key!r}")
-    stats = ChannelStats(
-        mean=np.array(preprocess["channel_mean"], dtype=float),
-        std=np.array(preprocess["channel_std"], dtype=float),
-    )
-    return params, stats, int(preprocess["window_len"]), int(preprocess["stride"])
+    for key in ("window_len", "stride"):
+        require_int(key, preprocess[key])
+        if preprocess[key] < 1:
+            raise ValidationError(f"checkpoint {key} must be >= 1, got {preprocess[key]}")
+    try:
+        mean, std = (np.array(preprocess[k], dtype=float)
+                     for k in ("channel_mean", "channel_std"))
+    except (TypeError, ValueError):
+        raise ValidationError("checkpoint channel_mean/channel_std must be numbers") from None
+    if mean.shape != (3,) or std.shape != (3,) or not np.isfinite([mean, std]).all() \
+            or (std <= 0).any():
+        raise ValidationError("checkpoint channel_mean/channel_std must be 3 finite "
+                              "numbers each, std > 0")
+    stats = ChannelStats(mean=mean, std=std)
+    return params, stats, preprocess["window_len"], preprocess["stride"]
 
 
 # ---------------------------------------------------------------------------
@@ -360,42 +393,36 @@ def _cmd_embed(args) -> None:
 
 def _cmd_plot(args) -> None:
     t0 = time.time()
+    path = args.input
     if args.kind == "sweep":
-        rows = _read_rows(args.input, SWEEP_HEADER)
-        days = [float(r["days"]) for r in rows]
+        rows = _read_rows(path, SWEEP_HEADER)
+        days, acc, auc = (_numbers(rows, k, path) for k in ("days", "accuracy", "auc"))
         content = svg.line_chart(
-            [
-                ("accuracy", days, [float(r["accuracy"]) for r in rows]),
-                ("auc", days, [float(r["auc"]) for r in rows]),
-            ],
+            [("accuracy", days, acc), ("auc", days, auc)],
             "Test performance by number of included days",
             "days of data", "metric",
         )
     elif args.kind == "history":
-        rows = _read_rows(args.input, HISTORY_HEADER)
-        epochs = [float(r["epoch"]) for r in rows]
+        rows = _read_rows(path, HISTORY_HEADER)
+        epochs, loss, acc = (_numbers(rows, k, path) for k in ("epoch", "loss", "accuracy"))
         content = svg.line_chart(
-            [
-                ("loss", epochs, [float(r["loss"]) for r in rows]),
-                ("accuracy", epochs, [float(r["accuracy"]) for r in rows]),
-            ],
+            [("loss", epochs, loss), ("accuracy", epochs, acc)],
             "Training history", "epoch", "value",
         )
     elif args.kind == "embedding":
-        rows = _read_rows(args.input, EMBEDDING_HEADER)
+        rows = _read_rows(path, EMBEDDING_HEADER)
         content = svg.scatter_chart(
-            [(float(r["y1"]), float(r["y2"]), int(r["label"])) for r in rows],
+            list(zip(_numbers(rows, "y1", path), _numbers(rows, "y2", path),
+                     _numbers(rows, "label", path, int))),
             "2-D feature embedding of test windows", "y1", "y2",
         )
     elif args.kind == "boxplot":
-        rows = _read_rows(args.input, BOXPLOT_HEADER)
+        rows = _read_rows(path, BOXPLOT_HEADER)
+        columns = {k: _numbers(rows, k, path) for k in BOXPLOT_HEADER[1:]}
         content = svg.box_plot(
             [
-                (
-                    f"label {r['label']}",
-                    {k: float(r[k]) for k in BOXPLOT_HEADER[1:]},
-                )
-                for r in rows
+                (f"label {r['label']}", {k: v[i] for k, v in columns.items()})
+                for i, r in enumerate(rows)
             ],
             "Resting heart rate by test result", "test result", "resting HR (bpm)",
         )
@@ -514,6 +541,9 @@ def run(argv=None) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -157,7 +157,12 @@ def _parse_timestamp(raw: str, line_no: int) -> np.datetime64:
         raise ParseError(f"line {line_no}: bad timestamp {raw!r}") from None
     if ts.tzinfo is None:
         raise ParseError(f"line {line_no}: timestamp {raw!r} lacks a UTC offset")
-    return np.datetime64(ts.astimezone(timezone.utc).replace(tzinfo=None), "us")
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ParseError(f"line {line_no}: timestamp {raw!r} is outside years 1-9999 "
+                         "in UTC") from None
+    return np.datetime64(ts.replace(tzinfo=None), "us")
 
 
 def _parse_float(raw: str, name: str, line_no: int) -> float:
@@ -390,6 +395,8 @@ def split_by_patient(
     """Label-stratified patient-level partition, deterministic per seed."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     by_label: dict[int, list[PatientRecord]] = {0: [], 1: []}
     for p in cohort.patients:
         by_label[p.label].append(p)

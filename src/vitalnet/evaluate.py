@@ -1,6 +1,7 @@
 """Metrics and the day-sweep experiment: accuracy, trapezoidal ROC AUC,
 window-level prediction, truncated-series sweeps, and penultimate-feature
-extraction for the t-SNE projection.
+extraction for the t-SNE projection. Prediction and feature extraction share
+one chunked forward loop; the sweep scores each distinct window once.
 """
 
 from __future__ import annotations
@@ -74,26 +75,28 @@ def roc_auc(probs, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+def _score(params: ModelParams, dataset: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (n,) and penultimate features (n, dense1_units), one
+    forward pass per chunk of `_PREDICT_CHUNK` windows, order preserved."""
+    probs = np.empty(len(dataset))
+    feats = np.empty((len(dataset), params.config.dense1_units))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for lo in range(0, len(dataset), _PREDICT_CHUNK):
+            hi = lo + _PREDICT_CHUNK
+            probs[lo:hi], feats[lo:hi], _ = forward(params, dataset.X[lo:hi])
+    if not (np.isfinite(probs).all() and np.isfinite(feats).all()):
+        raise ValidationError("the model gives non-finite outputs on these windows")
+    return probs, feats
+
+
 def predict(params: ModelParams, dataset: WindowedDataset) -> np.ndarray:
     """Per-window probabilities, order preserved, evaluated in chunks."""
-    if len(dataset) == 0:
-        return np.zeros(0)
-    out = np.empty(len(dataset))
-    for lo in range(0, len(dataset), _PREDICT_CHUNK):
-        probs, _, _ = forward(params, dataset.X[lo : lo + _PREDICT_CHUNK])
-        out[lo : lo + probs.size] = probs
-    return out
+    return _score(params, dataset)[0]
 
 
 def extract_features(params: ModelParams, dataset: WindowedDataset) -> np.ndarray:
     """Penultimate-layer activations per window: an (n, 100) matrix."""
-    if len(dataset) == 0:
-        return np.zeros((0, params.config.dense1_units))
-    rows = []
-    for lo in range(0, len(dataset), _PREDICT_CHUNK):
-        _, feats, _ = forward(params, dataset.X[lo : lo + _PREDICT_CHUNK])
-        rows.append(feats)
-    return np.concatenate(rows, axis=0)
+    return _score(params, dataset)[1]
 
 
 def window_metrics(
@@ -108,20 +111,26 @@ def window_metrics(
     the mean window probability and the prediction is the majority vote of
     thresholded windows (ties predict positive).
     """
+    return _metrics(probs, dataset.y, dataset.patient_ids, threshold, per_patient)
+
+
+def _metrics(probs, labels, patient_ids, threshold, per_patient) -> tuple[float, float]:
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
+    if len(labels) == 0:
+        raise ValidationError("no windows to score")
     if not per_patient:
-        return accuracy(probs, dataset.y, threshold), roc_auc(probs, dataset.y)
-    scores, votes, labels = [], [], []
+        return accuracy(probs, labels, threshold), roc_auc(probs, labels)
+    scores, votes, patient_labels = [], [], []
     by_pid: dict[str, list[int]] = {}
-    for i, pid in enumerate(dataset.patient_ids):
+    for i, pid in enumerate(patient_ids):
         by_pid.setdefault(pid, []).append(i)
     for pid, idx in by_pid.items():
         p = probs[idx]
         scores.append(float(p.mean()))
         votes.append(1 if (p >= threshold).mean() >= 0.5 else 0)
-        labels.append(int(dataset.y[idx[0]]))
-    labels_arr = np.asarray(labels)
+        patient_labels.append(int(labels[idx[0]]))
+    labels_arr = np.asarray(patient_labels)
     acc = float((np.asarray(votes) == labels_arr).mean())
     return acc, roc_auc(np.asarray(scores), labels_arr)
 
@@ -162,21 +171,50 @@ def day_sweep(
     """Accuracy and AUC as a function of the number of included days.
 
     For each N, every test patient's series is truncated to its first N days,
-    re-windowed, and scored; patients shorter than N contribute their full
+    windowed, and scored; patients shorter than N contribute their full
     (padded) length. Rows are emitted in ascending N.
+
+    Windows start at the first slot and step by `stride`, so the windows of a
+    series cut to b = min(len, 24*N) slots are the full series' windows that
+    end at or before b; if b < window_len, they are one front-padded window
+    of the first b slots instead. Each patient is resampled once, and one
+    table holds every distinct window: the full series' windows, tagged with
+    their end index, and one padded window per distinct b < window_len,
+    tagged with b. The table is scored in one `predict` call; each row of the
+    sweep selects, per patient, the windows that end at or before b, or the
+    padded window tagged b, in the order that windowing the cut series gives.
     """
     if len(test_cohort) == 0:
         raise ValidationError("day_sweep: empty test cohort")
+    days = sorted(days)
+    if days and days[0] < 1:
+        raise ValidationError(f"number of days must be >= 1, got {days[0]}")
+    if window_len < 1 or stride < 1:
+        raise ValidationError("window_len and stride must be >= 1")
+    series = [(p.patient_id, resample(p, timedelta(hours=1)), p.label)
+              for p in test_cohort.patients]
+    lengths = np.array([len(reg) for _, reg, _ in series])
+    # per patient, the series length kept for each N (24*N can exceed int64)
+    bounds = [np.minimum(lengths, min(24 * n, int(lengths.max()))) for n in days]
+    entries, owner, ends = [], [], []
+    for i, (pid, reg, label) in enumerate(series):
+        if len(reg) >= window_len:
+            entries.append((pid, reg, label))
+            n_full = (len(reg) - window_len) // stride + 1
+            owner += [i] * n_full
+            ends += range(window_len, window_len + n_full * stride, stride)
+        for cut in sorted({int(b[i]) for b in bounds if b[i] < window_len}):
+            entries.append((pid, RegularSeries(reg.start, reg.step, reg.values[:cut]), label))
+            owner.append(i)
+            ends.append(cut)
+    table = make_windows(entries, window_len, stride, stats)
+    probs = predict(params, table)
+    owner, ends = np.array(owner, dtype=int), np.array(ends, dtype=int)
     rows = []
-    for n_days in sorted(days):
-        dataset = windows_from_cohort(
-            test_cohort, stats, window_len, stride, max_days=n_days
-        )
-        probs = predict(params, dataset)
-        acc, auc = window_metrics(probs, dataset, threshold, per_patient)
-        rows.append(
-            MetricsRow(
-                days=n_days, n_windows=len(dataset), accuracy=acc, auc=auc
-            )
-        )
+    for n_days, bound in zip(days, bounds):
+        b = bound[owner]
+        idx = np.flatnonzero(np.where(table.padded, ends == b, ends <= b))
+        acc, auc = _metrics(probs[idx], table.y[idx], [table.patient_ids[i] for i in idx],
+                            threshold, per_patient)
+        rows.append(MetricsRow(days=n_days, n_windows=idx.size, accuracy=acc, auc=auc))
     return rows

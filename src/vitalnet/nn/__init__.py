@@ -6,7 +6,6 @@ from .layers import (
     bce_loss_grad,
     conv1d_apply,
     dense_apply,
-    lstm_step,
     maxpool1d_apply,
     sigmoid,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "loss_and_grads",
-    "lstm_step",
     "max_relative_error",
     "maxpool1d_apply",
     "save_checkpoint",

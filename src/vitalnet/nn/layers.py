@@ -287,18 +287,6 @@ def maxpool1d_apply(x, size: int, stride: int) -> np.ndarray:
     return out[0]
 
 
-def lstm_step(x, h, c, wx, wh, bias):
-    """One LSTM step on vectors x: (D,), h: (H,), c: (H,) -> (h', c')."""
-    h_dim = h.shape[0]
-    z = x @ wx + h @ wh + bias
-    i = sigmoid(z[:h_dim])
-    f = sigmoid(z[h_dim : 2 * h_dim])
-    g = np.tanh(z[2 * h_dim : 3 * h_dim])
-    o = sigmoid(z[3 * h_dim :])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
-
-
 def dense_apply(x, w, bias, activation: str = "linear") -> np.ndarray:
     """x: (D,) -> (U,)."""
     out, _ = dense_forward(np.asarray(x, float)[None], w, bias, activation)

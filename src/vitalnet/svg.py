@@ -35,6 +35,8 @@ def _tick_values(lo: float, hi: float, n: int = 5) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(float(v))
+        if v + step == v:  # step below the float spacing at this magnitude
+            break
         v += step
     return ticks
 

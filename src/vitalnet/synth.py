@@ -12,6 +12,8 @@ inside the target intervals by construction.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -25,11 +27,27 @@ VITALS = ("hr", "sbp", "dbp")
 STATS = ("mean", "std", "min", "max")
 
 _BASE_DATE = np.datetime64("2020-03-21", "us")  # UTC
+_START_SPREAD_DAYS = 90  # each patient starts up to this long after _BASE_DATE
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+# The longest stay whose samples all fall before year 10000: load_cohort reads
+# back years 1-9999 only, so a longer stay would write an unreadable cohort.
+MAX_STAY_DAYS = (
+    int((np.datetime64("10000-01-01") - _BASE_DATE) // np.timedelta64(1, "D"))
+    - _START_SPREAD_DAYS
+)
+
+
+def _require(name: str, value, kind=numbers.Real, lo=-math.inf, hi=math.inf) -> None:
+    """Reject a config value that is not a finite `kind` (bools excluded) in [lo, hi]."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (math.isfinite(value) and lo <= value <= hi)):
+        what = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ValidationError(f"{name} must be {what} in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass
@@ -43,20 +61,24 @@ class GroupSpec:
     circadian_hr_amp: float
 
     def validate(self, n_bins: int) -> None:
-        if self.label not in (0, 1):
-            raise ValidationError(f"group label must be 0 or 1, got {self.label}")
+        _require("group label", self.label, numbers.Integral, 0, 1)
         if len(self.patients_per_bin) != n_bins:
             raise ValidationError("patients_per_bin must match age_bins length")
-        if any(c < 0 for c in self.patients_per_bin):
-            raise ValidationError("patient counts must be >= 0")
+        for c in self.patients_per_bin:
+            _require("patient count", c, numbers.Integral, 0)
+        for days in self.stay_days:
+            _require("stay days", days, hi=MAX_STAY_DAYS)
         lo, hi = self.stay_days
         if not 0 < lo <= hi:
             raise ValidationError(f"bad stay-duration range {self.stay_days}")
+        _require("circadian_hr_amp", self.circadian_hr_amp)
         for vital in VITALS:
             cells = self.targets.get(vital)
             if cells is None or set(cells) != set(STATS):
                 raise ValidationError(f"targets for {vital} must cover {STATS}")
             for stat, (t_lo, t_hi) in cells.items():
+                _require(f"target {vital} {stat}", t_lo)
+                _require(f"target {vital} {stat}", t_hi)
                 if not t_lo < t_hi:
                     raise ValidationError(
                         f"target interval for {vital} {stat} has lo >= hi"
@@ -88,6 +110,20 @@ class Dynamics:
     burst_decay_hourly: float = 0.9
     sbp_dbp_corr: float = 0.7
 
+    def validate(self) -> None:
+        _require("ar_coef_hourly", self.ar_coef_hourly, lo=0.0, hi=1.0)
+        _require("burst_decay_hourly", self.burst_decay_hourly, lo=0.0, hi=1.0)
+        _require("sbp_dbp_corr", self.sbp_dbp_corr, lo=-1.0, hi=1.0)
+        _require("spike_rate_per_hour", self.spike_rate_per_hour, lo=0.0)
+        _require("dip_rate_per_hour", self.dip_rate_per_hour, lo=0.0)
+        for name in ("mean_sd", "min_sd", "base_sd", "spike_gain", "dip_gain"):
+            per_vital = getattr(self, name)
+            if not isinstance(per_vital, dict) or set(per_vital) != set(VITALS):
+                raise ValidationError(f"dynamics {name} must map each of {VITALS}")
+            for vital in VITALS:
+                _require(f"{name} {vital}", per_vital[vital],
+                         lo=0.0 if name.endswith("_sd") else -math.inf)
+
 
 @dataclass
 class SynthConfig:
@@ -99,20 +135,25 @@ class SynthConfig:
     dynamics: Dynamics = field(default_factory=Dynamics)
 
     def validate(self) -> None:
+        _require("seed", self.seed, numbers.Integral, 0)
         if len(self.cadences_minutes) != len(self.cadence_weights):
             raise ValidationError("cadence weights must match cadence set")
-        if any(c <= 0 for c in self.cadences_minutes):
-            raise ValidationError("cadences must be positive minutes")
-        if any(w < 0 for w in self.cadence_weights) or sum(self.cadence_weights) <= 0:
+        for c in self.cadences_minutes:
+            _require("cadence minutes", c, numbers.Integral, 1)
+        for w in self.cadence_weights:
+            _require("cadence weight", w, lo=0.0)
+        if sum(self.cadence_weights) <= 0:
             raise ValidationError("cadence weights must be non-negative, not all zero")
         for lo, hi in self.age_bins:
+            _require("age bin bound", lo, numbers.Integral)
+            _require("age bin bound", hi, numbers.Integral)
             if not 21 <= lo <= hi <= 100:
                 raise ValidationError(f"age bin ({lo}, {hi}) outside [21, 100]")
-        labels = [g.label for g in self.groups]
-        if sorted(labels) != [0, 1]:
-            raise ValidationError("config must define exactly one group per label")
         for g in self.groups:
             g.validate(len(self.age_bins))
+        if sorted(g.label for g in self.groups) != [0, 1]:
+            raise ValidationError("config must define exactly one group per label")
+        self.dynamics.validate()
 
     def group(self, label: int) -> GroupSpec:
         for g in self.groups:
@@ -329,7 +370,7 @@ def _generate_patient(
         - dyn.dip_gain["dbp"] * dips,
     }
 
-    start_minute = int(rng.integers(0, 90 * 24 * 60))
+    start_minute = int(rng.integers(0, _START_SPREAD_DAYS * 24 * 60))
     channels = {}
     for vital in VITALS:
         zc = z[vital]

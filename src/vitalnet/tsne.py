@@ -4,7 +4,9 @@ gradient descent with early exaggeration, momentum switching, and adaptive
 per-coordinate gains.
 
 Exact O(n^2) affinities keep the implementation verifiable at cohort scale;
-no Barnes-Hut approximation.
+no Barnes-Hut approximation. The descent builds the Student-t kernel and Q
+once per iteration, right after Y moves: that pair gives the iteration's KL
+history entry and the next iteration's gradient.
 """
 
 from __future__ import annotations
@@ -135,28 +137,44 @@ def joint_affinities(x: np.ndarray, perplexity: float) -> AffinityMatrix:
 
 def _student_t_q(y: np.ndarray):
     """Low-dimensional kernel weights w = 1/(1+d^2) and normalized Q."""
-    d = _pairwise_sq_dists(y)
-    w = 1.0 / (1.0 + d)
+    w = _pairwise_sq_dists(y)
+    w += 1.0
+    np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
-    q = np.maximum(w / w.sum(), _P_FLOOR)
+    q = w / w.sum()
+    np.maximum(q, _P_FLOOR, out=q)
     np.fill_diagonal(q, 0.0)
     return w, q
 
 
-def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
-    """KL(P || Q) at embedding Y (diagonal excluded)."""
-    _, q = _student_t_q(y)
-    off = ~np.eye(p.shape[0], dtype=bool)
-    pv = p[off]
-    qv = q[off]
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries of square `a` in row-major order, by striding past
+    each diagonal slot instead of a boolean mask."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].ravel()
+
+
+def kl_divergence(p: np.ndarray, y: np.ndarray, kernel: tuple | None = None) -> float:
+    """KL(P || Q) at embedding Y (diagonal and zero entries of P excluded).
+    `kernel` is `_student_t_q(y)` when the caller has already built it."""
+    _, q = _student_t_q(y) if kernel is None else kernel
+    pv, qv = _off_diagonal(p), _off_diagonal(q)
     mask = pv > 0
-    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+    if not mask.all():
+        pv, qv = pv[mask], qv[mask]
+    # sum(pv * log(pv / qv)), in place in the copy qv
+    np.divide(pv, qv, out=qv)
+    np.log(qv, out=qv)
+    qv *= pv
+    return float(np.sum(qv))
 
 
-def kl_gradient(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """dKL/dY: 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j)."""
-    w, q = _student_t_q(y)
-    mult = (p - q) * w
+def kl_gradient(p: np.ndarray, y: np.ndarray, kernel: tuple | None = None) -> np.ndarray:
+    """dKL/dY: 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j). `kernel` is
+    `_student_t_q(y)` when the caller has already built it."""
+    w, q = _student_t_q(y) if kernel is None else kernel
+    mult = p - q
+    mult *= w
     # grad_i = 4 * (sum_j mult_ij) y_i - 4 * sum_j mult_ij y_j
     return 4.0 * (mult.sum(axis=1)[:, None] * y - mult @ y)
 
@@ -176,17 +194,22 @@ def embed(
     n = x.shape[0]
     if n < 4:
         raise ValidationError(f"embed: need at least 4 rows, got {n}")
-    affinities = joint_affinities(x, perplexity)
-    p = affinities.P
+    if iters < 1:
+        raise ValidationError(f"embed: iters must be >= 1, got {iters}")
+    if seed < 0:
+        raise ValidationError(f"embed: seed must be >= 0, got {seed}")
+    p = joint_affinities(x, perplexity).P
+    p_exaggerated = p * EARLY_EXAGGERATION
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, 2)) * 1e-4
+    kernel = _student_t_q(y)
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     kl_history: list[float] = []
     for it in range(iters):
-        p_eff = p * EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else p
-        grad = kl_gradient(p_eff, y)
-        momentum = MOMENTUM_EARLY if it < EXAGGERATION_ITERS else MOMENTUM_LATE
+        early = it < EXAGGERATION_ITERS
+        grad = kl_gradient(p_exaggerated if early else p, y, kernel)
+        momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
         flip = (update * grad) < 0.0
         gains[flip] += 0.2
         gains[~flip] *= 0.8
@@ -194,5 +217,6 @@ def embed(
         update = momentum * update - learning_rate * gains * grad
         y = y + update
         y = y - y.mean(axis=0)
-        kl_history.append(kl_divergence(p, y))
+        kernel = _student_t_q(y)
+        kl_history.append(kl_divergence(p, y, kernel))
     return Embedding(Y=y, kl_history=kl_history)

@@ -101,6 +101,94 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "shape" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    def test_non_utf8_cohort_is_validation_error(
+        self, tmp_path, small_model, capsys, command
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"patient_id,timestamp,hr,sbp,dbp,age,label\n\xff\xfe\n")
+        out = tmp_path / "out"
+        flags = {"stats": ["--cohort", str(bad)],
+                 "eval": ["--model", str(small_model), "--test", str(bad)]}[command]
+        code = run([command, *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_utf8_plot_input_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "sweep.csv"
+        bad.write_bytes(b"days,n_windows,accuracy,auc\n2,\xff,0.5,0.5\n")
+        out = tmp_path / "sweep.svg"
+        code = run(["plot", "--kind", "sweep", "--in", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_stamp_outside_utc_years_is_validation_error(self, tmp_path, capsys):
+        f = tmp_path / "c.csv"
+        f.write_text("patient_id,timestamp,hr,sbp,dbp,age,label\n"
+                     "p1,0001-01-01T00:00:00+01:00,80,120,70,55,1\n")
+        code = run(["stats", "--cohort", str(f), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("window_len", "48"), ("window_len", 0), ("stride", 2.5),
+         ("channel_std", [1.0, 0.0, 1.0]), ("channel_mean", [1.0, 2.0]),
+         ("channel_mean", "x")],
+    )
+    def test_bad_checkpoint_preprocess_is_validation_error(
+        self, tmp_path, small_cohort_csv, small_model, capsys, key, value
+    ):
+        doc = json.loads(small_model.read_text())
+        doc["preprocess"][key] = value
+        small_model.write_text(json.dumps(doc))
+        out = tmp_path / "eval.json"
+        code = run(["eval", "--model", str(small_model), "--test", str(small_cohort_csv),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["embed", "--iters", "0"],
+            ["embed", "--seed", "-1"],
+            ["split", "--seed", "-1"],
+            ["synth", "--seed", "-1"],
+            ["eval", "--header-only"],
+        ],
+    )
+    def test_bad_values_are_validation_errors(
+        self, tmp_path, small_cohort_csv, small_model, capsys, argv
+    ):
+        command, *flags = argv
+        cohort = small_cohort_csv
+        if flags == ["--header-only"]:
+            cohort, flags = tmp_path / "empty.csv", []
+            cohort.write_text(small_cohort_csv.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out.csv"
+        inputs = {
+            "embed": ["--model", str(small_model), "--data", str(cohort)],
+            "eval": ["--model", str(small_model), "--test", str(cohort)],
+            "split": ["--cohort", str(cohort), "--train-out", str(out),
+                      "--test-out", str(tmp_path / "test.csv")],
+            "synth": [],
+        }[command]
+        if command != "split":
+            inputs += ["--out", str(out)]
+        code = run([command, *inputs, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_success_is_zero(self, small_cohort_csv):
         assert small_cohort_csv.exists()
 
@@ -324,6 +412,42 @@ class TestPlot:
         content = out.read_text()
         # one marker per data row plus two legend markers
         assert content.count("<circle") == 10 + 2
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([], "no data rows"),
+            (["4,9,0.5,0.5", "2,5,0.5"], "line 3: expected 4 fields"),
+            (["4,9,0.5,0.5", "2,5,0.5,high"], "non-numeric value in column auc"),
+            (["4,9,0.5,0.5", "2,5,nan,0.5"], "non-finite value in column accuracy"),
+            (["inf,5,0.5,0.5"], "non-finite value in column days"),
+        ],
+    )
+    def test_bad_rows_are_validation_errors(self, tmp_path, capsys, rows, message):
+        src = tmp_path / "sweep.csv"
+        src.write_text("\n".join(["days,n_windows,accuracy,auc", *rows]) + "\n")
+        out = tmp_path / "x.svg"
+        code = run(["plot", "--kind", "sweep", "--in", str(src), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_range_below_float_spacing_terminates(self, tmp_path):
+        # at 1e17 floats are 16 apart, so a tick step of 5 cannot advance
+        src = tmp_path / "sweep.csv"
+        src.write_text("days,n_windows,accuracy,auc\n"
+                       "100000000000000000,5,0.5,0.5\n100000000000000016,5,0.6,0.6\n")
+        out = tmp_path / "x.svg"
+        assert run(["plot", "--kind", "sweep", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_text().count("<circle") == 2 * 2
+
+    def test_blank_lines_skipped(self, tmp_path):
+        src = tmp_path / "sweep.csv"
+        src.write_text("days,n_windows,accuracy,auc\n\n2,5,0.5,0.6\n\n4,9,0.7,0.8\n")
+        out = tmp_path / "x.svg"
+        assert run(["plot", "--kind", "sweep", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_text().count("<circle") == 2 * 2
 
     def test_schema_mismatch_lists_expected_header(self, tmp_path, capsys):
         code = run(["plot", "--kind", "sweep", "--in",

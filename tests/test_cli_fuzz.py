@@ -1,0 +1,205 @@
+"""Property test of the CLI's exit contract: for real subcommands and flags,
+over valid and corrupted input files, `run` returns 0, 1 or 2, exit 1 prints
+`error:`, and nothing escapes as a traceback.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from vitalnet.cli import run
+from vitalnet.synth import default_config
+
+COHORT_HEADER = "patient_id,timestamp,hr,sbp,dbp,age,label"
+FAST_MODEL = ["--set", "conv1_filters=2", "--set", "conv2_filters=2",
+              "--set", "lstm_hidden=3", "--set-train", "epochs=1"]
+
+
+def _quiet_run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, Path]:
+    """One valid file of every kind a subcommand reads."""
+    d = tmp_path_factory.mktemp("fuzz_inputs")
+    cfg = default_config()
+    for g in cfg.groups:
+        g.patients_per_bin = [1, 1, 1, 1]
+        g.stay_days = (1.5, 4)
+    files = {name: d / name for name in
+             ("config.json", "cohort.csv", "model.json", "history.csv",
+              "sweep.csv", "embedding.csv", "boxplot.csv")}
+    files["config.json"].write_text(json.dumps(cfg.to_dict()))
+    steps = [
+        ["synth", "--config", str(files["config.json"]), "--out", str(files["cohort.csv"])],
+        ["train", "--train", str(files["cohort.csv"]), *FAST_MODEL,
+         "--out", str(files["model.json"]), "--history-out", str(files["history.csv"])],
+        ["sweep", "--model", str(files["model.json"]), "--test", str(files["cohort.csv"]),
+         "--days", "1,2,3", "--out", str(files["sweep.csv"])],
+        ["embed", "--model", str(files["model.json"]), "--data", str(files["cohort.csv"]),
+         "--perplexity", "3", "--iters", "20", "--out", str(files["embedding.csv"])],
+        ["stats", "--cohort", str(files["cohort.csv"]), "--out", str(d / "stats.csv"),
+         "--boxplot-out", str(files["boxplot.csv"])],
+    ]
+    for argv in steps:
+        assert _quiet_run(argv)[0] == 0, argv
+    return files
+
+
+def _corrupt_csv(text: str, kind: str, cut: float) -> bytes:
+    lines = text.splitlines()
+    if kind == "truncated":
+        return text.encode()[: int(len(text) * cut)]
+    if kind == "wrong_header":
+        lines[0] = lines[0].replace(lines[0].split(",")[-1], "outcome")
+    elif kind == "empty":
+        return b""
+    elif kind == "header_only":
+        lines = lines[:1]
+    elif kind in ("nan", "inf", "non_numeric"):
+        fields = lines[-1].split(",")
+        fields[len(fields) // 2] = {"nan": "nan", "inf": "-inf", "non_numeric": "x"}[kind]
+        lines[-1] = ",".join(fields)
+    elif kind == "non_utf8":
+        return ("\n".join(lines[:2]) + "\n").encode() + b"\xff\xfe\n"
+    elif kind == "stamp_out_of_range" and lines[0] == COHORT_HEADER:
+        fields = lines[1].split(",")
+        fields[1] = "0001-01-01T00:00:00+01:00"
+        lines[1] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _corrupt_json(text: str, kind: str, cut: float) -> bytes:
+    if kind == "truncated":
+        return text.encode()[: int(len(text) * cut)]
+    if kind == "not_an_object":
+        return b"[1, 2, 3]"
+    if kind == "non_utf8":
+        return b'{"seed": "\xff"}'
+    if kind in BAD_NUMBERS:  # one numeric leaf, picked by `cut`, replaced
+        doc = json.loads(text)
+        leaves = list(_numeric_leaves(doc))
+        *parents, last = leaves[int(cut * len(leaves))]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = BAD_NUMBERS[kind]
+        return json.dumps(doc).encode()
+    return text.encode()
+
+
+def mostly(valid: list[str], invalid: list[str]):
+    """A flag value or file kind, valid three times in four."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid),
+                     st.sampled_from(valid), st.sampled_from(invalid))
+
+
+BAD_NUMBERS = {"nan_number": float("nan"), "negative_number": -3, "huge_number": 1e300,
+               "string_number": "7", "zero_number": 0}
+CSV_KINDS = mostly(["valid"], ["truncated", "wrong_header", "empty", "header_only", "nan",
+                               "inf", "non_numeric", "non_utf8", "stamp_out_of_range"])
+JSON_KINDS = mostly(["valid"], ["truncated", "not_an_object", "non_utf8", *BAD_NUMBERS])
+
+DAYS = mostly(["2:28:2", "1,3,40", "2,2,1", "1:3:1"], ["0", "-2", "two", "5:1:1", "1:3:0",
+                                                       "1e3", ""])
+PROB = mostly(["0.5", "0", "1", "0.25"], ["7", "-0.1", "nan", "half"])
+SEED = mostly(["0", "1", "3"], ["-1", "2.5", "x"])
+# subcommand -> ({flag: input file read through it}, {other flag: value strategy})
+COMMANDS = {
+    "synth": ({"--config": "config.json"}, {"--seed": SEED}),
+    "validate": ({"--cohort": "cohort.csv", "--config": "config.json"}, {}),
+    "stats": ({"--cohort": "cohort.csv"}, {"--boxplot-out": st.just("{dir}/box.csv")}),
+    "split": ({"--cohort": "cohort.csv"}, {"--seed": SEED, "--train-fraction": PROB}),
+    "train": ({"--train": "cohort.csv"},
+              {"--seed": SEED, "--window-len": mostly(["16", "24"], ["4", "0", "x"]),
+               "--stride": mostly(["24", "6"], ["0", "-3"]),
+               "--set": mostly(["lstm_hidden=2", "seed=5"], ["seed=1e3", "nope=1", "x"]),
+               "--set-train": mostly(["batch_size=4", "learning_rate=0.01"],
+                                     ["epochs=0", "epochs=2.0", "learning_rate=fast"])}),
+    "eval": ({"--model": "model.json", "--test": "cohort.csv"},
+             {"--threshold": PROB, "--per-patient": st.none()}),
+    "sweep": ({"--model": "model.json", "--test": "cohort.csv"},
+              {"--days": DAYS, "--threshold": PROB, "--per-patient": st.none()}),
+    "embed": ({"--model": "model.json", "--data": "cohort.csv"},
+              {"--days": mostly(["1", "3"], ["0", "-1", "x"]),
+               "--perplexity": mostly(["3", "5"], ["1", "500", "nan"]),
+               "--iters": mostly(["5", "12"], ["0", "-1"]), "--seed": SEED}),
+    "plot": ({}, {}),
+}
+PLOT_INPUTS = {"sweep": "sweep.csv", "history": "history.csv",
+               "embedding": "embedding.csv", "boxplot": "boxplot.csv"}
+
+
+@st.composite
+def invocations(draw):
+    """(argv template, {file name: corruption kind}, where to cut or which
+    number to replace); `{dir}` marks the directory of the example's files."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    file_flags, other_flags = COMMANDS[command]
+    argv = [command]
+    if command == "plot":
+        kind = draw(st.sampled_from(sorted(PLOT_INPUTS)))
+        file_flags = {"--in": PLOT_INPUTS[kind]}
+        argv += ["--kind", kind]
+    corrupt = {}
+    for flag, name in file_flags.items():
+        corrupt[name] = draw(JSON_KINDS if name.endswith(".json") else CSV_KINDS)
+        argv += [flag, "{dir}/" + name]
+    if command == "train":
+        argv += FAST_MODEL  # before the drawn flags, which override it
+    flags = st.lists(st.sampled_from(sorted(other_flags)), unique=True) if other_flags \
+        else st.just([])
+    for flag in draw(flags):
+        value = draw(other_flags[flag])
+        argv += [flag] if value is None else [flag, value]
+    if command == "embed" and "--iters" not in argv:
+        argv += ["--iters", "10"]
+    if command == "split":
+        argv += ["--train-out", "{dir}/train.csv", "--test-out", "{dir}/test.csv"]
+    else:
+        argv += ["--out", "{dir}/out"]
+    if draw(st.integers(0, 9)) == 0:  # a usage error
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(
+            ["--nope", "--out", "--kind", "-x"])))
+    return argv, corrupt, draw(st.floats(0.05, 0.95))
+
+
+@given(case=invocations())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_exit_contract(inputs, tmp_path_factory, case):
+    argv, corrupt, cut = case
+    d = tmp_path_factory.mktemp("fuzz_case")
+    for name, kind in corrupt.items():
+        text = inputs[name].read_text(encoding="utf-8")
+        fix = _corrupt_json if name.endswith(".json") else _corrupt_csv
+        (d / name).write_bytes(fix(text, kind, cut))
+    argv = [a.replace("{dir}", str(d)) for a in argv]
+    code, err = _quiet_run(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 1:
+        assert err.startswith("error:"), (argv, err)
+    assert "Traceback" not in err, (argv, err)

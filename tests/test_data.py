@@ -99,6 +99,21 @@ class TestLoadCohort:
         with pytest.raises(ParseError, match="line 3"):
             load_cohort(f)
 
+    @pytest.mark.parametrize(
+        "stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"]
+    )
+    def test_stamp_outside_utc_years_names_line(self, tmp_path, stamp):
+        f = tmp_path / "c.csv"
+        write_lines(
+            f,
+            [
+                ["p1", "2020-03-21T14:00:00Z", 80, 120, 70, 55, 1],
+                ["p1", stamp, 82, 121, 71, 55, 1],
+            ],
+        )
+        with pytest.raises(ParseError, match="line 3.*outside years"):
+            load_cohort(f)
+
     def test_non_numeric_vital_names_line(self, tmp_path):
         f = tmp_path / "c.csv"
         write_lines(f, [["p1", "2020-03-21T14:00:00Z", "eighty", 120, 70, 55, 1]])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitalnet.data import ChannelStats, WindowedDataset
+import vitalnet.evaluate as evaluate
+from vitalnet.data import ChannelStats, WindowedDataset, compute_channel_stats, resample
 from vitalnet.errors import ValidationError
 from vitalnet.evaluate import (
     DEFAULT_DAYS,
@@ -13,6 +14,7 @@ from vitalnet.evaluate import (
     extract_features,
     predict,
     roc_auc,
+    window_metrics,
     windows_from_cohort,
 )
 from vitalnet.nn import ModelConfig, init_params, zero_params
@@ -137,6 +139,22 @@ class TestPredict:
         probs = predict(zero_params(TINY), ds)
         assert accuracy(probs, ds.y) == ds.y.mean()
 
+    def test_chunks_match_one_forward_pass(self, monkeypatch):
+        from vitalnet.nn import forward
+
+        ds = make_dataset(n=20)
+        params = init_params(TINY)
+        probs, feats, _ = forward(params, ds.X)
+        monkeypatch.setattr(evaluate, "_PREDICT_CHUNK", 7)
+        assert np.abs(predict(params, ds) - probs).max() < 1e-12
+        assert np.abs(extract_features(params, ds) - feats).max() < 1e-12
+
+    def test_non_finite_output_rejected(self):
+        params = init_params(TINY)
+        params.tensors["dense2_b"][...] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict(params, make_dataset())
+
 
 class TestExtractFeatures:
     def test_width_100(self):
@@ -165,8 +183,6 @@ def small_cohort():
 
 @pytest.fixture(scope="module")
 def stats(small_cohort):
-    from vitalnet.data import compute_channel_stats, resample
-
     return compute_channel_stats([resample(p) for p in small_cohort.patients])
 
 
@@ -199,6 +215,12 @@ class TestDaySweep:
         with pytest.raises(ValidationError):
             day_sweep(init_params(TINY), small_cohort, stats, 16, 24, days=days)
 
+    @pytest.mark.parametrize("window_len,stride", [(16, 0), (0, 24)])
+    def test_window_len_and_stride_below_one_rejected(self, small_cohort, stats,
+                                                      window_len, stride):
+        with pytest.raises(ValidationError):
+            day_sweep(init_params(TINY), small_cohort, stats, window_len, stride)
+
     @pytest.mark.parametrize("threshold", [-0.01, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, small_cohort, stats, threshold):
         with pytest.raises(ValidationError):
@@ -224,3 +246,85 @@ class TestWindowsFromCohort:
         ds = windows_from_cohort(cohort, stats, 48, 24, max_days=1)
         assert len(ds) == len(cohort.patients)
         assert ds.padded.all()
+
+
+def reference_day_sweep(params, cohort, stats, window_len, stride, days,
+                        threshold=0.5, per_patient=False):
+    """The per-N sweep: re-window the cohort cut to N days and score it, for
+    every N. Returns the rows and, per row, the scored windows'
+    (probabilities, labels, patient ids)."""
+    rows, scored = [], []
+    for n_days in sorted(days):
+        ds = windows_from_cohort(cohort, stats, window_len, stride, max_days=n_days)
+        probs = predict(params, ds)
+        acc, auc = window_metrics(probs, ds, threshold, per_patient)
+        rows.append(MetricsRow(days=n_days, n_windows=len(ds), accuracy=acc, auc=auc))
+        scored.append((probs, ds.y, ds.patient_ids))
+    return rows, scored
+
+
+@pytest.fixture(scope="module")
+def short_cohort():
+    # stays of 12 h to 3 days: several patients shorter than a 48-slot window
+    cfg = default_config()
+    cfg.seed = 5
+    for g in cfg.groups:
+        g.patients_per_bin = [2, 2, 1, 1]
+        g.stay_days = (0.5, 3)
+    cohort = generate_cohort(cfg)
+    return cohort, compute_channel_stats([resample(p) for p in cohort.patients])
+
+
+class TestDaySweepOracle:
+    """The scored-window table against the per-N sweep it replaced."""
+
+    DAYS = [(2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28), (1, 2, 3, 5, 40),
+            (3, 1, 3, 1000, 1), (1,)]
+
+    def check(self, monkeypatch, params, cohort, stats, window_len, stride, days,
+              per_patient):
+        scored = []
+        metrics = evaluate._metrics
+
+        def recording(probs, labels, patient_ids, threshold, per_patient):
+            scored.append((probs, labels, patient_ids))
+            return metrics(probs, labels, patient_ids, threshold, per_patient)
+
+        monkeypatch.setattr(evaluate, "_metrics", recording)
+        got = day_sweep(params, cohort, stats, window_len, stride, days,
+                        per_patient=per_patient)
+        monkeypatch.undo()
+        want, want_scored = reference_day_sweep(params, cohort, stats, window_len,
+                                                stride, days, per_patient=per_patient)
+        assert [r.days for r in got] == sorted(days)
+        assert [r.n_windows for r in got] == [r.n_windows for r in want]
+        assert got == want  # exact accuracy and AUC
+        assert len(scored) == len(want_scored)
+        for (probs, labels, pids), (ref_probs, ref_labels, ref_pids) in zip(
+            scored, want_scored
+        ):
+            assert np.abs(probs - ref_probs).max() <= 1e-12
+            assert np.array_equal(labels, ref_labels)
+            assert list(pids) == list(ref_pids)
+
+    @pytest.mark.parametrize("per_patient", [False, True])
+    @pytest.mark.parametrize("days", DAYS)
+    def test_default_heldout_cohort(self, monkeypatch, pipeline, days, per_patient):
+        self.check(monkeypatch, pipeline.params, pipeline.test_cohort, pipeline.stats,
+                   48, 24, days, per_patient)
+
+    @pytest.mark.parametrize("per_patient", [False, True])
+    @pytest.mark.parametrize("window_len,stride", [(48, 24), (16, 24), (10, 5)])
+    @pytest.mark.parametrize("days", DAYS[1:])
+    def test_short_patients(self, monkeypatch, short_cohort, window_len, stride, days,
+                            per_patient):
+        cohort, stats = short_cohort
+        params = init_params(ModelConfig(seed=4, conv1_filters=3, conv2_filters=3,
+                                         lstm_hidden=5))
+        self.check(monkeypatch, params, cohort, stats, window_len, stride, days,
+                   per_patient)
+
+    def test_short_cohort_has_padded_windows(self, short_cohort):
+        cohort, stats = short_cohort
+        assert windows_from_cohort(cohort, stats, 48, 24).padded.sum() >= 2
+        assert windows_from_cohort(cohort, stats, 48, 24, max_days=1).padded.all()

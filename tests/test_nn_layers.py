@@ -15,11 +15,24 @@ from vitalnet.nn.layers import (
     dense_forward,
     lstm_backward,
     lstm_forward,
-    lstm_step,
     maxpool1d_apply,
     maxpool1d_backward,
     maxpool1d_forward,
+    sigmoid,
 )
+
+
+def lstm_step(x, h, c, wx, wh, bias):
+    """Reference LSTM step on vectors x: (D,), h: (H,), c: (H,) -> (h', c'),
+    with the gate math written out once more, independent of lstm_forward."""
+    h_dim = h.shape[0]
+    z = x @ wx + h @ wh + bias
+    i = sigmoid(z[:h_dim])
+    f = sigmoid(z[h_dim : 2 * h_dim])
+    g = np.tanh(z[2 * h_dim : 3 * h_dim])
+    o = sigmoid(z[3 * h_dim :])
+    c_new = f * c + i * g
+    return o * np.tanh(c_new), c_new
 
 
 def numeric_grad(f, x, eps=1e-6):

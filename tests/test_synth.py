@@ -112,6 +112,36 @@ class TestGenerateCohort:
         with pytest.raises(ValidationError):
             generate_cohort(cfg)
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("seed",), -1),
+            (("seed",), 1.5),
+            (("cadences_minutes", 0), 7.5),
+            (("cadence_weights", 1), float("nan")),
+            (("age_bins", 0, 0), "21"),
+            (("groups", 0, "label"), "0"),
+            (("groups", 1, "patients_per_bin", 2), 1e300),
+            (("groups", 0, "stay_days", 1), 3e6),  # ends after year 9999
+            (("groups", 1, "targets", "hr", "mean", 0), float("inf")),
+            (("groups", 0, "circadian_hr_amp"), float("nan")),
+            (("dynamics", "ar_coef_hourly"), -0.5),
+            (("dynamics", "burst_decay_hourly"), 1.5),
+            (("dynamics", "sbp_dbp_corr"), 2.0),
+            (("dynamics", "spike_rate_per_hour"), -1.0),
+            (("dynamics", "min_sd", "sbp"), -3.0),
+            (("dynamics", "dip_gain", "hr"), "1"),
+        ],
+    )
+    def test_out_of_range_config_value_rejected(self, path, value):
+        raw = default_config().to_dict()
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError):
+            SynthConfig.from_dict(raw)
+
     def test_config_json_round_trip(self):
         cfg = default_config()
         again = SynthConfig.from_dict(cfg.to_dict())

@@ -3,7 +3,12 @@ import pytest
 
 from vitalnet.errors import ValidationError
 from vitalnet.tsne import (
+    EARLY_EXAGGERATION,
     EXAGGERATION_ITERS,
+    LEARNING_RATE,
+    MIN_GAIN,
+    MOMENTUM_EARLY,
+    MOMENTUM_LATE,
     PERPLEXITY_TOL,
     conditional_affinities,
     embed,
@@ -22,6 +27,58 @@ def two_blobs(n_per=50, d=100, gap=6.0, seed=0):
     )
     labels = np.array([0] * n_per + [1] * n_per)
     return x, labels
+
+
+def reference_q(y):
+    """Student-t weights and Q, written out as the kernel was before it was
+    shared by the gradient and the KL history."""
+    sq = np.sum(y * y, axis=1)
+    d = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+    np.maximum(d, 0.0, out=d)
+    np.fill_diagonal(d, 0.0)
+    w = 1.0 / (1.0 + d)
+    np.fill_diagonal(w, 0.0)
+    q = np.maximum(w / w.sum(), 1e-12)
+    np.fill_diagonal(q, 0.0)
+    return w, q
+
+
+def reference_kl(p, y):
+    _, q = reference_q(y)
+    off = ~np.eye(p.shape[0], dtype=bool)
+    pv, qv = p[off], q[off]
+    mask = pv > 0
+    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+
+
+def reference_gradient(p, y):
+    w, q = reference_q(y)
+    mult = (p - q) * w
+    return 4.0 * (mult.sum(axis=1)[:, None] * y - mult @ y)
+
+
+def reference_embed(x, perplexity, iters, seed, learning_rate=LEARNING_RATE):
+    """The descent with Q built twice per iteration, once for the gradient
+    and once for the KL history."""
+    p = joint_affinities(x, perplexity).P
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((x.shape[0], 2)) * 1e-4
+    update = np.zeros_like(y)
+    gains = np.ones_like(y)
+    kl_history = []
+    for it in range(iters):
+        p_eff = p * EARLY_EXAGGERATION if it < EXAGGERATION_ITERS else p
+        grad = reference_gradient(p_eff, y)
+        momentum = MOMENTUM_EARLY if it < EXAGGERATION_ITERS else MOMENTUM_LATE
+        flip = (update * grad) < 0.0
+        gains[flip] += 0.2
+        gains[~flip] *= 0.8
+        np.clip(gains, MIN_GAIN, None, out=gains)
+        update = momentum * update - learning_rate * gains * grad
+        y = y + update
+        y = y - y.mean(axis=0)
+        kl_history.append(reference_kl(p, y))
+    return y, kl_history
 
 
 class TestConditionalAffinities:
@@ -100,6 +157,21 @@ class TestKlGradient:
         )
         assert rel < 1e-5
 
+    # a point 1e8 away from the rest puts its row of Q below the 1e-12 floor
+    @pytest.mark.parametrize("n,seed,far", [(4, 0, 0.0), (17, 1, 0.0), (40, 2, 0.0),
+                                            (12, 3, 1e8)])
+    def test_match_reference_kernel(self, n, seed, far):
+        rng = np.random.default_rng(seed)
+        p = joint_affinities(rng.standard_normal((n, 5)), 3.0).P
+        p[0, 1] = p[1, 0] = 0.0  # a zero entry, left out of the KL sum
+        y = rng.standard_normal((n, 2))
+        y[-1] += far
+        assert kl_divergence(p, y) == reference_kl(p, y)
+        assert np.array_equal(kl_gradient(p, y), reference_gradient(p, y))
+        kernel = reference_q(y)  # the kernel embed passes in, built by the caller
+        assert kl_divergence(p, y, kernel) == reference_kl(p, y)
+        assert np.array_equal(kl_gradient(p, y, kernel), reference_gradient(p, y))
+
     def test_kl_non_negative(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((15, 4))
@@ -159,6 +231,25 @@ class TestEmbed:
         a = embed(x, perplexity=8, iters=150, seed=5)
         b = embed(-x, perplexity=8, iters=150, seed=5)
         assert np.array_equal(a.Y, b.Y)
+
+    @pytest.mark.parametrize(
+        "n,perplexity,seed,iters",
+        [
+            (4, 2.0, 0, 40),
+            (5, 3.5, 1, EXAGGERATION_ITERS),
+            (12, 4.0, 2, EXAGGERATION_ITERS + 1),
+            (23, 7.5, 3, 300),
+            (40, 12.0, 11, EXAGGERATION_ITERS - 1),
+            (60, 30.0, 7, 320),
+            (60, 5.0, 3, 1),
+        ],
+    )
+    def test_matches_reference_descent(self, n, perplexity, seed, iters):
+        x = np.random.default_rng(100 + n).standard_normal((n, 9))
+        y, kl_history = reference_embed(x, perplexity, iters, seed)
+        got = embed(x, perplexity=perplexity, iters=iters, seed=seed)
+        assert np.array_equal(got.Y, y)
+        assert got.kl_history == kl_history
 
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
