@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -28,7 +29,7 @@ from .data import (
     split_by_patient,
     write_cohort,
 )
-from .errors import ValidationError, VitalnetError
+from .errors import ValidationError, VitalnetError, require
 from .evaluate import (
     day_sweep,
     extract_features,
@@ -36,7 +37,7 @@ from .evaluate import (
     window_metrics,
     windows_from_cohort,
 )
-from .nn.model import ModelConfig, load_checkpoint, require_int, save_checkpoint
+from .nn.model import ModelConfig, load_checkpoint, save_checkpoint
 from .nn.train import TrainConfig, train
 from .stats import boxplot_stats, confidence_interval, point_biserial
 from .synth import (
@@ -174,13 +175,11 @@ def _load_model(path):
         if key not in preprocess:
             raise ValidationError(f"checkpoint missing preprocess field {key!r}")
     for key in ("window_len", "stride"):
-        require_int(key, preprocess[key])
-        if preprocess[key] < 1:
-            raise ValidationError(f"checkpoint {key} must be >= 1, got {preprocess[key]}")
+        require(f"checkpoint {key}", preprocess[key], numbers.Integral, 1)
     try:
         mean, std = (np.array(preprocess[k], dtype=float)
                      for k in ("channel_mean", "channel_std"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("checkpoint channel_mean/channel_std must be numbers") from None
     if mean.shape != (3,) or std.shape != (3,) or not np.isfinite([mean, std]).all() \
             or (std <= 0).any():

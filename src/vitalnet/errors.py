@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check that
+every config number goes through."""
+
+import math
+import numbers
 
 
 class VitalnetError(Exception):
@@ -11,3 +15,23 @@ class ParseError(VitalnetError):
 
 class ValidationError(VitalnetError):
     """Raised when parsed data violates a domain invariant."""
+
+
+def require(name: str, value, kind=numbers.Real, lo=-math.inf, hi=math.inf) -> None:
+    """Reject a config number that is not a `kind` (bools excluded) in [lo, hi].
+
+    Integers of any size are compared exactly when `kind` is Integral; any
+    other value must convert to a finite float.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        ok = False
+    elif kind is numbers.Integral:
+        ok = lo <= value <= hi
+    else:
+        try:
+            ok = math.isfinite(value) and lo <= value <= hi
+        except OverflowError:  # a number too large for a float
+            ok = False
+    if not ok:
+        what = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ValidationError(f"{name} must be {what} in [{lo}, {hi}], got {value!r}")

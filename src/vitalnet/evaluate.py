@@ -20,7 +20,7 @@ from .data import (
     resample,
 )
 from .errors import ValidationError
-from .nn.model import ModelParams, forward
+from .nn.model import FEATURE_UNITS, ModelParams, forward
 
 DEFAULT_DAYS = tuple(range(2, 29, 2))
 
@@ -76,10 +76,10 @@ def roc_auc(probs, labels) -> float:
 
 
 def _score(params: ModelParams, dataset: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities (n,) and penultimate features (n, dense1_units), one
+    """Probabilities (n,) and penultimate features (n, FEATURE_UNITS), one
     forward pass per chunk of `_PREDICT_CHUNK` windows, order preserved."""
     probs = np.empty(len(dataset))
-    feats = np.empty((len(dataset), params.config.dense1_units))
+    feats = np.empty((len(dataset), FEATURE_UNITS))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for lo in range(0, len(dataset), _PREDICT_CHUNK):
             hi = lo + _PREDICT_CHUNK

@@ -1,14 +1,7 @@
 """From-scratch CNN+LSTM binary classifier with manual backpropagation."""
 
 from .gradcheck import finite_diff_grads, grad_check, max_relative_error
-from .layers import (
-    bce_loss,
-    bce_loss_grad,
-    conv1d_apply,
-    dense_apply,
-    maxpool1d_apply,
-    sigmoid,
-)
+from .layers import bce_loss, sigmoid
 from .model import (
     ModelConfig,
     ModelParams,
@@ -28,9 +21,6 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "bce_loss",
-    "bce_loss_grad",
-    "conv1d_apply",
-    "dense_apply",
     "finite_diff_grads",
     "forward",
     "grad_check",
@@ -38,7 +28,6 @@ __all__ = [
     "load_checkpoint",
     "loss_and_grads",
     "max_relative_error",
-    "maxpool1d_apply",
     "save_checkpoint",
     "sigmoid",
     "train",

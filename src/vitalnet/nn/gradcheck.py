@@ -63,25 +63,17 @@ def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     """Distance of the closest pre-activation to a ReLU kink or pool tie."""
     cfg = params.config
     _, _, cache = forward(params, x)
-    c1, c2, c3, _, c5, _ = cache
-    margin = np.inf
-    if cfg.conv_activation == "relu":
-        margin = min(margin, float(np.abs(c1[2]).min()), float(np.abs(c2[2]).min()))
-    if cfg.dense1_activation == "relu":
-        margin = min(margin, float(np.abs(c5[2]).min()))
+    c1, c2, _, _, c5, _ = cache
+    margin = min(float(np.abs(c[2]).min()) for c in (c1, c2, c5))
     if cfg.pool_size > 1:
-        a2 = c2[3]
-        win = _time_windows(a2, cfg.pool_size, cfg.pool_stride)
+        win = _time_windows(c2[3], cfg.pool_size, cfg.pool_stride)
         top2 = -np.partition(-win, 1, axis=2)[:, :, :2, :]
         gap = top2[:, :, 0, :] - top2[:, :, 1, :]
-        if cfg.conv_activation == "relu":
-            # zeros are clipped ReLU units; with the ReLU margin enforced they
-            # cannot flip under an eps-perturbation, so only live pairs count
-            live = top2[:, :, 1, :] > 0
-            if live.any():
-                margin = min(margin, float(gap[live].min()))
-        else:
-            margin = min(margin, float(gap.min()))
+        # zeros are clipped ReLU units; with the ReLU margin enforced they
+        # cannot flip under an eps-perturbation, so only live pairs count
+        live = top2[:, :, 1, :] > 0
+        if live.any():
+            margin = min(margin, float(gap[live].min()))
     return margin
 
 

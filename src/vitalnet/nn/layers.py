@@ -2,9 +2,9 @@
 dense layers, and binary cross-entropy, each with a manual backward pass.
 
 All forward functions operate on batched arrays (leading batch axis) and
-return a cache consumed by the matching backward function. The single-sample
-wrappers at the bottom mirror the per-layer contracts and are what the layer
-unit tests exercise directly.
+return a cache consumed by the matching backward function. The nonlinearities
+are fixed: every convolution applies ReLU, and a dense layer applies ReLU or
+nothing, as its caller selects.
 
 The LSTM works time-major. Its forward pass projects the inputs of all T
 steps in one matmul call, over a time-major view of x, into a (T, B, 4H) gate
@@ -26,35 +26,6 @@ import numpy as np
 from ..errors import ValidationError
 
 BCE_EPS = 1e-7
-
-
-# ---------------------------------------------------------------------------
-# Activations
-# ---------------------------------------------------------------------------
-
-
-def act_forward(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "tanh":
-        return np.tanh(pre)
-    if name == "sigmoid":
-        return sigmoid(pre)
-    if name == "linear":
-        return pre
-    raise ValidationError(f"unknown activation {name!r}")
-
-
-def act_backward(name: str, dout: np.ndarray, pre: np.ndarray, out: np.ndarray):
-    if name == "relu":
-        return dout * (pre > 0)
-    if name == "tanh":
-        return dout * (1.0 - out * out)
-    if name == "sigmoid":
-        return dout * out * (1.0 - out)
-    if name == "linear":
-        return dout
-    raise ValidationError(f"unknown activation {name!r}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -82,8 +53,8 @@ def _time_windows(x: np.ndarray, width: int, stride: int = 1) -> np.ndarray:
     )
 
 
-def conv1d_forward(x, w, bias, activation: str = "relu"):
-    """x: (B, T, C), w: (F, K, C), bias: (F,) -> out (B, T-K+1, F)."""
+def conv1d_forward(x, w, bias):
+    """x: (B, T, C), w: (F, K, C), bias: (F,) -> ReLU out (B, T-K+1, F)."""
     b, t, c = x.shape
     f, k, cw = w.shape
     if cw != c:
@@ -92,16 +63,16 @@ def conv1d_forward(x, w, bias, activation: str = "relu"):
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
     cols = _time_windows(x, k).reshape(b * (t - k + 1), k * c)
     pre = (cols @ w.reshape(f, k * c).T).reshape(b, t - k + 1, f) + bias
-    out = act_forward(activation, pre)
-    return out, (x, w, pre, out, activation)
+    out = np.maximum(pre, 0.0)
+    return out, (x, w, pre, out)
 
 
 def conv1d_backward(dout, cache):
-    x, w, pre, out, activation = cache
+    x, w, pre, _ = cache
     b, t, c = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
-    dpre = act_backward(activation, dout, pre, out).reshape(b * t_out, f)
+    dpre = (dout * (pre > 0)).reshape(b * t_out, f)
     cols = _time_windows(x, k).reshape(b * t_out, k * c)
     dw = (dpre.T @ cols).reshape(f, k, c)
     db = dpre.sum(axis=0)
@@ -234,20 +205,20 @@ def lstm_backward(dh_last, cache):
 # ---------------------------------------------------------------------------
 
 
-def dense_forward(x, w, bias, activation: str = "linear"):
-    """x: (B, D), w: (D, U), bias: (U,) -> out (B, U)."""
+def dense_forward(x, w, bias, relu: bool = False):
+    """x: (B, D), w: (D, U), bias: (U,) -> out (B, U), ReLU'd if `relu`."""
     if x.shape[1] != w.shape[0]:
         raise ValidationError(
             f"dense: input width {x.shape[1]} does not match weights {w.shape}"
         )
     pre = x @ w + bias
-    out = act_forward(activation, pre)
-    return out, (x, w, pre, out, activation)
+    out = np.maximum(pre, 0.0) if relu else pre
+    return out, (x, w, pre, relu)
 
 
 def dense_backward(dout, cache):
-    x, w, pre, out, activation = cache
-    dpre = act_backward(activation, dout, pre, out)
+    x, w, pre, relu = cache
+    dpre = dout * (pre > 0) if relu else dout
     return dpre @ w.T, x.T @ dpre, dpre.sum(axis=0)
 
 
@@ -261,33 +232,3 @@ def bce_loss(p, y) -> float:
     p = np.clip(np.asarray(p, dtype=float), BCE_EPS, 1.0 - BCE_EPS)
     y = np.asarray(y, dtype=float)
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
-def bce_loss_grad(p, y) -> np.ndarray:
-    """d(loss)/dp per element (no batch averaging): -y/p + (1-y)/(1-p)."""
-    p = np.clip(np.asarray(p, dtype=float), BCE_EPS, 1.0 - BCE_EPS)
-    y = np.asarray(y, dtype=float)
-    return -y / p + (1.0 - y) / (1.0 - p)
-
-
-# ---------------------------------------------------------------------------
-# Single-sample wrappers (the per-layer operation contracts)
-# ---------------------------------------------------------------------------
-
-
-def conv1d_apply(x, w, bias, activation: str = "relu") -> np.ndarray:
-    """x: (T, C), w: (F, K, C), bias: (F,) -> (T-K+1, F)."""
-    out, _ = conv1d_forward(np.asarray(x, float)[None], w, bias, activation)
-    return out[0]
-
-
-def maxpool1d_apply(x, size: int, stride: int) -> np.ndarray:
-    """x: (T, F) -> (floor((T-size)/stride)+1, F)."""
-    out, _ = maxpool1d_forward(np.asarray(x, float)[None], size, stride)
-    return out[0]
-
-
-def dense_apply(x, w, bias, activation: str = "linear") -> np.ndarray:
-    """x: (D,) -> (U,)."""
-    out, _ = dense_forward(np.asarray(x, float)[None], w, bias, activation)
-    return out[0]

@@ -9,17 +9,23 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, require
 from . import layers
 
 CHECKPOINT_FORMAT_VERSION = 1
 
 N_CHANNELS = 3
+FEATURE_UNITS = 100  # width of dense1, the feature layer
+
+# keys of the once-configurable layers, still read at their fixed values so
+# that older checkpoints and `--set` lines load
+FIXED_KEYS = {"dense1_units": FEATURE_UNITS, "dense2_units": 1,
+              "conv_activation": "relu", "dense1_activation": "relu"}
 
 # serialization order of the parameter tensors (row-major data)
 TENSOR_ORDER = (
@@ -37,12 +43,6 @@ TENSOR_ORDER = (
 )
 
 
-def require_int(name: str, value) -> None:
-    """Reject a config value that is not an integer (bools included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass
 class ModelConfig:
     conv1_filters: int = 32
@@ -52,32 +52,13 @@ class ModelConfig:
     pool_size: int = 2
     pool_stride: int = 2
     lstm_hidden: int = 64
-    dense1_units: int = 100
-    dense2_units: int = 1
-    conv_activation: str = "relu"
-    dense1_activation: str = "relu"
     seed: int = 0
 
     def validate(self) -> None:
-        sizes = (
-            "conv1_filters",
-            "conv1_kernel",
-            "conv2_filters",
-            "conv2_kernel",
-            "pool_size",
-            "pool_stride",
-            "lstm_hidden",
-        )
-        for name in (*sizes, "dense1_units", "dense2_units", "seed"):
-            require_int(name, getattr(self, name))
-        if self.dense1_units != 100:
-            raise ValidationError("dense1_units is fixed at 100 (the feature layer)")
-        if self.dense2_units != 1:
-            raise ValidationError("dense2_units is fixed at 1")
-        if any(getattr(self, name) < 1 for name in sizes):
-            raise ValidationError(f"all layer sizes must be >= 1, got {self}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        # every field is a layer size (>= 1) but the seed (>= 0)
+        for f in fields(self):
+            require(f.name, getattr(self, f.name), numbers.Integral,
+                    0 if f.name == "seed" else 1)
 
     def min_window_len(self) -> int:
         # smallest input length that survives both convs and the pool
@@ -85,8 +66,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
+        if not isinstance(raw, dict):
+            raise ValidationError(f"bad model config: expected an object, got {raw!r}")
+        for key, fixed in FIXED_KEYS.items():
+            if key in raw and (type(raw[key]) is not type(fixed) or raw[key] != fixed):
+                raise ValidationError(f"{key} is fixed at {fixed!r}, got {raw[key]!r}")
         try:
-            cfg = cls(**raw)
+            cfg = cls(**{k: v for k, v in raw.items() if k not in FIXED_KEYS})
         except TypeError as exc:
             raise ValidationError(f"bad model config: {exc}") from None
         cfg.validate()
@@ -115,7 +101,7 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter tensor, in TENSOR_ORDER."""
     f1, k1 = config.conv1_filters, config.conv1_kernel
     f2, k2 = config.conv2_filters, config.conv2_kernel
-    h, d1 = config.lstm_hidden, config.dense1_units
+    h, d1 = config.lstm_hidden, FEATURE_UNITS
     return {
         "conv1_w": (f1, k1, N_CHANNELS), "conv1_b": (f1,),
         "conv2_w": (f2, k2, f1), "conv2_b": (f2,),
@@ -164,14 +150,12 @@ def forward(params: ModelParams, x: np.ndarray):
             f"forward: window length {x.shape[1]} below the minimum "
             f"{cfg.min_window_len()} for this config"
         )
-    a1, c1 = layers.conv1d_forward(x, t["conv1_w"], t["conv1_b"], cfg.conv_activation)
-    a2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], cfg.conv_activation)
+    a1, c1 = layers.conv1d_forward(x, t["conv1_w"], t["conv1_b"])
+    a2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
     p3, c3 = layers.maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
     h4, c4 = layers.lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    feats, c5 = layers.dense_forward(
-        h4, t["dense1_w"], t["dense1_b"], cfg.dense1_activation
-    )
-    logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"], "linear")
+    feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
+    logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"])
     probs = layers.sigmoid(logits[:, 0])
     cache = (c1, c2, c3, c4, c5, c6)
     return probs, feats, cache
@@ -263,8 +247,9 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValidationError(f"checkpoint tensor {name} has shape {shape}, config: {want}")
         try:
             tensors[name] = np.array(data, dtype=float).reshape(want)
-        except (TypeError, ValueError):
-            raise ValidationError(f"checkpoint tensor {name}: data does not fill {want}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"checkpoint tensor {name}: data does not fill {want} "
+                                  "with floats") from None
     params = ModelParams(tensors=tensors, config=config)
     params.check_finite()
     return params, doc.get("preprocess", {})

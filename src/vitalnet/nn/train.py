@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..data import WindowedDataset
-from ..errors import ValidationError
-from .model import (
-    ModelConfig,
-    ModelParams,
-    init_params,
-    loss_and_grads,
-    require_int,
-)
+from ..errors import ValidationError, require
+from .model import ModelConfig, ModelParams, init_params, loss_and_grads
 
 
 @dataclass
@@ -31,23 +24,14 @@ class TrainConfig:
 
     def validate(self) -> None:
         for name in ("learning_rate", "beta1", "beta2", "eps"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        for name in ("batch_size", "epochs", "seed"):
-            require_int(name, getattr(self, name))
+            require(name, getattr(self, name))
+        require("batch_size", self.batch_size, numbers.Integral, 1)
+        require("epochs", self.epochs, numbers.Integral, 0)
+        require("seed", self.seed, numbers.Integral, 0)
         if self.learning_rate <= 0 or self.eps <= 0:
             raise ValidationError("learning_rate and eps must be > 0")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValidationError("beta1 and beta2 must be in (0, 1)")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValidationError("batch_size must be >= 1 and epochs >= 0")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

@@ -12,6 +12,8 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 40, 50, 70
 
 SERIES_COLORS = ("#1f6fb4", "#d1495b", "#3a9b6e", "#8667a8")
 LABEL_COLORS = {0: "#1f6fb4", 1: "#d1495b"}
+# the characters XML text content may not hold literally
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 _PLOT_W = WIDTH - MARGIN_L - MARGIN_R
 _PLOT_H = HEIGHT - MARGIN_T - MARGIN_B
@@ -47,12 +49,16 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-            f'<text x="{WIDTH // 2}" y="28" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="18">{title}</text>',
         ]
+        self.text(f'x="{WIDTH // 2}" y="28" text-anchor="middle" '
+                  f'font-family="sans-serif" font-size="18"', title)
 
     def add(self, element: str) -> None:
         self.parts.append(element)
+
+    def text(self, attrs: str, content: str) -> None:
+        """A <text> element; its content is escaped, so any string is safe."""
+        self.add(f"<text {attrs}>{content.translate(_XML_ESCAPES)}</text>")
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -93,10 +99,10 @@ class _Axes:
                 f'<line x1="{_fmt(px)}" y1="{MARGIN_T + _PLOT_H}" x2="{_fmt(px)}" '
                 f'y2="{MARGIN_T + _PLOT_H + 6}" stroke="#333333"/>'
             )
-            c.add(
-                f'<text x="{_fmt(px)}" y="{MARGIN_T + _PLOT_H + 22}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-                f"{tx:g}</text>"
+            c.text(
+                f'x="{_fmt(px)}" y="{MARGIN_T + _PLOT_H + 22}" '
+                f'text-anchor="middle" font-family="sans-serif" font-size="12"',
+                f"{tx:g}",
             )
         for ty in _tick_values(self.y_lo, self.y_hi):
             py = self.py(ty)
@@ -104,19 +110,21 @@ class _Axes:
                 f'<line x1="{MARGIN_L - 6}" y1="{_fmt(py)}" x2="{MARGIN_L}" '
                 f'y2="{_fmt(py)}" stroke="#333333"/>'
             )
-            c.add(
-                f'<text x="{MARGIN_L - 10}" y="{_fmt(py + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="12">{ty:g}</text>'
+            c.text(
+                f'x="{MARGIN_L - 10}" y="{_fmt(py + 4)}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="12"',
+                f"{ty:g}",
             )
-        c.add(
-            f'<text x="{MARGIN_L + _PLOT_W // 2}" y="{HEIGHT - 20}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="14">'
-            f"{xlabel}</text>"
+        c.text(
+            f'x="{MARGIN_L + _PLOT_W // 2}" y="{HEIGHT - 20}" '
+            f'text-anchor="middle" font-family="sans-serif" font-size="14"',
+            xlabel,
         )
-        c.add(
-            f'<text x="24" y="{MARGIN_T + _PLOT_H // 2}" text-anchor="middle" '
+        c.text(
+            f'x="24" y="{MARGIN_T + _PLOT_H // 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14" '
-            f'transform="rotate(-90 24 {MARGIN_T + _PLOT_H // 2})">{ylabel}</text>'
+            f'transform="rotate(-90 24 {MARGIN_T + _PLOT_H // 2})"',
+            ylabel,
         )
 
 
@@ -148,10 +156,8 @@ def line_chart(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        canvas.add(
-            f'<text x="{lx + 32}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{name}</text>'
-        )
+        canvas.text(f'x="{lx + 32}" y="{ly + 4}" font-family="sans-serif" '
+                    f'font-size="12"', name)
     return canvas.render()
 
 
@@ -173,10 +179,8 @@ def scatter_chart(
         ly = MARGIN_T + 16 + 20 * k
         lx = MARGIN_L + _PLOT_W - 120
         canvas.add(f'<circle cx="{lx}" cy="{ly}" r="4" fill="{color}"/>')
-        canvas.add(
-            f'<text x="{lx + 10}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">label {label}</text>'
-        )
+        canvas.text(f'x="{lx + 10}" y="{ly + 4}" font-family="sans-serif" '
+                    f'font-size="12"', f"label {label}")
     return canvas.render()
 
 
@@ -219,8 +223,6 @@ def box_plot(
             f'<line x1="{_fmt(x0)}" y1="{_fmt(med)}" x2="{_fmt(x1)}" y2="{_fmt(med)}" '
             f'stroke="#333333" stroke-width="2"/>'
         )
-        canvas.add(
-            f'<text x="{_fmt(xc)}" y="{MARGIN_T + _PLOT_H + 40}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{name}</text>'
-        )
+        canvas.text(f'x="{_fmt(xc)}" y="{MARGIN_T + _PLOT_H + 40}" text-anchor="middle" '
+                    f'font-family="sans-serif" font-size="13"', name)
     return canvas.render()

@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .data import Cohort, PatientRecord, resample
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .stats import confidence_interval
 
 VITALS = ("hr", "sbp", "dbp")
@@ -40,14 +40,13 @@ MAX_STAY_DAYS = (
     int((np.datetime64("10000-01-01") - _BASE_DATE) // np.timedelta64(1, "D"))
     - _START_SPREAD_DAYS
 )
-
-
-def _require(name: str, value, kind=numbers.Real, lo=-math.inf, hi=math.inf) -> None:
-    """Reject a config value that is not a finite `kind` (bools excluded) in [lo, hi]."""
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (math.isfinite(value) and lo <= value <= hi)):
-        what = "an integer" if kind is numbers.Integral else "a finite number"
-        raise ValidationError(f"{name} must be {what} in [{lo}, {hi}], got {value!r}")
+# A cadence longer than the longest stay never gives a second sample.
+MAX_CADENCE_MINUTES = MAX_STAY_DAYS * 24 * 60
+# Patients are built one at a time and the cohort is held in memory; 10,000
+# per bin (80,000 patients, ~50 million rows at the default stays) is far past
+# the default cohort's 70 and keeps a config from asking for work that never
+# ends.
+MAX_PATIENTS_PER_BIN = 10_000
 
 
 @dataclass
@@ -61,24 +60,24 @@ class GroupSpec:
     circadian_hr_amp: float
 
     def validate(self, n_bins: int) -> None:
-        _require("group label", self.label, numbers.Integral, 0, 1)
+        require("group label", self.label, numbers.Integral, 0, 1)
         if len(self.patients_per_bin) != n_bins:
             raise ValidationError("patients_per_bin must match age_bins length")
         for c in self.patients_per_bin:
-            _require("patient count", c, numbers.Integral, 0)
+            require("patient count", c, numbers.Integral, 0, MAX_PATIENTS_PER_BIN)
         for days in self.stay_days:
-            _require("stay days", days, hi=MAX_STAY_DAYS)
+            require("stay days", days, hi=MAX_STAY_DAYS)
         lo, hi = self.stay_days
         if not 0 < lo <= hi:
             raise ValidationError(f"bad stay-duration range {self.stay_days}")
-        _require("circadian_hr_amp", self.circadian_hr_amp)
+        require("circadian_hr_amp", self.circadian_hr_amp)
         for vital in VITALS:
             cells = self.targets.get(vital)
             if cells is None or set(cells) != set(STATS):
                 raise ValidationError(f"targets for {vital} must cover {STATS}")
             for stat, (t_lo, t_hi) in cells.items():
-                _require(f"target {vital} {stat}", t_lo)
-                _require(f"target {vital} {stat}", t_hi)
+                require(f"target {vital} {stat}", t_lo)
+                require(f"target {vital} {stat}", t_hi)
                 if not t_lo < t_hi:
                     raise ValidationError(
                         f"target interval for {vital} {stat} has lo >= hi"
@@ -111,18 +110,18 @@ class Dynamics:
     sbp_dbp_corr: float = 0.7
 
     def validate(self) -> None:
-        _require("ar_coef_hourly", self.ar_coef_hourly, lo=0.0, hi=1.0)
-        _require("burst_decay_hourly", self.burst_decay_hourly, lo=0.0, hi=1.0)
-        _require("sbp_dbp_corr", self.sbp_dbp_corr, lo=-1.0, hi=1.0)
-        _require("spike_rate_per_hour", self.spike_rate_per_hour, lo=0.0)
-        _require("dip_rate_per_hour", self.dip_rate_per_hour, lo=0.0)
+        require("ar_coef_hourly", self.ar_coef_hourly, lo=0.0, hi=1.0)
+        require("burst_decay_hourly", self.burst_decay_hourly, lo=0.0, hi=1.0)
+        require("sbp_dbp_corr", self.sbp_dbp_corr, lo=-1.0, hi=1.0)
+        require("spike_rate_per_hour", self.spike_rate_per_hour, lo=0.0)
+        require("dip_rate_per_hour", self.dip_rate_per_hour, lo=0.0)
         for name in ("mean_sd", "min_sd", "base_sd", "spike_gain", "dip_gain"):
             per_vital = getattr(self, name)
             if not isinstance(per_vital, dict) or set(per_vital) != set(VITALS):
                 raise ValidationError(f"dynamics {name} must map each of {VITALS}")
             for vital in VITALS:
-                _require(f"{name} {vital}", per_vital[vital],
-                         lo=0.0 if name.endswith("_sd") else -math.inf)
+                require(f"{name} {vital}", per_vital[vital],
+                        lo=0.0 if name.endswith("_sd") else -math.inf)
 
 
 @dataclass
@@ -135,18 +134,18 @@ class SynthConfig:
     dynamics: Dynamics = field(default_factory=Dynamics)
 
     def validate(self) -> None:
-        _require("seed", self.seed, numbers.Integral, 0)
+        require("seed", self.seed, numbers.Integral, 0)
         if len(self.cadences_minutes) != len(self.cadence_weights):
             raise ValidationError("cadence weights must match cadence set")
         for c in self.cadences_minutes:
-            _require("cadence minutes", c, numbers.Integral, 1)
+            require("cadence minutes", c, numbers.Integral, 1, MAX_CADENCE_MINUTES)
         for w in self.cadence_weights:
-            _require("cadence weight", w, lo=0.0)
+            require("cadence weight", w, lo=0.0)
         if sum(self.cadence_weights) <= 0:
             raise ValidationError("cadence weights must be non-negative, not all zero")
         for lo, hi in self.age_bins:
-            _require("age bin bound", lo, numbers.Integral)
-            _require("age bin bound", hi, numbers.Integral)
+            require("age bin bound", lo, numbers.Integral)
+            require("age bin bound", hi, numbers.Integral)
             if not 21 <= lo <= hi <= 100:
                 raise ValidationError(f"age bin ({lo}, {hi}) outside [21, 100]")
         for g in self.groups:

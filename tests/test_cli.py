@@ -1,9 +1,11 @@
 import json
 import os
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
+from vitalnet import svg
 from vitalnet.cli import run
 from vitalnet.synth import default_config
 
@@ -139,7 +141,7 @@ class TestExitCodes:
         "key,value",
         [("window_len", "48"), ("window_len", 0), ("stride", 2.5),
          ("channel_std", [1.0, 0.0, 1.0]), ("channel_mean", [1.0, 2.0]),
-         ("channel_mean", "x")],
+         ("channel_mean", "x"), ("channel_mean", [10**400, 0.0, 0.0])],
     )
     def test_bad_checkpoint_preprocess_is_validation_error(
         self, tmp_path, small_cohort_csv, small_model, capsys, key, value
@@ -191,6 +193,64 @@ class TestExitCodes:
 
     def test_success_is_zero(self, small_cohort_csv):
         assert small_cohort_csv.exists()
+
+    def test_huge_integer_seed_is_compared_exactly(self, tmp_path, capsys):
+        # a 400-digit seed is a valid seed; it used to overflow float()
+        out = tmp_path / "cohort.csv"
+        assert run(["synth", "--seed", "1" + "0" * 400, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        [("groups", 0, "circadian_hr_amp"), ("groups", 1, "patients_per_bin", 0),
+         ("cadences_minutes", 1), ("dynamics", "ar_coef_hourly")],
+    )
+    def test_huge_integer_in_synth_config_is_validation_error(self, tmp_path, capsys, path):
+        raw = json.loads(small_config_file(tmp_path).read_text())
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "cohort.csv"
+        code = run(["synth", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("conv_activation", "tanh"), ("dense1_units", 64)]
+    )
+    def test_checkpoint_legacy_key_off_its_fixed_value_is_validation_error(
+        self, tmp_path, small_cohort_csv, small_model, capsys, key, value
+    ):
+        doc = json.loads(small_model.read_text())
+        doc["model_config"][key] = value
+        small_model.write_text(json.dumps(doc))
+        out = tmp_path / "eval.json"
+        code = run(["eval", "--model", str(small_model), "--test", str(small_cohort_csv),
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_checkpoint_legacy_keys_at_fixed_values_evaluate_the_same(
+        self, tmp_path, small_cohort_csv, small_model
+    ):
+        outs = tmp_path / "eval_a.json", tmp_path / "eval_b.json"
+        legacy = tmp_path / "legacy.json"
+        doc = json.loads(small_model.read_text())
+        doc["model_config"].update(dense1_units=100, dense2_units=1,
+                                   conv_activation="relu", dense1_activation="relu")
+        legacy.write_text(json.dumps(doc))
+        for model, out in zip((small_model, legacy), outs):
+            assert run(["eval", "--model", str(model), "--test", str(small_cohort_csv),
+                        "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestSynth:
@@ -320,6 +380,8 @@ class TestOutOfRangeValues:
             ["--set-train", "epochs=2.0"],
             ["--set-train", "learning_rate=fast"],
             ["--seed", "-1"],
+            ["--set", "dense1_units=64"],
+            ["--set", "conv_activation=tanh"],
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, small_cohort_csv, capsys, flags):
@@ -330,6 +392,14 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+    def test_legacy_keys_at_fixed_values_accepted(self, tmp_path, small_cohort_csv):
+        out = tmp_path / "model.json"
+        code = run(["train", "--train", str(small_cohort_csv), *FAST_TRAIN,
+                    "--set", "conv_activation=relu", "--set", "dense1_units=100",
+                    "--out", str(out)])
+        assert code == 0
+        assert "conv_activation" not in json.loads(out.read_text())["model_config"]
 
 
 class TestEmbed:
@@ -455,6 +525,22 @@ class TestPlot:
                     str(tmp_path / "x.svg")])
         assert code == 1
         assert "days,n_windows,accuracy,auc" in capsys.readouterr().err
+
+    def test_label_text_is_escaped(self, tmp_path):
+        src = tmp_path / "box.csv"
+        src.write_text("label,q1,median,q3,whisker_lo,whisker_hi\n"
+                       "0<x,54.2,55.4,56.3,52.8,58.1\n1&,47.1,48.3,49.6,45.2,51.4\n")
+        out = tmp_path / "box.svg"
+        assert run(["plot", "--kind", "boxplot", "--in", str(src), "--out", str(out)]) == 0
+        texts = [t.firstChild.data for t in
+                 minidom.parse(str(out)).getElementsByTagName("text")]
+        assert "label 0<x" in texts and "label 1&" in texts
+
+    def test_title_axis_and_legend_text_is_escaped(self):
+        doc = minidom.parseString(svg.line_chart(
+            [("a<b", [1.0, 2.0], [0.5, 0.6])], "x & y", "<days>", "AUC > 0.5"))
+        texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert {"a<b", "x & y", "<days>", "AUC > 0.5"} <= set(texts)
 
     def test_no_timestamps_fixed_canvas(self, tmp_path):
         out = tmp_path / "sweep.svg"

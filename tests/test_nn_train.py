@@ -1,10 +1,12 @@
 import json
+import numbers
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from vitalnet.data import ChannelStats, WindowedDataset
-from vitalnet.errors import ValidationError
+from vitalnet.errors import ValidationError, require
 from vitalnet.nn import (
     AdamState,
     ModelConfig,
@@ -22,6 +24,7 @@ from vitalnet.nn import (
     zero_params,
 )
 from vitalnet.nn.gradcheck import make_check_batch
+from vitalnet.nn.model import FIXED_KEYS
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
@@ -78,10 +81,26 @@ class TestModelBasics:
 
     def test_dense1_units_pinned(self):
         with pytest.raises(ValidationError):
-            ModelConfig(dense1_units=64).validate()
+            ModelConfig.from_dict({"dense1_units": 64})
         with pytest.raises(ValidationError):
-            ModelConfig(dense2_units=2).validate()
+            ModelConfig.from_dict({"dense2_units": 2})
 
+    def test_model_config_has_no_fixed_fields(self):
+        assert len(fields(ModelConfig)) == 8
+        assert not set(FIXED_KEYS) & {f.name for f in fields(ModelConfig)}
+
+    def test_huge_integers_checked_exactly(self):
+        huge = 10**400  # beyond any float
+        require("n", huge, numbers.Integral, 1)
+        for bad in (-huge, huge + 1):
+            with pytest.raises(ValidationError):
+                require("n", bad, numbers.Integral, 1, huge)
+        with pytest.raises(ValidationError, match="finite number"):
+            require("x", huge)
+        with pytest.raises(ValidationError):
+            TrainConfig(learning_rate=huge).validate()
+        with pytest.raises(ValidationError):
+            ModelConfig(lstm_hidden=-huge).validate()
 
     @pytest.mark.parametrize(
         "field,value", [("seed", 1e3), ("seed", -1), ("conv1_kernel", 2.0),
@@ -222,6 +241,13 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="does not fill"):
             load_checkpoint(path)
 
+    def test_integer_beyond_float_in_data_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["tensors"][0]["data"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="does not fill"):
+            load_checkpoint(path)
+
     def test_unknown_tensor_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
         doc["tensors"].append({"name": "extra_w", "shape": [1], "data": [0.0]})
@@ -244,6 +270,30 @@ class TestCheckpoint:
         assert preprocess == {}
         for name, t in params.tensors.items():
             assert np.array_equal(loaded.tensors[name], t)
+
+    def test_legacy_fixed_keys_load(self, tmp_path):
+        # a checkpoint from when the dense widths and activations were fields
+        params = init_params(TINY)
+        path, doc = self._saved_doc(tmp_path)
+        assert not set(FIXED_KEYS) & set(doc["model_config"])
+        doc["model_config"].update(dense1_units=100, dense2_units=1,
+                                   conv_activation="relu", dense1_activation="relu")
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == TINY
+        for name, t in params.tensors.items():
+            assert np.array_equal(loaded.tensors[name], t)
+
+    @pytest.mark.parametrize("key,value", [
+        ("conv_activation", "tanh"), ("dense1_activation", "linear"),
+        ("dense1_units", 64), ("dense2_units", 2), ("dense1_units", 100.0),
+        ("dense2_units", True)])
+    def test_legacy_keys_at_other_values_rejected(self, tmp_path, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc["model_config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"{key} is fixed"):
+            load_checkpoint(path)
 
 
 class TestGradCheck:
