@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import sys
 import time
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 from . import __version__, svg
 from .data import (
     ChannelStats,
+    check_window_args,
     compute_channel_stats,
     load_cohort,
     make_windows,
@@ -29,7 +29,7 @@ from .data import (
     split_by_patient,
     write_cohort,
 )
-from .errors import ValidationError, VitalnetError, require
+from .errors import ValidationError, VitalnetError
 from .evaluate import (
     day_sweep,
     extract_features,
@@ -174,8 +174,7 @@ def _load_model(path):
     for key in ("window_len", "stride", "channel_mean", "channel_std"):
         if key not in preprocess:
             raise ValidationError(f"checkpoint missing preprocess field {key!r}")
-    for key in ("window_len", "stride"):
-        require(f"checkpoint {key}", preprocess[key], numbers.Integral, 1)
+    check_window_args(preprocess["window_len"], preprocess["stride"], "checkpoint ")
     try:
         mean, std = (np.array(preprocess[k], dtype=float)
                      for k in ("channel_mean", "channel_std"))
@@ -289,6 +288,7 @@ def _cmd_train(args) -> None:
     if args.seed is not None:
         mcfg.seed = args.seed
         tcfg.seed = args.seed
+    check_window_args(args.window_len, args.stride)
     cohort = load_cohort(args.train)
     series = [(p.patient_id, resample(p), p.label) for p in cohort.patients]
     stats = compute_channel_stats([reg for _, reg, _ in series])

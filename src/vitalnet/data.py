@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import groupby, islice, repeat
@@ -22,13 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require
 
 CSV_HEADER = ["patient_id", "timestamp", "hr", "sbp", "dbp", "age", "label"]
 
 CHANNELS = ("hr", "sbp", "dbp")
 
 HOUR = timedelta(hours=1)
+
+# upper bound of a window length or stride in hourly slots (a leap year),
+# far above the paper's 48 and 24; it is checked before any window exists
+MAX_WINDOW_LEN = 24 * 366
 
 _CHUNK_ROWS = 1024  # rows per vectorized block; small blocks hold few strings at once
 
@@ -348,6 +353,12 @@ def compute_channel_stats(train: list[RegularSeries]) -> ChannelStats:
     return ChannelStats(mean=mean, std=std)
 
 
+def check_window_args(window_len, stride, source: str = "") -> None:
+    """Require integer window_len and stride in [1, MAX_WINDOW_LEN]."""
+    for key, value in (("window_len", window_len), ("stride", stride)):
+        require(f"{source}{key}", value, numbers.Integral, 1, MAX_WINDOW_LEN)
+
+
 def make_windows(
     series: list[tuple[str, RegularSeries, int]],
     window_len: int,
@@ -359,8 +370,7 @@ def make_windows(
     Patients shorter than window_len contribute one window, front-zero-padded
     (zeros in normalized space equal the channel means) and flagged as padded.
     """
-    if window_len < 1 or stride < 1:
-        raise ValidationError("window_len and stride must be >= 1")
+    check_window_args(window_len, stride)
     xs, ys, pids, padded = [], [], [], []
     for pid, reg, label in series:
         norm = stats.normalize(reg.values)

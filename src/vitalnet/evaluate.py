@@ -16,6 +16,7 @@ from .data import (
     Cohort,
     RegularSeries,
     WindowedDataset,
+    check_window_args,
     make_windows,
     resample,
 )
@@ -189,8 +190,7 @@ def day_sweep(
     days = sorted(days)
     if days and days[0] < 1:
         raise ValidationError(f"number of days must be >= 1, got {days[0]}")
-    if window_len < 1 or stride < 1:
-        raise ValidationError("window_len and stride must be >= 1")
+    check_window_args(window_len, stride)
     series = [(p.patient_id, resample(p, timedelta(hours=1)), p.label)
               for p in test_cohort.patients]
     lengths = np.array([len(reg) for _, reg, _ in series])

@@ -9,9 +9,9 @@ resampled, since the loss is not differentiable there.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ValidationError
-from .layers import _time_windows
 from .model import ModelConfig, ModelParams, forward, init_params, loss_and_grads
 
 # margin around ReLU kinks / pool ties below which a draw is rejected
@@ -66,12 +66,13 @@ def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     c1, c2, _, _, c5, _ = cache
     margin = min(float(np.abs(c[2]).min()) for c in (c1, c2, c5))
     if cfg.pool_size > 1:
-        win = _time_windows(c2[3], cfg.pool_size, cfg.pool_stride)
-        top2 = -np.partition(-win, 1, axis=2)[:, :, :2, :]
-        gap = top2[:, :, 0, :] - top2[:, :, 1, :]
+        # conv2's (F, B, T) output, windowed along T: (F, B, T_out, size)
+        win = sliding_window_view(c2[3], cfg.pool_size, axis=2)[:, :, :: cfg.pool_stride]
+        top2 = -np.partition(-win, 1, axis=3)[..., :2]
+        gap = top2[..., 0] - top2[..., 1]
         # zeros are clipped ReLU units; with the ReLU margin enforced they
         # cannot flip under an eps-perturbation, so only live pairs count
-        live = top2[:, :, 1, :] > 0
+        live = top2[..., 1] > 0
         if live.any():
             margin = min(margin, float(gap[live].min()))
     return margin

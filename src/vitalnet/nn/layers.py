@@ -1,12 +1,25 @@
 """Differentiable layer primitives: 1-D convolution, max-pooling, LSTM,
 dense layers, and binary cross-entropy, each with a manual backward pass.
 
-All forward functions operate on batched arrays (leading batch axis) and
-return a cache consumed by the matching backward function. The nonlinearities
-are fixed: every convolution applies ReLU, and a dense layer applies ReLU or
-nothing, as its caller selects.
+Every forward function returns a cache consumed by the matching backward
+function. The nonlinearities are fixed: every convolution applies ReLU, and a
+dense layer applies ReLU or nothing, as its caller selects.
 
-The LSTM works time-major. Its forward pass projects the inputs of all T
+The convolutions and max-pooling work channels-first: they take and return
+(C, B, T) arrays, so that time is the contiguous axis. A convolution is one
+channel-major GEMM, w.reshape(F, K*C) @ cols, where the im2col matrix cols is
+a contiguous (K*C, B*T_out) copy built from K slices along T (Chellapilla,
+Puri & Simard 2006); its weight and input gradients are the GEMMs dpre @
+cols.T and w.reshape(F, K*C).T @ dpre. The weight half (conv1d_backward) and
+the input half (conv1d_backward_input) are separate, because the first
+layer's input is the data and needs no gradient. The im2col is not cached:
+the backward pass rebuilds it, because the model's forward pass holds every
+layer's cache until it returns, and a cached (K*C, B*T_out) copy per layer
+would add to the peak memory of every inference chunk.
+
+The LSTM and dense layers take a leading batch axis; the LSTM reads (B, T,
+D), which the model passes as a view of the pooled (D, B, T) array. The LSTM
+works time-major. Its forward pass projects the inputs of all T
 steps in one matmul call, over a time-major view of x, into a (T, B, 4H) gate
 buffer; each step adds h @ wh to its slice and overwrites it in place with
 the gate values. The i, f and o gates use sigmoid(z) = 0.5 + 0.5 *
@@ -43,44 +56,53 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _time_windows(x: np.ndarray, width: int, stride: int = 1) -> np.ndarray:
-    """Strided view of shape (B, T_out, width, C) over the time axis."""
-    b, t, c = x.shape
-    t_out = (t - width) // stride + 1
-    s0, s1, s2 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (b, t_out, width, c), (s0, s1 * stride, s1, s2), writeable=False
-    )
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """x: (C, B, T) -> contiguous (K*C, B*T_out) patches; row j*C + c holds
+    x[c, :, j:j+T_out], matching w.reshape(F, K*C)."""
+    c, b, t = x.shape
+    t_out = t - k + 1
+    cols = np.empty((k, c, b, t_out))
+    for j in range(k):
+        cols[j] = x[:, :, j : j + t_out]
+    return cols.reshape(k * c, b * t_out)
 
 
 def conv1d_forward(x, w, bias):
-    """x: (B, T, C), w: (F, K, C), bias: (F,) -> ReLU out (B, T-K+1, F)."""
-    b, t, c = x.shape
+    """x: (C, B, T), w: (F, K, C), bias: (F,) -> ReLU out (F, B, T-K+1)."""
+    c, b, t = x.shape
     f, k, cw = w.shape
     if cw != c:
         raise ValidationError(f"conv1d: channel mismatch (input {c}, weights {cw})")
     if t < k:
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
-    cols = _time_windows(x, k).reshape(b * (t - k + 1), k * c)
-    pre = (cols @ w.reshape(f, k * c).T).reshape(b, t - k + 1, f) + bias
+    pre = (w.reshape(f, k * c) @ _im2col(x, k)).reshape(f, b, t - k + 1)
+    pre += bias[:, None, None]
     out = np.maximum(pre, 0.0)
     return out, (x, w, pre, out)
 
 
 def conv1d_backward(dout, cache):
+    """Weight half of the backward pass -> (dpre, dw, db); dpre feeds
+    conv1d_backward_input when the layer's input needs a gradient."""
     x, w, pre, _ = cache
-    b, t, c = x.shape
+    f, k, c = w.shape
+    dpre = dout * (pre > 0)
+    flat = dpre.reshape(f, -1)
+    dw = (flat @ _im2col(x, k).T).reshape(f, k, c)
+    return dpre, dw, flat.sum(axis=1)
+
+
+def conv1d_backward_input(dpre, cache):
+    """Input half of the backward pass: dx (C, B, T) from conv1d_backward's dpre."""
+    x, w, _, _ = cache
+    c, b, t = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
-    dpre = (dout * (pre > 0)).reshape(b * t_out, f)
-    cols = _time_windows(x, k).reshape(b * t_out, k * c)
-    dw = (dpre.T @ cols).reshape(f, k, c)
-    db = dpre.sum(axis=0)
-    dcols = (dpre @ w.reshape(f, k * c)).reshape(b, t_out, k, c)
+    dcols = (w.reshape(f, k * c).T @ dpre.reshape(f, -1)).reshape(k, c, b, t_out)
     dx = np.zeros_like(x)
     for j in range(k):
-        dx[:, j : j + t_out, :] += dcols[:, :, j, :]
-    return dx, dw, db
+        dx[:, :, j : j + t_out] += dcols[j]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -89,24 +111,25 @@ def conv1d_backward(dout, cache):
 
 
 def maxpool1d_forward(x, size: int, stride: int):
-    """x: (B, T, F) -> out (B, floor((T-size)/stride)+1, F).
+    """x: (C, B, T) -> out (C, B, floor((T-size)/stride)+1).
 
     A running strict `>` over the window offsets keeps the first argmax, as
     `np.argmax` does; the output is the window maximum (a tie between 0.0
     and -0.0 may return either sign).
     """
-    b, t, f = x.shape
+    t = x.shape[2]
     if size < 1 or stride < 1:
         raise ValidationError("maxpool1d: size and stride must be >= 1")
     if t < size:
         raise ValidationError(f"maxpool1d: input length {t} shorter than window {size}")
-    win = _time_windows(x, size, stride)  # (B, T_out, size, F)
-    out = win[:, :, 0, :].copy()
+    # offset j of every window is x[..., j : j + span : stride]
+    span = stride * ((t - size) // stride) + 1
+    out = x[..., :span:stride].copy()
     # the narrowest dtype that holds every offset keeps the cached argmax small
     offset = np.min_scalar_type(size - 1).type
     arg = np.zeros(out.shape, dtype=offset)
     for j in range(1, size):
-        cand = win[:, :, j, :]
+        cand = x[..., j : j + span : stride]
         # j exceeds every earlier offset, so max() sets arg exactly where cand wins
         np.maximum(arg, (cand > out) * offset(j), out=arg)
         np.maximum(out, cand, out=out)
@@ -115,12 +138,11 @@ def maxpool1d_forward(x, size: int, stride: int):
 
 def maxpool1d_backward(dout, cache):
     shape, size, stride, arg = cache
-    t_out = arg.shape[1]
-    span = stride * (t_out - 1) + 1
+    span = stride * (arg.shape[2] - 1) + 1
     dx = np.zeros(shape)
     for j in range(size):
-        # windows whose argmax sits at offset j read x[:, j::stride]
-        dx[:, j : j + span : stride] += dout * (arg == j)
+        # windows whose argmax sits at offset j read x[..., j::stride]
+        dx[..., j : j + span : stride] += dout * (arg == j)
     return dx
 
 

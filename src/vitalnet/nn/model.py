@@ -8,6 +8,7 @@ the t-SNE projection; the final unit yields the positive-class probability.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -21,6 +22,13 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 N_CHANNELS = 3
 FEATURE_UNITS = 100  # width of dense1, the feature layer
+
+# upper bounds of the layer sizes, far above the paper's 32/64 filters,
+# kernel 5, pool 2 and hidden 64; they keep a config from reaching NumPy's
+# dimension or integer limits before any array is allocated
+MAX_WIDTH = 1024  # conv filters and LSTM units
+MAX_KERNEL = 64  # conv kernel widths
+MAX_POOL = 64  # pool size and stride
 
 # keys of the once-configurable layers, still read at their fixed values so
 # that older checkpoints and `--set` lines load
@@ -55,10 +63,14 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        # every field is a layer size (>= 1) but the seed (>= 0)
+        # every field is a bounded layer size (>= 1) but the seed (>= 0)
         for f in fields(self):
-            require(f.name, getattr(self, f.name), numbers.Integral,
-                    0 if f.name == "seed" else 1)
+            if f.name == "seed":
+                require(f.name, self.seed, numbers.Integral, 0)
+                continue
+            hi = (MAX_KERNEL if f.name.endswith("kernel")
+                  else MAX_POOL if f.name.startswith("pool") else MAX_WIDTH)
+            require(f.name, getattr(self, f.name), numbers.Integral, 1, hi)
 
     def min_window_len(self) -> int:
         # smallest input length that survives both convs and the pool
@@ -79,22 +91,47 @@ class ModelConfig:
         return cfg
 
 
+class FlatTensors(dict):
+    """Tensors keyed per TENSOR_ORDER, stored as views into one contiguous
+    float64 vector, `flat`, so that an elementwise update of every tensor is
+    one array operation. Built as a copy of `tensors`."""
+
+    def __init__(self, tensors):
+        super().__init__()
+        self.flat = np.concatenate([np.ravel(tensors[n]) for n in TENSOR_ORDER],
+                                   dtype=float)
+        lo = 0
+        for name in TENSOR_ORDER:
+            shape = np.shape(tensors[name])
+            size = math.prod(shape)
+            self[name] = self.flat[lo : lo + size].reshape(shape)
+            lo += size
+
+    def first_nonfinite(self) -> str | None:
+        """Name of the first tensor holding a NaN or inf, or None."""
+        if np.isfinite(self.flat).all():
+            return None
+        return next(n for n, t in self.items() if not np.isfinite(t).all())
+
+
 @dataclass
 class ModelParams:
-    """All weight tensors, keyed per TENSOR_ORDER."""
+    """All weight tensors, keyed per TENSOR_ORDER; `tensors` becomes a
+    FlatTensors copy of what is passed in."""
 
     tensors: dict[str, np.ndarray]
     config: ModelConfig
 
+    def __post_init__(self):
+        self.tensors = FlatTensors(self.tensors)
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            tensors={k: v.copy() for k, v in self.tensors.items()}, config=self.config
-        )
+        return ModelParams(tensors=self.tensors, config=self.config)
 
     def check_finite(self) -> None:
-        for name, t in self.tensors.items():
-            if not np.isfinite(t).all():
-                raise ValidationError(f"non-finite values in parameter {name}")
+        name = self.tensors.first_nonfinite()
+        if name is not None:
+            raise ValidationError(f"non-finite values in parameter {name}")
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -131,8 +168,7 @@ def init_params(config: ModelConfig) -> ModelParams:
 
 def zero_params(config: ModelConfig) -> ModelParams:
     params = init_params(config)
-    for t in params.tensors.values():
-        t[:] = 0.0
+    params.tensors.flat[:] = 0.0
     return params
 
 
@@ -150,10 +186,13 @@ def forward(params: ModelParams, x: np.ndarray):
             f"forward: window length {x.shape[1]} below the minimum "
             f"{cfg.min_window_len()} for this config"
         )
-    a1, c1 = layers.conv1d_forward(x, t["conv1_w"], t["conv1_b"])
+    # the conv/pool stack runs channels-first, (C, B, T); the LSTM reads the
+    # pooled (D, B, T) array through a (B, T, D) view
+    a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"])
     a2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
     p3, c3 = layers.maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
-    h4, c4 = layers.lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    h4, c4 = layers.lstm_forward(p3.transpose(1, 2, 0), t["lstm_wx"], t["lstm_wh"],
+                                 t["lstm_b"])
     feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
     logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"])
     probs = layers.sigmoid(logits[:, 0])
@@ -167,8 +206,10 @@ def backward(params: ModelParams, dlogits: np.ndarray, cache):
     dfeat, dw6, db6 = layers.dense_backward(dlogits[:, None], c6)
     dh, dw5, db5 = layers.dense_backward(dfeat, c5)
     dp3, dwx, dwh, dbl = layers.lstm_backward(dh, c4)
-    da2 = layers.maxpool1d_backward(dp3, c3)
-    da1, dw2, db2 = layers.conv1d_backward(da2, c2)
+    da2 = layers.maxpool1d_backward(dp3.transpose(2, 0, 1), c3)
+    dpre2, dw2, db2 = layers.conv1d_backward(da2, c2)
+    da1 = layers.conv1d_backward_input(dpre2, c2)
+    # conv1's input is the data, so it gets no input gradient
     _, dw1, db1 = layers.conv1d_backward(da1, c1)
     return {
         "conv1_w": dw1,
@@ -216,9 +257,10 @@ def save_checkpoint(
             for name in TENSOR_ORDER
         ],
     }
+    # one dumps() call runs the C encoder; json.dump() to a file does not
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import WindowedDataset
 from ..errors import ValidationError, require
-from .model import ModelConfig, ModelParams, init_params, loss_and_grads
+from .model import FlatTensors, ModelConfig, ModelParams, init_params, loss_and_grads
 
 
 @dataclass
@@ -45,8 +45,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """First and second moment estimates, shaped like the parameters; None
+    until the first step."""
+
+    m: FlatTensors | None = None
+    v: FlatTensors | None = None
 
 
 def adam_step(
@@ -56,26 +59,39 @@ def adam_step(
     t: int,
     config: TrainConfig,
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; mutates params and state in place."""
+    """One bias-corrected Adam update; mutates params and state in place.
+
+    The update is elementwise, so it runs once over the flat parameter,
+    gradient and moment vectors.
+    """
     if t < 1:
         raise ValidationError(f"adam_step: step index must be >= 1, got {t}")
+    flat_grads = FlatTensors(grads)
+    bad = flat_grads.first_nonfinite()
+    if bad is not None:
+        raise ValidationError(f"non-finite gradient in tensor {bad}")
+    g = flat_grads.flat
+    if state.m is None:
+        zeros = {name: np.zeros_like(x) for name, x in params.tensors.items()}
+        state.m, state.v = FlatTensors(zeros), FlatTensors(zeros)
     b1, b2 = config.beta1, config.beta2
-    for name, tensor in params.tensors.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise ValidationError(f"non-finite gradient in tensor {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(tensor)
-            state.v[name] = np.zeros_like(tensor)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        tensor -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    m = state.m.flat
+    v = state.v.flat
+    # two scratch vectors carry every intermediate of
+    # p -= lr * m_hat / (sqrt(v_hat) + eps), operand order as written
+    step = np.empty_like(g)
+    denom = np.empty_like(g)
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=step)
+    v *= b2
+    np.multiply(1.0 - b2, g, out=step)
+    v += np.multiply(step, g, out=step)
+    np.divide(m, 1.0 - b1**t, out=step)
+    np.divide(v, 1.0 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    np.multiply(config.learning_rate, step, out=step)
+    params.tensors.flat -= np.divide(step, denom, out=step)
     return params, state
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 from xml.dom import minidom
 
@@ -391,6 +392,44 @@ class TestOutOfRangeValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    # sizes past NumPy's limits used to end in ValueError/OverflowError
+    # tracebacks; they are now rejected before anything is allocated
+    @pytest.mark.parametrize(
+        "flags", [["--set", "lstm_hidden=1" + "0" * 30], ["--window-len", "1" + "0" * 30],
+                  ["--stride", str(2**70)]],
+    )
+    def test_huge_sizes_rejected_quickly(self, tmp_path, small_cohort_csv, capsys, flags):
+        out = tmp_path / "model.json"
+        t0 = time.perf_counter()
+        code = run(["train", "--train", str(small_cohort_csv), *FAST_TRAIN, *flags,
+                    "--out", str(out)])
+        assert time.perf_counter() - t0 < 10
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("model_config", "pool_stride", 2**70), ("model_config", "conv2_kernel", 10**12),
+         ("preprocess", "window_len", 10**12), ("preprocess", "stride", 2**70)],
+    )
+    def test_huge_checkpoint_sizes_rejected_quickly(
+        self, tmp_path, small_cohort_csv, small_model, capsys, section, key, value
+    ):
+        doc = json.loads(small_model.read_text())
+        doc[section][key] = value
+        small_model.write_text(json.dumps(doc))
+        out = tmp_path / "eval.json"
+        t0 = time.perf_counter()
+        code = run(["eval", "--model", str(small_model), "--test", str(small_cohort_csv),
+                    "--out", str(out)])
+        assert time.perf_counter() - t0 < 10
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out.exists()
 
     def test_legacy_keys_at_fixed_values_accepted(self, tmp_path, small_cohort_csv):

@@ -117,7 +117,8 @@ def mostly(valid: list[str], invalid: list[str]):
 
 
 BAD_NUMBERS = {"nan_number": float("nan"), "negative_number": -3, "huge_number": 1e300,
-               "huge_integer": 10**400, "string_number": "7", "zero_number": 0}
+               "huge_integer": 10**400, "string_number": "7", "zero_number": 0,
+               "large_integer": 10**12, "int64_overflow": 2**70}
 CSV_KINDS = mostly(["valid"], ["truncated", "wrong_header", "empty", "header_only", "nan",
                                "inf", "non_numeric", "non_utf8", "stamp_out_of_range"])
 JSON_KINDS = mostly(["valid"], ["truncated", "not_an_object", "non_utf8", *BAD_NUMBERS])

@@ -1,24 +1,103 @@
-"""The LSTM and max-pool kernels against straightforward reference versions.
+"""The layer kernels, the model graph and Adam against straightforward
+reference versions.
 
 The references below are the original per-step LSTM (one input GEMM per
-step, sign-split sigmoid, a list of per-step caches) and the argmax /
-``np.add.at`` max-pool. The production kernels hoist the input GEMM, use the
-tanh form of the gate sigmoid and route pool gradients with strided adds, so
-they must agree with these to 1e-12.
+step, sign-split sigmoid, a list of per-step caches), the argmax /
+``np.add.at`` max-pool, the batch-major (B, T, C) convolution and max-pool
+that the channels-first (C, B, T) kernels replaced, and the per-tensor Adam
+loop that the flat update replaced. The production kernels hoist the input
+GEMM, use the tanh form of the gate sigmoid, route pool gradients with
+strided adds and run the conv GEMMs channel-major, so they must agree with
+these to 1e-12; the forward pass and Adam keep their arithmetic, so they
+must agree exactly.
 """
 
 import numpy as np
 import pytest
 
+from vitalnet.nn import model
 from vitalnet.nn.layers import (
-    _time_windows,
+    conv1d_backward,
+    conv1d_backward_input,
+    conv1d_forward,
+    dense_forward,
     lstm_backward,
     lstm_forward,
     maxpool1d_backward,
     maxpool1d_forward,
+    sigmoid,
 )
+from vitalnet.nn.train import AdamState, TrainConfig, adam_step
 
 TOL = 1e-12
+
+
+def _time_windows(x, width, stride=1):
+    """Strided view of shape (B, T_out, width, C) over the time axis."""
+    b, t, c = x.shape
+    t_out = (t - width) // stride + 1
+    s0, s1, s2 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (b, t_out, width, c), (s0, s1 * stride, s1, s2), writeable=False
+    )
+
+
+def btc_conv1d_forward(x, w, bias):
+    """The batch-major convolution: x (B, T, C) -> ReLU out (B, T-K+1, F)."""
+    b, t, c = x.shape
+    f, k, _ = w.shape
+    cols = _time_windows(x, k).reshape(b * (t - k + 1), k * c)
+    pre = (cols @ w.reshape(f, k * c).T).reshape(b, t - k + 1, f) + bias
+    out = np.maximum(pre, 0.0)
+    return out, (x, w, pre, out)
+
+
+def btc_conv1d_backward(dout, cache):
+    x, w, pre, _ = cache
+    b, t, c = x.shape
+    f, k, _ = w.shape
+    t_out = t - k + 1
+    dpre = (dout * (pre > 0)).reshape(b * t_out, f)
+    cols = _time_windows(x, k).reshape(b * t_out, k * c)
+    dw = (dpre.T @ cols).reshape(f, k, c)
+    db = dpre.sum(axis=0)
+    dcols = (dpre @ w.reshape(f, k * c)).reshape(b, t_out, k, c)
+    dx = np.zeros_like(x)
+    for j in range(k):
+        dx[:, j : j + t_out, :] += dcols[:, :, j, :]
+    return dx, dw, db
+
+
+def btc_maxpool1d_forward(x, size, stride):
+    """The batch-major running-max pool: x (B, T, F) -> (B, T_out, F)."""
+    win = _time_windows(x, size, stride)
+    out = win[:, :, 0, :].copy()
+    offset = np.min_scalar_type(size - 1).type
+    arg = np.zeros(out.shape, dtype=offset)
+    for j in range(1, size):
+        cand = win[:, :, j, :]
+        np.maximum(arg, (cand > out) * offset(j), out=arg)
+        np.maximum(out, cand, out=out)
+    return out, (x.shape, size, stride, arg)
+
+
+def btc_maxpool1d_backward(dout, cache):
+    shape, size, stride, arg = cache
+    span = stride * (arg.shape[1] - 1) + 1
+    dx = np.zeros(shape)
+    for j in range(size):
+        dx[:, j : j + span : stride] += dout * (arg == j)
+    return dx
+
+
+def cf(a):
+    """(B, T, C) -> a contiguous channels-first (C, B, T) copy."""
+    return np.ascontiguousarray(a.transpose(2, 0, 1))
+
+
+def btc(a):
+    """(C, B, T) -> a (B, T, C) view."""
+    return a.transpose(1, 2, 0)
 
 
 def ref_sigmoid(x):
@@ -86,6 +165,7 @@ def ref_lstm_backward(dh_last, cache):
 
 
 def ref_maxpool1d_forward(x, size, stride):
+    """argmax pool over (B, T, F)."""
     win = _time_windows(x, size, stride)
     arg = win.argmax(axis=2)
     out = np.take_along_axis(win, arg[:, :, None, :], axis=2)[:, :, 0, :]
@@ -166,6 +246,22 @@ class TestLstmAgainstReference:
 POOL_GEOMETRIES = [(size, stride) for size in (1, 2, 3, 4) for stride in (1, 2, 3)]
 
 
+def check_pool(x, size, stride, rng):
+    """The channels-first pool on cf(x) against both (B, T, F) references."""
+    out, cache = maxpool1d_forward(cf(x), size, stride)
+    out_ref, cache_ref = ref_maxpool1d_forward(x, size, stride)
+    out_btc, cache_btc = btc_maxpool1d_forward(x, size, stride)
+    assert np.array_equal(btc(out), out_ref)
+    assert np.array_equal(btc(out), out_btc)
+    assert np.array_equal(btc(cache[3]), cache_ref[3])
+    assert cache[3].dtype == cache_btc[3].dtype
+    dout = rng.standard_normal(out_ref.shape)
+    dx = btc(maxpool1d_backward(cf(dout), cache))
+    assert_close(dx, ref_maxpool1d_backward(dout, cache_ref))
+    assert_close(dx, btc_maxpool1d_backward(dout, cache_btc))
+    return cache
+
+
 class TestMaxPoolAgainstReference:
     @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
     @pytest.mark.parametrize("t", [4, 9, 12])
@@ -173,35 +269,141 @@ class TestMaxPoolAgainstReference:
         # small integer values make ties within a window common
         rng = np.random.default_rng(size * 10 + stride + t)
         x = rng.integers(0, 3, size=(3, t, 4)).astype(float)
-        out, cache = maxpool1d_forward(x, size, stride)
-        out_ref, cache_ref = ref_maxpool1d_forward(x, size, stride)
-        assert np.array_equal(out, out_ref)
-        assert np.array_equal(cache[3], cache_ref[3])
-        dout = rng.standard_normal(out.shape)
-        assert_close(maxpool1d_backward(dout, cache), ref_maxpool1d_backward(dout, cache_ref))
+        check_pool(x, size, stride, rng)
 
     @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
     def test_continuous_values_match(self, size, stride):
         rng = np.random.default_rng(size * 7 + stride)
         x = np.maximum(rng.standard_normal((5, 17, 6)), 0.0)
-        out, cache = maxpool1d_forward(x, size, stride)
-        out_ref, cache_ref = ref_maxpool1d_forward(x, size, stride)
-        assert np.array_equal(out, out_ref)
-        assert np.array_equal(cache[3], cache_ref[3])
-        dout = rng.standard_normal(out.shape)
-        assert_close(maxpool1d_backward(dout, cache), ref_maxpool1d_backward(dout, cache_ref))
+        check_pool(x, size, stride, rng)
+
+    @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
+    def test_single_window_batch(self, size, stride):
+        rng = np.random.default_rng(size * 5 + stride)
+        x = rng.integers(0, 2, size=(1, 10, 3)).astype(float)
+        check_pool(x, size, stride, rng)
 
     def test_offsets_beyond_one_byte(self):
         rng = np.random.default_rng(11)
         x = rng.integers(0, 50, size=(2, 700, 3)).astype(float)
-        out, cache = maxpool1d_forward(x, 300, 7)
-        out_ref, cache_ref = ref_maxpool1d_forward(x, 300, 7)
-        assert np.array_equal(out, out_ref)
-        assert np.array_equal(cache[3], cache_ref[3])
-        dout = rng.standard_normal(out.shape)
-        assert_close(maxpool1d_backward(dout, cache), ref_maxpool1d_backward(dout, cache_ref))
+        cache = check_pool(x, 300, 7, rng)
+        assert cache[3].dtype == np.uint16
 
     def test_all_equal_window_picks_offset_zero(self):
-        x = np.full((1, 6, 2), 3.0)
+        x = np.full((2, 1, 6), 3.0)  # (C, B, T)
         _, cache = maxpool1d_forward(x, 3, 1)
         assert np.all(cache[3] == 0)
+
+
+# (B, T, C, F, K): one window, kernel one, C != F, and the model's own shapes
+CONV_CASES = [(1, 6, 3, 4, 2), (3, 9, 2, 5, 1), (4, 12, 5, 3, 3), (2, 7, 4, 4, 7),
+              (32, 48, 3, 32, 5), (32, 44, 32, 64, 5)]
+
+
+class TestConvAgainstReference:
+    @pytest.mark.parametrize("b,t,c,f,k", CONV_CASES)
+    def test_forward_and_backward_match(self, b, t, c, f, k):
+        rng = np.random.default_rng(b * 100 + t * 10 + k)
+        x = rng.standard_normal((b, t, c))
+        w = rng.standard_normal((f, k, c)) / np.sqrt(k * c)
+        bias = rng.standard_normal(f) * 0.1
+        out, cache = conv1d_forward(cf(x), w, bias)
+        out_ref, cache_ref = btc_conv1d_forward(x, w, bias)
+        assert out.shape == (f, b, t - k + 1)
+        assert_close(btc(out), out_ref)
+        assert_close(btc(cache[2]), cache_ref[2])
+        dout = rng.standard_normal(out_ref.shape)
+        dpre, dw, db = conv1d_backward(cf(dout), cache)
+        dx = conv1d_backward_input(dpre, cache)
+        dx_ref, dw_ref, db_ref = btc_conv1d_backward(dout, cache_ref)
+        assert_close(btc(dpre), dout * (cache_ref[2] > 0))
+        assert_close(btc(dx), dx_ref)
+        assert_close(dw, dw_ref)
+        assert_close(db, db_ref)
+
+    def test_input_from_a_view(self):
+        # the model passes conv1 a channels-first view of the (B, T, 3) input
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((5, 11, 3))
+        w = rng.standard_normal((4, 3, 3))
+        bias = rng.standard_normal(4)
+        out_view, cache = conv1d_forward(x.transpose(2, 0, 1), w, bias)
+        out_copy, _ = conv1d_forward(cf(x), w, bias)
+        assert np.array_equal(out_view, out_copy)
+        dout = rng.standard_normal(out_view.shape)
+        _, dw, db = conv1d_backward(dout, cache)
+        _, dw_ref, db_ref = btc_conv1d_backward(btc(dout), btc_conv1d_forward(x, w, bias)[1])
+        assert_close(dw, dw_ref)
+        assert_close(db, db_ref)
+
+
+def ref_forward(params, x):
+    """The model graph on the batch-major conv and pool references."""
+    cfg, t = params.config, params.tensors
+    a1, _ = btc_conv1d_forward(x, t["conv1_w"], t["conv1_b"])
+    a2, _ = btc_conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
+    p3, _ = btc_maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
+    h4, _ = lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    feats, _ = dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
+    logits, _ = dense_forward(feats, t["dense2_w"], t["dense2_b"])
+    return sigmoid(logits[:, 0]), feats
+
+
+class TestModelAgainstReference:
+    @pytest.mark.parametrize("b", [1, 24, 216, 256])
+    def test_forward_bit_identical(self, b):
+        params = model.init_params(model.ModelConfig(seed=b))
+        x = np.random.default_rng(b).standard_normal((b, 48, 3))
+        probs, feats, _ = model.forward(params, x)
+        probs_ref, feats_ref = ref_forward(params, x)
+        assert np.array_equal(probs, probs_ref)
+        assert np.array_equal(feats, feats_ref)
+
+
+def ref_adam_step(tensors, grads, m, v, t, config):
+    """The per-tensor Adam loop over dicts of separate arrays."""
+    b1, b2 = config.beta1, config.beta2
+    for name, tensor in tensors.items():
+        g = grads[name]
+        m.setdefault(name, np.zeros_like(tensor))
+        v.setdefault(name, np.zeros_like(tensor))
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1**t)
+        v_hat = v[name] / (1.0 - b2**t)
+        tensor -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+class TestAdamAgainstReference:
+    def test_flat_update_bit_identical(self):
+        cfg = model.ModelConfig(conv1_filters=3, conv2_filters=4, lstm_hidden=5)
+        params = model.init_params(cfg)
+        ref = {k: v.copy() for k, v in params.tensors.items()}
+        state, m, v = AdamState(), {}, {}
+        tcfg = TrainConfig(learning_rate=0.01)
+        rng = np.random.default_rng(3)
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(t.shape) * 10.0**rng.integers(-6, 2)
+                     for k, t in ref.items()}
+            adam_step(params, grads, state, step, tcfg)
+            ref_adam_step(ref, grads, m, v, step, tcfg)
+            for k in ref:
+                assert np.array_equal(params.tensors[k], ref[k])
+                assert np.array_equal(state.m[k], m[k])
+                assert np.array_equal(state.v[k], v[k])
+
+    def test_tensors_are_views_of_one_vector(self):
+        given = {k: t.copy() for k, t in model.init_params(model.ModelConfig()).tensors.items()}
+        params = model.ModelParams(tensors=given, config=model.ModelConfig())
+        flat = params.tensors.flat
+        assert flat.flags["C_CONTIGUOUS"] and flat.dtype == np.float64
+        assert sum(t.size for t in params.tensors.values()) == flat.size
+        assert list(params.tensors) == list(model.TENSOR_ORDER)
+        for k, t in params.tensors.items():
+            assert np.shares_memory(t, flat)
+            assert not np.shares_memory(t, given[k])
+        copy = params.copy()
+        assert not np.shares_memory(copy.tensors.flat, flat)
+        assert np.array_equal(copy.tensors.flat, flat)

@@ -7,6 +7,7 @@ from vitalnet.errors import ValidationError
 from vitalnet.nn.layers import (
     bce_loss,
     conv1d_backward,
+    conv1d_backward_input,
     conv1d_forward,
     dense_backward,
     dense_forward,
@@ -53,15 +54,16 @@ def rel_err(a, b):
 
 
 class TestConv1d:
+    # activations are channels-first: (C, B, T) in, (F, B, T_out) out
     # the sums below are >= 0, so the ReLU passes them through unchanged
     def test_hand_sum(self):
-        x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
+        x = np.array([[[1.0, 2.0, 3.0, 4.0]]])  # C=1, B=1, T=4
         w = np.array([[[1.0], [1.0]]])  # F=1, K=2, C=1
         out, _ = conv1d_forward(x, w, np.zeros(1))
-        assert out[0, :, 0].tolist() == [3.0, 5.0, 7.0]
+        assert out[0, 0, :].tolist() == [3.0, 5.0, 7.0]
 
     def test_kernel_one_identity(self):
-        x = np.arange(8, dtype=float).reshape(1, 4, 2)
+        x = np.arange(8, dtype=float).reshape(2, 1, 4)
         w = np.zeros((2, 1, 2))
         w[0, 0, 0] = 1.0
         w[1, 0, 1] = 1.0
@@ -70,14 +72,14 @@ class TestConv1d:
 
     def test_too_short_input(self):
         with pytest.raises(ValidationError):
-            conv1d_forward(np.ones((1, 2, 1)), np.ones((1, 5, 1)), np.zeros(1))
+            conv1d_forward(np.ones((1, 1, 2)), np.ones((1, 5, 1)), np.zeros(1))
 
     # "linear": a bias large enough that no unit is clipped, so the ReLU is
     # the identity and the layer is its linear part
     @pytest.mark.parametrize("activation", ["linear", "relu"])
     def test_gradients_match_finite_differences(self, activation):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((3, 9, 2))
+        x = rng.standard_normal((2, 3, 9))
         w = rng.standard_normal((4, 3, 2)) * 0.5
         b = rng.standard_normal(4) * 0.1 + (10.0 if activation == "linear" else 0.0)
         # keep pre-activations away from the kink
@@ -85,40 +87,42 @@ class TestConv1d:
         assert np.abs(cache[2]).min() > 1e-3
         if activation == "linear":
             assert np.array_equal(out, cache[2])
-        proj = rng.standard_normal((3, 7, 4))
+        proj = rng.standard_normal((4, 3, 7))
 
         def loss():
             out, _ = conv1d_forward(x, w, b)
             return float((out * proj).sum())
 
         _, cache = conv1d_forward(x, w, b)
-        dx, dw, db = conv1d_backward(proj, cache)
+        dpre, dw, db = conv1d_backward(proj, cache)
+        dx = conv1d_backward_input(dpre, cache)
         assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
         assert rel_err(dw, numeric_grad(loss, w)) < 1e-6
         assert rel_err(db, numeric_grad(loss, b)) < 1e-6
 
 
 class TestMaxPool:
+    # channels-first, (C, B, T), pooled along T
     def test_hand_example(self):
-        x = np.array([[[1.0], [3.0], [2.0], [5.0]]])
+        x = np.array([[[1.0, 3.0, 2.0, 5.0]]])
         out, _ = maxpool1d_forward(x, 2, 2)
-        assert out[0, :, 0].tolist() == [3.0, 5.0]
+        assert out[0, 0, :].tolist() == [3.0, 5.0]
 
     def test_constant_ties_route_first(self):
-        x = np.ones((1, 4, 1))
+        x = np.ones((1, 1, 4))
         out, cache = maxpool1d_forward(x, 2, 2)
         assert np.all(out == 1.0)
-        dx = maxpool1d_backward(np.ones((1, 2, 1)), cache)
-        assert dx[0, :, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
+        dx = maxpool1d_backward(np.ones((1, 1, 2)), cache)
+        assert dx[0, 0, :].tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            maxpool1d_forward(np.ones((1, 1, 2)), 2, 2)
+            maxpool1d_forward(np.ones((2, 1, 1)), 2, 2)
 
     def test_gradient_away_from_ties(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 8, 3))
-        proj = rng.standard_normal((2, 4, 3))
+        x = rng.standard_normal((3, 2, 8))
+        proj = rng.standard_normal((3, 2, 4))
 
         def loss():
             out, _ = maxpool1d_forward(x, 2, 2)

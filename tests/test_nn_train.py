@@ -24,7 +24,7 @@ from vitalnet.nn import (
     zero_params,
 )
 from vitalnet.nn.gradcheck import make_check_batch
-from vitalnet.nn.model import FIXED_KEYS
+from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_POOL, MAX_WIDTH, TENSOR_ORDER
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
@@ -88,6 +88,20 @@ class TestModelBasics:
     def test_model_config_has_no_fixed_fields(self):
         assert len(fields(ModelConfig)) == 8
         assert not set(FIXED_KEYS) & {f.name for f in fields(ModelConfig)}
+
+    @pytest.mark.parametrize(
+        "field,bound",
+        [("conv1_filters", MAX_WIDTH), ("conv2_filters", MAX_WIDTH),
+         ("lstm_hidden", MAX_WIDTH), ("conv1_kernel", MAX_KERNEL),
+         ("conv2_kernel", MAX_KERNEL), ("pool_size", MAX_POOL), ("pool_stride", MAX_POOL)],
+    )
+    def test_layer_sizes_bounded(self, field, bound):
+        paper = getattr(ModelConfig(), field)
+        assert paper * 8 <= bound  # the paper's settings sit far inside
+        ModelConfig(**{field: bound}).validate()
+        for bad in (bound + 1, 2**70, 10**30):
+            with pytest.raises(ValidationError, match=field):
+                ModelConfig(**{field: bad}).validate()
 
     def test_huge_integers_checked_exactly(self):
         huge = 10**400  # beyond any float
@@ -202,6 +216,28 @@ class TestCheckpoint:
         a = forward(params, x)[0]
         b = forward(loaded, x)[0]
         assert np.array_equal(a, b)
+
+    def test_bytes_match_streamed_json_dump(self, tmp_path):
+        # the former writer, json.dump() to the file, is the reference
+        params = init_params(TINY)
+        params.tensors["dense1_w"][0, 0] = 1e-300
+        params.tensors["dense2_b"][0] = -0.0
+        preprocess = {"window_len": 16, "stride": 8, "channel_mean": [70.0, 120.5, 80.25],
+                      "channel_std": [11.0, 15.0, 9.5]}
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, preprocess)
+        doc = {
+            "format_version": 1,
+            "model_config": {f.name: getattr(TINY, f.name) for f in fields(TINY)},
+            "preprocess": preprocess,
+            "tensors": [{"name": n, "shape": list(params.tensors[n].shape),
+                         "data": params.tensors[n].ravel().tolist()} for n in TENSOR_ORDER],
+        }
+        ref = tmp_path / "ref.json"
+        with ref.open("w", encoding="utf-8") as fh:
+            json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_unknown_format_version_rejected(self, tmp_path):
         params = init_params(TINY)
