@@ -9,15 +9,24 @@ A patient is two arrays, `times` (datetime64[us], UTC) and `values` (n x 3),
 checked once when the record is built. Loading, writing and resampling work
 on whole arrays; `resample` averages each grid slot and forward-fills the
 empty ones.
+
+The text path has a fast form and a general one. `load_cohort` splits
+blocks of lines at commas and checks canonical stamps by arithmetic on
+their bytes; any block that needs the csv module's quoting rules, or holds
+another stamp form, sends the file to `_load_rows`, which reads it row by
+row and is the reference for what a file means. `write_cohort` joins each
+patient's lines into one string, with the id quoted as `csv.writer` would.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from itertools import groupby, islice, repeat
 from pathlib import Path
 
@@ -187,25 +196,68 @@ def _parse_int(raw: str, name: str, line_no: int) -> int:
         raise ParseError(f"line {line_no}: non-integer {name} {raw!r}") from None
 
 
-def _parse_chunk(rows: list[list[str]]) -> tuple | None:
-    """Vectorized parse of a block of rows; None if a row has the wrong field
-    count, a field that does not parse or a timestamp not 'YYYY-MM-DDTHH:MM:SSZ'."""
-    if set(map(len, rows)) != {len(CSV_HEADER)}:
+# A canonical stamp is 'YYYY-MM-DDTHH:MM:SSZ': these bytes at these offsets,
+# and ASCII digits at the 14 others.
+_STAMP_SEP_AT = [4, 7, 10, 13, 16, 19]
+_STAMP_SEPS = np.frombuffer(b"--T::Z", np.uint8)
+_STAMP_DIGIT_AT = [i for i in range(20) if i not in _STAMP_SEP_AT]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _parse_stamps(stamps: list[str]) -> np.ndarray | None:
+    """Canonical stamps as datetime64[us], checked and converted by arithmetic;
+    None unless every stamp is canonical and names a real date and time (year
+    >= 1, Gregorian leap years, no leap second)."""
+    if set(map(len, stamps)) != {20}:
         return None
-    pids, stamps, hr, sbp, dbp, ages, labels = zip(*rows)
-    raw = np.array(stamps)
     try:
-        times = raw.astype("U19").astype("datetime64[us]")
+        raw = np.frombuffer("".join(stamps).encode("ascii"), np.uint8).reshape(-1, 20)
+    except UnicodeEncodeError:
+        return None
+    digits = raw[:, _STAMP_DIGIT_AT] - np.uint8(48)  # bytes below "0" wrap past 9
+    if (raw[:, _STAMP_SEP_AT] != _STAMP_SEPS).any() or (digits > 9).any():
+        return None
+    digits = digits.astype(np.int64)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_ok = (month >= 1) & (month <= 12)
+    last_day = _MONTH_DAYS[np.where(month_ok, month, 0)] + (leap & (month == 2))
+    ok = month_ok & (year >= 1) & (day >= 1) & (day <= last_day)
+    if not (ok & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
+        return None
+    # days since 1970-01-01 (days_from_civil: years start in March, 400-year eras)
+    y = year - (month <= 2)
+    era, yoe = np.divmod(y, 400)
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+    return (seconds * 1_000_000).view("datetime64[us]")
+
+
+def _parse_block(lines: list[str]) -> tuple | None:
+    """Vectorized parse of a block of non-blank lines; None if a line holds a
+    quote or CR (csv rules apply), has a field count other than 7, a field
+    that does not parse or a timestamp that is not canonical."""
+    text = ",".join(lines)  # each label keeps its newline, which int() ignores
+    if '"' in text or "\r" in text:
+        return None
+    n = len(lines)
+    if set(map(str.count, lines, repeat(",", n))) != {len(CSV_HEADER) - 1}:
+        return None
+    flat = text.split(",")
+    pids, stamps, hr, sbp, dbp, ages, labels = (flat[k::7] for k in range(7))
+    times = _parse_stamps(stamps)
+    if times is None:
+        return None
+    try:
         values = np.array([list(map(float, col)) for col in (hr, sbp, dbp)]).T
-        ages = np.fromiter(map(int, ages), np.int64, len(rows))
-        labels = np.fromiter(map(int, labels), np.int64, len(rows))
+        # narrow types: a value outside them is outside the records' ranges too
+        ages = np.fromiter(map(int, ages), np.int16, n)
+        labels = np.fromiter(map(int, labels), np.int8, n)
     except (ValueError, OverflowError):
         return None
-    # canonical: prints back as itself, in a year (>= 1) that datetime accepts
-    canon = np.char.add(np.datetime_as_string(times, unit="s"), "Z") == raw
-    canon &= times >= np.datetime64("0001")
-    canon &= np.fromiter(map(len, stamps), int, len(rows)) == 20
-    return (pids, times, values, ages, labels) if canon.all() else None
+    return pids, times, values, ages, labels
 
 
 def _load_rows(path: Path) -> Cohort:
@@ -251,65 +303,107 @@ def _load_rows(path: Path) -> Cohort:
 def load_cohort(path) -> Cohort:
     """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
 
-    Rows are parsed and checked in vectorized blocks of `_CHUNK_ROWS`. If any
-    check fails, or a timestamp is not canonical, the file is read again row
-    by row, so an error names the first bad line: its own fields first, then
-    a patient's inconsistent age/label or a repeated timestamp.
+    A first pass counts the file's newlines, which bounds its rows: the
+    columns are filled in place and the records are views of them, so no
+    block copies are held and joined. The header goes through `csv.reader`;
+    the data lines are read `_CHUNK_ROWS` at a time and each block is parsed
+    by splitting its text at commas. A block with a quote, a CR, a line of
+    other than 7 fields, a field that does not parse, or a stamp not in the
+    canonical form sends the file to `_load_rows`, as does any failed check
+    on the records. That reader starts again from the top, row by row, so an
+    error names the first bad line: its own fields first, then a patient's
+    inconsistent age/label or a repeated timestamp.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
+    # a row per newline, and one after the last; reads stay under glibc's
+    # 128 KiB mmap threshold, which freeing a larger buffer would raise
+    with path.open("rb") as fh:
+        capacity = 1 + sum(chunk.count(b"\n") for chunk in iter(partial(fh.read, 1 << 16), b""))
+    codes = np.empty(capacity, np.int32)
+    times = np.empty(capacity, "datetime64[us]")
+    values = np.empty((capacity, 3))
+    ages = np.empty(capacity, np.int16)
+    labels = np.empty(capacity, np.int8)
     index: dict[str, int] = {}  # patient id -> code, in order of first row
-    parts = []
+    first: list[int] = []  # each patient's first row
+    n = 0
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))  # reads the header's line(s) only
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         if header != CSV_HEADER:
             raise ParseError(
                 f"{path}: bad header {header!r}, expected {CSV_HEADER!r}"
             )
-        data_rows = filter(None, reader)  # blank lines carry no data
-        while rows := list(islice(data_rows, _CHUNK_ROWS)):
-            columns = _parse_chunk(rows)
-            if columns is None:
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            if "\n" in lines:  # blank lines carry no data
+                lines = [line for line in lines if line != "\n"]
+                if not lines:
+                    continue
+            columns = _parse_block(lines)
+            rows = slice(n, n + len(lines))
+            if columns is None or rows.stop > capacity:  # or the file grew since counted
                 return _load_rows(path)
             pids, *columns = columns  # ids come in runs: look each run up once
             runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
-            parts.append((np.repeat(*np.array(runs).T), *columns))
-    if not parts:
+            codes[rows] = np.repeat(*np.array(runs).T)
+            times[rows], values[rows], ages[rows], labels[rows] = columns
+            for code, length in runs:
+                if code == len(first):  # a new patient
+                    first.append(n)
+                n += length
+    if n == 0:
         return Cohort()
-    codes, times, values, ages, labels = map(np.concatenate, zip(*parts))
-    first = np.unique(codes, return_index=True)[1]  # each patient's first row
+    codes, times, values, ages, labels = (a[:n] for a in (codes, times, values, ages, labels))
     if (ages != ages[first][codes]).any() or (labels != labels[first][codes]).any():
         return _load_rows(path)
-    order = np.lexsort((times, codes))
-    splits = np.searchsorted(codes[order], np.arange(1, len(index)))
+    # rows already grouped by patient and in time order, as written here, stay put
+    same = codes[1:] == codes[:-1]
+    if not ((codes[1:] > codes[:-1]) | (same & (times[1:] > times[:-1]))).all():
+        order = np.lexsort((times, codes))
+        codes, times, values = codes[order], times[order], values[order]
+    splits = np.searchsorted(codes, np.arange(1, len(index)))
     try:  # the records check values, labels, ages and repeated times
         return Cohort([
             PatientRecord(pid, int(ages[f]), int(labels[f]), t, v)
             for pid, f, t, v in zip(
-                index, first, np.split(times[order], splits), np.split(values[order], splits)
+                index, first, np.split(times, splits), np.split(values, splits)
             )
         ])
     except ValidationError:
         return _load_rows(path)
 
 
+def _csv_field(text) -> str:
+    """`text` as `csv.writer` writes it as one field of a longer row (a row
+    of one empty field is written as '""', a field among others is not)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_cohort(cohort: Cohort, path) -> None:
-    """Write a cohort CSV, one `writerows` call per patient: timestamps in
-    whole UTC seconds with a Z suffix, floats in shortest round-trip form."""
+    """Write a cohort CSV with the bytes `csv.writer` gives: timestamps in
+    whole UTC seconds with a Z suffix, floats in shortest round-trip form.
+
+    A patient's lines are joined and written `_CHUNK_ROWS` at a time, so
+    each string stays short for any stay. Only the patient id can need
+    quoting, and the csv module formats it once per patient.
+    """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\n")
         for p in cohort.patients:
-            stamps = np.char.add(np.datetime_as_string(p.times, unit="s"), "Z").tolist()
-            hr, sbp, dbp = (map(repr, col) for col in p.values.T.tolist())
-            writer.writerows(zip(repeat(p.patient_id), stamps, hr, sbp, dbp,
-                                 repeat(p.age), repeat(p.label)))
+            pid, tail = _csv_field(p.patient_id), f",{p.age},{p.label}\n"
+            for lo in range(0, len(p.times), _CHUNK_ROWS):
+                rows = slice(lo, lo + _CHUNK_ROWS)
+                stamps = np.datetime_as_string(p.times[rows], unit="s").tolist()
+                values = p.values[rows].tolist()
+                fh.write("".join([f"{pid},{stamp}Z,{hr!r},{sbp!r},{dbp!r}{tail}"
+                                  for stamp, (hr, sbp, dbp) in zip(stamps, values)]))
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,12 @@ MAX_STAY_DAYS = (
 # A cadence longer than the longest stay never gives a second sample.
 MAX_CADENCE_MINUTES = MAX_STAY_DAYS * 24 * 60
 # Patients are built one at a time and the cohort is held in memory; 10,000
-# per bin (80,000 patients, ~50 million rows at the default stays) is far past
-# the default cohort's 70 and keeps a config from asking for work that never
-# ends.
+# per bin (80,000 patients) is far past the default cohort's 70.
 MAX_PATIENTS_PER_BIN = 10_000
+# The whole cohort is held in memory, ~32 bytes a row as arrays: 10 million
+# rows is ~60x the x4 cohort's 166k rows (~750k at worst for its config) and
+# keeps a config of valid-looking stays from exhausting the machine.
+MAX_ROWS = 10_000_000
 
 
 @dataclass
@@ -152,7 +154,15 @@ class SynthConfig:
             g.validate(len(self.age_bins))
         if sorted(g.label for g in self.groups) != [0, 1]:
             raise ValidationError("config must define exactly one group per label")
+        require("worst-case synth rows", self.max_rows(), hi=MAX_ROWS)
         self.dynamics.validate()
+
+    def max_rows(self) -> float:
+        """Upper bound on the generated rows: every patient at its group's
+        longest stay, sampled at the shortest cadence that has weight."""
+        cadence = min(c for c, w in zip(self.cadences_minutes, self.cadence_weights) if w > 0)
+        return sum(sum(g.patients_per_bin) * (g.stay_days[1] * 24 * 60 / cadence + 1)
+                   for g in self.groups)
 
     def group(self, label: int) -> GroupSpec:
         for g in self.groups:
@@ -246,25 +256,26 @@ _CLIP = {"hr": (30.0, 200.0), "sbp": (60.0, 250.0), "dbp": (20.0, 150.0)}
 
 def _ar1(rng, n: int, coef: float) -> np.ndarray:
     """Unit-variance stationary AR(1) path of length n."""
-    eps = rng.standard_normal(n) * np.sqrt(1.0 - coef * coef)
-    x = np.empty(n)
-    x[0] = rng.standard_normal()
-    for t in range(1, n):
-        x[t] = coef * x[t - 1] + eps[t]
-    return x
+    eps = (rng.standard_normal(n) * np.sqrt(1.0 - coef * coef)).tolist()
+    x = rng.standard_normal()
+    out = [x]
+    for e in eps[1:]:  # Python floats: the same float64 operations, in order
+        x = coef * x + e
+        out.append(x)
+    return np.array(out)
 
 
 def _burst(rng, n: int, rate: float, decay: float, dt_hours: float) -> np.ndarray:
     """Non-negative decaying burst process (sparse exponential impulses)."""
     hits = rng.random(n) < rate * dt_hours
-    amps = rng.exponential(1.0, size=n) * hits
-    out = np.empty(n)
+    amps = (rng.exponential(1.0, size=n) * hits).tolist()
     d = decay**dt_hours
     acc = 0.0
-    for t in range(n):
-        acc = d * acc + amps[t]
-        out[t] = acc
-    return out
+    out = []
+    for a in amps:
+        acc = d * acc + a
+        out.append(acc)
+    return np.array(out)
 
 
 def _cadence_assignment(config: SynthConfig, n: int) -> list[int]:

@@ -111,13 +111,6 @@ def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return cond
 
 
-def realized_perplexities(cond: np.ndarray) -> np.ndarray:
-    """2^H of every row of a row-stochastic conditional matrix (base-2 H)."""
-    logp = np.log(cond, out=np.zeros_like(cond), where=cond > 0)
-    h_nats = -np.sum(cond * logp, axis=1)
-    return np.exp(h_nats)
-
-
 def symmetrize(cond: np.ndarray, perplexity: float = 0.0) -> AffinityMatrix:
     """Joint P = (P_j|i + P_i|j) / (2n), floored off-diagonal for gradient
     stability and renormalized to total mass 1.

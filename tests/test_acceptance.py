@@ -29,8 +29,9 @@ from vitalnet.tsne import (
     joint_affinities,
     kl_divergence,
     kl_gradient,
-    realized_perplexities,
 )
+
+from test_tsne import realized_perplexities  # the reference helper
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"

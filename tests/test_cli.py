@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import tracemalloc
 from pathlib import Path
 from xml.dom import minidom
 
@@ -8,7 +9,7 @@ import pytest
 
 from vitalnet import svg
 from vitalnet.cli import run
-from vitalnet.synth import default_config
+from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -431,6 +432,33 @@ class TestOutOfRangeValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_synth_stays_up_to_max_rejected_quickly(self, tmp_path, capsys):
+        # each stay is valid alone, but one patient at the longest stay and a
+        # 15-minute cadence would be ~280 million rows
+        cfg = small_config_file(tmp_path, stay=(1, MAX_STAY_DAYS))
+        out = tmp_path / "cohort.csv"
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = run(["synth", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 10
+        assert peak < 10 * 2**20
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "worst-case synth rows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth_rows_bound_admits_the_x4_cohort(self):
+        cfg = default_config()
+        for g in cfg.groups:
+            g.patients_per_bin = [4 * n for n in g.patients_per_bin]
+        cfg.validate()
+        assert 166_000 < cfg.max_rows() < MAX_ROWS / 10
 
     def test_legacy_keys_at_fixed_values_accepted(self, tmp_path, small_cohort_csv):
         out = tmp_path / "model.json"

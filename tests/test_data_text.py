@@ -1,0 +1,367 @@
+"""The cohort text path against the code it replaced.
+
+The references below are the previous block reader (`csv.reader`, then
+`zip(*rows)` and a NumPy string round trip to check each stamp) and the
+previous writer (`csv.writer.writerows` per patient). The split-based
+reader, the arithmetic stamp parser and the per-patient string writer must
+accept the same stamps and files, give equal records and bytes, and raise
+the same error class and message (line number included) on anything else.
+"""
+
+import csv
+import io
+import warnings
+from datetime import datetime, timedelta, timezone
+from itertools import groupby, islice, repeat
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vitalnet import data
+from vitalnet.data import CSV_HEADER, Cohort, PatientRecord, load_cohort, write_cohort
+from vitalnet.errors import ParseError, ValidationError
+
+HEADER = ",".join(CSV_HEADER) + "\n"
+ROW = "P0,2020-03-21T00:00:00Z,80.0,120.0,70.0,50,1\n"
+ROW2 = "P0,2020-03-21T01:00:00Z,81.5,121.0,71.25,50,1\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations (the previous block reader and writer)
+# ---------------------------------------------------------------------------
+
+
+def ref_parse_stamps(stamps):
+    """The NumPy route: parse, then require that the stamp prints back as
+    itself, in a year >= 1, at 20 characters."""
+    raw = np.array(stamps)
+    try:
+        with warnings.catch_warnings():  # a stamp cut to 19 characters can end in "Z"
+            warnings.simplefilter("ignore", UserWarning)
+            times = raw.astype("U19").astype("datetime64[us]")
+    except (ValueError, OverflowError):
+        return None
+    canon = np.char.add(np.datetime_as_string(times, unit="s"), "Z") == raw
+    canon &= times >= np.datetime64("0001")
+    canon &= np.fromiter(map(len, stamps), int, len(stamps)) == 20
+    return times if canon.all() else None
+
+
+def ref_parse_chunk(rows):
+    if set(map(len, rows)) != {len(CSV_HEADER)}:
+        return None
+    pids, stamps, hr, sbp, dbp, ages, labels = zip(*rows)
+    times = ref_parse_stamps(list(stamps))
+    if times is None:
+        return None
+    try:
+        values = np.array([list(map(float, col)) for col in (hr, sbp, dbp)]).T
+        ages = np.fromiter(map(int, ages), np.int64, len(rows))
+        labels = np.fromiter(map(int, labels), np.int64, len(rows))
+    except (ValueError, OverflowError):
+        return None
+    return pids, times, values, ages, labels
+
+
+def ref_load_cohort(path):
+    """The previous `load_cohort`; its fallback is the row reader, unchanged."""
+    path = Path(path)
+    index, parts = {}, []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if header != CSV_HEADER:
+            raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+        data_rows = filter(None, reader)
+        while rows := list(islice(data_rows, 1024)):
+            columns = ref_parse_chunk(rows)
+            if columns is None:
+                return data._load_rows(path)
+            pids, *columns = columns
+            runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
+            parts.append((np.repeat(*np.array(runs).T), *columns))
+    if not parts:
+        return Cohort()
+    codes, times, values, ages, labels = map(np.concatenate, zip(*parts))
+    first = np.unique(codes, return_index=True)[1]
+    if (ages != ages[first][codes]).any() or (labels != labels[first][codes]).any():
+        return data._load_rows(path)
+    order = np.lexsort((times, codes))
+    splits = np.searchsorted(codes[order], np.arange(1, len(index)))
+    try:
+        return Cohort([
+            PatientRecord(pid, int(ages[f]), int(labels[f]), t, v)
+            for pid, f, t, v in zip(
+                index, first, np.split(times[order], splits), np.split(values[order], splits)
+            )
+        ])
+    except ValidationError:
+        return data._load_rows(path)
+
+
+def ref_write_cohort(cohort, path):
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for p in cohort.patients:
+            stamps = np.char.add(np.datetime_as_string(p.times, unit="s"), "Z").tolist()
+            hr, sbp, dbp = (map(repr, col) for col in p.values.T.tolist())
+            writer.writerows(zip(repeat(p.patient_id), stamps, hr, sbp, dbp,
+                                 repeat(p.age), repeat(p.label)))
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+# ---------------------------------------------------------------------------
+
+
+def outcome(fn, path):
+    try:
+        return "ok", fn(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_cohort(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got.patients, want.patients):
+        assert (a.patient_id, a.age, a.label) == (b.patient_id, b.age, b.label)
+        assert np.array_equal(a.times, b.times) and a.times.dtype == b.times.dtype
+        assert np.array_equal(a.values, b.values)
+
+
+def assert_same_outcome(path):
+    want = outcome(ref_load_cohort, path)
+    got = outcome(load_cohort, path)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert_same_cohort(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+    return got
+
+
+def assert_same_stamps(stamps):
+    want = ref_parse_stamps(stamps)
+    got = data._parse_stamps(stamps)
+    if want is None:
+        assert got is None, stamps
+    else:
+        assert got is not None, stamps
+        assert got.dtype == want.dtype and np.array_equal(got, want), stamps
+
+
+# ---------------------------------------------------------------------------
+# Stamps
+# ---------------------------------------------------------------------------
+
+GOOD = "2020-03-21T14:00:00Z"
+BOUNDARY_STAMPS = [
+    GOOD,
+    "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "1970-01-01T00:00:00Z", "1969-12-31T23:59:59Z", "1600-02-29T12:00:00Z",
+    "2020-00-10T00:00:00Z", "2020-13-10T00:00:00Z", "2020-12-31T00:00:00Z",
+    "2020-01-00T00:00:00Z", "2020-01-32T00:00:00Z", "2020-01-31T00:00:00Z",
+    "2020-04-31T00:00:00Z", "2020-04-30T00:00:00Z",
+    "2000-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2019-02-29T00:00:00Z",
+    "2020-02-29T00:00:00Z", "2020-02-30T00:00:00Z", "2019-02-28T00:00:00Z",
+    "2020-03-21T24:00:00Z", "2020-03-21T23:60:00Z", "2020-03-21T23:59:60Z",
+    "2020-03-21T23:59:59Z",
+    "2020-03-21T14:00:00z", "2020-03-21t14:00:00Z", "2020-03-21 14:00:00Z",
+    "2020-03-21T14:00:00+00:00", "2020-03-21T14:00:00+01:00", "2020-03-21T14:00:00",
+    "2020-03-21T14:00:00.000000Z", "2020-03-21T14:00Z",
+    "2020-03-2١T14:00:00Z", "２020-03-21T14:00:00Z", "2020-03-21T14:00:00ź",
+    "2020-03-21T14:00:00Z\x00", "2020-03-21T14:00:0\x00Z", " 020-03-21T14:00:00Z",
+    "+020-03-21T14:00:00Z", "-020-03-21T14:00:00Z", "2020/03/21T14:00:00Z",
+    "2020-03-21T14:00:00ZZ", "2020-03-21T14:00:00", "", "Z" * 20, "0" * 20,
+    "99999-01-01T00:00:00Z", "2020-3-21T14:00:00Z",
+]
+
+
+class TestParseStamps:
+    @pytest.mark.parametrize("stamp", BOUNDARY_STAMPS)
+    def test_boundary_stamp_alone(self, stamp):
+        assert_same_stamps([stamp])
+
+    @pytest.mark.parametrize("stamp", BOUNDARY_STAMPS)
+    def test_boundary_stamp_among_good_ones(self, stamp):
+        assert_same_stamps([GOOD, stamp, "1999-12-31T23:59:59Z"])
+
+    def test_lengths_that_cancel_out(self):
+        # 19 + 21 characters join to two well-formed 20-character rows
+        assert_same_stamps(["2020-03-21T14:00:00", "Z2020-03-21T15:00:00Z"])
+        assert data._parse_stamps(["2020-03-21T14:00:00", "Z2020-03-21T15:00:00Z"]) is None
+
+    def test_every_day_of_four_centuries(self):
+        days = np.arange(np.datetime64("1600-01-01"), np.datetime64("2000-01-01"))
+        stamps = [f"{d}T{(i * 7) % 24:02d}:{i % 60:02d}:{(i * 13) % 60:02d}Z"
+                  for i, d in enumerate(days.astype(str).tolist())]
+        assert_same_stamps(stamps)
+        assert len(data._parse_stamps(stamps)) == len(days)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text("0123456789-T:Z", min_size=20, max_size=20),
+        # well-formed shapes, digits anywhere: exercises every range check
+        st.lists(st.sampled_from("0123456789"), min_size=14, max_size=14).map(
+            lambda d: "{}{}{}{}-{}{}-{}{}T{}{}:{}{}:{}{}Z".format(*d)),
+    ), min_size=1, max_size=4))
+    def test_property_over_stamp_alphabet(self, stamps):
+        assert_same_stamps(stamps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+                    min_size=1, max_size=8))
+    def test_property_over_real_instants(self, instants):
+        got = data._parse_stamps([t.isoformat(timespec="seconds") + "Z" for t in instants])
+        want = np.array([np.datetime64(t.replace(microsecond=0), "us") for t in instants])
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Writer
+# ---------------------------------------------------------------------------
+
+IDS = ["", "a,b", 'say "hi"', '"', "cr\rid", "lf\nid", "crlf\r\nid", " lead", "trail ",
+       " both ", "été-中", "tab\tid", "semi;colon", "P0", "'q'", "\x00nul"]
+
+
+def cohort_with_ids(ids):
+    times = np.datetime64("2020-03-21T00:00:00", "us") + np.arange(3) * np.timedelta64(
+        3601, "s")
+    values = np.array([[80.0, 120.5, 70.25], [81.123, 119.0, 69.0], [1e-5, 2.5e7, 1.0]])
+    return Cohort([PatientRecord(pid, 21 + i, i % 2, times, values) for i, pid in enumerate(ids)])
+
+
+class TestWriter:
+    @pytest.mark.parametrize("pid", IDS)
+    def test_field_is_csv_writers_field(self, pid):
+        for row in ([pid, "x", "1"], ["x", pid, "1"], ["x", "1", pid]):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(row)
+            fields = [data._csv_field(v) for v in row]
+            assert ",".join(fields) + "\n" == buf.getvalue()
+
+    def test_empty_id_alone_is_not_quoted(self):
+        assert data._csv_field("") == ""
+
+    @pytest.mark.parametrize("pid", IDS)
+    def test_same_bytes_as_csv_writer(self, tmp_path, pid):
+        cohort = cohort_with_ids([pid, "other"])
+        write_cohort(cohort, tmp_path / "new.csv")
+        ref_write_cohort(cohort, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_all_ids_round_trip(self, tmp_path):
+        # csv.writer leaves a lone CR unquoted, so that id cannot be read back
+        cohort = cohort_with_ids([pid for pid in IDS if pid != "cr\rid"])
+        path = tmp_path / "c.csv"
+        write_cohort(cohort, path)
+        ref_write_cohort(cohort, tmp_path / "ref.csv")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_same_cohort(assert_same_outcome(path)[1], cohort)
+
+    def test_empty_cohort_is_header_only(self, tmp_path):
+        write_cohort(Cohort(), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_text() == HEADER
+
+
+# ---------------------------------------------------------------------------
+# Files
+# ---------------------------------------------------------------------------
+
+FILE_CORPUS = {
+    "empty": "",
+    "header_only": HEADER,
+    "header_no_newline": HEADER[:-1],
+    "blank_lines_only": HEADER + "\n\n\n",
+    "blank_first_line": "\n" + HEADER + ROW,
+    "no_trailing_newline": HEADER + ROW + ROW2[:-1],
+    "blank_between_rows": HEADER + ROW + "\n\n" + ROW2 + "\n",
+    "crlf": (HEADER + ROW + ROW2).replace("\n", "\r\n"),
+    "crlf_header_only": HEADER.replace("\n", "\r\n") + ROW + ROW2,
+    "lone_cr": HEADER + ROW[:-1] + "\r" + ROW2,
+    "quoted_id": HEADER + '"P0",2020-03-21T00:00:00Z,80.0,120.0,70.0,50,1\n' + ROW2,
+    "quoted_id_with_comma": HEADER + '"P,0",2020-03-21T00:00:00Z,80.0,120.0,70.0,50,1\n',
+    "quoted_header": HEADER.replace("hr", '"hr"') + ROW,
+    "nul_in_id": HEADER + ROW.replace("P0", "P\x000") + ROW2.replace("P0", "P\x000"),
+    "nul_in_value": HEADER + ROW.replace("80.0", "80\x00.0"),
+    "spaces_only_line": HEADER + ROW + "   \n" + ROW2,
+    "extra_field": HEADER + ROW + ROW2[:-1] + ",x\n",
+    "missing_field": HEADER + ROW + ROW2.replace(",1\n", "\n"),
+    "extra_and_missing": HEADER + ROW.replace(",1\n", "\n") + ROW2[:-1] + ",1\n",
+    "underscore_number": HEADER + ROW.replace("80.0", "8_0.0") + ROW2,
+    "spaced_numbers": HEADER + ROW.replace(",50,1", ", 50 , 1 ") + ROW2,
+    "plus_label": HEADER + ROW.replace(",1\n", ",+1\n") + ROW2,
+    "offset_stamp": HEADER + ROW + ROW2.replace("01:00:00Z", "02:00:00+01:00"),
+    "duplicate_instant": HEADER + ROW + ROW.replace("00:00:00Z", "01:00:00+01:00"),
+    "lowercase_z": HEADER + ROW.replace("Z,", "z,") + ROW2,
+    "year_zero": HEADER + ROW.replace("2020-03-21", "0000-03-21") + ROW2,
+    "leap_day_1900": HEADER + ROW.replace("2020-03-21", "1900-02-29"),
+    "leap_second": HEADER + ROW.replace("00:00:00Z", "23:59:60Z"),
+    "bad_header": HEADER.replace("hr", "heart") + ROW,
+    "inconsistent_age": HEADER + ROW + ROW2.replace(",50,", ",51,"),
+    "unsorted_rows": HEADER + ROW2 + ROW,
+    "non_ascii_id": HEADER + (ROW + ROW2).replace("P0", "é中"),
+    "non_finite": HEADER + ROW + ROW2.replace("81.5", "inf"),
+    "huge_age": HEADER + ROW.replace(",50,", ",99999999999999999999,"),
+}
+
+
+class TestLoadFiles:
+    @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    def test_same_cohort_or_error(self, tmp_path, name, chunk):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            assert_same_outcome(path)
+
+    def test_empty_file_message(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match=r"c\.csv: empty file$"):
+            load_cohort(path)
+
+    def test_blank_first_line_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("\n" + HEADER + ROW)
+        with pytest.raises(ParseError, match=r"bad header \[\]"):
+            load_cohort(path)
+
+    @pytest.mark.parametrize("name,row_reader", [
+        ("no_trailing_newline", False), ("blank_between_rows", False),
+        ("underscore_number", False), ("non_ascii_id", False), ("nul_in_id", False),
+        ("crlf", True), ("lone_cr", True), ("quoted_id", True), ("offset_stamp", True),
+        ("lowercase_z", True), ("spaces_only_line", True),
+    ])
+    def test_which_files_take_the_row_reader(self, tmp_path, name, row_reader):
+        path = tmp_path / "c.csv"
+        path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
+        with mock.patch.object(data, "_load_rows", wraps=data._load_rows) as rows:
+            outcome(load_cohort, path)
+        assert rows.called == row_reader
+
+    def test_rows_spanning_blocks_with_blank_lines(self, tmp_path):
+        t0 = datetime(2020, 3, 21, tzinfo=timezone.utc)
+        lines = [HEADER]
+        for i in range(2 * data._CHUNK_ROWS + 5):
+            if i % 97 == 0:
+                lines.append("\n")
+            stamp = (t0 + timedelta(minutes=7 * i)).strftime("%Y-%m-%dT%H:%M:%SZ")
+            lines.append(f"P{i % 3},{stamp},{60 + i % 50}.5,130.0,{70 + i % 7}.0,{40 + i % 3},"
+                         f"{i % 3 % 2}\n")
+        path = tmp_path / "c.csv"
+        path.write_text("".join(lines[:1] + lines[:0:-1]))  # rows in reverse order
+        with mock.patch.object(data, "_load_rows") as rows:
+            got = load_cohort(path)
+        assert not rows.called
+        assert_same_cohort(got, ref_load_cohort(path))
+        assert sum(len(p.times) for p in got.patients) == len(lines) - 1 - 22  # 22 blank

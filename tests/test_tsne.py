@@ -15,7 +15,6 @@ from vitalnet.tsne import (
     joint_affinities,
     kl_divergence,
     kl_gradient,
-    realized_perplexities,
     symmetrize,
 )
 
@@ -27,6 +26,14 @@ def two_blobs(n_per=50, d=100, gap=6.0, seed=0):
     )
     labels = np.array([0] * n_per + [1] * n_per)
     return x, labels
+
+
+def realized_perplexities(cond):
+    """2^H of every row of a row-stochastic conditional matrix (base-2 H):
+    the perplexity each row's calibrated kernel reached."""
+    logp = np.log(cond, out=np.zeros_like(cond), where=cond > 0)
+    h_nats = -np.sum(cond * logp, axis=1)
+    return np.exp(h_nats)
 
 
 def reference_q(y):
