@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +228,7 @@ def _cmd_validate(args) -> None:
         )
     if args.out:
         with Path(args.out).open("w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
         _write_manifest(
             args.out, "validate", {}, [args.cohort], [args.out], None, t0
@@ -540,6 +541,9 @@ def run(argv=None) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return 1
+    except csv.Error as exc:
+        print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)

@@ -10,12 +10,13 @@ checked once when the record is built. Loading, writing and resampling work
 on whole arrays; `resample` averages each grid slot and forward-fills the
 empty ones.
 
-The text path has a fast form and a general one. `load_cohort` splits
-blocks of lines at commas and checks canonical stamps by arithmetic on
-their bytes; any block that needs the csv module's quoting rules, or holds
-another stamp form, sends the file to `_load_rows`, which reads it row by
-row and is the reference for what a file means. `write_cohort` joins each
-patient's lines into one string, with the id quoted as `csv.writer` would.
+The text path has one reader. `load_cohort` reads blocks of lines, split
+at commas until a block holds a quote or a CR and read by the csv module
+from there on, and checks canonical stamps by arithmetic on their bytes; a
+block that holds another stamp form is parsed one stamp at a time. An error
+names the first bad line, as a reader of one row at a time would.
+`write_cohort` joins each patient's lines into one string, with the id
+quoted as `csv.writer` would.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
-from itertools import groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, require
+from .errors import ParseError, ValidationError, VitalnetError, require
 
 CSV_HEADER = ["patient_id", "timestamp", "hr", "sbp", "dbp", "age", "label"]
 
@@ -179,23 +180,6 @@ def _parse_timestamp(raw: str, line_no: int) -> np.datetime64:
     return np.datetime64(ts.replace(tzinfo=None), "us")
 
 
-def _parse_float(raw: str, name: str, line_no: int) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-numeric {name} {raw!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(f"line {line_no}: non-finite {name} {raw!r}")
-    return v
-
-
-def _parse_int(raw: str, name: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-integer {name} {raw!r}") from None
-
-
 # A canonical stamp is 'YYYY-MM-DDTHH:MM:SSZ': these bytes at these offsets,
 # and ASCII digits at the 14 others.
 _STAMP_SEP_AT = [4, 7, 10, 13, 16, 19]
@@ -235,92 +219,129 @@ def _parse_stamps(stamps: list[str]) -> np.ndarray | None:
     return (seconds * 1_000_000).view("datetime64[us]")
 
 
-def _parse_block(lines: list[str]) -> tuple | None:
-    """Vectorized parse of a block of non-blank lines; None if a line holds a
-    quote or CR (csv rules apply), has a field count other than 7, a field
-    that does not parse or a timestamp that is not canonical."""
-    text = ",".join(lines)  # each label keeps its newline, which int() ignores
-    if '"' in text or "\r" in text:
-        return None
-    n = len(lines)
-    if set(map(str.count, lines, repeat(",", n))) != {len(CSV_HEADER) - 1}:
-        return None
-    flat = text.split(",")
+def _ints(raw: list[str], dtype) -> np.ndarray:
+    """`raw` as narrow `dtype` ints, or as Python ints if one does not fit."""
+    try:
+        return np.fromiter(map(int, raw), dtype, len(raw))
+    except OverflowError:
+        return np.array(list(map(int, raw)), object)
+
+
+def _parse_block(flat: list[str]) -> tuple | None:
+    """Columns of a block of rows given as their fields in one flat list, 7
+    a row; None if a field does not parse. Canonical stamps are converted by
+    arithmetic; a block that holds another form, one stamp at a time."""
     pids, stamps, hr, sbp, dbp, ages, labels = (flat[k::7] for k in range(7))
     times = _parse_stamps(stamps)
-    if times is None:
-        return None
     try:
+        if times is None:  # the line is named when the row is re-read
+            times = np.array([_parse_timestamp(stamp, 0) for stamp in stamps])
         values = np.array([list(map(float, col)) for col in (hr, sbp, dbp)]).T
-        # narrow types: a value outside them is outside the records' ranges too
-        ages = np.fromiter(map(int, ages), np.int16, n)
-        labels = np.fromiter(map(int, labels), np.int8, n)
-    except (ValueError, OverflowError):
+        return pids, times, values, _ints(ages, np.int16), _ints(labels, np.int8)
+    except (ValueError, ParseError):
         return None
-    return pids, times, values, ages, labels
 
 
-def _load_rows(path: Path) -> Cohort:
-    """Row-at-a-time reader for files the block reader rejects: raises at the
-    first bad line, or reads what the blocks leave out (offset timestamps)."""
-    per_patient: dict[str, dict] = {}
+def _blocks(fh):
+    """The non-blank data rows, up to `_CHUNK_ROWS` lines at a time, as (their
+    columns, or None if a row does not parse; the rows as lists of fields).
+    Lines are split at commas until a block holds a quote or a CR; from there
+    `csv.reader` reads the rest of the file, so a quoted field may span lines."""
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        text = ",".join(lines)  # each label keeps its newline, which int() ignores
+        if '"' in text or "\r" in text:
+            break
+        if "\n" in lines:  # blank lines carry no data
+            lines = [line for line in lines if line != "\n"]
+            text = ",".join(lines)
+        if lines:
+            counts = set(map(str.count, lines, repeat(",")))
+            yield (_parse_block(text.split(",")) if counts == {len(CSV_HEADER) - 1} else None,
+                   map(str.split, lines, repeat(",")))
+    else:
+        return
+    reader = csv.reader(chain(lines, fh))
+    while block := list(islice(reader, _CHUNK_ROWS)):
+        if rows := [row for row in block if row]:
+            whole = set(map(len, rows)) == {len(CSV_HEADER)}
+            yield _parse_block(list(chain.from_iterable(rows))) if whole else None, rows
+
+
+def _row_error(row: list[str], line_no: int) -> VitalnetError | None:
+    """The first of a row's own checks that it fails, in this order: its
+    field count, each field's parse, dbp < sbp, vitals > 0, a 0/1 label."""
+    if len(row) != len(CSV_HEADER):
+        return ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
+    try:
+        _parse_timestamp(row[1], line_no)
+    except ParseError as exc:
+        return exc
+    parsed = []
+    for name, raw in zip(CSV_HEADER[2:], row[2:]):
+        cast = float if name in CHANNELS else int
+        try:
+            parsed.append(cast(raw))
+        except ValueError:
+            kind = "numeric" if cast is float else "integer"
+            return ParseError(f"line {line_no}: non-{kind} {name} {raw!r}")
+        if cast is float and not math.isfinite(parsed[-1]):
+            return ParseError(f"line {line_no}: non-finite {name} {raw!r}")
+    hr, sbp, dbp, _, label = parsed
+    if dbp >= sbp:
+        return ValidationError(f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})")
+    if min(hr, sbp, dbp) <= 0:
+        return ValidationError(f"line {line_no}: vitals must be > 0")
+    if label not in (0, 1):
+        return ValidationError(f"line {line_no}: label must be 0 or 1")
+    return None
+
+
+def _first_error(path: Path, codes, times, values, ages, labels, first, order,
+                 bad: int | None) -> VitalnetError | None:
+    """The error of the first row (blank lines not counted) to fail a value
+    check, differ from its patient's first age or label, or repeat one of
+    its patient's times (`order` sorts by patient and time), else of row
+    `bad`, else None; that row is re-read for its line number and fields."""
+    inconsistent = (ages != ages[first][codes]) | (labels != labels[first][codes])
+    flagged = inconsistent | ((labels != 0) & (labels != 1)) | (values[:, 2] >= values[:, 1])
+    flagged |= ~np.isfinite(values).all(axis=1) | (values <= 0).any(axis=1)
+    rows = np.arange(len(codes))[order]
+    codes, times = codes[rows], times[rows]
+    flagged[rows[1:][(codes[1:] == codes[:-1]) & (times[1:] == times[:-1])]] = True
+    if flagged.any():
+        bad = int(flagged.argmax())
+    elif bad is None:
+        return None
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header, checked by load_cohort
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
-            pid, ts_raw, hr_raw, sbp_raw, dbp_raw, age_raw, label_raw = row
-            ts = _parse_timestamp(ts_raw, line_no)
-            hr = _parse_float(hr_raw, "hr", line_no)
-            sbp = _parse_float(sbp_raw, "sbp", line_no)
-            dbp = _parse_float(dbp_raw, "dbp", line_no)
-            age = _parse_int(age_raw, "age", line_no)
-            label = _parse_int(label_raw, "label", line_no)
-            if dbp >= sbp:
-                raise ValidationError(f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})")
-            if min(hr, sbp, dbp) <= 0:
-                raise ValidationError(f"line {line_no}: vitals must be > 0")
-            if label not in (0, 1):
-                raise ValidationError(f"line {line_no}: label must be 0 or 1")
-            entry = per_patient.setdefault(pid, {"age": age, "label": label, "rows": {}})
-            if entry["age"] != age or entry["label"] != label:
-                raise ValidationError(f"line {line_no}: patient {pid} has inconsistent age/label")
-            if ts in entry["rows"]:
-                raise ValidationError(
-                    f"line {line_no}: duplicate timestamp {ts_raw} for patient {pid}"
-                )
-            entry["rows"][ts] = (hr, sbp, dbp)
-    patients = []
-    for pid, entry in per_patient.items():
-        times, values = zip(*sorted(entry["rows"].items()))
-        patients.append(PatientRecord(pid, entry["age"], entry["label"], times, values))
-    return Cohort(patients=patients)
+        numbered = ((i, row) for i, row in enumerate(csv.reader(fh), start=1) if row)
+        line_no, row = next(islice(numbered, bad + 1, None))  # after the header
+    if error := _row_error(row, line_no):
+        return error
+    if inconsistent[bad]:
+        return ValidationError(f"line {line_no}: patient {row[0]} has inconsistent age/label")
+    return ValidationError(f"line {line_no}: duplicate timestamp {row[1]} for patient {row[0]}")
 
 
 def load_cohort(path) -> Cohort:
     """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
 
-    A first pass counts the file's newlines, which bounds its rows: the
-    columns are filled in place and the records are views of them, so no
-    block copies are held and joined. The header goes through `csv.reader`;
-    the data lines are read `_CHUNK_ROWS` at a time and each block is parsed
-    by splitting its text at commas. A block with a quote, a CR, a line of
-    other than 7 fields, a field that does not parse, or a stamp not in the
-    canonical form sends the file to `_load_rows`, as does any failed check
-    on the records. That reader starts again from the top, row by row, so an
-    error names the first bad line: its own fields first, then a patient's
-    inconsistent age/label or a repeated timestamp.
+    A first pass counts the file's line ends, which bounds its rows (a file
+    that grows past the count while it is read is an error): the columns
+    are filled in place from the blocks of `_blocks`, and the records are
+    views of them. An error names the first bad line, as a reader of one
+    row at a time would: a block that does not parse keeps its rows before
+    the first that `_row_error` rejects, and `_first_error` finds the first
+    bad row among those kept.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    # a row per newline, and one after the last; reads stay under glibc's
-    # 128 KiB mmap threshold, which freeing a larger buffer would raise
+    # a row per line end (LF, CR or CRLF), and one after the last; reads stay
+    # under glibc's 128 KiB mmap threshold, which freeing a larger buffer would raise
     with path.open("rb") as fh:
-        capacity = 1 + sum(chunk.count(b"\n") for chunk in iter(partial(fh.read, 1 << 16), b""))
+        capacity = 1 + sum(
+            chunk.count(b"\n") + (b"\r" in chunk and chunk.count(b"\r") - chunk.count(b"\r\n"))
+            for chunk in iter(partial(fh.read, 1 << 16), b""))
     codes = np.empty(capacity, np.int32)
     times = np.empty(capacity, "datetime64[us]")
     values = np.empty((capacity, 3))
@@ -328,61 +349,60 @@ def load_cohort(path) -> Cohort:
     labels = np.empty(capacity, np.int8)
     index: dict[str, int] = {}  # patient id -> code, in order of first row
     first: list[int] = []  # each patient's first row
-    n = 0
+    n, bad = 0, None  # rows kept; the first row that fails its own checks
     with path.open(newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))  # reads the header's line(s) only
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)  # reads the header's line(s) only
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         if header != CSV_HEADER:
-            raise ParseError(
-                f"{path}: bad header {header!r}, expected {CSV_HEADER!r}"
-            )
-        while lines := list(islice(fh, _CHUNK_ROWS)):
-            if "\n" in lines:  # blank lines carry no data
-                lines = [line for line in lines if line != "\n"]
-                if not lines:
-                    continue
-            columns = _parse_block(lines)
-            rows = slice(n, n + len(lines))
-            if columns is None or rows.stop > capacity:  # or the file grew since counted
-                return _load_rows(path)
+            raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+        for columns, rows in _blocks(fh):
+            if columns is None:  # keep the rows before the first bad one
+                rows = list(rows)
+                bad = n + next(j for j, row in enumerate(rows) if _row_error(row, 0))
+                if bad == n:
+                    break
+                columns = _parse_block(list(chain.from_iterable(rows[:bad - n])))
             pids, *columns = columns  # ids come in runs: look each run up once
+            rows = slice(n, n + len(pids))
+            if rows.stop > capacity:
+                raise ParseError(f"{path}: the file grew while it was read")
             runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
             codes[rows] = np.repeat(*np.array(runs).T)
+            if object in (columns[2].dtype, columns[3].dtype):  # an int too wide for them
+                ages, labels = ages.astype(object, copy=False), labels.astype(object, copy=False)
             times[rows], values[rows], ages[rows], labels[rows] = columns
             for code, length in runs:
                 if code == len(first):  # a new patient
                     first.append(n)
                 n += length
-    if n == 0:
-        return Cohort()
-    codes, times, values, ages, labels = (a[:n] for a in (codes, times, values, ages, labels))
-    if (ages != ages[first][codes]).any() or (labels != labels[first][codes]).any():
-        return _load_rows(path)
+            if bad is not None:
+                break
+    columns = codes, times, values, ages, labels = tuple(
+        a[:n] for a in (codes, times, values, ages, labels))
     # rows already grouped by patient and in time order, as written here, stay put
     same = codes[1:] == codes[:-1]
-    if not ((codes[1:] > codes[:-1]) | (same & (times[1:] > times[:-1]))).all():
-        order = np.lexsort((times, codes))
-        codes, times, values = codes[order], times[order], values[order]
-    splits = np.searchsorted(codes, np.arange(1, len(index)))
-    try:  # the records check values, labels, ages and repeated times
-        return Cohort([
-            PatientRecord(pid, int(ages[f]), int(labels[f]), t, v)
-            for pid, f, t, v in zip(
-                index, first, np.split(times, splits), np.split(values, splits)
-            )
-        ])
-    except ValidationError:
-        return _load_rows(path)
+    in_order = ((codes[1:] > codes[:-1]) | (same & (times[1:] > times[:-1]))).all()
+    order = slice(None) if in_order else np.lexsort((times, codes))
+    consistent = (ages == ages[first][codes]).all() and (labels == labels[first][codes]).all()
+    if bad is None and consistent:
+        splits = np.searchsorted(codes[order], np.arange(1, len(index)))
+        try:  # the records check values, labels, ages and repeated times
+            return Cohort([
+                PatientRecord(pid, int(ages[f]), int(labels[f]), t, v) for pid, f, t, v in zip(
+                    index, first, np.split(times[order], splits), np.split(values[order], splits))
+            ])
+        except ValidationError as exc:  # if no row is bad, an age out of range
+            error = exc
+    raise _first_error(path, *columns, first, order, bad) or error
 
 
 def _csv_field(text) -> str:
-    """`text` as `csv.writer` writes it as one field of a longer row (a row
-    of one empty field is written as '""', a field among others is not)."""
+    """`text` as `csv.writer` writes one field of a longer row (a lone empty
+    field is '""', others are not) ending in CRLF, so a lone CR is quoted."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]
 
 
 def write_cohort(cohort: Cohort, path) -> None:
@@ -391,7 +411,7 @@ def write_cohort(cohort: Cohort, path) -> None:
 
     A patient's lines are joined and written `_CHUNK_ROWS` at a time, so
     each string stays short for any stay. Only the patient id can need
-    quoting, and the csv module formats it once per patient.
+    quoting: `_csv_field` formats it once per patient, a lone CR quoted too.
     """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:

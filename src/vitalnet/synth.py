@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -203,37 +203,8 @@ class SynthConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "age_bins": [list(b) for b in self.age_bins],
-            "cadences_minutes": list(self.cadences_minutes),
-            "cadence_weights": list(self.cadence_weights),
-            "groups": [
-                {
-                    "label": g.label,
-                    "patients_per_bin": list(g.patients_per_bin),
-                    "stay_days": list(g.stay_days),
-                    "targets": {
-                        v: {s: list(iv) for s, iv in cells.items()}
-                        for v, cells in g.targets.items()
-                    },
-                    "circadian_hr_amp": g.circadian_hr_amp,
-                }
-                for g in self.groups
-            ],
-            "dynamics": {
-                "ar_coef_hourly": self.dynamics.ar_coef_hourly,
-                "mean_sd": dict(self.dynamics.mean_sd),
-                "min_sd": dict(self.dynamics.min_sd),
-                "base_sd": dict(self.dynamics.base_sd),
-                "spike_gain": dict(self.dynamics.spike_gain),
-                "dip_gain": dict(self.dynamics.dip_gain),
-                "spike_rate_per_hour": self.dynamics.spike_rate_per_hour,
-                "dip_rate_per_hour": self.dynamics.dip_rate_per_hour,
-                "burst_decay_hourly": self.dynamics.burst_decay_hourly,
-                "sbp_dbp_corr": self.dynamics.sbp_dbp_corr,
-            },
-        }
+        """The config as JSON data: tuples become lists."""
+        return json.loads(json.dumps(asdict(self)))
 
 
 def load_config(path) -> SynthConfig:
@@ -440,22 +411,6 @@ class CalibrationReport:
 
     def all_mean_cells_overlap(self) -> bool:
         return all(c.overlaps for c in self.cells if c.stat == "mean")
-
-    def to_dict(self) -> dict:
-        return {
-            "cells": [
-                {
-                    "label": c.label,
-                    "vital": c.vital,
-                    "stat": c.stat,
-                    "ci": list(c.ci),
-                    "target": list(c.target),
-                    "overlaps": c.overlaps,
-                }
-                for c in self.cells
-            ],
-            "resting_hr": {str(k): v for k, v in self.resting_hr.items()},
-        }
 
 
 def patient_feature_table(cohort: Cohort) -> dict[str, np.ndarray]:

@@ -139,6 +139,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["stats", "plot"])
+    def test_field_over_csv_limit_is_validation_error(self, tmp_path, capsys, command):
+        # csv.field_size_limit() is 131,072 characters
+        long = "x" * 200_000
+        src = tmp_path / "in.csv"
+        out = tmp_path / "out"
+        if command == "stats":
+            src.write_text("patient_id,timestamp,hr,sbp,dbp,age,label\n"
+                           f'"{long}",2020-03-21T00:00:00Z,80,120,70,55,1\n')
+            argv = ["stats", "--cohort", str(src), "--out", str(out)]
+        else:
+            src.write_text(f"days,n_windows,accuracy,auc\n2,{long},0.5,0.5\n")
+            argv = ["plot", "--kind", "sweep", "--in", str(src), "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV:") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key,value",
         [("window_len", "48"), ("window_len", 0), ("stride", 2.5),

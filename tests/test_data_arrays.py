@@ -301,11 +301,15 @@ class TestLoadOracle:
         write_rows(path, rows, blank_every)
         ref = ref_load_cohort(path)
         with mock.patch.object(data, "_CHUNK_ROWS", chunk), mock.patch.object(
-            data, "_load_rows", wraps=data._load_rows
-        ) as row_reader:
+            data, "_row_error", wraps=data._row_error
+        ) as row_error, mock.patch.object(
+            data, "_parse_timestamp", wraps=data._parse_timestamp
+        ) as parse_timestamp:
             cohort = load_cohort(path)
-        # canonical files never need the row-at-a-time reader
-        assert row_reader.called == (not canonical(rows))
+        # valid files never need the per-row checker; other stamp forms are
+        # parsed one at a time
+        assert not row_error.called
+        assert parse_timestamp.called == (not canonical(rows))
         assert len(cohort) == len(ref)
         for record, want in zip(cohort.patients, ref):
             assert_same_record(record, want)
@@ -416,14 +420,14 @@ class TestLoadErrorsOracle:
 
     def test_trailing_nul_is_not_canonical(self, tmp_path):
         # `datetime.fromisoformat` accepts a trailing NUL, which NumPy's
-        # string arrays would drop; such a stamp takes the row-at-a-time path
+        # string arrays would drop; such a stamp is parsed on its own
         rows = [["P0", format_stamp(T0 + timedelta(hours=h), "Z") + "\x00" * (h == 1),
                  "80.0", "120.0", "70.0", "50", "1"] for h in range(3)]
         path = tmp_path / "c.csv"
         write_rows(path, rows)
-        with mock.patch.object(data, "_load_rows", wraps=data._load_rows) as row_reader:
+        with mock.patch.object(data, "_parse_timestamp", wraps=data._parse_timestamp) as parse:
             cohort = load_cohort(path)
-        assert row_reader.called
+        assert rows[1][1] in [c.args[0] for c in parse.call_args_list]
         assert_same_record(cohort.patients[0], ref_load_cohort(path)[0])
 
     def test_age_out_of_range_after_parse(self, tmp_path):

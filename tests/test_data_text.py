@@ -1,18 +1,22 @@
 """The cohort text path against the code it replaced.
 
-The references below are the previous block reader (`csv.reader`, then
-`zip(*rows)` and a NumPy string round trip to check each stamp) and the
-previous writer (`csv.writer.writerows` per patient). The split-based
-reader, the arithmetic stamp parser and the per-patient string writer must
-accept the same stamps and files, give equal records and bytes, and raise
-the same error class and message (line number included) on anything else.
+The references below are an earlier block reader (`csv.reader`, then
+`zip(*rows)` and a NumPy string round trip to check each stamp), the
+row-at-a-time reader it fell back to for every file it rejected, and the
+previous writer (`csv.writer.writerows` per patient). The one-pass reader,
+the arithmetic stamp parser and the per-patient string writer must accept
+the same stamps and files, give equal records and bytes, and raise the same
+error class and message (line number included) on anything else. The
+writer differs in one way on purpose: it quotes an id holding a lone CR.
 """
 
 import csv
 import io
+import math
+import re
 import warnings
 from datetime import datetime, timedelta, timezone
-from itertools import groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from pathlib import Path
 from unittest import mock
 
@@ -31,8 +35,80 @@ ROW2 = "P0,2020-03-21T01:00:00Z,81.5,121.0,71.25,50,1\n"
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations (the previous block reader and writer)
+# Reference implementations (the earlier readers and writer)
 # ---------------------------------------------------------------------------
+
+
+def ref_parse_timestamp(raw: str, line_no: int) -> np.datetime64:
+    try:
+        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    except ValueError:
+        raise ParseError(f"line {line_no}: bad timestamp {raw!r}") from None
+    if ts.tzinfo is None:
+        raise ParseError(f"line {line_no}: timestamp {raw!r} lacks a UTC offset")
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ParseError(f"line {line_no}: timestamp {raw!r} is outside years 1-9999 "
+                         "in UTC") from None
+    return np.datetime64(ts.replace(tzinfo=None), "us")
+
+
+def ref_parse_float(raw: str, name: str, line_no: int) -> float:
+    try:
+        v = float(raw)
+    except ValueError:
+        raise ParseError(f"line {line_no}: non-numeric {name} {raw!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(f"line {line_no}: non-finite {name} {raw!r}")
+    return v
+
+
+def ref_parse_int(raw: str, name: str, line_no: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"line {line_no}: non-integer {name} {raw!r}") from None
+
+
+def ref_load_rows(path: Path) -> Cohort:
+    """Row-at-a-time reader for files the block reader rejects: raises at the
+    first bad line, or reads what the blocks leave out (offset timestamps)."""
+    per_patient: dict[str, dict] = {}
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked by load_cohort
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
+            pid, ts_raw, hr_raw, sbp_raw, dbp_raw, age_raw, label_raw = row
+            ts = ref_parse_timestamp(ts_raw, line_no)
+            hr = ref_parse_float(hr_raw, "hr", line_no)
+            sbp = ref_parse_float(sbp_raw, "sbp", line_no)
+            dbp = ref_parse_float(dbp_raw, "dbp", line_no)
+            age = ref_parse_int(age_raw, "age", line_no)
+            label = ref_parse_int(label_raw, "label", line_no)
+            if dbp >= sbp:
+                raise ValidationError(f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})")
+            if min(hr, sbp, dbp) <= 0:
+                raise ValidationError(f"line {line_no}: vitals must be > 0")
+            if label not in (0, 1):
+                raise ValidationError(f"line {line_no}: label must be 0 or 1")
+            entry = per_patient.setdefault(pid, {"age": age, "label": label, "rows": {}})
+            if entry["age"] != age or entry["label"] != label:
+                raise ValidationError(f"line {line_no}: patient {pid} has inconsistent age/label")
+            if ts in entry["rows"]:
+                raise ValidationError(
+                    f"line {line_no}: duplicate timestamp {ts_raw} for patient {pid}"
+                )
+            entry["rows"][ts] = (hr, sbp, dbp)
+    patients = []
+    for pid, entry in per_patient.items():
+        times, values = zip(*sorted(entry["rows"].items()))
+        patients.append(PatientRecord(pid, entry["age"], entry["label"], times, values))
+    return Cohort(patients=patients)
 
 
 def ref_parse_stamps(stamps):
@@ -83,7 +159,7 @@ def ref_load_cohort(path):
         while rows := list(islice(data_rows, 1024)):
             columns = ref_parse_chunk(rows)
             if columns is None:
-                return data._load_rows(path)
+                return ref_load_rows(path)
             pids, *columns = columns
             runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
             parts.append((np.repeat(*np.array(runs).T), *columns))
@@ -92,7 +168,7 @@ def ref_load_cohort(path):
     codes, times, values, ages, labels = map(np.concatenate, zip(*parts))
     first = np.unique(codes, return_index=True)[1]
     if (ages != ages[first][codes]).any() or (labels != labels[first][codes]).any():
-        return data._load_rows(path)
+        return ref_load_rows(path)
     order = np.lexsort((times, codes))
     splits = np.searchsorted(codes[order], np.arange(1, len(index)))
     try:
@@ -103,7 +179,7 @@ def ref_load_cohort(path):
             )
         ])
     except ValidationError:
-        return data._load_rows(path)
+        return ref_load_rows(path)
 
 
 def ref_write_cohort(cohort, path):
@@ -240,14 +316,20 @@ def cohort_with_ids(ids):
     return Cohort([PatientRecord(pid, 21 + i, i % 2, times, values) for i, pid in enumerate(ids)])
 
 
+def ref_bytes(path):
+    """The reference writer's bytes with the one intended difference: an id
+    holding a lone CR is quoted, as `csv.writer` does under a CRLF line end."""
+    return path.read_bytes().replace(b"cr\rid", b'"cr\rid"')
+
+
 class TestWriter:
     @pytest.mark.parametrize("pid", IDS)
     def test_field_is_csv_writers_field(self, pid):
         for row in ([pid, "x", "1"], ["x", pid, "1"], ["x", "1", pid]):
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(row)
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
             fields = [data._csv_field(v) for v in row]
-            assert ",".join(fields) + "\n" == buf.getvalue()
+            assert ",".join(fields) + "\r\n" == buf.getvalue()
 
     def test_empty_id_alone_is_not_quoted(self):
         assert data._csv_field("") == ""
@@ -257,15 +339,16 @@ class TestWriter:
         cohort = cohort_with_ids([pid, "other"])
         write_cohort(cohort, tmp_path / "new.csv")
         ref_write_cohort(cohort, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == ref_bytes(tmp_path / "ref.csv")
+        if pid == "cr\rid":  # csv.writer under a LF line end leaves it bare
+            assert b'\n"cr\rid",2020' in (tmp_path / "new.csv").read_bytes()
 
     def test_all_ids_round_trip(self, tmp_path):
-        # csv.writer leaves a lone CR unquoted, so that id cannot be read back
-        cohort = cohort_with_ids([pid for pid in IDS if pid != "cr\rid"])
+        cohort = cohort_with_ids(IDS)
         path = tmp_path / "c.csv"
         write_cohort(cohort, path)
         ref_write_cohort(cohort, tmp_path / "ref.csv")
-        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert path.read_bytes() == ref_bytes(tmp_path / "ref.csv")
         assert_same_cohort(assert_same_outcome(path)[1], cohort)
 
     def test_empty_cohort_is_header_only(self, tmp_path):
@@ -288,6 +371,7 @@ FILE_CORPUS = {
     "crlf": (HEADER + ROW + ROW2).replace("\n", "\r\n"),
     "crlf_header_only": HEADER.replace("\n", "\r\n") + ROW + ROW2,
     "lone_cr": HEADER + ROW[:-1] + "\r" + ROW2,
+    "cr_line_ends": (HEADER + ROW + ROW2).replace("\n", "\r"),
     "quoted_id": HEADER + '"P0",2020-03-21T00:00:00Z,80.0,120.0,70.0,50,1\n' + ROW2,
     "quoted_id_with_comma": HEADER + '"P,0",2020-03-21T00:00:00Z,80.0,120.0,70.0,50,1\n',
     "quoted_header": HEADER.replace("hr", '"hr"') + ROW,
@@ -336,6 +420,14 @@ class TestLoadFiles:
         with pytest.raises(ParseError, match=r"bad header \[\]"):
             load_cohort(path)
 
+    # (switches to csv.reader, takes the per-stamp parse, errors) for the files
+    # that do any of these; the others are read by splitting lines at commas
+    ROUTES = {
+        "crlf": (True, False, False), "lone_cr": (True, False, False),
+        "quoted_id": (True, False, False), "offset_stamp": (False, True, False),
+        "lowercase_z": (False, True, True), "spaces_only_line": (False, False, True),
+    }
+
     @pytest.mark.parametrize("name,row_reader", [
         ("no_trailing_newline", False), ("blank_between_rows", False),
         ("underscore_number", False), ("non_ascii_id", False), ("nul_in_id", False),
@@ -343,11 +435,23 @@ class TestLoadFiles:
         ("lowercase_z", True), ("spaces_only_line", True),
     ])
     def test_which_files_take_the_row_reader(self, tmp_path, name, row_reader):
+        # `row_reader`: the file once sent the whole load to a row-at-a-time reader
         path = tmp_path / "c.csv"
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
-        with mock.patch.object(data, "_load_rows", wraps=data._load_rows) as rows:
-            outcome(load_cohort, path)
-        assert rows.called == row_reader
+        rejected = []
+
+        def parse_stamps(stamps, real=data._parse_stamps):
+            times = real(stamps)
+            rejected.append(times is None)
+            return times
+
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader, \
+                mock.patch.object(data, "_parse_stamps", parse_stamps):
+            result = outcome(load_cohort, path)
+        switched = any(isinstance(c.args[0], chain) for c in reader.call_args_list)
+        route = (switched, any(rejected), result[0] != "ok")
+        assert route == self.ROUTES.get(name, (False, False, False))
+        assert any(route) == row_reader
 
     def test_rows_spanning_blocks_with_blank_lines(self, tmp_path):
         t0 = datetime(2020, 3, 21, tzinfo=timezone.utc)
@@ -360,8 +464,74 @@ class TestLoadFiles:
                          f"{i % 3 % 2}\n")
         path = tmp_path / "c.csv"
         path.write_text("".join(lines[:1] + lines[:0:-1]))  # rows in reverse order
-        with mock.patch.object(data, "_load_rows") as rows:
+        with mock.patch.object(data, "_row_error", wraps=data._row_error) as row_error:
             got = load_cohort(path)
-        assert not rows.called
+        assert not row_error.called
         assert_same_cohort(got, ref_load_cohort(path))
         assert sum(len(p.times) for p in got.patients) == len(lines) - 1 - 22  # 22 blank
+
+
+def row(pid, hour, stamp=None, hr="80.0", dbp="70.0", age=50):
+    stamp = stamp or f"{datetime(2020, 3, 21) + timedelta(hours=hour):%Y-%m-%dT%H:%M:%SZ}"
+    return f"{pid},{stamp},{hr},120.0,{dbp},{age},1\n"
+
+
+def block_cases(c):
+    """Files whose features sit at block boundaries for `_CHUNK_ROWS` = c,
+    with the outcome the reference gives each (None: it loads)."""
+    p0 = [row("P0", h) for h in range(2 * c)]
+    multi = '"Q\nR"'  # a quoted id that spans two lines
+    return {
+        "quoted_id_across_blocks": (
+            "".join(p0[:c - 1]) + row(multi, 0) + row(multi, 1) + p0[-1], None),
+        "quote_in_third_block_then_bad_row": (
+            "".join(p0) + row('"P1"', 0) + row("P1", 1) + row("P1", 2, dbp="130.0"),
+            (ValidationError, f"line {2 * c + 4}: dbp (130.0) must be < sbp (120.0)")),
+        "crlf_bad_row": (
+            ("".join(p0[:c]) + row("P0", 99, hr="eighty") + "".join(p0[c:])).replace(
+                "\n", "\r\n"),
+            (ParseError, f"line {c + 2}: non-numeric hr 'eighty'")),
+        "ages_beyond_int16": (
+            row("P0", 0, age=40000) + row("P0", 1, age=40001) + "".join(p0[2:]),
+            (ValidationError, "line 3: patient P0 has inconsistent age/label")),
+        "offset_repeat_across_blocks": (
+            "".join(p0[:c + 1]) + row("P0", 0, stamp="2020-03-21T01:00:00+01:00"),
+            (ValidationError, f"line {c + 3}: duplicate timestamp 2020-03-21T01:00:00+01:00 "
+                              "for patient P0")),
+    }
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("name", sorted(block_cases(1)))
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    def test_same_cohort_or_error(self, tmp_path, name, chunk):
+        text, want = block_cases(chunk)[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes((HEADER + text).encode("utf-8"))
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            got = assert_same_outcome(path)
+        assert (got[0] == "ok") if want is None else (got == want)
+
+    def test_long_unquoted_id_has_no_field_limit(self, tmp_path):
+        # longer than csv.field_size_limit(), with a stamp parsed on its own
+        pid = "P" * 200_000
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + row(pid, 0, stamp="2020-03-21T00:00:00+00:00"))
+        (patient,) = load_cohort(path).patients
+        assert patient.patient_id == pid and len(patient.times) == 1
+
+    def test_file_growing_while_read_is_an_error(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + row("P0", 0))
+        real = data._parse_block
+
+        def parse_block(flat):  # the file grows once its first block is read
+            if len(path.read_text().splitlines()) == 2:
+                with path.open("a") as fh:
+                    fh.write(row("P0", 1) + row("P0", 2) + row("P0", 3))
+            return real(flat)
+
+        with mock.patch.object(data, "_CHUNK_ROWS", 1), \
+                mock.patch.object(data, "_parse_block", parse_block):
+            with pytest.raises(ParseError, match=re.escape(f"{path}: the file grew")):
+                load_cohort(path)
