@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -152,6 +154,23 @@ def _parse_days(spec: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+@functools.cache
+def _numpy_build() -> dict:
+    """NumPy's version and the BLAS it was built with, read once per process."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
+def _environment() -> dict:
+    """What the bits of a float result depend on besides the inputs: the BLAS
+    kernels and the thread counts they may split a reduction over."""
+    return {
+        **_numpy_build(),
+        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_path, subcommand, config, inputs, outputs, seed, t0) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -160,6 +179,7 @@ def _write_manifest(out_path, subcommand, config, inputs, outputs, seed, t0) -> 
         "outputs": [str(p) for p in outputs],
         "seed": seed,
         "tool_version": __version__,
+        "environment": _environment(),
         "duration_seconds": round(time.time() - t0, 3),
     }
     path = Path(str(out_path) + ".manifest.json")

@@ -296,6 +296,22 @@ def _row_error(row: list[str], line_no: int) -> VitalnetError | None:
     return None
 
 
+def _numbered_rows(fh):
+    """The non-blank rows of a cohort file, header first, with their line
+    numbers. As in `_blocks`, lines are split at commas until one holds a
+    quote or a CR, so an unquoted field has no length limit; from there
+    `csv.reader` reads the rest, numbering its records."""
+    for line_no, line in enumerate(fh, start=1):
+        if '"' in line or "\r" in line:
+            break
+        if line != "\n":
+            yield line_no, line.rstrip("\n").split(",")
+    else:
+        return
+    yield from ((i, row) for i, row in enumerate(csv.reader(chain([line], fh)), start=line_no)
+                if row)
+
+
 def _first_error(path: Path, codes, times, values, ages, labels, first, order,
                  bad: int | None) -> VitalnetError | None:
     """The error of the first row (blank lines not counted) to fail a value
@@ -313,8 +329,7 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
     elif bad is None:
         return None
     with path.open(newline="", encoding="utf-8") as fh:
-        numbered = ((i, row) for i, row in enumerate(csv.reader(fh), start=1) if row)
-        line_no, row = next(islice(numbered, bad + 1, None))  # after the header
+        line_no, row = next(islice(_numbered_rows(fh), bad + 1, None))  # after the header
     if error := _row_error(row, line_no):
         return error
     if inconsistent[bad]:

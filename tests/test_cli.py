@@ -5,9 +5,10 @@ import tracemalloc
 from pathlib import Path
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
-from vitalnet import svg
+from vitalnet import svg, tsne
 from vitalnet.cli import run
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
@@ -155,6 +156,20 @@ class TestExitCodes:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed CSV:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_long_unquoted_id_then_bad_row_names_the_row(self, tmp_path, capsys):
+        # the comma-split reader has no field limit, so neither may the re-read
+        # that names the bad row
+        long = "p" * 200_000
+        src = tmp_path / "in.csv"
+        src.write_text("patient_id,timestamp,hr,sbp,dbp,age,label\n"
+                       f"{long},2020-03-21T00:00:00Z,80,120,70,55,1\n"
+                       f"{long},2020-03-21T01:00:00Z,x,120,70,55,1\n")
+        out = tmp_path / "out.csv"
+        assert run(["stats", "--cohort", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 3: non-numeric hr 'x'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -488,6 +503,18 @@ class TestOutOfRangeValues:
 
 
 class TestEmbed:
+    def test_more_windows_than_the_row_bound_is_validation_error(
+        self, tmp_path, small_cohort_csv, small_model, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(tsne, "MAX_ROWS", 4)
+        out = tmp_path / "emb.csv"
+        code = run(["embed", "--model", str(small_model), "--data", str(small_cohort_csv),
+                    "--perplexity", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: embed: at most 4 rows") and "Traceback" not in err
+        assert not out.exists()
+
     def test_embedding_csv_and_determinism(self, tmp_path, small_cohort_csv, small_model):
         a, b = tmp_path / "emb_a.csv", tmp_path / "emb_b.csv"
         for out in (a, b):
@@ -499,6 +526,38 @@ class TestEmbed:
         lines = a.read_text().splitlines()
         assert lines[0] == "window_index,patient_id,label,y1,y2"
         assert len(lines) > 4
+
+
+class TestManifest:
+    def test_every_subcommand_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        d = tmp_path
+        model, cohort = f"{d}/model.json", f"{d}/cohort.csv"
+        for argv in (
+            ["synth", "--config", str(small_config_file(tmp_path)), "--out", cohort],
+            ["train", "--train", cohort, "--out", model, *FAST_TRAIN],
+            ["validate", "--cohort", cohort, "--out", f"{d}/report.json"],
+            ["stats", "--cohort", cohort, "--out", f"{d}/stats.csv"],
+            ["split", "--cohort", cohort, "--train-out", f"{d}/tr.csv",
+             "--test-out", f"{d}/te.csv"],
+            ["eval", "--model", model, "--test", cohort, "--out", f"{d}/eval.json"],
+            ["sweep", "--model", model, "--test", cohort, "--days", "2,4",
+             "--out", f"{d}/sweep.csv"],
+            ["embed", "--model", model, "--data", cohort, "--perplexity", "2",
+             "--iters", "5", "--out", f"{d}/emb.csv"],
+            ["plot", "--kind", "sweep", "--in", f"{d}/sweep.csv", "--out", f"{d}/sweep.svg"],
+        ):
+            assert run(argv) == 0
+        manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*.manifest.json")]
+        assert {m["subcommand"] for m in manifests} == {
+            "synth", "train", "validate", "stats", "split", "eval", "sweep", "embed", "plot"}
+        for m in manifests:
+            env = m["environment"]
+            assert env["numpy"] == np.__version__
+            assert env["blas"] and env["blas_version"]
+            assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+            assert env["cpu_count"] == os.cpu_count()
 
 
 class TestValidate:

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vitalnet import tsne
 from vitalnet.errors import ValidationError
 from vitalnet.tsne import (
     EARLY_EXAGGERATION,
     EXAGGERATION_ITERS,
+    KL_EVERY,
     LEARNING_RATE,
+    MAX_ROWS,
     MIN_GAIN,
     MOMENTUM_EARLY,
     MOMENTUM_LATE,
@@ -34,6 +39,71 @@ def realized_perplexities(cond):
     logp = np.log(cond, out=np.zeros_like(cond), where=cond > 0)
     h_nats = -np.sum(cond * logp, axis=1)
     return np.exp(h_nats)
+
+
+def reference_conditional_affinities(x, perplexity):
+    """The perplexity search one row at a time, as it was before the rows were
+    searched together: the oracle for `conditional_affinities`."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if not 2 <= perplexity < n:
+        raise ValidationError(
+            f"perplexity must satisfy 2 <= perplexity < n, got {perplexity} for n={n}"
+        )
+    sq = np.sum(x * x, axis=1)
+    dists = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(dists, 0.0, out=dists)
+    np.fill_diagonal(dists, 0.0)
+    off_diag = ~np.eye(n, dtype=bool)
+    cond = np.zeros((n, n))
+    log_target = np.log(perplexity)
+    for i in range(n):
+        row = dists[i][off_diag[i]]
+        if float(np.min(row)) < 1e-12:
+            raise ValidationError(
+                f"near-duplicate input rows at index {i}: squared distance below 1e-12"
+            )
+        beta, beta_lo, beta_hi = 1.0, 0.0, np.inf
+        converged = False
+        for _ in range(200):
+            w = np.exp(-row * beta)
+            total = w.sum()
+            if total <= 0.0:
+                h, p = -np.inf, w
+            else:
+                p = w / total
+                h = np.log(total) + beta * float(np.dot(row, p))
+            if abs(np.exp(h) - perplexity) <= PERPLEXITY_TOL:
+                converged = True
+                break
+            if h > log_target:
+                beta_lo = beta
+                beta = beta * 2.0 if np.isinf(beta_hi) else 0.5 * (beta + beta_hi)
+            else:
+                beta_hi = beta
+                beta = beta / 2.0 if beta_lo == 0.0 else 0.5 * (beta + beta_lo)
+        if not converged:
+            raise ValidationError(f"perplexity calibration did not converge for row {i}")
+        cond[i][off_diag[i]] = p
+    return cond
+
+
+def recorded_iterations(iters):
+    """The 1-based iterations after which embed records the KL."""
+    return [i for i in range(1, iters + 1) if i % KL_EVERY == 0 or i == iters]
+
+
+def far_point(n, outlier, duplicate=None):
+    """n points one apart on a line, with row `outlier` 1000 off the line: its
+    squared distances all lie in [1e6, 1e6 + n^2], so every bandwidth that could
+    meet a small perplexity underflows its weights and the search fails there.
+    `duplicate` copies that row into the next."""
+    x = np.zeros((n, 2))
+    x[:, 0] = np.arange(n)
+    x[outlier] = (0.0, 1000.0)
+    if duplicate is not None:
+        x[duplicate + 1] = x[duplicate]
+    return x
 
 
 def reference_q(y):
@@ -66,8 +136,8 @@ def reference_gradient(p, y):
 
 def reference_embed(x, perplexity, iters, seed, learning_rate=LEARNING_RATE):
     """The descent with Q built twice per iteration, once for the gradient
-    and once for the KL history."""
-    p = joint_affinities(x, perplexity).P
+    and once for the KL, which it records after every iteration."""
+    p = symmetrize(reference_conditional_affinities(x, perplexity), perplexity).P
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((x.shape[0], 2)) * 1e-4
     update = np.zeros_like(y)
@@ -120,6 +190,65 @@ class TestConditionalAffinities:
         x[3] = x[0]
         with pytest.raises(ValidationError, match="duplicate"):
             conditional_affinities(x, 3.0)
+
+    # scale 40 in 2-D puts most squared distances past exp's underflow at the
+    # first bandwidth, so whole rows of weights start at 0
+    @pytest.mark.parametrize("n,d,scale,perplexity", [
+        (3, 4, 1.0, 2.0), (4, 9, 1.0, 2.0), (5, 9, 1.0, 3.5), (23, 9, 1.0, 7.5),
+        (60, 12, 1.0, 30.0), (100, 100, 1.0, 20.0), (40, 2, 40.0, 5.0),
+        (216, 2, 40.0, 30.0), (150, 2, 40.0, 2.0),
+    ])
+    def test_matches_reference_search(self, n, d, scale, perplexity):
+        x = np.random.default_rng(n + d).standard_normal((n, d)) * scale
+        assert np.array_equal(conditional_affinities(x, perplexity),
+                              reference_conditional_affinities(x, perplexity))
+
+    def test_underflowing_rows_are_searched(self, monkeypatch):
+        calls = []
+        search = tsne._entropy_and_probs
+
+        def spy(dists, beta):
+            h, p = search(dists, beta)
+            calls.append(np.isneginf(h).sum())
+            return h, p
+
+        monkeypatch.setattr(tsne, "_entropy_and_probs", spy)
+        x = np.random.default_rng(218).standard_normal((216, 2)) * 40.0
+        conditional_affinities(x, 30.0)
+        assert sum(calls) > 0
+
+    @pytest.mark.parametrize("x,perplexity", [
+        (far_point(10, 3), 3.0),  # does not converge at row 3
+        (far_point(10, 3, duplicate=5), 3.0),  # row 3 fails before the duplicate
+        (far_point(10, 7, duplicate=5), 3.0),  # duplicate rows 5 and 6 fail first
+        (far_point(12, 9, duplicate=2), 4.0),
+        (far_point(10, 0), 2.0),
+        (np.random.default_rng(0).standard_normal((5, 3)), 4.5),  # above n - 1
+        (np.vstack([np.zeros((2, 3)), np.eye(3)]), 2.0),  # rows 0 and 1 equal
+    ])
+    def test_same_error_as_reference(self, x, perplexity):
+        with pytest.raises(ValidationError) as want:
+            reference_conditional_affinities(x, perplexity)
+        with pytest.raises(ValidationError) as got:
+            conditional_affinities(x, perplexity)
+        assert str(got.value) == str(want.value)
+
+    def test_row_bound_checked_before_distances(self):
+        # MAX_ROWS + 1 equal rows: the bound must fire before the n x n
+        # distances (~215 MB) or the duplicate check
+        x = np.zeros((MAX_ROWS + 1, 2))
+        for call in (lambda: conditional_affinities(x, 30.0), lambda: embed(x)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match=f"at most {MAX_ROWS} rows"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_row_bound_fits_the_x4_cohort(self):
+        assert MAX_ROWS >= 4000
 
 
 class TestSymmetrize:
@@ -203,8 +332,9 @@ class TestEmbed:
     def test_blob_recovery_and_descent(self):
         x, labels = two_blobs(n_per=50, d=100)
         emb = embed(x, perplexity=20, iters=600, seed=3)
+        kl = dict(zip(recorded_iterations(600), emb.kl_history, strict=True))
         # post-exaggeration descent
-        assert emb.kl_history[-1] < emb.kl_history[EXAGGERATION_ITERS - 1]
+        assert kl[600] < kl[EXAGGERATION_ITERS]
         assert all(np.isfinite(v) and v >= 0 for v in emb.kl_history)
         y = emb.Y
         c0 = y[labels == 0].mean(axis=0)
@@ -218,9 +348,11 @@ class TestEmbed:
     def test_kl_non_increasing_in_late_spans(self):
         x, _ = two_blobs(n_per=25, d=20)
         emb = embed(x, perplexity=10, iters=500, seed=4)
-        kl = emb.kl_history
-        for i in range(EXAGGERATION_ITERS, len(kl) - 50, 50):
-            assert kl[i + 50] <= kl[i] + 1e-9
+        kl = dict(zip(recorded_iterations(500), emb.kl_history, strict=True))
+        late = [i for i in kl if i > EXAGGERATION_ITERS]
+        assert late == [300, 350, 400, 450, 500]
+        for i, j in zip(late, late[1:]):
+            assert kl[j] <= kl[i] + 1e-9
 
     def test_rotation_leaves_affinities_unchanged(self):
         # distances are rotation-invariant, so P is too (up to round-off)
@@ -256,7 +388,21 @@ class TestEmbed:
         y, kl_history = reference_embed(x, perplexity, iters, seed)
         got = embed(x, perplexity=perplexity, iters=iters, seed=seed)
         assert np.array_equal(got.Y, y)
-        assert got.kl_history == kl_history
+        assert got.kl_history == [kl_history[i - 1] for i in recorded_iterations(iters)]
+
+    @pytest.mark.parametrize("iters", [1, 49, 50, 120])
+    def test_work_per_descent(self, monkeypatch, iters):
+        calls = {"joint_affinities": 0, "kl_gradient": 0, "kl_divergence": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(tsne, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(tsne, name, counted)
+        emb = embed(np.random.default_rng(1).standard_normal((30, 5)), 8.0, iters)
+        assert len(emb.kl_history) == len(recorded_iterations(iters))
+        assert calls == {"joint_affinities": 1, "kl_gradient": iters,
+                         "kl_divergence": len(emb.kl_history)}
+        assert not hasattr(tsne, "_row_entropy_and_probs")
 
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
