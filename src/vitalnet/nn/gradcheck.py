@@ -12,6 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ValidationError
+from .layers import conv1d_forward
 from .model import ModelConfig, ModelParams, forward, init_params, loss_and_grads
 
 # margin around ReLU kinks / pool ties below which a draw is rejected
@@ -63,15 +64,20 @@ def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     """Distance of the closest pre-activation to a ReLU kink or pool tie."""
     cfg = params.config
     _, _, cache = forward(params, x)
-    c1, c2, _, _, c5, _ = cache
-    margin = min(float(np.abs(c[2]).min()) for c in (c1, c2, c5))
+    c1, c2, _, _, _, c5, _ = cache
+    # conv2's (F, B, T) pre-activations, rebuilt from its cached input: the
+    # model keeps no (F, B, T) array of conv2 once it is pooled
+    pre2, _ = conv1d_forward(c2[0], params.tensors["conv2_w"],
+                             params.tensors["conv2_b"], relu=False)
+    margin = min(float(np.abs(pre).min()) for pre in (c1[2], pre2, c5[2]))
     if cfg.pool_size > 1:
-        # conv2's (F, B, T) output, windowed along T: (F, B, T_out, size)
-        win = sliding_window_view(c2[3], cfg.pool_size, axis=2)[:, :, :: cfg.pool_stride]
+        # windowed along T: (F, B, T_out, size)
+        win = sliding_window_view(pre2, cfg.pool_size, axis=2)[:, :, :: cfg.pool_stride]
         top2 = -np.partition(-win, 1, axis=3)[..., :2]
         gap = top2[..., 0] - top2[..., 1]
-        # zeros are clipped ReLU units; with the ReLU margin enforced they
-        # cannot flip under an eps-perturbation, so only live pairs count
+        # a window whose runner-up is <= 0 cannot tie: with the ReLU margin
+        # enforced, its max is either > margin above it or clipped by the
+        # ReLU after the pool, so only live pairs count
         live = top2[..., 1] > 0
         if live.any():
             margin = min(margin, float(gap[live].min()))

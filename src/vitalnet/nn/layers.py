@@ -2,34 +2,40 @@
 dense layers, and binary cross-entropy, each with a manual backward pass.
 
 Every forward function returns a cache consumed by the matching backward
-function. The nonlinearities are fixed: every convolution applies ReLU, and a
-dense layer applies ReLU or nothing, as its caller selects.
+function. The nonlinearities are fixed: a convolution or dense layer applies
+ReLU or nothing, as its caller selects. A convolution without its ReLU caches
+no output-sized array, so its caller can apply the ReLU to a smaller array:
+the model pools conv2's pre-activations and applies ReLU to the pooled
+array, since relu(max(a, b)) = max(relu(a), relu(b)).
 
-The convolutions and max-pooling work channels-first: they take and return
-(C, B, T) arrays, so that time is the contiguous axis. A convolution is one
-channel-major GEMM, w.reshape(F, K*C) @ cols, where the im2col matrix cols is
-a contiguous (K*C, B*T_out) copy built from K slices along T (Chellapilla,
-Puri & Simard 2006); its weight and input gradients are the GEMMs dpre @
-cols.T and w.reshape(F, K*C).T @ dpre. The weight half (conv1d_backward) and
-the input half (conv1d_backward_input) are separate, because the first
-layer's input is the data and needs no gradient. The im2col is not cached:
-the backward pass rebuilds it, because the model's forward pass holds every
-layer's cache until it returns, and a cached (K*C, B*T_out) copy per layer
-would add to the peak memory of every inference chunk.
+Every layer up to the dense ones works channels-first: the convolutions and
+max-pooling take and return (C, B, T) arrays, and the LSTM reads (D, B, T),
+so that time is the contiguous axis. A convolution is one channel-major GEMM,
+w.reshape(F, K*C) @ cols, where the im2col matrix cols is a contiguous (K*C,
+B*T_out) copy built from K slices along T (Chellapilla, Puri & Simard 2006);
+its weight and input gradients are the GEMMs dpre @ cols.T and w.reshape(F,
+K*C).T @ dpre. The weight half (conv1d_backward) and the input half
+(conv1d_backward_input) are separate, because the first layer's input is the
+data and needs no gradient. The im2col is not cached: the backward pass
+rebuilds it, because the model's forward pass holds every layer's cache until
+it returns, and a cached (K*C, B*T_out) copy per layer would add to the peak
+memory of every inference chunk.
 
-The LSTM and dense layers take a leading batch axis; the LSTM reads (B, T,
-D), which the model passes as a view of the pooled (D, B, T) array. The LSTM
-works time-major. Its forward pass projects the inputs of all T
-steps in one matmul call, over a time-major view of x, into a (T, B, 4H) gate
-buffer; each step adds h @ wh to its slice and overwrites it in place with
-the gate values. The i, f and o gates use sigmoid(z) = 0.5 + 0.5 *
-tanh(0.5 * z), which cannot overflow, so one scale -> tanh -> scale -> shift
-pass covers all four gates. The cache is (x, wx, wh, gates, cs, hs); cs and
-hs hold the cell and hidden states of every step as (T+1, B, H) arrays whose
-row 0 is the zero initial state. The backward pass derives every step's local
-derivatives before its loop, carries only dh and dc through the loop, and
-forms dwx, dwh, db and dx from the whole (T, B, 4H) block of gate gradients
-afterwards.
+The LSTM is feature-major: its state is (H, B) and its gates are a (T, 4H, B)
+buffer, so that the i, f, g and o gates of a step are contiguous (H, B)
+blocks (Appleyard, Kocisky & Blunsom 2016). The forward pass projects the
+inputs of all T steps with one (4H, D) @ (D, B) GEMM per step; each step adds
+wh.T @ h to its slice and overwrites it in place with the gate values. The i,
+f and o gates use sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z), which cannot
+overflow; the inner 0.5 is folded into scaled copies of wx, wh and the bias,
+so one tanh pass covers all four gates. The cache is (x, wx, wh, gates, cs,
+hs); cs and hs hold the cell and hidden states of every step as (T+1, H, B)
+arrays whose row 0 is the zero initial state. The backward pass derives every
+step's local derivatives in place before its loop, carries only dh and dc
+through the loop, and forms dwx, dwh, db and dx after one transpose of the
+gate gradients to (4H, B*T); dx is (D, B, T), as the pool's backward pass
+reads it. The final hidden state reaches the dense layers as a contiguous
+(B, H) array; the dense layers take a leading batch axis.
 """
 
 from __future__ import annotations
@@ -67,8 +73,10 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(k * c, b * t_out)
 
 
-def conv1d_forward(x, w, bias):
-    """x: (C, B, T), w: (F, K, C), bias: (F,) -> ReLU out (F, B, T-K+1)."""
+def conv1d_forward(x, w, bias, relu: bool = True):
+    """x: (C, B, T), w: (F, K, C), bias: (F,) -> out (F, B, T-K+1), ReLU'd if
+    `relu`. Without the ReLU the output is the pre-activation, and the cache
+    holds no (F, B, T-K+1) array."""
     c, b, t = x.shape
     f, k, cw = w.shape
     if cw != c:
@@ -77,16 +85,17 @@ def conv1d_forward(x, w, bias):
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
     pre = (w.reshape(f, k * c) @ _im2col(x, k)).reshape(f, b, t - k + 1)
     pre += bias[:, None, None]
-    out = np.maximum(pre, 0.0)
-    return out, (x, w, pre, out)
+    if not relu:
+        return pre, (x, w, None)
+    return np.maximum(pre, 0.0), (x, w, pre)
 
 
 def conv1d_backward(dout, cache):
     """Weight half of the backward pass -> (dpre, dw, db); dpre feeds
     conv1d_backward_input when the layer's input needs a gradient."""
-    x, w, pre, _ = cache
+    x, w, pre = cache
     f, k, c = w.shape
-    dpre = dout * (pre > 0)
+    dpre = dout if pre is None else dout * (pre > 0)
     flat = dpre.reshape(f, -1)
     dw = (flat @ _im2col(x, k).T).reshape(f, k, c)
     return dpre, dw, flat.sum(axis=1)
@@ -94,7 +103,7 @@ def conv1d_backward(dout, cache):
 
 def conv1d_backward_input(dpre, cache):
     """Input half of the backward pass: dx (C, B, T) from conv1d_backward's dpre."""
-    x, w, _, _ = cache
+    x, w, _ = cache
     c, b, t = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
@@ -152,73 +161,84 @@ def maxpool1d_backward(dout, cache):
 
 
 def lstm_forward(x, wx, wh, bias):
-    """x: (B, T, D), wx: (D, 4H), wh: (H, 4H), bias: (4H,) -> h_T (B, H)."""
-    b, t, d = x.shape
+    """x: (D, B, T), wx: (D, 4H), wh: (H, 4H), bias: (4H,) -> h_T (B, H)."""
+    d, b, t = x.shape
     h_dim = wh.shape[0]
     if wx.shape != (d, 4 * h_dim) or bias.shape != (4 * h_dim,):
         raise ValidationError("lstm: weight shapes inconsistent with input")
-    # input projection for every step in one matmul over a time-major view
-    gates = np.matmul(x.transpose(1, 0, 2), wx)
-    gates += bias
-    # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z) for i, f, o; tanh(z) for g
-    scale = np.full(4 * h_dim, 0.5)
+    # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z) for i, f, o; tanh(z) for g. The
+    # inner 0.5 is folded into scaled copies of the weights and bias, which is
+    # exact because 0.5 is a power of two.
+    scale = np.full((4 * h_dim, 1), 0.5)
     scale[2 * h_dim : 3 * h_dim] = 1.0
-    shift = 1.0 - scale
-    cs = np.zeros((t + 1, b, h_dim))
-    hs = np.zeros((t + 1, b, h_dim))
+    wx_s = np.ascontiguousarray(wx.T * scale)
+    wh_s = np.ascontiguousarray(wh.T * scale)
+    # input projection of every step: one (4H, D) @ (D, B) GEMM per step
+    gates = np.matmul(wx_s, x.transpose(2, 0, 1))
+    gates += bias[:, None] * scale
+    cs = np.zeros((t + 1, h_dim, b))
+    hs = np.zeros((t + 1, h_dim, b))
     # per-step scratch, reused so that the loop allocates no arrays
-    rec = np.empty((b, 4 * h_dim))
-    ig = np.empty((b, h_dim))
+    rec = np.empty((4 * h_dim, b))
+    ig = np.empty((h_dim, b))
     for step in range(t):
         z = gates[step]
-        z += np.matmul(hs[step], wh, out=rec)
-        z *= scale
+        z += np.matmul(wh_s, hs[step], out=rec)
         np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        i = z[:, :h_dim]
-        f = z[:, h_dim : 2 * h_dim]
-        g = z[:, 2 * h_dim : 3 * h_dim]
-        o = z[:, 3 * h_dim :]
+        for sig in (z[: 2 * h_dim], z[3 * h_dim :]):  # the i, f and o blocks
+            sig *= 0.5
+            sig += 0.5
+        i, f, g, o = z.reshape(4, h_dim, b)
         c = cs[step + 1]
         np.multiply(f, cs[step], out=c)
         c += np.multiply(i, g, out=ig)
         h = hs[step + 1]
         np.tanh(c, out=h)
         h *= o
-    return hs[t].copy(), (x, wx, wh, gates, cs, hs)
+    return np.ascontiguousarray(hs[t].T), (x, wx, wh, gates, cs, hs)
 
 
 def lstm_backward(dh_last, cache):
+    """dh_last: (B, H) -> (dx (D, B, T), dwx, dwh, db)."""
     x, wx, wh, gates, cs, hs = cache
-    b, t, d = x.shape
-    h4 = gates.shape[2]
-    h_dim = h4 // 4
-    i, f, g, o = (gates.reshape(t, b, 4, h_dim)[:, :, k] for k in range(4))
+    d, b, t = x.shape
+    h_dim = wh.shape[0]
+    i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+    # local derivatives of every step, formed in place in dz's blocks: dz per
+    # unit dc for the i, f and g blocks and per unit dh for the o block
+    dz = np.empty_like(gates)
+    di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+    for dk, s in ((di, i), (df, f), (do, o)):
+        np.subtract(1.0, s, out=dk)
+        dk *= s
+    di *= g
+    df *= cs[:-1]
+    np.multiply(g, g, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= i
     tanh_c = np.tanh(cs[1:])
-    # local derivatives of every step: dz per unit dc for the i, f, g blocks
-    # and per unit dh for the o block, then dc per unit dh
-    dz = np.empty((t, b, 4, h_dim))
-    np.multiply(g, i * (1.0 - i), out=dz[:, :, 0])
-    np.multiply(cs[:-1], f * (1.0 - f), out=dz[:, :, 1])
-    np.multiply(i, 1.0 - g * g, out=dz[:, :, 2])
-    np.multiply(tanh_c, o * (1.0 - o), out=dz[:, :, 3])
-    dc_dh = o * (1.0 - tanh_c * tanh_c)
-    wh_t = np.ascontiguousarray(wh.T)  # the step GEMM runs ~2x faster on a copy
-    dh = dh_last
-    dc = np.zeros((b, h_dim))
+    do *= tanh_c
+    # dc per unit dh, o * (1 - tanh(c)^2), in tanh_c's buffer
+    dc_dh = tanh_c
+    dc_dh *= tanh_c
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dh = dh_last.T
+    dc = np.zeros((h_dim, b))
     for step in range(t - 1, -1, -1):
         dc += dh * dc_dh[step]
-        dz[step, :, :3] *= dc[:, None, :]
-        dz[step, :, 3] *= dh
+        ifg = dz[step, : 3 * h_dim].reshape(3, h_dim, b)
+        ifg *= dc
+        do[step] *= dh
         if step:
-            dh = dz[step].reshape(b, h4) @ wh_t
+            dh = wh @ dz[step]
             dc *= f[step]
-    dz = dz.reshape(t * b, h4)
-    dwx = x.transpose(1, 0, 2).reshape(t * b, d).T @ dz
-    dwh = hs[:-1].reshape(t * b, h_dim).T @ dz
-    db = dz.sum(axis=0)
-    dx = (dz @ wx.T).reshape(t, b, d).transpose(1, 0, 2)
+    # (4H, B*T), columns in x's (B, T) order
+    dz = dz.transpose(1, 2, 0).reshape(4 * h_dim, b * t)
+    dwx = x.reshape(d, b * t) @ dz.T
+    dwh = hs[:-1].transpose(1, 2, 0).reshape(h_dim, b * t) @ dz.T
+    db = dz.sum(axis=1)
+    dx = (wx @ dz).reshape(d, b, t)
     return dx, dwx, dwh, db
 
 

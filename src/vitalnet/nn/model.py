@@ -186,28 +186,31 @@ def forward(params: ModelParams, x: np.ndarray):
             f"forward: window length {x.shape[1]} below the minimum "
             f"{cfg.min_window_len()} for this config"
         )
-    # the conv/pool stack runs channels-first, (C, B, T); the LSTM reads the
-    # pooled (D, B, T) array through a (B, T, D) view
+    # every layer up to the LSTM runs channels-first, (C, B, T). conv2's ReLU
+    # runs after the pool, on the pooled array: relu(max(a, b)) =
+    # max(relu(a), relu(b)), and conv2's full output is freed once pooled.
     a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"])
-    a2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
-    p3, c3 = layers.maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
-    h4, c4 = layers.lstm_forward(p3.transpose(1, 2, 0), t["lstm_wx"], t["lstm_wh"],
-                                 t["lstm_b"])
+    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], relu=False)
+    a3, c3 = layers.maxpool1d_forward(pre2, cfg.pool_size, cfg.pool_stride)
+    del pre2
+    np.maximum(a3, 0.0, out=a3)
+    h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
     feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
     logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"])
     probs = layers.sigmoid(logits[:, 0])
-    cache = (c1, c2, c3, c4, c5, c6)
+    cache = (c1, c2, c3, a3, c4, c5, c6)
     return probs, feats, cache
 
 
 def backward(params: ModelParams, dlogits: np.ndarray, cache):
     """Gradients of the loss w.r.t. every tensor, given d(loss)/d(logit)."""
-    c1, c2, c3, c4, c5, c6 = cache
+    c1, c2, c3, a3, c4, c5, c6 = cache
     dfeat, dw6, db6 = layers.dense_backward(dlogits[:, None], c6)
     dh, dw5, db5 = layers.dense_backward(dfeat, c5)
-    dp3, dwx, dwh, dbl = layers.lstm_backward(dh, c4)
-    da2 = layers.maxpool1d_backward(dp3.transpose(2, 0, 1), c3)
-    dpre2, dw2, db2 = layers.conv1d_backward(da2, c2)
+    da3, dwx, dwh, dbl = layers.lstm_backward(dh, c4)
+    da3 *= a3 > 0  # conv2's ReLU, applied after the pool
+    dpre2 = layers.maxpool1d_backward(da3, c3)
+    _, dw2, db2 = layers.conv1d_backward(dpre2, c2)
     da1 = layers.conv1d_backward_input(dpre2, c2)
     # conv1's input is the data, so it gets no input gradient
     _, dw1, db1 = layers.conv1d_backward(da1, c1)

@@ -11,6 +11,10 @@ from ..data import WindowedDataset
 from ..errors import ValidationError, require
 from .model import FlatTensors, ModelConfig, ModelParams, init_params, loss_and_grads
 
+# far above the paper's 30 epochs; one epoch over the default cohort takes
+# ~0.35 s, so the bound keeps one flag from buying years of training
+MAX_EPOCHS = 10_000
+
 
 @dataclass
 class TrainConfig:
@@ -26,7 +30,7 @@ class TrainConfig:
         for name in ("learning_rate", "beta1", "beta2", "eps"):
             require(name, getattr(self, name))
         require("batch_size", self.batch_size, numbers.Integral, 1)
-        require("epochs", self.epochs, numbers.Integral, 0)
+        require("epochs", self.epochs, numbers.Integral, 0, MAX_EPOCHS)
         require("seed", self.seed, numbers.Integral, 0)
         if self.learning_rate <= 0 or self.eps <= 0:
             raise ValidationError("learning_rate and eps must be > 0")

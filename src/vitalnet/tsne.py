@@ -15,11 +15,12 @@ descent never reads the KL, so it is evaluated only where it is recorded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require
 
 PERPLEXITY_TOL = 1e-5
 _MAX_SEARCH_ITERS = 200
@@ -39,6 +40,9 @@ KL_EVERY = 50
 # ~5,180 points, past the x4 cohort's ~3,900 windows.
 _EMBED_MATRICES = 5
 MAX_ROWS = math.isqrt((1 << 30) // (8 * _EMBED_MATRICES))
+# 100x the default iteration count, so that one flag cannot buy years of
+# descent (an iteration over 216 rows takes ~0.4 ms, over MAX_ROWS far more)
+MAX_ITERS = 100_000
 
 
 @dataclass
@@ -248,8 +252,7 @@ def embed(
     if n < 4:
         raise ValidationError(f"embed: need at least 4 rows, got {n}")
     _check_rows(n, "embed")
-    if iters < 1:
-        raise ValidationError(f"embed: iters must be >= 1, got {iters}")
+    require("embed: iters", iters, numbers.Integral, 1, MAX_ITERS)
     if seed < 0:
         raise ValidationError(f"embed: seed must be >= 0, got {seed}")
     p = joint_affinities(x, perplexity).P

@@ -10,6 +10,7 @@ import pytest
 
 from vitalnet import svg, tsne
 from vitalnet.cli import run
+from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -445,6 +446,19 @@ class TestOutOfRangeValues:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    def test_unbounded_epochs_rejected_quickly(self, tmp_path, small_cohort_csv, capsys):
+        # one epoch per second would take ~30,000 years
+        out = tmp_path / "model.json"
+        t0 = time.perf_counter()
+        code = run(["train", "--train", str(small_cohort_csv), *FAST_TRAIN,
+                    "--set-train", f"epochs={10**12}", "--out", str(out)])
+        assert time.perf_counter() - t0 < 2
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: epochs must be an integer in [0, {MAX_EPOCHS}]")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "section,key,value",
         [("model_config", "pool_stride", 2**70), ("model_config", "conv2_kernel", 10**12),
@@ -513,6 +527,21 @@ class TestEmbed:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: embed: at most 4 rows") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unbounded_iters_rejected_quickly(
+        self, tmp_path, small_cohort_csv, small_model, capsys
+    ):
+        # at ~0.4 ms an iteration, 10**12 iterations would take ~13 years
+        out = tmp_path / "emb.csv"
+        t0 = time.perf_counter()
+        code = run(["embed", "--model", str(small_model), "--data", str(small_cohort_csv),
+                    "--perplexity", "2", "--iters", str(10**12), "--out", str(out)])
+        assert time.perf_counter() - t0 < 2
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: embed: iters must be an integer in [1, {tsne.MAX_ITERS}]")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_embedding_csv_and_determinism(self, tmp_path, small_cohort_csv, small_model):

@@ -138,7 +138,8 @@ COMMANDS = {
                "--stride": mostly(["24", "6"], ["0", "-3"]),
                "--set": mostly(["lstm_hidden=2", "seed=5"], ["seed=1e3", "nope=1", "x"]),
                "--set-train": mostly(["batch_size=4", "learning_rate=0.01"],
-                                     ["epochs=0", "epochs=2.0", "learning_rate=fast"])}),
+                                     ["epochs=0", "epochs=2.0", "learning_rate=fast",
+                                      f"epochs={10**12}"])}),
     "eval": ({"--model": "model.json", "--test": "cohort.csv"},
              {"--threshold": PROB, "--per-patient": st.none()}),
     "sweep": ({"--model": "model.json", "--test": "cohort.csv"},
@@ -146,7 +147,7 @@ COMMANDS = {
     "embed": ({"--model": "model.json", "--data": "cohort.csv"},
               {"--days": mostly(["1", "3"], ["0", "-1", "x"]),
                "--perplexity": mostly(["3", "5"], ["1", "500", "nan"]),
-               "--iters": mostly(["5", "12"], ["0", "-1"]), "--seed": SEED}),
+               "--iters": mostly(["5", "12"], ["0", "-1", str(10**12)]), "--seed": SEED}),
     "plot": ({}, {}),
 }
 PLOT_INPUTS = {"sweep": "sweep.csv", "history": "history.csv",

@@ -4,12 +4,14 @@ reference versions.
 The references below are the original per-step LSTM (one input GEMM per
 step, sign-split sigmoid, a list of per-step caches), the argmax /
 ``np.add.at`` max-pool, the batch-major (B, T, C) convolution and max-pool
-that the channels-first (C, B, T) kernels replaced, and the per-tensor Adam
-loop that the flat update replaced. The production kernels hoist the input
-GEMM, use the tanh form of the gate sigmoid, route pool gradients with
-strided adds and run the conv GEMMs channel-major, so they must agree with
-these to 1e-12; the forward pass and Adam keep their arithmetic, so they
-must agree exactly.
+that the channels-first (C, B, T) kernels replaced, the batch-major (B, T, D)
+LSTM that the feature-major one replaced, and the per-tensor Adam loop that
+the flat update replaced. The production kernels hoist the input GEMM, use
+the tanh form of the gate sigmoid with its inner 0.5 folded into the weights,
+route pool gradients with strided adds and run the conv GEMMs channel-major,
+so they must agree with these to 1e-12; the conv/pool forward pass, conv2's
+ReLU after the pool and Adam keep their arithmetic, so they must agree
+exactly.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from vitalnet.nn.layers import (
     conv1d_backward,
     conv1d_backward_input,
     conv1d_forward,
+    dense_backward,
     dense_forward,
     lstm_backward,
     lstm_forward,
@@ -164,6 +167,70 @@ def ref_lstm_backward(dh_last, cache):
     return dx, dwx, dwh, db
 
 
+def btd_lstm_forward(x, wx, wh, bias):
+    """The batch-major LSTM: x (B, T, D), gates (T, B, 4H), states (T+1, B, H)."""
+    b, t, d = x.shape
+    h_dim = wh.shape[0]
+    gates = np.matmul(x.transpose(1, 0, 2), wx)
+    gates += bias
+    scale = np.full(4 * h_dim, 0.5)
+    scale[2 * h_dim : 3 * h_dim] = 1.0
+    shift = 1.0 - scale
+    cs = np.zeros((t + 1, b, h_dim))
+    hs = np.zeros((t + 1, b, h_dim))
+    rec = np.empty((b, 4 * h_dim))
+    ig = np.empty((b, h_dim))
+    for step in range(t):
+        z = gates[step]
+        z += np.matmul(hs[step], wh, out=rec)
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        i = z[:, :h_dim]
+        f = z[:, h_dim : 2 * h_dim]
+        g = z[:, 2 * h_dim : 3 * h_dim]
+        o = z[:, 3 * h_dim :]
+        c = cs[step + 1]
+        np.multiply(f, cs[step], out=c)
+        c += np.multiply(i, g, out=ig)
+        h = hs[step + 1]
+        np.tanh(c, out=h)
+        h *= o
+    return hs[t].copy(), (x, wx, wh, gates, cs, hs)
+
+
+def btd_lstm_backward(dh_last, cache):
+    x, wx, wh, gates, cs, hs = cache
+    b, t, d = x.shape
+    h4 = gates.shape[2]
+    h_dim = h4 // 4
+    i, f, g, o = (gates.reshape(t, b, 4, h_dim)[:, :, k] for k in range(4))
+    tanh_c = np.tanh(cs[1:])
+    dz = np.empty((t, b, 4, h_dim))
+    np.multiply(g, i * (1.0 - i), out=dz[:, :, 0])
+    np.multiply(cs[:-1], f * (1.0 - f), out=dz[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=dz[:, :, 2])
+    np.multiply(tanh_c, o * (1.0 - o), out=dz[:, :, 3])
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    wh_t = np.ascontiguousarray(wh.T)
+    dh = dh_last
+    dc = np.zeros((b, h_dim))
+    for step in range(t - 1, -1, -1):
+        dc += dh * dc_dh[step]
+        dz[step, :, :3] *= dc[:, None, :]
+        dz[step, :, 3] *= dh
+        if step:
+            dh = dz[step].reshape(b, h4) @ wh_t
+            dc *= f[step]
+    dz = dz.reshape(t * b, h4)
+    dwx = x.transpose(1, 0, 2).reshape(t * b, d).T @ dz
+    dwh = hs[:-1].reshape(t * b, h_dim).T @ dz
+    db = dz.sum(axis=0)
+    dx = (dz @ wx.T).reshape(t, b, d).transpose(1, 0, 2)
+    return dx, dwx, dwh, db
+
+
 def ref_maxpool1d_forward(x, size, stride):
     """argmax pool over (B, T, F)."""
     win = _time_windows(x, size, stride)
@@ -197,45 +264,50 @@ def lstm_case(rng, b, t, d, h, scale):
     return x, wx, wh, bias
 
 
+def check_lstm(x, wx, wh, bias, dh):
+    """The feature-major LSTM on cf(x) against both (B, T, D) references."""
+    h_new, cache = lstm_forward(cf(x), wx, wh, bias)
+    assert h_new.flags["C_CONTIGUOUS"]
+    dx, *dws = lstm_backward(dh, cache)
+    assert dx.shape == cf(x).shape
+    for ref_fwd, ref_bwd in ((ref_lstm_forward, ref_lstm_backward),
+                             (btd_lstm_forward, btd_lstm_backward)):
+        h_ref, cache_ref = ref_fwd(x, wx, wh, bias)
+        assert_close(h_new, h_ref)
+        dx_ref, *dws_ref = ref_bwd(dh, cache_ref)
+        assert_close(btc(dx), dx_ref)
+        for got, want in zip(dws, dws_ref):
+            assert_close(got, want)
+    return h_new, (dx, *dws)
+
+
 class TestLstmAgainstReference:
     @pytest.mark.parametrize(
         "b,t,d,h",
-        [(1, 1, 3, 5), (1, 1, 1, 1), (2, 7, 5, 3), (4, 3, 2, 6), (32, 20, 64, 64)],
+        [(1, 1, 3, 5), (1, 1, 1, 1), (2, 7, 5, 3), (4, 3, 2, 6), (32, 20, 64, 64),
+         (1, 22, 64, 64), (17, 22, 64, 64), (17, 5, 3, 7)],
     )
     def test_forward_and_backward_match(self, b, t, d, h):
         rng = np.random.default_rng(100 + b * t + d * h)
         x, wx, wh, bias = lstm_case(rng, b, t, d, h, scale=0.4)
-        h_new, cache_new = lstm_forward(x, wx, wh, bias)
-        h_ref, cache_ref = ref_lstm_forward(x, wx, wh, bias)
-        assert_close(h_new, h_ref)
-        dh = rng.standard_normal((b, h))
-        for got, want in zip(
-            lstm_backward(dh, cache_new), ref_lstm_backward(dh, cache_ref)
-        ):
-            assert_close(got, want)
+        check_lstm(x, wx, wh, bias, rng.standard_normal((b, h)))
 
     @pytest.mark.parametrize("scale", [20.0, 60.0])
     def test_saturated_gates_match(self, scale):
         # pre-activations far beyond |z| > 40, where sigmoid and tanh saturate
-        rng = np.random.default_rng(int(scale))
-        x, wx, wh, bias = lstm_case(rng, 3, 6, 4, 5, scale)
-        z = np.einsum("btd,dk->btk", x, wx) + bias
-        assert np.abs(z).max() > 40
-        h_new, cache_new = lstm_forward(x, wx, wh, bias)
-        h_ref, cache_ref = ref_lstm_forward(x, wx, wh, bias)
-        assert np.isfinite(h_new).all()
-        assert_close(h_new, h_ref)
-        dh = rng.standard_normal((3, 5))
-        for got, want in zip(
-            lstm_backward(dh, cache_new), ref_lstm_backward(dh, cache_ref)
-        ):
-            assert np.isfinite(got).all()
-            assert_close(got, want)
+        for b in (1, 3, 17, 32):
+            rng = np.random.default_rng(int(scale) + b)
+            x, wx, wh, bias = lstm_case(rng, b, 6, 4, 5, scale)
+            z = np.einsum("btd,dk->btk", x, wx) + bias
+            assert np.abs(z).max() > 40
+            h_new, grads = check_lstm(x, wx, wh, bias, rng.standard_normal((b, 5)))
+            assert np.isfinite(h_new).all()
+            assert all(np.isfinite(g).all() for g in grads)
 
     def test_backward_leaves_cache_reusable(self):
         rng = np.random.default_rng(7)
         x, wx, wh, bias = lstm_case(rng, 2, 4, 3, 3, scale=0.5)
-        _, cache = lstm_forward(x, wx, wh, bias)
+        _, cache = lstm_forward(cf(x), wx, wh, bias)
         dh = rng.standard_normal((2, 3))
         first = lstm_backward(dh, cache)
         second = lstm_backward(dh, cache)
@@ -337,16 +409,89 @@ class TestConvAgainstReference:
         assert_close(db, db_ref)
 
 
-def ref_forward(params, x):
-    """The model graph on the batch-major conv and pool references."""
+class TestReluAfterPool:
+    """conv2's ReLU runs after the pool: relu(max(a, b)) = max(relu(a),
+    relu(b)), and the pool routes a gradient only where the window max is > 0,
+    where ReLU-then-pool routes it to the same first argmax."""
+
+    @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
+    def test_conv_outputs_and_gradients_equal(self, size, stride):
+        # small integers: exact ties, zeros and all-negative windows
+        rng = np.random.default_rng(size * 3 + stride)
+        x = rng.integers(-1, 2, size=(4, 3, 14)).astype(float)
+        w = rng.integers(-1, 2, size=(5, 3, 4)).astype(float)
+        bias = rng.integers(-1, 2, size=5).astype(float)
+        w[0], bias[0] = 0.0, -1.0  # one filter's windows are all negative
+        act, cache_relu = conv1d_forward(x, w, bias)
+        out_ref, pool_ref = maxpool1d_forward(act, size, stride)
+        pre, cache = conv1d_forward(x, w, bias, relu=False)
+        assert cache[2] is None
+        out, pool = maxpool1d_forward(pre, size, stride)
+        win_max = out.copy()
+        np.maximum(out, 0.0, out=out)
+        assert np.array_equal(out, out_ref)
+        assert (win_max < 0).any() and (win_max > 0).any()
+        dout = rng.standard_normal(out.shape)
+        dpre_ref, *dw_ref = conv1d_backward(maxpool1d_backward(dout, pool_ref), cache_relu)
+        dpre, *dw = conv1d_backward(maxpool1d_backward(dout * (out > 0), pool), cache)
+        assert np.array_equal(dpre, dpre_ref)
+        for got, want in zip(dw, dw_ref):
+            assert np.array_equal(got, want)
+        assert np.array_equal(conv1d_backward_input(dpre, cache),
+                              conv1d_backward_input(dpre_ref, cache_relu))
+
+    @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
+    def test_signed_zeros_and_negative_windows(self, size, stride):
+        rng = np.random.default_rng(size * 11 + stride)
+        pre = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], size=(3, 4, 12))
+        pre[0, 0] = -1.0  # every window of one row all negative
+        pre[1, 0] = -0.0  # and one of signed zeros only
+        out_ref, pool_ref = maxpool1d_forward(np.maximum(pre, 0.0), size, stride)
+        out, pool = maxpool1d_forward(pre, size, stride)
+        np.maximum(out, 0.0, out=out)
+        assert np.array_equal(out, out_ref)
+        dout = rng.standard_normal(out.shape)
+        dpre_ref = maxpool1d_backward(dout, pool_ref) * (pre > 0)
+        dpre = maxpool1d_backward(dout * (out > 0), pool)
+        assert np.array_equal(dpre, dpre_ref)
+        assert not dpre[:2, 0].any()
+
+
+def ref_forward(params, x, batch_major_lstm=False):
+    """The model graph on the batch-major conv and pool references, with
+    conv2's ReLU before the pool; the LSTM is the production kernel, or the
+    batch-major reference. Returns (probs, feats, caches)."""
     cfg, t = params.config, params.tensors
-    a1, _ = btc_conv1d_forward(x, t["conv1_w"], t["conv1_b"])
-    a2, _ = btc_conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
-    p3, _ = btc_maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
-    h4, _ = lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    feats, _ = dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
-    logits, _ = dense_forward(feats, t["dense2_w"], t["dense2_b"])
-    return sigmoid(logits[:, 0]), feats
+    a1, c1 = btc_conv1d_forward(x, t["conv1_w"], t["conv1_b"])
+    a2, c2 = btc_conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
+    p3, c3 = btc_maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
+    if batch_major_lstm:
+        h4, c4 = btd_lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    else:
+        h4, c4 = lstm_forward(cf(p3), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    feats, c5 = dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
+    logits, c6 = dense_forward(feats, t["dense2_w"], t["dense2_b"])
+    return sigmoid(logits[:, 0]), feats, (c1, c2, c3, c4, c5, c6)
+
+
+def ref_grads(params, x, y):
+    """Gradients of the mean BCE through the batch-major reference graph."""
+    probs, _, (c1, c2, c3, c4, c5, c6) = ref_forward(params, x, batch_major_lstm=True)
+    dfeat, dw6, db6 = dense_backward(((probs - y) / len(y))[:, None], c6)
+    dh, dw5, db5 = dense_backward(dfeat, c5)
+    dp3, dwx, dwh, dbl = btd_lstm_backward(dh, c4)
+    da1, dw2, db2 = btc_conv1d_backward(btc_maxpool1d_backward(dp3, c3), c2)
+    _, dw1, db1 = btc_conv1d_backward(da1, c1)
+    return dict(zip(model.TENSOR_ORDER,
+                    (dw1, db1, dw2, db2, dwx, dwh, dbl, dw5, db5, dw6, db6)))
+
+
+def _arrays(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, tuple):
+        for item in tree:
+            yield from _arrays(item)
 
 
 class TestModelAgainstReference:
@@ -355,9 +500,40 @@ class TestModelAgainstReference:
         params = model.init_params(model.ModelConfig(seed=b))
         x = np.random.default_rng(b).standard_normal((b, 48, 3))
         probs, feats, _ = model.forward(params, x)
-        probs_ref, feats_ref = ref_forward(params, x)
+        probs_ref, feats_ref, _ = ref_forward(params, x)
         assert np.array_equal(probs, probs_ref)
         assert np.array_equal(feats, feats_ref)
+
+    @pytest.mark.parametrize("b", [1, 17, 32, 256])
+    def test_forward_matches_batch_major_graph(self, b):
+        params = model.init_params(model.ModelConfig(seed=b))
+        x = np.random.default_rng(b).standard_normal((b, 48, 3))
+        probs, feats, _ = model.forward(params, x)
+        probs_ref, feats_ref, _ = ref_forward(params, x, batch_major_lstm=True)
+        assert np.array_equal(probs, probs_ref)
+        assert_close(feats, feats_ref)
+
+    @pytest.mark.parametrize("b", [1, 17, 32])
+    def test_gradients_match_batch_major_graph(self, b):
+        params = model.init_params(model.ModelConfig(seed=b))
+        rng = np.random.default_rng(b)
+        x = rng.standard_normal((b, 48, 3))
+        y = rng.integers(0, 2, size=b).astype(float)
+        _, _, grads = model.loss_and_grads(params, x, y)
+        for name, want in ref_grads(params, x, y).items():
+            scale = max(np.abs(want).max(), 1e-300)
+            assert grads[name].shape == want.shape
+            assert np.abs(grads[name] - want).max() / scale <= TOL, name
+
+    def test_cache_holds_no_conv2_output(self):
+        # conv2's (F, B, T_out) output lives only until the pool has read it
+        cfg = model.ModelConfig()
+        b, w = 32, 48
+        _, _, cache = model.forward(model.init_params(cfg), np.zeros((b, w, 3)))
+        conv2_out = (cfg.conv2_filters, b, w - cfg.conv1_kernel - cfg.conv2_kernel + 2)
+        shapes = {a.shape for a in _arrays(cache)}
+        assert conv2_out not in shapes
+        assert (cfg.conv2_filters, b, conv2_out[2] // 2) in shapes
 
 
 def ref_adam_step(tensors, grads, m, v, t, config):

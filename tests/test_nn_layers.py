@@ -134,6 +134,8 @@ class TestMaxPool:
 
 
 class TestLstm:
+    # lstm_forward reads feature-major (D, B, T) input; lstm_backward returns
+    # dx in the same layout
     def test_zero_params_zero_state(self):
         wx, wh, b = np.zeros((2, 8)), np.zeros((2, 8)), np.zeros(8)
         h, c = lstm_step(np.ones(2), np.zeros(2), np.zeros(2), wx, wh, b)
@@ -154,12 +156,12 @@ class TestLstm:
         wx = rng.standard_normal((d, 4 * hdim)) * 0.4
         wh = rng.standard_normal((hdim, 4 * hdim)) * 0.4
         b = rng.standard_normal(4 * hdim) * 0.1
-        x = rng.standard_normal((1, t, d))
+        x = rng.standard_normal((d, 1, t))
         h_batch, _ = lstm_forward(x, wx, wh, b)
         h = np.zeros(hdim)
         c = np.zeros(hdim)
         for step in range(t):
-            h, c = lstm_step(x[0, step], h, c, wx, wh, b)
+            h, c = lstm_step(x[:, 0, step], h, c, wx, wh, b)
         assert np.allclose(h_batch[0], h, atol=1e-12)
 
     def test_gradients_through_time(self):
@@ -168,7 +170,7 @@ class TestLstm:
         wx = rng.standard_normal((d, 4 * hdim)) * 0.5
         wh = rng.standard_normal((hdim, 4 * hdim)) * 0.5
         b = rng.standard_normal(4 * hdim) * 0.1
-        x = rng.standard_normal((2, t, d))
+        x = rng.standard_normal((d, 2, t))
         proj = rng.standard_normal((2, hdim))
 
         def loss():

@@ -23,8 +23,11 @@ from vitalnet.nn import (
     train,
     zero_params,
 )
+from vitalnet.nn import gradcheck
 from vitalnet.nn.gradcheck import make_check_batch
+from vitalnet.nn.layers import conv1d_forward
 from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_POOL, MAX_WIDTH, TENSOR_ORDER
+from vitalnet.nn.train import MAX_EPOCHS
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
@@ -102,6 +105,13 @@ class TestModelBasics:
         for bad in (bound + 1, 2**70, 10**30):
             with pytest.raises(ValidationError, match=field):
                 ModelConfig(**{field: bad}).validate()
+
+    def test_epochs_bounded(self):
+        assert TrainConfig().epochs * 300 <= MAX_EPOCHS
+        TrainConfig(epochs=MAX_EPOCHS).validate()
+        for bad in (MAX_EPOCHS + 1, 10**12, 2**70):
+            with pytest.raises(ValidationError, match="epochs"):
+                TrainConfig(epochs=bad).validate()
 
     def test_huge_integers_checked_exactly(self):
         huge = 10**400  # beyond any float
@@ -332,7 +342,39 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def relu_then_pool_margin(params, x):
+    """The kink margin with the pool-tie gap taken over conv2's ReLU output,
+    as for a ReLU before the pool. conv2's arrays are rebuilt from its cached
+    input, as the model's cache holds no (F, B, T) array of conv2."""
+    cfg, t = params.config, params.tensors
+    _, _, (c1, c2, _, _, _, c5, _) = forward(params, x)
+    pre2, _ = conv1d_forward(c2[0], t["conv2_w"], t["conv2_b"], relu=False)
+    out2 = np.maximum(pre2, 0.0)
+    margin = min(float(np.abs(pre).min()) for pre in (c1[2], pre2, c5[2]))
+    if cfg.pool_size > 1:
+        win = np.lib.stride_tricks.sliding_window_view(
+            out2, cfg.pool_size, axis=2)[:, :, :: cfg.pool_stride]
+        top2 = -np.partition(-win, 1, axis=3)[..., :2]
+        gap = top2[..., 0] - top2[..., 1]
+        live = top2[..., 1] > 0
+        if live.any():
+            margin = min(margin, float(gap[live].min()))
+    return margin
+
+
 class TestGradCheck:
+    @pytest.mark.parametrize("cfg,window_len", [
+        (TINY, 16), (ModelConfig(conv1_filters=3, conv2_filters=4, pool_size=3,
+                                 pool_stride=2, lstm_hidden=3), 20)])
+    def test_kink_margin_unchanged_by_relu_after_pool(self, cfg, window_len):
+        # the margin over pre-activation windows equals the one over ReLU
+        # outputs, so make_check_batch draws the same batches as before
+        params = init_params(cfg)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x = rng.standard_normal((4, window_len, 3))
+            assert gradcheck._kink_margin(params, x) == relu_then_pool_margin(params, x)
+
     def test_tiny_config_under_1e6(self):
         assert grad_check() < 1e-6
 

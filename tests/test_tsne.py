@@ -10,6 +10,7 @@ from vitalnet.tsne import (
     EXAGGERATION_ITERS,
     KL_EVERY,
     LEARNING_RATE,
+    MAX_ITERS,
     MAX_ROWS,
     MIN_GAIN,
     MOMENTUM_EARLY,
@@ -407,3 +408,10 @@ class TestEmbed:
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
             embed(np.zeros((3, 5)), perplexity=2)
+
+    @pytest.mark.parametrize("iters", [0, MAX_ITERS + 1, 10**12, 2.5, True])
+    def test_iters_bounded_before_any_work(self, monkeypatch, iters):
+        assert MAX_ITERS == 100 * 1000  # 100x the default
+        monkeypatch.setattr(tsne, "joint_affinities", None)  # never reached
+        with pytest.raises(ValidationError, match=r"embed: iters must be an integer"):
+            embed(np.random.default_rng(0).standard_normal((8, 3)), 2.0, iters)
