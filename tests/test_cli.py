@@ -8,7 +8,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from vitalnet import svg, tsne
+from vitalnet import __version__, svg, tsne
 from vitalnet.cli import run
 from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
@@ -558,35 +558,93 @@ class TestEmbed:
 
 
 class TestManifest:
-    def test_every_subcommand_records_the_environment(self, tmp_path, monkeypatch):
+    MANIFEST_KEYS = {"subcommand", "config", "inputs", "outputs", "seed", "tool_version",
+                     "environment", "duration_seconds"}
+
+    @pytest.fixture()
+    def nine_runs(self, tmp_path, monkeypatch):
+        """Run every subcommand once; return the run directory and the
+        expected manifest, minus its environment and duration, per subcommand."""
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         d = tmp_path
+        cfg = small_config_file(tmp_path)
         model, cohort = f"{d}/model.json", f"{d}/cohort.csv"
-        for argv in (
-            ["synth", "--config", str(small_config_file(tmp_path)), "--out", cohort],
-            ["train", "--train", cohort, "--out", model, *FAST_TRAIN],
-            ["validate", "--cohort", cohort, "--out", f"{d}/report.json"],
-            ["stats", "--cohort", cohort, "--out", f"{d}/stats.csv"],
-            ["split", "--cohort", cohort, "--train-out", f"{d}/tr.csv",
-             "--test-out", f"{d}/te.csv"],
-            ["eval", "--model", model, "--test", cohort, "--out", f"{d}/eval.json"],
-            ["sweep", "--model", model, "--test", cohort, "--days", "2,4",
-             "--out", f"{d}/sweep.csv"],
-            ["embed", "--model", model, "--data", cohort, "--perplexity", "2",
-             "--iters", "5", "--out", f"{d}/emb.csv"],
-            ["plot", "--kind", "sweep", "--in", f"{d}/sweep.csv", "--out", f"{d}/sweep.svg"],
-        ):
-            assert run(argv) == 0
-        manifests = [json.loads(p.read_text()) for p in tmp_path.glob("*.manifest.json")]
-        assert {m["subcommand"] for m in manifests} == {
-            "synth", "train", "validate", "stats", "split", "eval", "sweep", "embed", "plot"}
+        runs = {
+            "synth": (["--config", str(cfg), "--out", cohort],
+                      json.loads(cfg.read_text()), [str(cfg)], [cohort], 42),
+            "train": (["--train", cohort, "--seed", "3", "--out", model, *FAST_TRAIN],
+                      None, [cohort], [model], 3),
+            "validate": (["--cohort", cohort, "--out", f"{d}/report.json"],
+                         {}, [cohort], [f"{d}/report.json"], None),
+            "stats": (["--cohort", cohort, "--out", f"{d}/stats.csv",
+                       "--boxplot-out", f"{d}/box.csv"],
+                      {}, [cohort], [f"{d}/stats.csv", f"{d}/box.csv"], None),
+            "split": (["--cohort", cohort, "--train-out", f"{d}/tr.csv",
+                       "--test-out", f"{d}/te.csv"],
+                      {"train_fraction": 0.8}, [cohort], [f"{d}/tr.csv", f"{d}/te.csv"], 0),
+            "eval": (["--model", model, "--test", cohort, "--out", f"{d}/eval.json"],
+                     {"per_patient": False}, [model, cohort], [f"{d}/eval.json"], None),
+            "sweep": (["--model", model, "--test", cohort, "--days", "2,4",
+                       "--out", f"{d}/sweep.csv"],
+                      {"days": [2, 4], "per_patient": False}, [model, cohort],
+                      [f"{d}/sweep.csv"], None),
+            "embed": (["--model", model, "--data", cohort, "--perplexity", "2",
+                       "--iters", "5", "--out", f"{d}/emb.csv"],
+                      {"perplexity": 2.0, "iters": 5, "days": None}, [model, cohort],
+                      [f"{d}/emb.csv"], 0),
+            "plot": (["--kind", "sweep", "--in", f"{d}/sweep.csv", "--out", f"{d}/sweep.svg"],
+                     {"kind": "sweep"}, [f"{d}/sweep.csv"], [f"{d}/sweep.svg"], None),
+        }
+        expected = {}
+        for command, (argv, config, inputs, outputs, seed) in runs.items():
+            assert run([command, *argv]) == 0
+            expected[command] = {"subcommand": command, "config": config, "inputs": inputs,
+                                 "outputs": outputs, "seed": seed, "tool_version": __version__}
+        expected["train"]["config"] = {
+            "model": {"conv1_filters": 4, "conv1_kernel": 5, "conv2_filters": 4,
+                      "conv2_kernel": 5, "pool_size": 2, "pool_stride": 2, "lstm_hidden": 8,
+                      "seed": 3},
+            "train": {"learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                      "batch_size": 32, "epochs": 2, "seed": 3},
+            "preprocess": json.loads(Path(model).read_text())["preprocess"],
+        }
+        return d, expected
+
+    def test_every_subcommand_records_the_environment(self, nine_runs):
+        d, _ = nine_runs
+        manifests = [json.loads(p.read_text()) for p in d.glob("*.manifest.json")]
+        assert len(manifests) == 9
         for m in manifests:
             env = m["environment"]
             assert env["numpy"] == np.__version__
             assert env["blas"] and env["blas_version"]
             assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
             assert env["cpu_count"] == os.cpu_count()
+
+    def test_every_subcommand_pins_its_manifest(self, nine_runs):
+        d, expected = nine_runs
+        assert sorted(p.name for p in d.glob("*.manifest.json")) == sorted(
+            Path(e["outputs"][0]).name + ".manifest.json" for e in expected.values())
+        for e in expected.values():
+            m = json.loads(Path(e["outputs"][0] + ".manifest.json").read_text())
+            assert set(m) == self.MANIFEST_KEYS
+            assert isinstance(m["duration_seconds"], float) and m["duration_seconds"] >= 0
+            assert {k: m[k] for k in e} == e
+
+    def test_no_manifest_without_a_report_or_after_a_failure(self, tmp_path, small_cohort_csv):
+        d, cohort = tmp_path, str(small_cohort_csv)
+        before = sorted(d.glob("*.manifest.json"))
+        assert run(["validate", "--cohort", cohort]) == 0
+        for argv in (
+            ["eval", "--model", f"{d}/absent.json", "--test", cohort, "--out", f"{d}/e.json"],
+            # the train half is written before the test half fails
+            ["split", "--cohort", cohort, "--train-out", f"{d}/tr.csv",
+             "--test-out", f"{d}/absent/te.csv"],
+        ):
+            assert run(argv) == 1
+        assert (d / "tr.csv").exists()
+        assert sorted(d.glob("*.manifest.json")) == before
 
 
 class TestValidate:
