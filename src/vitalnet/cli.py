@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +127,8 @@ def _load_json_config(path, overrides: list[str]) -> dict:
         if not p.exists():
             raise ValidationError(f"no such file: {p}")
         raw = json.loads(p.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{p}: expected a JSON object, got {type(raw).__name__}")
     for item in overrides or []:
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
@@ -171,21 +173,31 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_path, subcommand, config, inputs, outputs, seed, t0) -> None:
-    manifest = {
+def _write_json(path, doc) -> None:
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+@dataclass
+class RunRecord:
+    """What one subcommand run did: its resolved config, the paths it read
+    and wrote, and its seed. The manifest goes next to outputs[0]."""
+
+    config: dict
+    inputs: list[str]
+    outputs: list[str]
+    seed: int | None = None
+
+
+def _write_manifest(subcommand: str, record: RunRecord, seconds: float) -> None:
+    _write_json(f"{record.outputs[0]}.manifest.json", {
         "subcommand": subcommand,
-        "config": config,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "seed": seed,
+        **asdict(record),
         "tool_version": __version__,
         "environment": _environment(),
-        "duration_seconds": round(time.time() - t0, 3),
-    }
-    path = Path(str(out_path) + ".manifest.json")
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "duration_seconds": round(seconds, 3),
+    })
 
 
 def _load_model(path):
@@ -214,22 +226,17 @@ def _load_model(path):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> None:
-    t0 = time.time()
+def _cmd_synth(args) -> RunRecord:
     config = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         config.seed = args.seed
     cohort = generate_cohort(config)
     write_cohort(cohort, args.out)
-    _write_manifest(
-        args.out, "synth", config.to_dict(), [args.config or "<builtin>"],
-        [args.out], config.seed, t0,
-    )
     print(f"wrote {len(cohort)} patients to {args.out}")
+    return RunRecord(config.to_dict(), [args.config or "<builtin>"], [args.out], config.seed)
 
 
-def _cmd_validate(args) -> None:
-    t0 = time.time()
+def _cmd_validate(args) -> RunRecord | None:
     config = load_config(args.config) if args.config else default_config()
     cohort = load_cohort(args.cohort)
     report = calibration_report(cohort, config)
@@ -246,17 +253,13 @@ def _cmd_validate(args) -> None:
             f"{flag} label={label} resting HR mean {row['observed_mean']:.2f} "
             f"vs reference {row['reference']:.2f}"
         )
-    if args.out:
-        with Path(args.out).open("w", encoding="utf-8") as fh:
-            json.dump(asdict(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(
-            args.out, "validate", {}, [args.cohort], [args.out], None, t0
-        )
+    if not args.out:
+        return None
+    _write_json(args.out, asdict(report))
+    return RunRecord({}, [args.cohort], [args.out])
 
 
-def _cmd_stats(args) -> None:
-    t0 = time.time()
+def _cmd_stats(args) -> RunRecord:
     cohort = load_cohort(args.cohort)
     table = patient_feature_table(cohort)
     labels = table["label"]
@@ -285,25 +288,21 @@ def _cmd_stats(args) -> None:
             )
         _write_rows(args.boxplot_out, BOXPLOT_HEADER, box_rows)
         outputs.append(args.boxplot_out)
-    _write_manifest(args.out, "stats", {}, [args.cohort], outputs, None, t0)
     print(f"wrote {len(rows)} feature rows to {args.out}")
+    return RunRecord({}, [args.cohort], outputs)
 
 
-def _cmd_split(args) -> None:
-    t0 = time.time()
+def _cmd_split(args) -> RunRecord:
     cohort = load_cohort(args.cohort)
     train_cohort, test_cohort = split_by_patient(cohort, args.train_fraction, args.seed)
     write_cohort(train_cohort, args.train_out)
     write_cohort(test_cohort, args.test_out)
-    _write_manifest(
-        args.train_out, "split", {"train_fraction": args.train_fraction},
-        [args.cohort], [args.train_out, args.test_out], args.seed, t0,
-    )
     print(f"split {len(cohort)} patients -> {len(train_cohort)} train / {len(test_cohort)} test")
+    return RunRecord({"train_fraction": args.train_fraction}, [args.cohort],
+                     [args.train_out, args.test_out], args.seed)
 
 
-def _cmd_train(args) -> None:
-    t0 = time.time()
+def _cmd_train(args) -> RunRecord:
     mcfg = ModelConfig.from_dict(_load_json_config(args.model_config, args.set))
     tcfg = TrainConfig.from_dict(_load_json_config(args.train_config, args.set_train))
     if args.seed is not None:
@@ -330,43 +329,34 @@ def _cmd_train(args) -> None:
             [[h["epoch"], repr(h["loss"]), repr(h["accuracy"])] for h in history],
         )
         outputs.append(args.history_out)
-    _write_manifest(
-        args.out, "train",
-        {"model": mcfg.__dict__, "train": tcfg.__dict__, "preprocess": preprocess},
-        [args.train], outputs, tcfg.seed, t0,
-    )
     final = history[-1] if history else {"loss": float("nan"), "accuracy": float("nan")}
     print(
         f"trained {tcfg.epochs} epochs on {len(dataset)} windows; "
         f"final loss {final['loss']:.4f}, accuracy {final['accuracy']:.4f}"
     )
+    return RunRecord(
+        {"model": mcfg.__dict__, "train": tcfg.__dict__, "preprocess": preprocess},
+        [args.train], outputs, tcfg.seed,
+    )
 
 
-def _cmd_eval(args) -> None:
-    t0 = time.time()
+def _cmd_eval(args) -> RunRecord:
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.test)
     dataset = windows_from_cohort(cohort, stats, window_len, stride)
     probs = predict(params, dataset)
     acc, auc = window_metrics(probs, dataset, args.threshold, args.per_patient)
-    metrics = {
+    _write_json(args.out, {
         "accuracy": acc,
         "auc": auc,
         "n_windows": len(dataset),
         "threshold": args.threshold,
-    }
-    with Path(args.out).open("w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        args.out, "eval", {"per_patient": args.per_patient},
-        [args.model, args.test], [args.out], None, t0,
-    )
+    })
     print(f"accuracy {acc:.4f}, auc {auc:.4f} over {len(dataset)} windows")
+    return RunRecord({"per_patient": args.per_patient}, [args.model, args.test], [args.out])
 
 
-def _cmd_sweep(args) -> None:
-    t0 = time.time()
+def _cmd_sweep(args) -> RunRecord:
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.test)
     days = _parse_days(args.days)
@@ -379,15 +369,12 @@ def _cmd_sweep(args) -> None:
         SWEEP_HEADER,
         [[r.days, r.n_windows, repr(r.accuracy), repr(r.auc)] for r in rows],
     )
-    _write_manifest(
-        args.out, "sweep", {"days": list(days), "per_patient": args.per_patient},
-        [args.model, args.test], [args.out], None, t0,
-    )
     print(f"wrote {len(rows)} sweep rows to {args.out}")
+    return RunRecord({"days": list(days), "per_patient": args.per_patient},
+                     [args.model, args.test], [args.out])
 
 
-def _cmd_embed(args) -> None:
-    t0 = time.time()
+def _cmd_embed(args) -> RunRecord:
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.data)
     dataset = windows_from_cohort(
@@ -403,16 +390,12 @@ def _cmd_embed(args) -> None:
         for i in range(len(dataset))
     ]
     _write_rows(args.out, EMBEDDING_HEADER, rows)
-    _write_manifest(
-        args.out, "embed",
-        {"perplexity": args.perplexity, "iters": args.iters, "days": args.days},
-        [args.model, args.data], [args.out], args.seed, t0,
-    )
     print(f"embedded {len(rows)} windows; final KL {result.kl_history[-1]:.4f}")
+    return RunRecord({"perplexity": args.perplexity, "iters": args.iters, "days": args.days},
+                     [args.model, args.data], [args.out], args.seed)
 
 
-def _cmd_plot(args) -> None:
-    t0 = time.time()
+def _cmd_plot(args) -> RunRecord:
     path = args.input
     if args.kind == "sweep":
         rows = _read_rows(path, SWEEP_HEADER)
@@ -449,10 +432,8 @@ def _cmd_plot(args) -> None:
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown plot kind {args.kind}")
     Path(args.out).write_text(content, encoding="utf-8")
-    _write_manifest(
-        args.out, "plot", {"kind": args.kind}, [args.input], [args.out], None, t0
-    )
     print(f"wrote {args.kind} chart to {args.out}")
+    return RunRecord({"kind": args.kind}, [args.input], [args.out])
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +535,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
-        args.func(args)
+        record = args.func(args)
+        if record is not None:
+            _write_manifest(args.command, record, time.perf_counter() - t0)
     except (VitalnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -164,12 +164,6 @@ class SynthConfig:
         return sum(sum(g.patients_per_bin) * (g.stay_days[1] * 24 * 60 / cadence + 1)
                    for g in self.groups)
 
-    def group(self, label: int) -> GroupSpec:
-        for g in self.groups:
-            if g.label == label:
-                return g
-        raise KeyError(label)
-
     # -- JSON round trip ----------------------------------------------------
 
     @classmethod

@@ -46,19 +46,6 @@ MAX_ITERS = 100_000
 
 
 @dataclass
-class AffinityMatrix:
-    """Symmetric joint probabilities P (zero diagonal, total mass 1)."""
-
-    P: np.ndarray
-    perplexity: float
-
-    def __post_init__(self):
-        n = self.P.shape[0]
-        if self.P.shape != (n, n):
-            raise ValidationError("affinity matrix must be square")
-
-
-@dataclass
 class Embedding:
     Y: np.ndarray
     kl_history: list[float]
@@ -157,9 +144,9 @@ def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return out
 
 
-def symmetrize(cond: np.ndarray, perplexity: float = 0.0) -> AffinityMatrix:
+def symmetrize(cond: np.ndarray) -> np.ndarray:
     """Joint P = (P_j|i + P_i|j) / (2n), floored off-diagonal for gradient
-    stability and renormalized to total mass 1.
+    stability and renormalized to total mass 1: symmetric, zero diagonal.
     """
     n = cond.shape[0]
     p = (cond + cond.T) / (2.0 * n)
@@ -167,11 +154,11 @@ def symmetrize(cond: np.ndarray, perplexity: float = 0.0) -> AffinityMatrix:
     p[off] = np.maximum(p[off], _P_FLOOR)
     np.fill_diagonal(p, 0.0)
     p /= p.sum()
-    return AffinityMatrix(P=p, perplexity=perplexity)
+    return p
 
 
-def joint_affinities(x: np.ndarray, perplexity: float) -> AffinityMatrix:
-    return symmetrize(conditional_affinities(x, perplexity), perplexity)
+def joint_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
+    return symmetrize(conditional_affinities(x, perplexity))
 
 
 def _student_t_q(y: np.ndarray, out=None):
@@ -255,7 +242,7 @@ def embed(
     require("embed: iters", iters, numbers.Integral, 1, MAX_ITERS)
     if seed < 0:
         raise ValidationError(f"embed: seed must be >= 0, got {seed}")
-    p = joint_affinities(x, perplexity).P
+    p = joint_affinities(x, perplexity)
     p_exaggerated = p * EARLY_EXAGGERATION
     # one scratch serves the gradient multiplier and the KL terms: the KL is
     # taken after the kernel is built and before the next gradient

@@ -172,11 +172,11 @@ def test_criterion_5_tsne_correctness():
         x = rng.standard_normal((60, 10))
         cond = conditional_affinities(x, 15.0)
         assert np.abs(realized_perplexities(cond) - 15.0).max() <= PERPLEXITY_TOL
-        joint = joint_affinities(x, 15.0).P
+        joint = joint_affinities(x, 15.0)
         assert abs(joint.sum() - 1.0) <= 1e-9
         # KL gradient vs central differences at n = 20
         x20 = rng.standard_normal((20, 5))
-        p20 = joint_affinities(x20, 6.0).P
+        p20 = joint_affinities(x20, 6.0)
         y20 = rng.standard_normal((20, 2))
         grad = kl_gradient(p20, y20)
         numeric = np.zeros_like(y20)

@@ -81,18 +81,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", [["synth", "--config"], ["train", "--model-config"]])
+    @pytest.mark.parametrize("command", [
+        ["synth", "--config"], ["train", "--model-config"],
+        # valid JSON that is not an object, with an override to merge into it
+        ["train", "--set", "conv1_filters=8", "--model-config"],
+        ["train", "--set-train", "epochs=1", "--train-config"],
+    ])
     def test_malformed_json_config_is_validation_error(
         self, tmp_path, small_cohort_csv, capsys, command
     ):
+        not_object = len(command) > 2
         bad = tmp_path / "bad.json"
-        bad.write_text('{"seed": 1,')
+        bad.write_text("[1, 2]" if not_object else '{"seed": 1,')
         out = tmp_path / "out"
         extra = ["--train", str(small_cohort_csv)] if command[0] == "train" else []
         code = run([*command, str(bad), *extra, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: malformed JSON") and "Traceback" not in err
+        message = (f"error: {bad}: expected a JSON object, got list" if not_object
+                   else "error: malformed JSON")
+        assert err.startswith(message) and "Traceback" not in err
         assert not out.exists()
 
     def test_checkpoint_without_shape_is_validation_error(

@@ -138,7 +138,7 @@ def reference_gradient(p, y):
 def reference_embed(x, perplexity, iters, seed, learning_rate=LEARNING_RATE):
     """The descent with Q built twice per iteration, once for the gradient
     and once for the KL, which it records after every iteration."""
-    p = symmetrize(reference_conditional_affinities(x, perplexity), perplexity).P
+    p = symmetrize(reference_conditional_affinities(x, perplexity))
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((x.shape[0], 2)) * 1e-4
     update = np.zeros_like(y)
@@ -256,17 +256,17 @@ class TestSymmetrize:
     def test_symmetric_input_becomes_conditional_over_n(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         cond = conditional_affinities(x, 2.0)  # already symmetric
-        joint = symmetrize(cond).P
+        joint = symmetrize(cond)
         assert np.allclose(joint, cond / 3.0, atol=1e-12)
 
     def test_total_mass_one(self):
         x = np.random.default_rng(5).standard_normal((30, 6))
-        joint = joint_affinities(x, 8.0).P
+        joint = joint_affinities(x, 8.0)
         assert abs(joint.sum() - 1.0) < 1e-9
 
     def test_exact_symmetry_and_zero_diagonal(self):
         x = np.random.default_rng(6).standard_normal((25, 4))
-        joint = joint_affinities(x, 7.0).P
+        joint = joint_affinities(x, 7.0)
         assert np.array_equal(joint, joint.T)
         assert np.all(np.diag(joint) == 0.0)
         off = ~np.eye(25, dtype=bool)
@@ -277,7 +277,7 @@ class TestKlGradient:
     def test_matches_finite_differences_n20(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((20, 5))
-        p = joint_affinities(x, 6.0).P
+        p = joint_affinities(x, 6.0)
         y = rng.standard_normal((20, 2))
         grad = kl_gradient(p, y)
         eps = 1e-6
@@ -299,7 +299,7 @@ class TestKlGradient:
                                             (12, 3, 1e8)])
     def test_match_reference_kernel(self, n, seed, far):
         rng = np.random.default_rng(seed)
-        p = joint_affinities(rng.standard_normal((n, 5)), 3.0).P
+        p = joint_affinities(rng.standard_normal((n, 5)), 3.0)
         p[0, 1] = p[1, 0] = 0.0  # a zero entry, left out of the KL sum
         y = rng.standard_normal((n, 2))
         y[-1] += far
@@ -312,7 +312,7 @@ class TestKlGradient:
     def test_kl_non_negative(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((15, 4))
-        p = joint_affinities(x, 5.0).P
+        p = joint_affinities(x, 5.0)
         for _ in range(5):
             assert kl_divergence(p, rng.standard_normal((15, 2))) >= 0.0
 
@@ -360,8 +360,8 @@ class TestEmbed:
         rng = np.random.default_rng(10)
         x, _ = two_blobs(n_per=15, d=12)
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        pa = joint_affinities(x, 8.0).P
-        pb = joint_affinities(x @ q.T, 8.0).P
+        pa = joint_affinities(x, 8.0)
+        pb = joint_affinities(x @ q.T, 8.0)
         assert np.abs(pa - pb).max() < 1e-12
 
     def test_exact_rigid_transform_gives_identical_embedding(self):
