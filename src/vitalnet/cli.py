@@ -27,7 +27,6 @@ from .data import (
     check_window_args,
     compute_channel_stats,
     load_cohort,
-    make_windows,
     resample,
     split_by_patient,
     write_cohort,
@@ -120,7 +119,7 @@ def _coerce(value: str):
     return value
 
 
-def _load_json_config(path, overrides: list[str]) -> dict:
+def _load_json_config(path, overrides: list[str], flag: str) -> dict:
     raw = {}
     if path:
         p = Path(path)
@@ -131,7 +130,7 @@ def _load_json_config(path, overrides: list[str]) -> dict:
             raise ValidationError(f"{p}: expected a JSON object, got {type(raw).__name__}")
     for item in overrides or []:
         if "=" not in item:
-            raise ValidationError(f"--set expects key=value, got {item!r}")
+            raise ValidationError(f"{flag} expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[key] = _coerce(value)
     return raw
@@ -303,16 +302,16 @@ def _cmd_split(args) -> RunRecord:
 
 
 def _cmd_train(args) -> RunRecord:
-    mcfg = ModelConfig.from_dict(_load_json_config(args.model_config, args.set))
-    tcfg = TrainConfig.from_dict(_load_json_config(args.train_config, args.set_train))
+    mcfg = ModelConfig.from_dict(_load_json_config(args.model_config, args.set, "--set"))
+    tcfg = TrainConfig.from_dict(
+        _load_json_config(args.train_config, args.set_train, "--set-train"))
     if args.seed is not None:
         mcfg.seed = args.seed
         tcfg.seed = args.seed
     check_window_args(args.window_len, args.stride)
     cohort = load_cohort(args.train)
-    series = [(p.patient_id, resample(p), p.label) for p in cohort.patients]
-    stats = compute_channel_stats([reg for _, reg, _ in series])
-    dataset = make_windows(series, args.window_len, args.stride, stats)
+    stats = compute_channel_stats([resample(p) for p in cohort.patients])
+    dataset = windows_from_cohort(cohort, stats, args.window_len, args.stride)
     params, history = train(dataset, mcfg, tcfg)
     preprocess = {
         "window_len": args.window_len,
@@ -377,9 +376,8 @@ def _cmd_sweep(args) -> RunRecord:
 def _cmd_embed(args) -> RunRecord:
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.data)
-    dataset = windows_from_cohort(
-        cohort, stats, window_len, stride, max_days=args.days
-    )
+    days = None if args.days is None else (args.days,)
+    dataset = windows_from_cohort(cohort, stats, window_len, stride, days)
     if len(dataset) < 4:
         raise ValidationError("embed: need at least 4 windows")
     features = extract_features(params, dataset)

@@ -7,8 +7,10 @@ with ISO-8601 UTC timestamps (e.g. 2020-03-21T14:00:00Z) and label in {0,1}.
 
 A patient is two arrays, `times` (datetime64[us], UTC) and `values` (n x 3),
 checked once when the record is built. Loading, writing and resampling work
-on whole arrays; `resample` averages each grid slot and forward-fills the
-empty ones.
+on whole arrays; `resample` averages each hourly slot and forward-fills the
+empty ones. `make_windows` windows the first `cut` slots of each grid, and
+each window records its end slot and its patient's grid length, which is
+what a day sweep selects on.
 
 The text path has one reader. `load_cohort` reads blocks of lines, split
 at commas until a block holds a quote or a CR and read by the csv module
@@ -104,10 +106,8 @@ class Cohort:
 
 @dataclass
 class RegularSeries:
-    """Regularly gridded T x 3 matrix (HR, SBP, DBP), no missing values."""
+    """Hourly gridded T x 3 matrix (HR, SBP, DBP), no missing values."""
 
-    start: np.datetime64
-    step: timedelta
     values: np.ndarray
 
     def __post_init__(self):
@@ -138,21 +138,22 @@ class WindowedDataset:
 
     X has shape (n, window_len, 3); y holds the owning patient's label per
     window; padded flags windows that were front-zero-padded because the
-    patient's series was shorter than window_len.
+    cut of the patient's series was shorter than window_len. ends holds each
+    window's end slot (one past its last, counted from the start of the
+    grid; a padded window ends at its cut) and lengths its patient's grid
+    length.
     """
 
     X: np.ndarray
     y: np.ndarray
     patient_ids: list[str]
     padded: np.ndarray
-    window_len: int
-    stats: ChannelStats
+    ends: np.ndarray
+    lengths: np.ndarray
 
     def __post_init__(self):
         if self.X.ndim != 3 or self.X.shape[2] != 3:
             raise ValidationError(f"X must be n x W x 3, got {self.X.shape}")
-        if self.X.shape[1] != self.window_len:
-            raise ValidationError("window length mismatch")
         if not np.isfinite(self.X).all():
             raise ValidationError("windows contain non-finite values")
 
@@ -446,23 +447,20 @@ def write_cohort(cohort: Cohort, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def resample(record: PatientRecord, step: timedelta = HOUR) -> RegularSeries:
-    """Average samples onto a regular grid from the first to the last
+def resample(record: PatientRecord) -> RegularSeries:
+    """Average samples onto an hourly grid from the first to the last
     timestamp; empty slots are forward-filled.
 
-    Slot t covers [start + t*step, start + (t+1)*step). Slot 0 holds the
+    Slot t covers [first + t hours, first + t+1 hours). Slot 0 holds the
     first sample, so every empty slot has a filled one before it.
     """
-    if step <= timedelta(0):
-        raise ValidationError(f"step must be positive, got {step}")
-    start = record.times[0]
-    slots = (record.times - start) // np.timedelta64(step)
+    slots = (record.times - record.times[0]) // np.timedelta64(HOUR)
     n_slots = int(slots[-1]) + 1
     counts = np.bincount(slots, minlength=n_slots)
     sums = np.column_stack([np.bincount(slots, col, n_slots) for col in record.values.T])
     # each slot reads the mean of the last filled slot at or before it
     src = np.maximum.accumulate(np.where(counts > 0, np.arange(n_slots), 0))
-    return RegularSeries(start=start, step=step, values=sums[src] / counts[src, None])
+    return RegularSeries(values=sums[src] / counts[src, None])
 
 
 def compute_channel_stats(train: list[RegularSeries]) -> ChannelStats:
@@ -489,42 +487,44 @@ def check_window_args(window_len, stride, source: str = "") -> None:
 
 
 def make_windows(
-    series: list[tuple[str, RegularSeries, int]],
+    series: list[tuple[str, RegularSeries, int, int]],
     window_len: int,
     stride: int,
     stats: ChannelStats,
 ) -> WindowedDataset:
-    """Slide fixed-length windows over each patient's normalized series.
+    """Slide fixed-length windows over the first `cut` slots of each
+    patient's normalized series; an entry is (patient_id, series, label, cut).
 
-    Patients shorter than window_len contribute one window, front-zero-padded
-    (zeros in normalized space equal the channel means) and flagged as padded.
+    Windows start at the first slot and step by stride. A cut shorter than
+    window_len gives one window, front-zero-padded (zeros in normalized space
+    equal the channel means) and flagged as padded.
     """
     check_window_args(window_len, stride)
-    xs, ys, pids, padded = [], [], [], []
-    for pid, reg, label in series:
-        norm = stats.normalize(reg.values)
+    xs, ys, pids, padded, ends, lengths = [], [], [], [], [], []
+    for pid, reg, label, cut in series:
+        norm = stats.normalize(reg.values[:cut])
         t = norm.shape[0]
         if t < window_len:
             win = np.zeros((window_len, 3))
             win[window_len - t :] = norm
             xs.append(win)
-            ys.append(label)
-            pids.append(pid)
-            padded.append(True)
-            continue
-        for lo in range(0, t - window_len + 1, stride):
-            xs.append(norm[lo : lo + window_len])
-            ys.append(label)
-            pids.append(pid)
-            padded.append(False)
+            stops = [t]
+        else:
+            stops = range(window_len, t + 1, stride)
+            xs += [norm[stop - window_len : stop] for stop in stops]
+        ys += [label] * len(stops)
+        pids += [pid] * len(stops)
+        padded += [t < window_len] * len(stops)
+        ends += stops
+        lengths += [len(reg)] * len(stops)
     X = np.stack(xs) if xs else np.zeros((0, window_len, 3))
     return WindowedDataset(
         X=X,
         y=np.array(ys, dtype=int),
         patient_ids=pids,
         padded=np.array(padded, dtype=bool),
-        window_len=window_len,
-        stats=stats,
+        ends=np.array(ends, dtype=int),
+        lengths=np.array(lengths, dtype=int),
     )
 
 

@@ -1,20 +1,22 @@
 """Metrics and the day-sweep experiment: accuracy, trapezoidal ROC AUC,
 window-level prediction, truncated-series sweeps, and penultimate-feature
-extraction for the t-SNE projection. Prediction and feature extraction share
-one chunked forward loop; the sweep scores each distinct window once.
+extraction for the t-SNE projection.
+
+`windows_from_cohort` is the one place a cohort becomes windows: training,
+eval, the sweep and embed all call it. Prediction and feature extraction
+share one chunked forward loop; the sweep scores its table of distinct
+windows once and selects each row's windows from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import timedelta
 
 import numpy as np
 
 from .data import (
     ChannelStats,
     Cohort,
-    RegularSeries,
     WindowedDataset,
     check_window_args,
     make_windows,
@@ -141,22 +143,28 @@ def windows_from_cohort(
     stats: ChannelStats,
     window_len: int,
     stride: int,
-    max_days: int | None = None,
+    days: tuple[int, ...] | None = None,
 ) -> WindowedDataset:
-    """Resample each patient hourly, optionally truncate to the first
-    max_days days (anchored at the first observation), and window.
+    """Every distinct window that some cut of the cohort's hourly grids
+    reads: a grid of len slots is cut to b = min(len, 24*N) slots for each N
+    in `days`, or not cut when `days` is None.
+
+    A cut reads the grid's windows that end at or before b, or, if
+    b < window_len, one front-padded window of the first b slots. So each
+    patient, resampled once and in cohort order, gives one padded window per
+    distinct cut shorter than window_len, then the windows that end at or
+    before its longest cut.
     """
-    if max_days is not None and max_days < 1:
-        raise ValidationError(f"number of days must be >= 1, got {max_days}")
-    series = []
+    if days is not None and min(days, default=1) < 1:
+        raise ValidationError(f"number of days must be >= 1, got {min(days)}")
+    check_window_args(window_len, stride)
+    entries = []
     for p in cohort.patients:
-        reg = resample(p, timedelta(hours=1))
-        if max_days is not None and len(reg) > max_days * 24:
-            reg = RegularSeries(
-                start=reg.start, step=reg.step, values=reg.values[: max_days * 24]
-            )
-        series.append((p.patient_id, reg, p.label))
-    return make_windows(series, window_len, stride, stats)
+        reg = resample(p)
+        cuts = [len(reg)] if days is None else sorted({min(len(reg), 24 * n) for n in days})
+        entries += [(p.patient_id, reg, p.label, b) for b in cuts
+                    if b < window_len or b == cuts[-1]]
+    return make_windows(entries, window_len, stride, stats)
 
 
 def day_sweep(
@@ -175,45 +183,21 @@ def day_sweep(
     windowed, and scored; patients shorter than N contribute their full
     (padded) length. Rows are emitted in ascending N.
 
-    Windows start at the first slot and step by `stride`, so the windows of a
-    series cut to b = min(len, 24*N) slots are the full series' windows that
-    end at or before b; if b < window_len, they are one front-padded window
-    of the first b slots instead. Each patient is resampled once, and one
-    table holds every distinct window: the full series' windows, tagged with
-    their end index, and one padded window per distinct b < window_len,
-    tagged with b. The table is scored in one `predict` call; each row of the
-    sweep selects, per patient, the windows that end at or before b, or the
-    padded window tagged b, in the order that windowing the cut series gives.
+    The windows of `windows_from_cohort(..., days)` are scored in one
+    `predict` call. The row for N selects, per patient, the windows that end
+    at or before b = min(len, 24*N), or the padded window that ends at b, in
+    the order that windowing the cut series gives.
     """
     if len(test_cohort) == 0:
         raise ValidationError("day_sweep: empty test cohort")
     days = sorted(days)
-    if days and days[0] < 1:
-        raise ValidationError(f"number of days must be >= 1, got {days[0]}")
-    check_window_args(window_len, stride)
-    series = [(p.patient_id, resample(p, timedelta(hours=1)), p.label)
-              for p in test_cohort.patients]
-    lengths = np.array([len(reg) for _, reg, _ in series])
-    # per patient, the series length kept for each N (24*N can exceed int64)
-    bounds = [np.minimum(lengths, min(24 * n, int(lengths.max()))) for n in days]
-    entries, owner, ends = [], [], []
-    for i, (pid, reg, label) in enumerate(series):
-        if len(reg) >= window_len:
-            entries.append((pid, reg, label))
-            n_full = (len(reg) - window_len) // stride + 1
-            owner += [i] * n_full
-            ends += range(window_len, window_len + n_full * stride, stride)
-        for cut in sorted({int(b[i]) for b in bounds if b[i] < window_len}):
-            entries.append((pid, RegularSeries(reg.start, reg.step, reg.values[:cut]), label))
-            owner.append(i)
-            ends.append(cut)
-    table = make_windows(entries, window_len, stride, stats)
+    table = windows_from_cohort(test_cohort, stats, window_len, stride, days)
     probs = predict(params, table)
-    owner, ends = np.array(owner, dtype=int), np.array(ends, dtype=int)
     rows = []
-    for n_days, bound in zip(days, bounds):
-        b = bound[owner]
-        idx = np.flatnonzero(np.where(table.padded, ends == b, ends <= b))
+    for n_days in days:
+        # 24*N can exceed int64; no cut is longer than the longest grid
+        b = np.minimum(table.lengths, min(24 * n_days, int(table.lengths.max())))
+        idx = np.flatnonzero(np.where(table.padded, table.ends == b, table.ends <= b))
         acc, auc = _metrics(probs[idx], table.y[idx], [table.patient_ids[i] for i in idx],
                             threshold, per_patient)
         rows.append(MetricsRow(days=n_days, n_windows=idx.size, accuracy=acc, auc=auc))

@@ -227,7 +227,6 @@ def embed(
     perplexity: float = 30.0,
     iters: int = 1000,
     seed: int = 0,
-    learning_rate: float = LEARNING_RATE,
 ) -> Embedding:
     """Project X to 2-D by KL descent with early exaggeration (x12 for the
     first 250 iterations), momentum 0.5 then 0.8 after iteration 250, and
@@ -260,7 +259,7 @@ def embed(
         momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
         gains = np.where((update * grad) < 0.0, gains + 0.2, gains * 0.8)
         np.clip(gains, MIN_GAIN, None, out=gains)
-        update = momentum * update - learning_rate * gains * grad
+        update = momentum * update - LEARNING_RATE * gains * grad
         y = y + update
         y = y - y.mean(axis=0)
         kernel = _student_t_q(y, kernel)

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from vitalnet.data import (
-    compute_channel_stats,
-    make_windows,
-    resample,
-    split_by_patient,
-)
+from vitalnet.data import compute_channel_stats, resample, split_by_patient
 from vitalnet.evaluate import predict, window_metrics, windows_from_cohort
 from vitalnet.nn import ModelConfig, TrainConfig, train
 from vitalnet.synth import default_config, generate_cohort
@@ -47,9 +42,8 @@ def pipeline(default_cohort) -> TrainedPipeline:
     """Default end-to-end run: 80/20 patient split, default configs."""
     t_start = time.time()
     train_cohort, test_cohort = split_by_patient(default_cohort, 0.8, seed=11)
-    series = [(p.patient_id, resample(p), p.label) for p in train_cohort.patients]
-    stats = compute_channel_stats([reg for _, reg, _ in series])
-    dataset = make_windows(series, WINDOW_LEN, STRIDE, stats)
+    stats = compute_channel_stats([resample(p) for p in train_cohort.patients])
+    dataset = windows_from_cohort(train_cohort, stats, WINDOW_LEN, STRIDE)
     t_train = time.time()
     params, history = train(dataset, ModelConfig(seed=7), TrainConfig(seed=7))
     train_seconds = time.time() - t_train

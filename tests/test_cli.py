@@ -426,6 +426,7 @@ class TestOutOfRangeValues:
             ["--seed", "-1"],
             ["--set", "dense1_units=64"],
             ["--set", "conv_activation=tanh"],
+            ["--set-train", "epochs"],
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, small_cohort_csv, capsys, flags):
@@ -435,6 +436,8 @@ class TestOutOfRangeValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if flags[0].startswith("--set") and "=" not in flags[1]:  # names its flag
+            assert err.startswith(f"error: {flags[0]} expects key=value")
         assert not out.exists()
 
     # sizes past NumPy's limits used to end in ValueError/OverflowError

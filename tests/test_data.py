@@ -178,24 +178,24 @@ class TestLoadCohort:
 class TestResample:
     def test_mean_within_slot(self):
         rec = record(hours_hr=[(0, 80.0), (0.25, 82.0), (0.5, 84.0), (0.75, 86.0)])
-        reg = resample(rec, HOUR)
+        reg = resample(rec)
         assert len(reg) == 1
         assert reg.values[0, 0] == pytest.approx(83.0)
 
     def test_single_sample_identity(self):
-        reg = resample(record(hours_hr=[(0, 77.0)]), HOUR)
+        reg = resample(record(hours_hr=[(0, 77.0)]))
         assert len(reg) == 1
         assert reg.values[0].tolist() == [77.0, 120.0, 70.0]
 
     def test_gap_forward_filled(self):
-        reg = resample(record(hours_hr=[(0, 80.0), (2, 90.0)]), HOUR)
+        reg = resample(record(hours_hr=[(0, 80.0), (2, 90.0)]))
         assert len(reg) == 3
         assert reg.values[1, 0] == 80.0  # forward fill
         assert reg.values[2, 0] == 90.0
 
     def test_length_is_spanned_slots(self):
         # slots cover [first, last] inclusive: floor(span/step) + 1
-        reg = resample(record(hours_hr=[(0, 80.0), (2.5, 90.0)]), HOUR)
+        reg = resample(record(hours_hr=[(0, 80.0), (2.5, 90.0)]))
         assert len(reg) == 3
         assert np.isfinite(reg.values).all()
 
@@ -203,7 +203,7 @@ class TestResample:
         rng = np.random.default_rng(0)
         hours = np.cumsum(rng.uniform(0.1, 3.0, size=40))
         rec = record(hours_hr=[(h, 60 + 30 * rng.random()) for h in hours])
-        reg = resample(rec, HOUR)
+        reg = resample(rec)
         span = rec.times[-1] - rec.times[0]
         assert len(reg) == int(span / np.timedelta64(HOUR)) + 1
         assert np.isfinite(reg.values).all()
@@ -211,13 +211,13 @@ class TestResample:
 
 class TestChannelStats:
     def test_constant_channel_rejected(self):
-        reg = resample(record(hours_hr=[(0, 80.0), (1, 80.0)]), HOUR)
+        reg = resample(record(hours_hr=[(0, 80.0), (1, 80.0)]))
         with pytest.raises(ValidationError, match="zero-variance"):
             compute_channel_stats([reg])
 
     def test_two_point(self):
         rec = patient([(0, 70, 100, 60), (1, 90, 140, 80)])
-        stats = compute_channel_stats([resample(rec, HOUR)])
+        stats = compute_channel_stats([resample(rec)])
         assert stats.mean[0] == pytest.approx(80)
         assert stats.std[0] == pytest.approx(10)
 
@@ -233,7 +233,7 @@ class TestChannelStats:
                 ],
                 pid=f"p{i}",
             )
-            series.append(resample(rec, HOUR))
+            series.append(resample(rec))
         stats = compute_channel_stats(series)
         cells = np.concatenate([stats.normalize(s.values) for s in series])
         assert np.abs(cells.mean(axis=0)).max() < 1e-9
@@ -250,7 +250,7 @@ def _series_of_length(n_slots, pid="p1", label=0, seed=0):
         pid=pid,
         label=label,
     )
-    return resample(rec, HOUR)
+    return resample(rec)
 
 
 def _stats():
@@ -260,19 +260,22 @@ def _stats():
 class TestMakeWindows:
     def test_window_count(self):
         reg = _series_of_length(240)
-        ds = make_windows([("p1", reg, 0)], 48, 24, _stats())
+        ds = make_windows([("p1", reg, 0, 240)], 48, 24, _stats())
         assert len(ds) == 9  # floor((240-48)/24) + 1
+        assert ds.ends.tolist() == list(range(48, 241, 24))
+        assert ds.lengths.tolist() == [240] * 9
 
     def test_short_patient_padded(self):
         reg = _series_of_length(10)
-        ds = make_windows([("p1", reg, 1)], 48, 24, _stats())
+        ds = make_windows([("p1", reg, 1, 10)], 48, 24, _stats())
         assert len(ds) == 1
         assert ds.padded[0]
+        assert ds.ends.tolist() == [10] and ds.lengths.tolist() == [10]
         assert np.all(ds.X[0, :38, :] == 0.0)
         assert not np.all(ds.X[0, 38:, :] == 0.0)
 
     def test_label_inheritance(self):
-        ds = make_windows([("p1", _series_of_length(240), 1)], 48, 24, _stats())
+        ds = make_windows([("p1", _series_of_length(240), 1, 240)], 48, 24, _stats())
         assert set(ds.y.tolist()) == {1}
 
     def test_empty_input_ok(self):

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vitalnet.evaluate as evaluate
-from vitalnet.data import ChannelStats, WindowedDataset, compute_channel_stats, resample
+from vitalnet.data import (
+    RegularSeries,
+    WindowedDataset,
+    compute_channel_stats,
+    make_windows,
+    resample,
+)
 from vitalnet.errors import ValidationError
 from vitalnet.evaluate import (
     DEFAULT_DAYS,
@@ -48,8 +54,8 @@ def make_dataset(n=12, window_len=16, seed=0):
         y=np.arange(n) % 2,
         patient_ids=[f"p{i // 3}" for i in range(n)],
         padded=np.zeros(n, dtype=bool),
-        window_len=window_len,
-        stats=ChannelStats(mean=np.zeros(3), std=np.ones(3)),
+        ends=np.full(n, window_len),
+        lengths=np.full(n, window_len),
     )
 
 
@@ -232,6 +238,26 @@ class TestDaySweep:
             MetricsRow(days=2, n_windows=5, accuracy=1.5, auc=0.5)
 
 
+def reference_windows(cohort, stats, window_len, stride, max_days=None):
+    """The truncate-then-window path the window table replaced: resample each
+    patient, cut its series to the first max_days days, and window the cut."""
+    series = []
+    for p in cohort.patients:
+        reg = resample(p)
+        if max_days is not None and len(reg) > max_days * 24:
+            reg = RegularSeries(values=reg.values[: max_days * 24])
+        series.append((p.patient_id, reg, p.label, len(reg)))
+    return make_windows(series, window_len, stride, stats)
+
+
+def assert_same_windows(got, want):
+    assert np.array_equal(got.X, want.X)
+    assert np.array_equal(got.y, want.y)
+    assert got.patient_ids == want.patient_ids
+    assert np.array_equal(got.padded, want.padded)
+    assert np.array_equal(got.ends, want.ends)
+
+
 class TestWindowsFromCohort:
     def test_short_patients_padded_not_dropped(self):
         cfg = default_config()
@@ -239,13 +265,24 @@ class TestWindowsFromCohort:
             g.patients_per_bin = [1, 0, 0, 0]
             g.stay_days = (3, 4)
         cohort = generate_cohort(cfg)
-        from vitalnet.data import compute_channel_stats, resample
-
         stats = compute_channel_stats([resample(p) for p in cohort.patients])
         # truncate to 1 day (24 slots), below the 48-slot window
-        ds = windows_from_cohort(cohort, stats, 48, 24, max_days=1)
+        ds = windows_from_cohort(cohort, stats, 48, 24, days=(1,))
         assert len(ds) == len(cohort.patients)
         assert ds.padded.all()
+        assert_same_windows(ds, reference_windows(cohort, stats, 48, 24, max_days=1))
+
+    @pytest.mark.parametrize("window_len,stride", [(48, 24), (16, 24), (10, 5)])
+    @pytest.mark.parametrize("max_days", [None, 1, 2, 3, 40])
+    def test_one_cut_matches_truncate_then_window(self, short_cohort, window_len, stride,
+                                                  max_days):
+        cohort, stats = short_cohort
+        days = None if max_days is None else (max_days,)
+        got = windows_from_cohort(cohort, stats, window_len, stride, days)
+        assert_same_windows(got, reference_windows(cohort, stats, window_len, stride,
+                                                   max_days))
+        lengths = {p.patient_id: len(resample(p)) for p in cohort.patients}
+        assert got.lengths.tolist() == [lengths[pid] for pid in got.patient_ids]
 
 
 def reference_day_sweep(params, cohort, stats, window_len, stride, days,
@@ -255,7 +292,7 @@ def reference_day_sweep(params, cohort, stats, window_len, stride, days,
     (probabilities, labels, patient ids)."""
     rows, scored = [], []
     for n_days in sorted(days):
-        ds = windows_from_cohort(cohort, stats, window_len, stride, max_days=n_days)
+        ds = reference_windows(cohort, stats, window_len, stride, max_days=n_days)
         probs = predict(params, ds)
         acc, auc = window_metrics(probs, ds, threshold, per_patient)
         rows.append(MetricsRow(days=n_days, n_windows=len(ds), accuracy=acc, auc=auc))
@@ -327,4 +364,19 @@ class TestDaySweepOracle:
     def test_short_cohort_has_padded_windows(self, short_cohort):
         cohort, stats = short_cohort
         assert windows_from_cohort(cohort, stats, 48, 24).padded.sum() >= 2
-        assert windows_from_cohort(cohort, stats, 48, 24, max_days=1).padded.all()
+        assert windows_from_cohort(cohort, stats, 48, 24, days=(1,)).padded.all()
+
+    def test_scores_only_windows_some_row_reads(self, monkeypatch, pipeline):
+        sizes = []
+
+        def recording(params, dataset):
+            sizes.append(len(dataset))
+            return predict(params, dataset)
+
+        monkeypatch.setattr(evaluate, "predict", recording)
+        day_sweep(pipeline.params, pipeline.test_cohort, pipeline.stats, 48, 24, days=(2, 4))
+        read = set()
+        for n_days in (2, 4):
+            ds = reference_windows(pipeline.test_cohort, pipeline.stats, 48, 24, n_days)
+            read.update((pid, x.tobytes()) for pid, x in zip(ds.patient_ids, ds.X))
+        assert sizes == [len(read)]

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vitalnet.data import ChannelStats, WindowedDataset
+from vitalnet.data import WindowedDataset
 from vitalnet.errors import ValidationError, require
 from vitalnet.nn import (
     AdamState,
@@ -45,8 +45,8 @@ def make_dataset(n_windows=40, window_len=24, separation=0.0, seed=0):
         y=y,
         patient_ids=[f"p{i}" for i in range(n_windows)],
         padded=np.zeros(n_windows, dtype=bool),
-        window_len=window_len,
-        stats=ChannelStats(mean=np.zeros(3), std=np.ones(3)),
+        ends=np.full(n_windows, window_len),
+        lengths=np.full(n_windows, window_len),
     )
 
 
