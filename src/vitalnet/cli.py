@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -20,6 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 
 from . import __version__, svg
 from .data import (
@@ -155,19 +157,45 @@ def _parse_days(spec: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+# the names under which OpenBLAS builds export openblas_get_corename
+_CORENAME = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+             "openblas_get_corename")
+
+
+def _openblas_core() -> str | None:
+    """The kernel family OpenBLAS picked for this CPU (e.g. 'SkylakeX'), asked
+    of the OpenBLAS that NumPy's wheel bundles; None without one."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the loaded library: dlopen shares its handle
+        except OSError:
+            continue
+        for name in _CORENAME:
+            if corename := getattr(lib, name, None):
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 @functools.cache
 def _numpy_build() -> dict:
-    """NumPy's version and the BLAS it was built with, read once per process."""
+    """NumPy's version, the BLAS it was built with and the kernels it picked:
+    the SIMD target of float64 exp, log and tanh, and OpenBLAS's core. Read
+    once per process."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    loops = opt_func_info(func_name="^(exp|log|tanh)$")
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "simd": {name: loops[name].get("dd", {}).get("current") for name in sorted(loops)},
+            "openblas_core": _openblas_core()}
 
 
 def _environment() -> dict:
-    """What the bits of a float result depend on besides the inputs: the BLAS
-    kernels and the thread counts they may split a reduction over."""
+    """What the bits of a float result depend on besides the inputs: the SIMD
+    and BLAS kernels, and the thread counts they may split a reduction over."""
+    variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")
     return {
         **_numpy_build(),
-        **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        **{var: os.environ.get(var) for var in variables},
         "cpu_count": os.cpu_count(),
     }
 

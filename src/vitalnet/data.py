@@ -17,8 +17,11 @@ at commas until a block holds a quote or a CR and read by the csv module
 from there on, and checks canonical stamps by arithmetic on their bytes; a
 block that holds another stamp form is parsed one stamp at a time. An error
 names the first bad line, as a reader of one row at a time would.
-`write_cohort` joins each patient's lines into one string, with the id
-quoted as `csv.writer` would.
+`write_cohort` formats up to `_CHUNK_ROWS` of a patient's rows at once in
+a byte array, by table lookups and integer arithmetic, with the id quoted
+as `csv.writer` would; a block holding a value that is not a whole number
+of hundredths below 1e13, or a stamp outside years 1-9999, is formatted one
+`repr` per value, with the same bytes.
 """
 
 from __future__ import annotations
@@ -221,11 +224,13 @@ def _parse_stamps(stamps: list[str]) -> np.ndarray | None:
 
 
 def _ints(raw: list[str], dtype) -> np.ndarray:
-    """`raw` as narrow `dtype` ints, or as Python ints if one does not fit."""
+    """`raw` as narrow `dtype` ints, or as Python ints if one does not fit;
+    each distinct string is parsed once."""
+    parsed = {text: int(text) for text in set(raw)}
     try:
-        return np.fromiter(map(int, raw), dtype, len(raw))
+        return np.fromiter(map(parsed.__getitem__, raw), dtype, len(raw))
     except OverflowError:
-        return np.array(list(map(int, raw)), object)
+        return np.array(list(map(parsed.__getitem__, raw)), object)
 
 
 def _parse_block(flat: list[str]) -> tuple | None:
@@ -237,7 +242,7 @@ def _parse_block(flat: list[str]) -> tuple | None:
     try:
         if times is None:  # the line is named when the row is re-read
             times = np.array([_parse_timestamp(stamp, 0) for stamp in stamps])
-        values = np.array([list(map(float, col)) for col in (hr, sbp, dbp)]).T
+        values = np.fromiter(map(float, hr + sbp + dbp), float, 3 * len(hr)).reshape(3, -1).T
         return pids, times, values, _ints(ages, np.int16), _ints(labels, np.int8)
     except (ValueError, ParseError):
         return None
@@ -421,25 +426,129 @@ def _csv_field(text) -> str:
     return buf.getvalue()[:-3]
 
 
+# The writer's fast path lays a row out as little-endian 4-byte words, each
+# looked up whole in a table, beside a word of 0/1 flags marking the bytes
+# it keeps. A "_" below is a padding byte, never kept.
+_WORD = np.dtype("<u4")
+
+
+def _words(table) -> np.ndarray:
+    """A table of 4-byte rows as one word each."""
+    return np.ascontiguousarray(table, np.uint8).view(_WORD).ravel()
+
+
+def _text_words(texts) -> np.ndarray:
+    """Texts of 4 bytes as one word each."""
+    return np.frombuffer("".join(texts).encode(), _WORD)
+
+
+# int16, so that no temporary reaches 128 KiB: freeing one would raise
+# glibc's mmap threshold for the whole process
+_FOUR_DIGITS, _PLACES = np.arange(10_000, dtype=np.int16)[:, None], np.int16([1000, 100, 10, 1])
+_GROUPS = _words(_FOUR_DIGITS // _PLACES % 10 + 48)  # '0000' to '9999'
+_LEADING = _words(_FOUR_DIGITS >= _PLACES)  # the digits that n prints
+_GROUP_BASES = 10_000 ** np.arange(3, -1, -1)  # an integer part below 1e13 has <= 4 groups
+_CENTS = _text_words(f".{i:02d}," for i in range(100))
+_CENTS_KEPT = _words([[1, 1, i % 10 != 0, 1] for i in range(100)])  # '.30,' prints '.3,'
+_COLON = _text_words(f"{i:02d}:_" for i in range(60))  # hh: and mm:
+_ZULU = _text_words(f"{i:02d}Z," for i in range(60))
+_STAMP_KEPT = _words(np.frombuffer(b"YYYY-MM-DDT_hh:_mm:_ssZ,", np.uint8) != ord("_"))
+_DAYS = (-719162, 2932896)  # 0001-01-01 and 9999-12-31, in days since 1970-01-01
+
+
+def _padded(text: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """`text` as words padded with NULs, and the flags of its own bytes."""
+    padding = -len(text) % 4
+    return (np.frombuffer(text + bytes(padding), _WORD),
+            _words(np.arange(len(text) + padding) < len(text)))
+
+
+def _pack_rows(head: bytes, tail: bytes, times: np.ndarray, values: np.ndarray):
+    """The CSV bytes of a block of one patient's rows, `head` (the id and its
+    comma) and `tail` (age, label, newline) being fixed; None unless every
+    value v is a whole number of hundredths, 0 < v < 1e13, and every stamp
+    falls in years 1-9999.
+
+    Then `repr(v)` is k // 100, a point and k % 100 with one trailing zero
+    dropped, for k = rint(100 v): any other decimal of as few digits is
+    >= 0.01 from k / 100, while floats below 1e13 are <= 2**-9 apart. A row
+    is the words of the head, 'YYYY' '-MM-' 'DDT_' 'hh:_' 'mm:_' 'ssZ,', per
+    value its integer part in 4-digit groups and '.cc,', and the tail. The
+    bytes kept are those the layout keeps, whatever they hold: no padding,
+    no leading zero of an integer part, no trailing zero of the hundredths.
+    Each day's date is formatted once. With the default `_CHUNK_ROWS`, a
+    layout under 128 bytes a row (64 for synth rows) keeps every array
+    under glibc's 128 KiB mmap threshold.
+    """
+    if not ((values > 0) & (values < 1e13)).all():
+        return None
+    cents = np.rint(values * 100)
+    if not (cents / 100 == values).all():
+        return None
+    # whole seconds, floored as datetime_as_string floors them
+    days, second = np.divmod(times.view(np.int64) // 1_000_000, 86400)
+    days, day_of = np.unique(days, return_inverse=True)
+    if days[0] < _DAYS[0] or days[-1] > _DAYS[1]:
+        return None
+    dates = np.full((len(days), 12), ord("T"), np.uint8)
+    dates[:, :10] = np.datetime_as_string(days.astype("datetime64[D]")).astype("S10").view(
+        np.uint8).reshape(-1, 10)
+    whole, cent = np.divmod(cents.astype(np.int64), 100)
+    groups = -(-len(str(whole.max())) // 4)  # 4-digit groups of the longest integer part
+
+    n, (head, head_kept), (tail, tail_kept) = len(times), _padded(head), _padded(tail)
+    stamp, at, size = len(head), len(head) + 6, 3 * (groups + 1)  # word offsets and count
+    rows = np.empty((n, at + size + len(tail)), _WORD)
+    kept = np.empty_like(rows)
+    rows[:, :stamp], kept[:, :stamp] = head, head_kept
+    rows[:, at + size:], kept[:, at + size:] = tail, tail_kept
+    rows[:, stamp:stamp + 3] = dates.view(_WORD)[day_of]
+    rows[:, stamp + 3] = _COLON[second // 3600]
+    rows[:, stamp + 4] = _COLON[second // 60 % 60]
+    rows[:, stamp + 5] = _ZULU[second % 60]
+    kept[:, stamp:at] = _STAMP_KEPT
+    for j, base in enumerate(_GROUP_BASES[-groups:]):  # word j of each value
+        # the group holds count's last 4 digits and prints those below its
+        # leading zeros; the last group prints at least its units digit
+        count = whole // base
+        words = slice(at + j, at + size, groups + 1)
+        rows[:, words] = _GROUPS[count % 10_000]
+        kept[:, words] = _LEADING[np.maximum(np.minimum(count, 9999), j == groups - 1)]
+    words = slice(at + groups, at + size, groups + 1)
+    rows[:, words], kept[:, words] = _CENTS[cent], _CENTS_KEPT[cent]
+    return rows.view(np.uint8)[kept.view(bool)]
+
+
+def _join_rows(head: str, tail: str, times: np.ndarray, values: np.ndarray) -> str:
+    """The general formatter: a block of rows as text, one `repr` per value."""
+    stamps = np.datetime_as_string(times, unit="s").tolist()
+    return "".join([f"{head}{stamp}Z,{hr!r},{sbp!r},{dbp!r},{tail}"
+                    for stamp, (hr, sbp, dbp) in zip(stamps, values.tolist())])
+
+
 def write_cohort(cohort: Cohort, path) -> None:
     """Write a cohort CSV with the bytes `csv.writer` gives: timestamps in
-    whole UTC seconds with a Z suffix, floats in shortest round-trip form.
+    whole UTC seconds (floored) with a Z suffix, floats in shortest
+    round-trip form.
 
-    A patient's lines are joined and written `_CHUNK_ROWS` at a time, so
-    each string stays short for any stay. Only the patient id can need
-    quoting: `_csv_field` formats it once per patient, a lone CR quoted too.
+    A patient's rows are formatted and written `_CHUNK_ROWS` at a time, so
+    a block stays small for any stay: by `_pack_rows` in one byte matrix,
+    or by `_join_rows` if a value or stamp is off its fast path. Only the
+    patient id can need quoting: `_csv_field` formats it once per patient,
+    a lone CR quoted too.
     """
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(CSV_HEADER) + "\n").encode())
         for p in cohort.patients:
-            pid, tail = _csv_field(p.patient_id), f",{p.age},{p.label}\n"
+            head, tail = _csv_field(p.patient_id) + ",", f"{p.age},{p.label}\n"
+            fixed = head.encode(), tail.encode()
             for lo in range(0, len(p.times), _CHUNK_ROWS):
-                rows = slice(lo, lo + _CHUNK_ROWS)
-                stamps = np.datetime_as_string(p.times[rows], unit="s").tolist()
-                values = p.values[rows].tolist()
-                fh.write("".join([f"{pid},{stamp}Z,{hr!r},{sbp!r},{dbp!r}{tail}"
-                                  for stamp, (hr, sbp, dbp) in zip(stamps, values)]))
+                times, values = p.times[lo:lo + _CHUNK_ROWS], p.values[lo:lo + _CHUNK_ROWS]
+                block = _pack_rows(*fixed, times, values)
+                if block is None:
+                    block = _join_rows(head, tail, times, values).encode()
+                fh.write(block)
 
 
 # ---------------------------------------------------------------------------

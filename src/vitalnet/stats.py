@@ -9,6 +9,7 @@ dependency on scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,10 +118,12 @@ def t_sf(t: float, df: int) -> float:
     return tail if t > 0 else 1.0 - tail
 
 
+@functools.lru_cache(maxsize=256)
 def t_quantile(p: float, df: int) -> float:
     """Quantile of Student's t: the value q with P(T <= q) = p.
 
-    Solved by bisection on t_sf; deterministic and accurate to ~1e-12.
+    Solved by bisection on t_sf; deterministic and accurate to ~1e-12. A
+    report asks for the same (p, df) many times, so values are memoized.
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"t_quantile: p must be in (0, 1), got {p}")

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from vitalnet import __version__, svg, tsne
-from vitalnet.cli import run
+from vitalnet.cli import _openblas_core, run
 from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
@@ -329,6 +332,19 @@ class TestSplit:
         assert n_train + n_test == 8
         assert n_test >= 2
 
+    def test_default_cohort_split_bytes_pinned(self, tmp_path):
+        """`split` reads the default synth cohort and writes its halves: a
+        pin on the load -> write round trip at the CLI."""
+        cohort, tr, te = tmp_path / "c.csv", tmp_path / "tr.csv", tmp_path / "te.csv"
+        assert run(["synth", "--out", str(cohort)]) == 0
+        assert run(["split", "--cohort", str(cohort), "--seed", "11",
+                    "--train-out", str(tr), "--test-out", str(te)]) == 0
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (tr, te)]
+        assert digests == [
+            "7e8eb389f96d7e52ebbe9d2a235de663afbbfad7a2de3007013571849a129d75",
+            "8f42e56a9d9b8f918f8debbcc13cdbbf50e3d4e41d6ac1eb5aabc446b7d7219f",
+        ]
+
 
 class TestTrainEvalSweep:
     def test_train_writes_checkpoint_and_history(self, tmp_path, small_model):
@@ -631,6 +647,10 @@ class TestManifest:
             assert env["numpy"] == np.__version__
             assert env["blas"] and env["blas_version"]
             assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+            assert env["OPENBLAS_CORETYPE"] == os.environ.get("OPENBLAS_CORETYPE")
+            assert set(env["simd"]) == {"exp", "log", "tanh"}
+            assert all(isinstance(target, str) and target for target in env["simd"].values())
+            assert env["openblas_core"] == _openblas_core()
             assert env["cpu_count"] == os.cpu_count()
 
     def test_every_subcommand_pins_its_manifest(self, nine_runs):
@@ -642,6 +662,14 @@ class TestManifest:
             assert set(m) == self.MANIFEST_KEYS
             assert isinstance(m["duration_seconds"], float) and m["duration_seconds"] >= 0
             assert {k: m[k] for k in e} == e
+
+    def test_openblas_core_is_the_running_one(self):
+        """OpenBLAS reads OPENBLAS_CORETYPE as it loads, so a child process
+        forced onto the (x86-64) Haswell kernels records that core."""
+        code = "from vitalnet.cli import _environment; print(_environment()['openblas_core'])"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"), check=True)
+        assert child.stdout.strip() == ("Haswell" if _openblas_core() else "None")
 
     def test_no_manifest_without_a_report_or_after_a_failure(self, tmp_path, small_cohort_csv):
         d, cohort = tmp_path, str(small_cohort_csv)

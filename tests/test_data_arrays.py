@@ -441,6 +441,42 @@ class TestLoadErrorsOracle:
 tie_floats = st.integers(20_000, 250_000).map(lambda k: k / 1000)
 
 
+# hundredths (the block writer's arithmetic path) and other floats (its
+# repr path), from year 1000 on: strftime prints years below 1000 unpadded
+writer_values = st.one_of(st.integers(1, 10**6).map(lambda k: k / 100), st.floats(1e-3, 1e14))
+writer_starts = [datetime(1000, 1, 1, tzinfo=UTC), datetime(1969, 12, 31, 23, 59, 58, 500001,
+                 tzinfo=UTC), T0, datetime(9999, 12, 31, tzinfo=UTC)]
+
+
+class TestWriteOracle:
+    """The block writer against the row-at-a-time writer, on and off its fast path."""
+
+    @SETTINGS
+    @given(
+        chunk=st.integers(1, 9),
+        patients=st.lists(st.tuples(
+            st.sampled_from(writer_starts),
+            st.lists(st.tuples(st.integers(1, 10**6) | st.integers(1, 3600 * 10**6),
+                               writer_values, writer_values, writer_values),
+                     min_size=1, max_size=8),
+        ), min_size=1, max_size=3),
+    )
+    def test_same_bytes_as_row_writer(self, tmp_path, chunk, patients):
+        ref = []
+        for i, (start, rows) in enumerate(patients):
+            ts = start + timedelta(microseconds=1) * np.cumsum([row[0] for row in rows])
+            samples = [(t, hr, max(a, b), min(a, b) if a != b else a / 2)
+                       for t, (_, hr, a, b) in zip(ts, rows)]
+            ref.append((f"P{i}", 21 + i, i % 2, samples))
+        cohort = data.Cohort([
+            PatientRecord(pid, age, label, [to_datetime64(s[0]) for s in samples],
+                          [s[1:] for s in samples]) for pid, age, label, samples in ref])
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            write_cohort(cohort, tmp_path / "new.csv")
+        ref_write_cohort(ref, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestSynthOracle:
     @SETTINGS
     @given(x=st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True), tie_floats,

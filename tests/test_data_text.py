@@ -26,8 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vitalnet import data
-from vitalnet.data import CSV_HEADER, Cohort, PatientRecord, load_cohort, write_cohort
+from vitalnet.data import (CSV_HEADER, Cohort, PatientRecord, load_cohort, split_by_patient,
+                           write_cohort)
 from vitalnet.errors import ParseError, ValidationError
+from vitalnet.synth import default_config, generate_cohort
 
 HEADER = ",".join(CSV_HEADER) + "\n"
 ROW = "P0,2020-03-21T00:00:00Z,80.0,120.0,70.0,50,1\n"
@@ -309,6 +311,43 @@ IDS = ["", "a,b", 'say "hi"', '"', "cr\rid", "lf\nid", "crlf\r\nid", " lead", "t
        " both ", "été-中", "tab\tid", "semi;colon", "P0", "'q'", "\x00nul"]
 
 
+# stamps from the first to past the last year the fast path prints, with
+# fractions of a second before and after 1970
+STARTS = [np.datetime64(stamp, "us") for stamp in (
+    "0000-12-31T23:59:58", "0001-01-01T00:00:00", "1969-12-31T23:59:58.500001",
+    "2020-03-21T00:00:00", "9999-12-31T23:59:50")] + [np.datetime64(253402300800, "s")]
+HUNDREDTHS = (st.integers(1, 10**6) | st.integers(1, 10**15)).map(lambda k: k / 100)  # to 1e13
+OTHER_VALUES = st.one_of(
+    st.integers(1, 10**7).map(lambda k: k / 1000),  # 3 decimals
+    st.floats(1000, 1e20),
+    st.floats(5e-324, 0.01, exclude_max=True),
+    st.floats(0, exclude_min=True, allow_infinity=False),
+)
+# a patient's values: all on the fast path, or now and then off it
+WRITER_VALUES = st.sampled_from([HUNDREDTHS, st.one_of(HUNDREDTHS, HUNDREDTHS, OTHER_VALUES)])
+WRITER_IDS = st.sampled_from(IDS) | st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\r"), max_size=4)
+
+
+@st.composite
+def writer_cohorts(draw):
+    """Cohorts for the writer: ids that need quoting or hold NUL and
+    non-ASCII text; values on and off the fast path; stamps in years 0, 1,
+    9999 and 10000 and around 1970, a microsecond to days apart."""
+    patients = []
+    for i, pid in enumerate(draw(st.lists(WRITER_IDS, min_size=1, max_size=4, unique=True))):
+        n = draw(st.integers(1, 12))
+        steps = draw(st.lists(st.integers(1, 10**6) | st.integers(1, 3 * 86400 * 10**6),
+                              min_size=n, max_size=n))
+        times = draw(st.sampled_from(STARTS)) + np.cumsum(steps).astype("timedelta64[us]")
+        value, values = draw(WRITER_VALUES), []
+        for _ in range(n):
+            hr, a, b = draw(st.tuples(value, value, value))
+            values.append([hr, max(a, b), min(a, b) if a != b else min(a, b) / 2])
+        patients.append(PatientRecord(pid, 21 + i, i % 2, times, values))
+    return Cohort(patients)
+
+
 def cohort_with_ids(ids):
     times = np.datetime64("2020-03-21T00:00:00", "us") + np.arange(3) * np.timedelta64(
         3601, "s")
@@ -354,6 +393,46 @@ class TestWriter:
     def test_empty_cohort_is_header_only(self, tmp_path):
         write_cohort(Cohort(), tmp_path / "c.csv")
         assert (tmp_path / "c.csv").read_text() == HEADER
+
+    @settings(max_examples=150, deadline=None)
+    @given(cohort=writer_cohorts(), chunk=st.integers(1, 9))
+    def test_property_same_bytes_as_oracle(self, tmp_path_factory, cohort, chunk):
+        d = tmp_path_factory.mktemp("w")
+        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+            write_cohort(cohort, d / "new.csv")
+        ref_write_cohort(cohort, d / "ref.csv")
+        assert (d / "new.csv").read_bytes() == ref_bytes(d / "ref.csv")
+
+    @pytest.mark.parametrize("v", [0.01, 0.05, 0.1, 0.5, 1.0, 9.99, 10.0, 87.3, 87.05, 100.1,
+                                   999.99, 1000.0, 1e4, 12345.67, 99999999.99, 9999999999999.99])
+    def test_fast_path_is_repr(self, v):
+        times = np.array(["2020-03-21T00:00:00"], "datetime64[us]")
+        got = data._pack_rows(b"P,", b"50,1\n", times, np.array([[v, v, v]]))
+        assert got.tobytes() == f"P,2020-03-21T00:00:00Z,{v!r},{v!r},{v!r},50,1\n".encode()
+
+    @pytest.mark.parametrize("v", [0.001, 0.1 + 0.2, 87.301, 1e13, 1e16, 5e-324])
+    def test_other_values_fall_back(self, v):
+        times = np.array(["2020-03-21T00:00:00"], "datetime64[us]")
+        assert data._pack_rows(b"P,", b"50,1\n", times, np.array([[80.0, v, 1.0]])) is None
+
+    @pytest.mark.parametrize("stamp", ["0000-12-31T23:59:59", "10000-01-01T00:00:00"])
+    def test_stamps_outside_years_1_to_9999_fall_back(self, stamp):
+        times = np.array([stamp], "datetime64[us]")
+        assert data._pack_rows(b"P,", b"50,1\n", times, np.array([[80.0, 120.0, 70.0]])) is None
+
+    def test_synth_cohort_and_its_halves_never_fall_back(self, tmp_path):
+        cohort = generate_cohort(default_config())
+        halves = split_by_patient(cohort, 0.8, 11)
+        with mock.patch.object(data, "_join_rows", wraps=data._join_rows) as join_rows:
+            for i, part in enumerate([cohort, *halves]):
+                write_cohort(part, tmp_path / f"{i}.csv")
+            assert not join_rows.called
+            slow = Cohort([PatientRecord(p.patient_id, p.age, p.label, p.times, p.values + 1e-3)
+                           for p in cohort.patients[:2]])
+            write_cohort(slow, tmp_path / "slow.csv")  # values with 3 decimals
+            assert join_rows.called
+        ref_write_cohort(cohort, tmp_path / "ref.csv")
+        assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from vitalnet import stats
 from vitalnet.data import Cohort, PatientRecord
 from vitalnet.errors import ValidationError
 from vitalnet.stats import (
@@ -89,6 +90,24 @@ class TestTSf:
 
     def test_quantile_matches_scipy(self):
         assert t_quantile(0.975, 4) == pytest.approx(2.7764451, abs=1e-6)
+
+    def test_quantile_is_memoized(self, monkeypatch):
+        calls = []
+
+        def counted_sf(t, df):
+            calls.append((t, df))
+            return t_sf(t, df)
+
+        monkeypatch.setattr(stats, "t_sf", counted_sf)
+        first = t_quantile(0.9731, 13)
+        assert calls
+        calls.clear()
+        assert t_quantile(0.9731, 13) == first
+        assert calls == []
+        with pytest.raises(ValidationError):  # errors are raised on every call
+            t_quantile(1.0, 13)
+        with pytest.raises(ValidationError):
+            t_quantile(1.0, 13)
 
 
 class TestPointBiserial:
