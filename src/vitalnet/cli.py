@@ -63,6 +63,7 @@ EMBEDDING_HEADER = ["window_index", "patient_id", "label", "y1", "y2"]
 
 DEFAULT_WINDOW_LEN = 48  # hourly slots (2 days)
 DEFAULT_STRIDE = 24  # one day
+MAX_SWEEP_DAYS = 1000  # N values per sweep, ~70x the default 14
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,12 @@ def _parse_days(spec: str) -> tuple[int, ...]:
         start, end, step = values
         if step <= 0 or start <= 0 or end < start:
             raise ValidationError(f"bad day range {spec!r}")
-        return tuple(range(start, end + 1, step))
-    if min(values) < 1:
+        values = range(start, end + 1, step)
+    elif min(values) < 1:
         raise ValidationError(f"bad day list {spec!r}, every N must be >= 1")
+    # a slice, not len(), which overflows on a range past sys.maxsize
+    if values[MAX_SWEEP_DAYS:]:
+        raise ValidationError(f"day spec {spec!r} gives more than {MAX_SWEEP_DAYS} values")
     return tuple(values)
 
 
@@ -384,9 +388,9 @@ def _cmd_eval(args) -> RunRecord:
 
 
 def _cmd_sweep(args) -> RunRecord:
+    days = _parse_days(args.days)
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.test)
-    days = _parse_days(args.days)
     rows = day_sweep(
         params, cohort, stats, window_len, stride, days,
         threshold=args.threshold, per_patient=args.per_patient,

@@ -2,14 +2,13 @@
 
 Central differences on every parameter coordinate are compared against the
 backward pass for the mean BCE on a random mini-batch. Inputs whose ReLU
-pre-activations or max-pool windows sit too close to a kink/tie are
+pre-activations or max-pool pairs sit too close to a kink/tie are
 resampled, since the loss is not differentiable there.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ValidationError
 from .layers import conv1d_forward
@@ -62,7 +61,6 @@ def max_relative_error(
 
 def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     """Distance of the closest pre-activation to a ReLU kink or pool tie."""
-    cfg = params.config
     _, _, cache = forward(params, x)
     c1, c2, _, _, _, c5, _ = cache
     # conv2's (F, B, T) pre-activations, rebuilt from its cached input: the
@@ -70,17 +68,14 @@ def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     pre2, _ = conv1d_forward(c2[0], params.tensors["conv2_w"],
                              params.tensors["conv2_b"], relu=False)
     margin = min(float(np.abs(pre).min()) for pre in (c1[2], pre2, c5[2]))
-    if cfg.pool_size > 1:
-        # windowed along T: (F, B, T_out, size)
-        win = sliding_window_view(pre2, cfg.pool_size, axis=2)[:, :, :: cfg.pool_stride]
-        top2 = -np.partition(-win, 1, axis=3)[..., :2]
-        gap = top2[..., 0] - top2[..., 1]
-        # a window whose runner-up is <= 0 cannot tie: with the ReLU margin
-        # enforced, its max is either > margin above it or clipped by the
-        # ReLU after the pool, so only live pairs count
-        live = top2[..., 1] > 0
-        if live.any():
-            margin = min(margin, float(gap[live].min()))
+    t = pre2.shape[2]
+    first, second = pre2[..., 0 : t - 1 : 2], pre2[..., 1:t:2]
+    # a pair whose smaller slot is <= 0 cannot tie: with the ReLU margin
+    # enforced, its max is either > margin above it or clipped by the ReLU
+    # after the pool, so only live pairs count
+    live = np.minimum(first, second) > 0
+    if live.any():
+        margin = min(margin, float(np.abs(first - second)[live].min()))
     return margin
 
 

@@ -21,6 +21,9 @@ rebuilds it, because the model's forward pass holds every layer's cache until
 it returns, and a cached (K*C, B*T_out) copy per layer would add to the peak
 memory of every inference chunk.
 
+Max-pooling is the paper's, size 2 and stride 2: one np.maximum of the even
+and the odd time slots.
+
 The LSTM is feature-major: its state is (H, B) and its gates are a (T, 4H, B)
 buffer, so that the i, f, g and o gates of a step are contiguous (H, B)
 blocks (Appleyard, Kocisky & Blunsom 2016). The forward pass projects the
@@ -115,43 +118,32 @@ def conv1d_backward_input(dpre, cache):
 
 
 # ---------------------------------------------------------------------------
-# Max pooling (gradient routed to the first argmax of each window)
+# Max pooling (size 2, stride 2; a tie routes the gradient to the first slot)
 # ---------------------------------------------------------------------------
 
 
-def maxpool1d_forward(x, size: int, stride: int):
-    """x: (C, B, T) -> out (C, B, floor((T-size)/stride)+1).
+def maxpool1d_forward(x):
+    """x: (C, B, T) -> out (C, B, T // 2), the max of slots 2t and 2t+1; an
+    odd last slot is dropped.
 
-    A running strict `>` over the window offsets keeps the first argmax, as
-    `np.argmax` does; the output is the window maximum (a tie between 0.0
-    and -0.0 may return either sign).
+    The second slot wins only where it is strictly greater, so a tie routes to
+    the first, as `np.argmax` does (a tie between 0.0 and -0.0 may return
+    either sign). The cache holds where the second slot won.
     """
     t = x.shape[2]
-    if size < 1 or stride < 1:
-        raise ValidationError("maxpool1d: size and stride must be >= 1")
-    if t < size:
-        raise ValidationError(f"maxpool1d: input length {t} shorter than window {size}")
-    # offset j of every window is x[..., j : j + span : stride]
-    span = stride * ((t - size) // stride) + 1
-    out = x[..., :span:stride].copy()
-    # the narrowest dtype that holds every offset keeps the cached argmax small
-    offset = np.min_scalar_type(size - 1).type
-    arg = np.zeros(out.shape, dtype=offset)
-    for j in range(1, size):
-        cand = x[..., j : j + span : stride]
-        # j exceeds every earlier offset, so max() sets arg exactly where cand wins
-        np.maximum(arg, (cand > out) * offset(j), out=arg)
-        np.maximum(out, cand, out=out)
-    return out, (x.shape, size, stride, arg)
+    if t < 2:
+        raise ValidationError(f"maxpool1d: input length {t} shorter than window 2")
+    first, second = x[..., 0 : t - 1 : 2], x[..., 1:t:2]
+    return np.maximum(first, second), (x.shape, second > first)
 
 
 def maxpool1d_backward(dout, cache):
-    shape, size, stride, arg = cache
-    span = stride * (arg.shape[2] - 1) + 1
+    shape, second = cache
+    t = shape[2]
     dx = np.zeros(shape)
-    for j in range(size):
-        # windows whose argmax sits at offset j read x[..., j::stride]
-        dx[..., j : j + span : stride] += dout * (arg == j)
+    # added into zeros, not assigned, so a masked-out negative dout leaves 0.0
+    dx[..., 0 : t - 1 : 2] += dout * ~second
+    dx[..., 1:t:2] += dout * second
     return dx
 
 

@@ -24,16 +24,16 @@ N_CHANNELS = 3
 FEATURE_UNITS = 100  # width of dense1, the feature layer
 
 # upper bounds of the layer sizes, far above the paper's 32/64 filters,
-# kernel 5, pool 2 and hidden 64; they keep a config from reaching NumPy's
+# kernel 5 and hidden 64; they keep a config from reaching NumPy's
 # dimension or integer limits before any array is allocated
 MAX_WIDTH = 1024  # conv filters and LSTM units
 MAX_KERNEL = 64  # conv kernel widths
-MAX_POOL = 64  # pool size and stride
 
 # keys of the once-configurable layers, still read at their fixed values so
 # that older checkpoints and `--set` lines load
 FIXED_KEYS = {"dense1_units": FEATURE_UNITS, "dense2_units": 1,
-              "conv_activation": "relu", "dense1_activation": "relu"}
+              "conv_activation": "relu", "dense1_activation": "relu",
+              "pool_size": 2, "pool_stride": 2}
 
 # serialization order of the parameter tensors (row-major data)
 TENSOR_ORDER = (
@@ -57,8 +57,6 @@ class ModelConfig:
     conv1_kernel: int = 5
     conv2_filters: int = 64
     conv2_kernel: int = 5
-    pool_size: int = 2
-    pool_stride: int = 2
     lstm_hidden: int = 64
     seed: int = 0
 
@@ -68,13 +66,12 @@ class ModelConfig:
             if f.name == "seed":
                 require(f.name, self.seed, numbers.Integral, 0)
                 continue
-            hi = (MAX_KERNEL if f.name.endswith("kernel")
-                  else MAX_POOL if f.name.startswith("pool") else MAX_WIDTH)
+            hi = MAX_KERNEL if f.name.endswith("kernel") else MAX_WIDTH
             require(f.name, getattr(self, f.name), numbers.Integral, 1, hi)
 
     def min_window_len(self) -> int:
-        # smallest input length that survives both convs and the pool
-        return self.conv1_kernel + self.conv2_kernel - 2 + self.pool_size
+        # smallest input length that survives both convs and the size-2 pool
+        return self.conv1_kernel + self.conv2_kernel
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
@@ -177,8 +174,6 @@ def forward(params: ModelParams, x: np.ndarray):
     cfg = params.config
     t = params.tensors
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
     if x.ndim != 3 or x.shape[2] != N_CHANNELS:
         raise ValidationError(f"forward: expected (B, W, {N_CHANNELS}), got {x.shape}")
     if x.shape[1] < cfg.min_window_len():
@@ -191,7 +186,7 @@ def forward(params: ModelParams, x: np.ndarray):
     # max(relu(a), relu(b)), and conv2's full output is freed once pooled.
     a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"])
     pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], relu=False)
-    a3, c3 = layers.maxpool1d_forward(pre2, cfg.pool_size, cfg.pool_stride)
+    a3, c3 = layers.maxpool1d_forward(pre2)
     del pre2
     np.maximum(a3, 0.0, out=a3)
     h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])

@@ -5,7 +5,11 @@ random identifiers, so identical inputs yield byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ValidationError
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 40, 50, 70
@@ -79,6 +83,9 @@ class _Axes:
         pad_y = 0.06 * (y_hi - y_lo)
         self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
         self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
+        # finite values can still span more than the largest float
+        if not math.isfinite(self.x_hi - self.x_lo) or not math.isfinite(self.y_hi - self.y_lo):
+            raise ValidationError("plot: data range too wide to draw")
         self._frame(xlabel, ylabel)
 
     def px(self, x: float) -> float:

@@ -269,7 +269,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key,value", [("conv_activation", "tanh"), ("dense1_units", 64)]
+        "key,value", [("conv_activation", "tanh"), ("dense1_units", 64), ("pool_size", 3),
+                      ("pool_stride", 2**70), ("pool_size", True)]
     )
     def test_checkpoint_legacy_key_off_its_fixed_value_is_validation_error(
         self, tmp_path, small_cohort_csv, small_model, capsys, key, value
@@ -282,7 +283,8 @@ class TestExitCodes:
                     "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert err.startswith("error:") and f"{key} is fixed at" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_checkpoint_legacy_keys_at_fixed_values_evaluate_the_same(
@@ -292,7 +294,8 @@ class TestExitCodes:
         legacy = tmp_path / "legacy.json"
         doc = json.loads(small_model.read_text())
         doc["model_config"].update(dense1_units=100, dense2_units=1,
-                                   conv_activation="relu", dense1_activation="relu")
+                                   conv_activation="relu", dense1_activation="relu",
+                                   pool_size=2, pool_stride=2)
         legacy.write_text(json.dumps(doc))
         for model, out in zip((small_model, legacy), outs):
             assert run(["eval", "--model", str(model), "--test", str(small_cohort_csv),
@@ -412,6 +415,7 @@ class TestOutOfRangeValues:
             ["sweep", "--days", "2,0,4"],
             ["sweep", "--days", "0:4:2"],
             ["sweep", "--days", "two"],
+            ["sweep", "--days", "1:1000000000000:1"],
             ["sweep", "--threshold", "7"],
             ["eval", "--threshold", "7"],
             ["eval", "--threshold", "-0.1"],
@@ -425,8 +429,10 @@ class TestOutOfRangeValues:
         command, *flags = extra
         data_flag = "--data" if command == "embed" else "--test"
         out = tmp_path / "out.csv"
+        t0 = time.perf_counter()
         code = run([command, "--model", str(small_model), data_flag,
                     str(small_cohort_csv), *flags, "--out", str(out)])
+        assert time.perf_counter() - t0 < 2
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -442,6 +448,7 @@ class TestOutOfRangeValues:
             ["--seed", "-1"],
             ["--set", "dense1_units=64"],
             ["--set", "conv_activation=tanh"],
+            ["--set", "pool_size=3"],
             ["--set-train", "epochs"],
         ],
     )
@@ -538,9 +545,10 @@ class TestOutOfRangeValues:
         out = tmp_path / "model.json"
         code = run(["train", "--train", str(small_cohort_csv), *FAST_TRAIN,
                     "--set", "conv_activation=relu", "--set", "dense1_units=100",
-                    "--out", str(out)])
+                    "--set", "pool_size=2", "--set", "pool_stride=2", "--out", str(out)])
         assert code == 0
-        assert "conv_activation" not in json.loads(out.read_text())["model_config"]
+        written = json.loads(out.read_text())["model_config"]
+        assert not {"conv_activation", "dense1_units", "pool_size", "pool_stride"} & set(written)
 
 
 class TestEmbed:
@@ -630,8 +638,7 @@ class TestManifest:
                                  "outputs": outputs, "seed": seed, "tool_version": __version__}
         expected["train"]["config"] = {
             "model": {"conv1_filters": 4, "conv1_kernel": 5, "conv2_filters": 4,
-                      "conv2_kernel": 5, "pool_size": 2, "pool_stride": 2, "lstm_hidden": 8,
-                      "seed": 3},
+                      "conv2_kernel": 5, "lstm_hidden": 8, "seed": 3},
             "train": {"learning_rate": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
                       "batch_size": 32, "epochs": 2, "seed": 3},
             "preprocess": json.loads(Path(model).read_text())["preprocess"],
@@ -761,6 +768,7 @@ class TestPlot:
             (["4,9,0.5,0.5", "2,5,0.5,high"], "non-numeric value in column auc"),
             (["4,9,0.5,0.5", "2,5,nan,0.5"], "non-finite value in column accuracy"),
             (["inf,5,0.5,0.5"], "non-finite value in column days"),
+            (["1,5,1e308,0.5", "2,5,-1e308,0.5"], "data range too wide"),
         ],
     )
     def test_bad_rows_are_validation_errors(self, tmp_path, capsys, rows, message):

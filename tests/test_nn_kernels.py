@@ -316,22 +316,33 @@ class TestLstmAgainstReference:
 
 
 POOL_GEOMETRIES = [(size, stride) for size in (1, 2, 3, 4) for stride in (1, 2, 3)]
+POOL_REFERENCES = ((ref_maxpool1d_forward, ref_maxpool1d_backward),
+                   (btc_maxpool1d_forward, btc_maxpool1d_backward))
 
 
 def check_pool(x, size, stride, rng):
-    """The channels-first pool on cf(x) against both (B, T, F) references."""
-    out, cache = maxpool1d_forward(cf(x), size, stride)
+    """The two (B, T, F) references against each other at (size, stride);
+    then the channels-first pool, fixed at size 2 and stride 2, against both
+    on the same x: its output, routing and dx, bit for bit where the
+    arithmetic is the same (the argmax reference may take the other sign of a
+    tie between 0.0 and -0.0)."""
     out_ref, cache_ref = ref_maxpool1d_forward(x, size, stride)
     out_btc, cache_btc = btc_maxpool1d_forward(x, size, stride)
-    assert np.array_equal(btc(out), out_ref)
-    assert np.array_equal(btc(out), out_btc)
-    assert np.array_equal(btc(cache[3]), cache_ref[3])
-    assert cache[3].dtype == cache_btc[3].dtype
+    assert np.array_equal(out_btc, out_ref)
+    assert np.array_equal(cache_btc[3], cache_ref[3])
     dout = rng.standard_normal(out_ref.shape)
+    assert_close(btc_maxpool1d_backward(dout, cache_btc),
+                 ref_maxpool1d_backward(dout, cache_ref))
+    out, cache = maxpool1d_forward(cf(x))
+    dout = rng.standard_normal(btc(out).shape)
     dx = btc(maxpool1d_backward(cf(dout), cache))
-    assert_close(dx, ref_maxpool1d_backward(dout, cache_ref))
-    assert_close(dx, btc_maxpool1d_backward(dout, cache_btc))
-    return cache
+    for ref_fwd, ref_bwd in POOL_REFERENCES:
+        out_ref, cache_ref = ref_fwd(x, 2, 2)
+        assert np.array_equal(btc(out), out_ref)
+        assert np.array_equal(btc(cache[1]), cache_ref[3] == 1)
+        assert dx.tobytes() == ref_bwd(dout, cache_ref).tobytes()
+    # the running-max reference does the same arithmetic, signed zeros too
+    assert btc(out).tobytes() == btc_maxpool1d_forward(x, 2, 2)[0].tobytes()
 
 
 class TestMaxPoolAgainstReference:
@@ -355,16 +366,17 @@ class TestMaxPoolAgainstReference:
         x = rng.integers(0, 2, size=(1, 10, 3)).astype(float)
         check_pool(x, size, stride, rng)
 
-    def test_offsets_beyond_one_byte(self):
-        rng = np.random.default_rng(11)
-        x = rng.integers(0, 50, size=(2, 700, 3)).astype(float)
-        cache = check_pool(x, 300, 7, rng)
-        assert cache[3].dtype == np.uint16
+    @pytest.mark.parametrize("t", range(2, 14))
+    def test_every_length_with_signed_zero_ties(self, t):
+        # odd lengths drop their last slot; +0.0 and -0.0 tie
+        rng = np.random.default_rng(t)
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(3, t, 4))
+        check_pool(x, 2, 2, rng)
 
     def test_all_equal_window_picks_offset_zero(self):
         x = np.full((2, 1, 6), 3.0)  # (C, B, T)
-        _, cache = maxpool1d_forward(x, 3, 1)
-        assert np.all(cache[3] == 0)
+        _, (_, second) = maxpool1d_forward(x)
+        assert not second.any()
 
 
 # (B, T, C, F, K): one window, kernel one, C != F, and the model's own shapes
@@ -409,10 +421,25 @@ class TestConvAgainstReference:
         assert_close(db, db_ref)
 
 
+def channels_first_pools(size, stride):
+    """The pool, fixed at size 2 and stride 2, and the argmax reference at
+    (size, stride), each as a (forward, backward) pair on (C, B, T) arrays."""
+
+    def ref_forward_cf(x):
+        out, cache = ref_maxpool1d_forward(btc(x), size, stride)
+        return cf(out), cache
+
+    def ref_backward_cf(dout, cache):
+        return cf(ref_maxpool1d_backward(btc(dout), cache))
+
+    return (maxpool1d_forward, maxpool1d_backward), (ref_forward_cf, ref_backward_cf)
+
+
 class TestReluAfterPool:
     """conv2's ReLU runs after the pool: relu(max(a, b)) = max(relu(a),
     relu(b)), and the pool routes a gradient only where the window max is > 0,
-    where ReLU-then-pool routes it to the same first argmax."""
+    where ReLU-then-pool routes it to the same first argmax. Checked for the
+    model's pool and for the reference at other geometries."""
 
     @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
     def test_conv_outputs_and_gradients_equal(self, size, stride):
@@ -423,22 +450,23 @@ class TestReluAfterPool:
         bias = rng.integers(-1, 2, size=5).astype(float)
         w[0], bias[0] = 0.0, -1.0  # one filter's windows are all negative
         act, cache_relu = conv1d_forward(x, w, bias)
-        out_ref, pool_ref = maxpool1d_forward(act, size, stride)
         pre, cache = conv1d_forward(x, w, bias, relu=False)
         assert cache[2] is None
-        out, pool = maxpool1d_forward(pre, size, stride)
-        win_max = out.copy()
-        np.maximum(out, 0.0, out=out)
-        assert np.array_equal(out, out_ref)
-        assert (win_max < 0).any() and (win_max > 0).any()
-        dout = rng.standard_normal(out.shape)
-        dpre_ref, *dw_ref = conv1d_backward(maxpool1d_backward(dout, pool_ref), cache_relu)
-        dpre, *dw = conv1d_backward(maxpool1d_backward(dout * (out > 0), pool), cache)
-        assert np.array_equal(dpre, dpre_ref)
-        for got, want in zip(dw, dw_ref):
-            assert np.array_equal(got, want)
-        assert np.array_equal(conv1d_backward_input(dpre, cache),
-                              conv1d_backward_input(dpre_ref, cache_relu))
+        for pool_forward, pool_backward in channels_first_pools(size, stride):
+            out_ref, pool_ref = pool_forward(act)
+            out, pool = pool_forward(pre)
+            win_max = out.copy()
+            np.maximum(out, 0.0, out=out)
+            assert np.array_equal(out, out_ref)
+            assert (win_max < 0).any() and (win_max > 0).any()
+            dout = rng.standard_normal(out.shape)
+            dpre_ref, *dw_ref = conv1d_backward(pool_backward(dout, pool_ref), cache_relu)
+            dpre, *dw = conv1d_backward(pool_backward(dout * (out > 0), pool), cache)
+            assert np.array_equal(dpre, dpre_ref)
+            for got, want in zip(dw, dw_ref):
+                assert np.array_equal(got, want)
+            assert np.array_equal(conv1d_backward_input(dpre, cache),
+                                  conv1d_backward_input(dpre_ref, cache_relu))
 
     @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
     def test_signed_zeros_and_negative_windows(self, size, stride):
@@ -446,25 +474,26 @@ class TestReluAfterPool:
         pre = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], size=(3, 4, 12))
         pre[0, 0] = -1.0  # every window of one row all negative
         pre[1, 0] = -0.0  # and one of signed zeros only
-        out_ref, pool_ref = maxpool1d_forward(np.maximum(pre, 0.0), size, stride)
-        out, pool = maxpool1d_forward(pre, size, stride)
-        np.maximum(out, 0.0, out=out)
-        assert np.array_equal(out, out_ref)
-        dout = rng.standard_normal(out.shape)
-        dpre_ref = maxpool1d_backward(dout, pool_ref) * (pre > 0)
-        dpre = maxpool1d_backward(dout * (out > 0), pool)
-        assert np.array_equal(dpre, dpre_ref)
-        assert not dpre[:2, 0].any()
+        for pool_forward, pool_backward in channels_first_pools(size, stride):
+            out_ref, pool_ref = pool_forward(np.maximum(pre, 0.0))
+            out, pool = pool_forward(pre)
+            np.maximum(out, 0.0, out=out)
+            assert np.array_equal(out, out_ref)
+            dout = rng.standard_normal(out.shape)
+            dpre_ref = pool_backward(dout, pool_ref) * (pre > 0)
+            dpre = pool_backward(dout * (out > 0), pool)
+            assert np.array_equal(dpre, dpre_ref)
+            assert not dpre[:2, 0].any()
 
 
 def ref_forward(params, x, batch_major_lstm=False):
     """The model graph on the batch-major conv and pool references, with
     conv2's ReLU before the pool; the LSTM is the production kernel, or the
     batch-major reference. Returns (probs, feats, caches)."""
-    cfg, t = params.config, params.tensors
+    t = params.tensors
     a1, c1 = btc_conv1d_forward(x, t["conv1_w"], t["conv1_b"])
     a2, c2 = btc_conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
-    p3, c3 = btc_maxpool1d_forward(a2, cfg.pool_size, cfg.pool_stride)
+    p3, c3 = btc_maxpool1d_forward(a2, 2, 2)
     if batch_major_lstm:
         h4, c4 = btd_lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
     else:

@@ -105,19 +105,19 @@ class TestMaxPool:
     # channels-first, (C, B, T), pooled along T
     def test_hand_example(self):
         x = np.array([[[1.0, 3.0, 2.0, 5.0]]])
-        out, _ = maxpool1d_forward(x, 2, 2)
+        out, _ = maxpool1d_forward(x)
         assert out[0, 0, :].tolist() == [3.0, 5.0]
 
     def test_constant_ties_route_first(self):
         x = np.ones((1, 1, 4))
-        out, cache = maxpool1d_forward(x, 2, 2)
+        out, cache = maxpool1d_forward(x)
         assert np.all(out == 1.0)
         dx = maxpool1d_backward(np.ones((1, 1, 2)), cache)
         assert dx[0, 0, :].tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            maxpool1d_forward(np.ones((2, 1, 1)), 2, 2)
+            maxpool1d_forward(np.ones((2, 1, 1)))
 
     def test_gradient_away_from_ties(self):
         rng = np.random.default_rng(1)
@@ -125,10 +125,10 @@ class TestMaxPool:
         proj = rng.standard_normal((3, 2, 4))
 
         def loss():
-            out, _ = maxpool1d_forward(x, 2, 2)
+            out, _ = maxpool1d_forward(x)
             return float((out * proj).sum())
 
-        _, cache = maxpool1d_forward(x, 2, 2)
+        _, cache = maxpool1d_forward(x)
         dx = maxpool1d_backward(proj, cache)
         assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
 

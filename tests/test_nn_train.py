@@ -26,7 +26,7 @@ from vitalnet.nn import (
 from vitalnet.nn import gradcheck
 from vitalnet.nn.gradcheck import make_check_batch
 from vitalnet.nn.layers import conv1d_forward
-from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_POOL, MAX_WIDTH, TENSOR_ORDER
+from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_WIDTH, TENSOR_ORDER
 from vitalnet.nn.train import MAX_EPOCHS
 
 TINY = ModelConfig(
@@ -89,14 +89,14 @@ class TestModelBasics:
             ModelConfig.from_dict({"dense2_units": 2})
 
     def test_model_config_has_no_fixed_fields(self):
-        assert len(fields(ModelConfig)) == 8
+        assert len(fields(ModelConfig)) == 6
         assert not set(FIXED_KEYS) & {f.name for f in fields(ModelConfig)}
 
     @pytest.mark.parametrize(
         "field,bound",
         [("conv1_filters", MAX_WIDTH), ("conv2_filters", MAX_WIDTH),
          ("lstm_hidden", MAX_WIDTH), ("conv1_kernel", MAX_KERNEL),
-         ("conv2_kernel", MAX_KERNEL), ("pool_size", MAX_POOL), ("pool_stride", MAX_POOL)],
+         ("conv2_kernel", MAX_KERNEL)],
     )
     def test_layer_sizes_bounded(self, field, bound):
         paper = getattr(ModelConfig(), field)
@@ -132,7 +132,7 @@ class TestModelBasics:
     )
     def test_model_config_needs_integers(self, field, value):
         with pytest.raises(ValidationError):
-            ModelConfig(**{field: value}).validate()
+            ModelConfig.from_dict({field: value})
 
     @pytest.mark.parametrize(
         "field,value", [("seed", 1e3), ("epochs", 2.0), ("batch_size", "32"),
@@ -323,7 +323,8 @@ class TestCheckpoint:
         path, doc = self._saved_doc(tmp_path)
         assert not set(FIXED_KEYS) & set(doc["model_config"])
         doc["model_config"].update(dense1_units=100, dense2_units=1,
-                                   conv_activation="relu", dense1_activation="relu")
+                                   conv_activation="relu", dense1_activation="relu",
+                                   pool_size=2, pool_stride=2)
         path.write_text(json.dumps(doc))
         loaded, _ = load_checkpoint(path)
         assert loaded.config == TINY
@@ -333,7 +334,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key,value", [
         ("conv_activation", "tanh"), ("dense1_activation", "linear"),
         ("dense1_units", 64), ("dense2_units", 2), ("dense1_units", 100.0),
-        ("dense2_units", True)])
+        ("dense2_units", True), ("pool_size", 3), ("pool_stride", 2**70),
+        ("pool_size", True)])
     def test_legacy_keys_at_other_values_rejected(self, tmp_path, key, value):
         path, doc = self._saved_doc(tmp_path)
         doc["model_config"][key] = value
@@ -346,26 +348,23 @@ def relu_then_pool_margin(params, x):
     """The kink margin with the pool-tie gap taken over conv2's ReLU output,
     as for a ReLU before the pool. conv2's arrays are rebuilt from its cached
     input, as the model's cache holds no (F, B, T) array of conv2."""
-    cfg, t = params.config, params.tensors
+    t = params.tensors
     _, _, (c1, c2, _, _, _, c5, _) = forward(params, x)
     pre2, _ = conv1d_forward(c2[0], t["conv2_w"], t["conv2_b"], relu=False)
     out2 = np.maximum(pre2, 0.0)
     margin = min(float(np.abs(pre).min()) for pre in (c1[2], pre2, c5[2]))
-    if cfg.pool_size > 1:
-        win = np.lib.stride_tricks.sliding_window_view(
-            out2, cfg.pool_size, axis=2)[:, :, :: cfg.pool_stride]
-        top2 = -np.partition(-win, 1, axis=3)[..., :2]
-        gap = top2[..., 0] - top2[..., 1]
-        live = top2[..., 1] > 0
-        if live.any():
-            margin = min(margin, float(gap[live].min()))
+    win = np.lib.stride_tricks.sliding_window_view(out2, 2, axis=2)[:, :, ::2]
+    top2 = -np.partition(-win, 1, axis=3)[..., :2]
+    gap = top2[..., 0] - top2[..., 1]
+    live = top2[..., 1] > 0
+    if live.any():
+        margin = min(margin, float(gap[live].min()))
     return margin
 
 
 class TestGradCheck:
     @pytest.mark.parametrize("cfg,window_len", [
-        (TINY, 16), (ModelConfig(conv1_filters=3, conv2_filters=4, pool_size=3,
-                                 pool_stride=2, lstm_hidden=3), 20)])
+        (TINY, 16), (ModelConfig(conv1_filters=3, conv2_filters=4, lstm_hidden=3), 20)])
     def test_kink_margin_unchanged_by_relu_after_pool(self, cfg, window_len):
         # the margin over pre-activation windows equals the one over ReLU
         # outputs, so make_check_batch draws the same batches as before
@@ -384,8 +383,6 @@ class TestGradCheck:
             conv1_kernel=1,
             conv2_filters=3,
             conv2_kernel=1,
-            pool_size=1,
-            pool_stride=1,
             lstm_hidden=4,
         )
         assert grad_check(cfg, window_len=8) < 1e-7
