@@ -3,7 +3,9 @@
 Central differences on every parameter coordinate are compared against the
 backward pass for the mean BCE on a random mini-batch. Inputs whose ReLU
 pre-activations or max-pool pairs sit too close to a kink/tie are
-resampled, since the loss is not differentiable there.
+resampled, since the loss is not differentiable there. The model's cache
+holds no pre-activation, so they are rebuilt from the linear layers' cached
+inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .layers import conv1d_forward
+from .layers import bce_loss, conv1d_forward, dense_forward
 from .model import ModelConfig, ModelParams, forward, init_params, loss_and_grads
 
 # margin around ReLU kinks / pool ties below which a draw is rejected
@@ -22,7 +24,6 @@ def finite_diff_grads(
     params: ModelParams, x: np.ndarray, y: np.ndarray, eps: float = 1e-5
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of the mean BCE for every coordinate."""
-    from .layers import bce_loss
 
     def loss_at() -> float:
         probs, _, _ = forward(params, x)
@@ -61,13 +62,12 @@ def max_relative_error(
 
 def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     """Distance of the closest pre-activation to a ReLU kink or pool tie."""
-    _, _, cache = forward(params, x)
-    c1, c2, _, _, _, c5, _ = cache
-    # conv2's (F, B, T) pre-activations, rebuilt from its cached input: the
-    # model keeps no (F, B, T) array of conv2 once it is pooled
-    pre2, _ = conv1d_forward(c2[0], params.tensors["conv2_w"],
-                             params.tensors["conv2_b"], relu=False)
-    margin = min(float(np.abs(pre).min()) for pre in (c1[2], pre2, c5[2]))
+    tensors = params.tensors
+    _, _, (c1, c2, _, _, c5, _) = forward(params, x)
+    pre1, _ = conv1d_forward(c1[0], tensors["conv1_w"], tensors["conv1_b"])
+    pre2, _ = conv1d_forward(c2[0], tensors["conv2_w"], tensors["conv2_b"])
+    pre5, _ = dense_forward(c5[0], tensors["dense1_w"], tensors["dense1_b"])
+    margin = min(float(np.abs(pre).min()) for pre in (pre1, pre2, pre5))
     t = pre2.shape[2]
     first, second = pre2[..., 0 : t - 1 : 2], pre2[..., 1:t:2]
     # a pair whose smaller slot is <= 0 cannot tie: with the ReLU margin

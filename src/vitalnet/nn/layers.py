@@ -2,11 +2,9 @@
 dense layers, and binary cross-entropy, each with a manual backward pass.
 
 Every forward function returns a cache consumed by the matching backward
-function. The nonlinearities are fixed: a convolution or dense layer applies
-ReLU or nothing, as its caller selects. A convolution without its ReLU caches
-no output-sized array, so its caller can apply the ReLU to a smaller array:
-the model pools conv2's pre-activations and applies ReLU to the pooled
-array, since relu(max(a, b)) = max(relu(a), relu(b)).
+function, and every backward function returns (dx, *parameter gradients).
+The convolution and dense layers are linear; their cache is (x, w), and the
+model applies the ReLUs between them.
 
 Every layer up to the dense ones works channels-first: the convolutions and
 max-pooling take and return (C, B, T) arrays, and the LSTM reads (D, B, T),
@@ -14,9 +12,7 @@ so that time is the contiguous axis. A convolution is one channel-major GEMM,
 w.reshape(F, K*C) @ cols, where the im2col matrix cols is a contiguous (K*C,
 B*T_out) copy built from K slices along T (Chellapilla, Puri & Simard 2006);
 its weight and input gradients are the GEMMs dpre @ cols.T and w.reshape(F,
-K*C).T @ dpre. The weight half (conv1d_backward) and the input half
-(conv1d_backward_input) are separate, because the first layer's input is the
-data and needs no gradient. The im2col is not cached: the backward pass
+K*C).T @ dpre. The im2col is not cached: the backward pass
 rebuilds it, because the model's forward pass holds every layer's cache until
 it returns, and a cached (K*C, B*T_out) copy per layer would add to the peak
 memory of every inference chunk.
@@ -76,10 +72,8 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(k * c, b * t_out)
 
 
-def conv1d_forward(x, w, bias, relu: bool = True):
-    """x: (C, B, T), w: (F, K, C), bias: (F,) -> out (F, B, T-K+1), ReLU'd if
-    `relu`. Without the ReLU the output is the pre-activation, and the cache
-    holds no (F, B, T-K+1) array."""
+def conv1d_forward(x, w, bias):
+    """x: (C, B, T), w: (F, K, C), bias: (F,) -> pre-activation (F, B, T-K+1)."""
     c, b, t = x.shape
     f, k, cw = w.shape
     if cw != c:
@@ -88,33 +82,22 @@ def conv1d_forward(x, w, bias, relu: bool = True):
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
     pre = (w.reshape(f, k * c) @ _im2col(x, k)).reshape(f, b, t - k + 1)
     pre += bias[:, None, None]
-    if not relu:
-        return pre, (x, w, None)
-    return np.maximum(pre, 0.0), (x, w, pre)
+    return pre, (x, w)
 
 
-def conv1d_backward(dout, cache):
-    """Weight half of the backward pass -> (dpre, dw, db); dpre feeds
-    conv1d_backward_input when the layer's input needs a gradient."""
-    x, w, pre = cache
-    f, k, c = w.shape
-    dpre = dout if pre is None else dout * (pre > 0)
-    flat = dpre.reshape(f, -1)
-    dw = (flat @ _im2col(x, k).T).reshape(f, k, c)
-    return dpre, dw, flat.sum(axis=1)
-
-
-def conv1d_backward_input(dpre, cache):
-    """Input half of the backward pass: dx (C, B, T) from conv1d_backward's dpre."""
-    x, w, _ = cache
+def conv1d_backward(dpre, cache):
+    """dpre: (F, B, T-K+1) -> (dx (C, B, T), dw, db)."""
+    x, w = cache
     c, b, t = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
-    dcols = (w.reshape(f, k * c).T @ dpre.reshape(f, -1)).reshape(k, c, b, t_out)
+    flat = dpre.reshape(f, -1)
+    dw = (flat @ _im2col(x, k).T).reshape(f, k, c)
+    dcols = (w.reshape(f, k * c).T @ flat).reshape(k, c, b, t_out)
     dx = np.zeros_like(x)
     for j in range(k):
         dx[:, :, j : j + t_out] += dcols[j]
-    return dx
+    return dx, dw, flat.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +222,18 @@ def lstm_backward(dh_last, cache):
 # ---------------------------------------------------------------------------
 
 
-def dense_forward(x, w, bias, relu: bool = False):
-    """x: (B, D), w: (D, U), bias: (U,) -> out (B, U), ReLU'd if `relu`."""
+def dense_forward(x, w, bias):
+    """x: (B, D), w: (D, U), bias: (U,) -> out (B, U)."""
     if x.shape[1] != w.shape[0]:
         raise ValidationError(
             f"dense: input width {x.shape[1]} does not match weights {w.shape}"
         )
-    pre = x @ w + bias
-    out = np.maximum(pre, 0.0) if relu else pre
-    return out, (x, w, pre, relu)
+    return x @ w + bias, (x, w)
 
 
 def dense_backward(dout, cache):
-    x, w, pre, relu = cache
-    dpre = dout * (pre > 0) if relu else dout
-    return dpre @ w.T, x.T @ dpre, dpre.sum(axis=0)
+    x, w = cache
+    return dout @ w.T, x.T @ dout, dout.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

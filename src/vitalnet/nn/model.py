@@ -170,7 +170,12 @@ def zero_params(config: ModelConfig) -> ModelParams:
 
 
 def forward(params: ModelParams, x: np.ndarray):
-    """x: (B, W, 3) normalized windows -> (probs (B,), features (B, 100), cache)."""
+    """x: (B, W, 3) normalized windows -> (probs (B,), features (B, 100), cache).
+
+    The layers are linear; the model applies the three ReLUs in place, after
+    conv1, after the pool and after dense1. Each ReLU output is cached once,
+    as the input of the layer that reads it.
+    """
     cfg = params.config
     t = params.tensors
     x = np.asarray(x, dtype=float)
@@ -185,29 +190,33 @@ def forward(params: ModelParams, x: np.ndarray):
     # runs after the pool, on the pooled array: relu(max(a, b)) =
     # max(relu(a), relu(b)), and conv2's full output is freed once pooled.
     a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"])
-    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], relu=False)
+    np.maximum(a1, 0.0, out=a1)
+    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
     a3, c3 = layers.maxpool1d_forward(pre2)
     del pre2
     np.maximum(a3, 0.0, out=a3)
     h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
+    feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"])
+    np.maximum(feats, 0.0, out=feats)
     logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"])
     probs = layers.sigmoid(logits[:, 0])
-    cache = (c1, c2, c3, a3, c4, c5, c6)
+    cache = (c1, c2, c3, c4, c5, c6)
     return probs, feats, cache
 
 
 def backward(params: ModelParams, dlogits: np.ndarray, cache):
     """Gradients of the loss w.r.t. every tensor, given d(loss)/d(logit)."""
-    c1, c2, c3, a3, c4, c5, c6 = cache
+    c1, c2, c3, c4, c5, c6 = cache
+    # each ReLU's mask is read off its output, the next layer's cached input:
+    # max(p, 0) > 0 exactly where p > 0
     dfeat, dw6, db6 = layers.dense_backward(dlogits[:, None], c6)
+    dfeat *= c6[0] > 0
     dh, dw5, db5 = layers.dense_backward(dfeat, c5)
     da3, dwx, dwh, dbl = layers.lstm_backward(dh, c4)
-    da3 *= a3 > 0  # conv2's ReLU, applied after the pool
+    da3 *= c4[0] > 0
     dpre2 = layers.maxpool1d_backward(da3, c3)
-    _, dw2, db2 = layers.conv1d_backward(dpre2, c2)
-    da1 = layers.conv1d_backward_input(dpre2, c2)
-    # conv1's input is the data, so it gets no input gradient
+    da1, dw2, db2 = layers.conv1d_backward(dpre2, c2)
+    da1 *= c2[0] > 0
     _, dw1, db1 = layers.conv1d_backward(da1, c1)
     return {
         "conv1_w": dw1,

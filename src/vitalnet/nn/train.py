@@ -125,23 +125,25 @@ def train(
     step = 0
     x_all = train_set.X
     y_all = train_set.y
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(n)
-        total_loss = 0.0
-        correct = 0
-        for lo in range(0, n, tcfg.batch_size):
-            idx = order[lo : lo + tcfg.batch_size]
-            xb, yb = x_all[idx], y_all[idx]
-            loss, probs, grads = loss_and_grads(params, xb, yb)
-            total_loss += loss * len(idx)
-            correct += int(((probs >= 0.5).astype(int) == yb).sum())
-            step += 1
-            adam_step(params, grads, state, step, tcfg)
-        history.append(
-            {
-                "epoch": epoch + 1,
-                "loss": total_loss / n,
-                "accuracy": correct / n,
-            }
-        )
+    # a step that overflows leaves a non-finite gradient, which adam_step rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(tcfg.epochs):
+            order = rng.permutation(n)
+            total_loss = 0.0
+            correct = 0
+            for lo in range(0, n, tcfg.batch_size):
+                idx = order[lo : lo + tcfg.batch_size]
+                xb, yb = x_all[idx], y_all[idx]
+                loss, probs, grads = loss_and_grads(params, xb, yb)
+                total_loss += loss * len(idx)
+                correct += int(((probs >= 0.5).astype(int) == yb).sum())
+                step += 1
+                adam_step(params, grads, state, step, tcfg)
+            history.append(
+                {
+                    "epoch": epoch + 1,
+                    "loss": total_loss / n,
+                    "accuracy": correct / n,
+                }
+            )
     return params, history

@@ -103,7 +103,11 @@ def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
             f"perplexity must satisfy 2 <= perplexity < n, got {perplexity} for n={n}"
         )
     # row i holds row i's off-diagonal distances (a copy, not a view)
-    d = _off_diagonal(_pairwise_sq_dists(x)).reshape(n, n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _off_diagonal(_pairwise_sq_dists(x)).reshape(n, n - 1)
+    if not np.isfinite(d).all():
+        raise ValidationError("t-SNE: squared distances between input rows are not "
+                              "finite (inputs overflow float64 or hold NaN/inf)")
     duplicates = np.flatnonzero(d.min(axis=1) < 1e-12)
     # rows past the first duplicate cannot raise first, so they are not searched
     rows = np.arange(duplicates[0] if duplicates.size else n)

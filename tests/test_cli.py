@@ -450,6 +450,7 @@ class TestOutOfRangeValues:
             ["--set", "conv_activation=tanh"],
             ["--set", "pool_size=3"],
             ["--set-train", "epochs"],
+            ["--set-train", "learning_rate=1e308"],
         ],
     )
     def test_bad_config_values_rejected(self, tmp_path, small_cohort_csv, capsys, flags):

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import re
+import sys
 import warnings
 from datetime import datetime, timedelta, timezone
 from itertools import chain, groupby, islice, repeat
@@ -22,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vitalnet import data
@@ -329,6 +330,22 @@ WRITER_IDS = st.sampled_from(IDS) | st.text(
     st.characters(exclude_categories=("Cs",), exclude_characters="\r"), max_size=4)
 
 
+def bp_pair(a, b):
+    """(sbp, dbp) with sbp > dbp > 0 from two positive draws. An equal pair
+    is split by one ulp, upward unless that overflows: halving the smaller
+    value would take 5e-324 to 0.0."""
+    if a != b:
+        return max(a, b), min(a, b)
+    if a < sys.float_info.max:
+        return np.nextafter(a, np.inf), a
+    return a, np.nextafter(a, 0.0)
+
+
+def one_row_cohort(hr, a, b):
+    times = np.array(["2020-03-21T00:00:00"], "datetime64[us]")
+    return Cohort([PatientRecord("P0", 21, 0, times, [[hr, *bp_pair(a, b)]])])
+
+
 @st.composite
 def writer_cohorts(draw):
     """Cohorts for the writer: ids that need quoting or hold NUL and
@@ -343,7 +360,7 @@ def writer_cohorts(draw):
         value, values = draw(WRITER_VALUES), []
         for _ in range(n):
             hr, a, b = draw(st.tuples(value, value, value))
-            values.append([hr, max(a, b), min(a, b) if a != b else min(a, b) / 2])
+            values.append([hr, *bp_pair(a, b)])
         patients.append(PatientRecord(pid, 21 + i, i % 2, times, values))
     return Cohort(patients)
 
@@ -396,6 +413,8 @@ class TestWriter:
 
     @settings(max_examples=150, deadline=None)
     @given(cohort=writer_cohorts(), chunk=st.integers(1, 9))
+    @example(cohort=one_row_cohort(5e-324, 5e-324, 5e-324), chunk=1)
+    @example(cohort=one_row_cohort(80.0, sys.float_info.max, sys.float_info.max), chunk=1)
     def test_property_same_bytes_as_oracle(self, tmp_path_factory, cohort, chunk):
         d = tmp_path_factory.mktemp("w")
         with mock.patch.object(data, "_CHUNK_ROWS", chunk):

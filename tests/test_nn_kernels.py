@@ -20,7 +20,6 @@ import pytest
 from vitalnet.nn import model
 from vitalnet.nn.layers import (
     conv1d_backward,
-    conv1d_backward_input,
     conv1d_forward,
     dense_backward,
     dense_forward,
@@ -391,16 +390,16 @@ class TestConvAgainstReference:
         x = rng.standard_normal((b, t, c))
         w = rng.standard_normal((f, k, c)) / np.sqrt(k * c)
         bias = rng.standard_normal(f) * 0.1
-        out, cache = conv1d_forward(cf(x), w, bias)
+        # the layer is linear: its output is the reference's pre-activation,
+        # and the reference's ReLU mask is applied to dout before the backward
+        pre, cache = conv1d_forward(cf(x), w, bias)
         out_ref, cache_ref = btc_conv1d_forward(x, w, bias)
-        assert out.shape == (f, b, t - k + 1)
-        assert_close(btc(out), out_ref)
-        assert_close(btc(cache[2]), cache_ref[2])
+        assert pre.shape == (f, b, t - k + 1)
+        assert_close(btc(np.maximum(pre, 0.0)), out_ref)
+        assert_close(btc(pre), cache_ref[2])
         dout = rng.standard_normal(out_ref.shape)
-        dpre, dw, db = conv1d_backward(cf(dout), cache)
-        dx = conv1d_backward_input(dpre, cache)
+        dx, dw, db = conv1d_backward(cf(dout * (cache_ref[2] > 0)), cache)
         dx_ref, dw_ref, db_ref = btc_conv1d_backward(dout, cache_ref)
-        assert_close(btc(dpre), dout * (cache_ref[2] > 0))
         assert_close(btc(dx), dx_ref)
         assert_close(dw, dw_ref)
         assert_close(db, db_ref)
@@ -415,7 +414,7 @@ class TestConvAgainstReference:
         out_copy, _ = conv1d_forward(cf(x), w, bias)
         assert np.array_equal(out_view, out_copy)
         dout = rng.standard_normal(out_view.shape)
-        _, dw, db = conv1d_backward(dout, cache)
+        _, dw, db = conv1d_backward(dout * (out_view > 0), cache)
         _, dw_ref, db_ref = btc_conv1d_backward(btc(dout), btc_conv1d_forward(x, w, bias)[1])
         assert_close(dw, dw_ref)
         assert_close(db, db_ref)
@@ -449,9 +448,8 @@ class TestReluAfterPool:
         w = rng.integers(-1, 2, size=(5, 3, 4)).astype(float)
         bias = rng.integers(-1, 2, size=5).astype(float)
         w[0], bias[0] = 0.0, -1.0  # one filter's windows are all negative
-        act, cache_relu = conv1d_forward(x, w, bias)
-        pre, cache = conv1d_forward(x, w, bias, relu=False)
-        assert cache[2] is None
+        pre, _ = conv1d_forward(x, w, bias)
+        act = np.maximum(pre, 0.0)
         for pool_forward, pool_backward in channels_first_pools(size, stride):
             out_ref, pool_ref = pool_forward(act)
             out, pool = pool_forward(pre)
@@ -460,13 +458,9 @@ class TestReluAfterPool:
             assert np.array_equal(out, out_ref)
             assert (win_max < 0).any() and (win_max > 0).any()
             dout = rng.standard_normal(out.shape)
-            dpre_ref, *dw_ref = conv1d_backward(pool_backward(dout, pool_ref), cache_relu)
-            dpre, *dw = conv1d_backward(pool_backward(dout * (out > 0), pool), cache)
+            dpre_ref = pool_backward(dout, pool_ref) * (pre > 0)
+            dpre = pool_backward(dout * (out > 0), pool)
             assert np.array_equal(dpre, dpre_ref)
-            for got, want in zip(dw, dw_ref):
-                assert np.array_equal(got, want)
-            assert np.array_equal(conv1d_backward_input(dpre, cache),
-                                  conv1d_backward_input(dpre_ref, cache_relu))
 
     @pytest.mark.parametrize("size,stride", POOL_GEOMETRIES)
     def test_signed_zeros_and_negative_windows(self, size, stride):
@@ -498,16 +492,17 @@ def ref_forward(params, x, batch_major_lstm=False):
         h4, c4 = btd_lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
     else:
         h4, c4 = lstm_forward(cf(p3), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
-    feats, c5 = dense_forward(h4, t["dense1_w"], t["dense1_b"], relu=True)
+    pre5, c5 = dense_forward(h4, t["dense1_w"], t["dense1_b"])
+    feats = np.maximum(pre5, 0.0)
     logits, c6 = dense_forward(feats, t["dense2_w"], t["dense2_b"])
-    return sigmoid(logits[:, 0]), feats, (c1, c2, c3, c4, c5, c6)
+    return sigmoid(logits[:, 0]), feats, (c1, c2, c3, c4, c5, c6, pre5)
 
 
 def ref_grads(params, x, y):
     """Gradients of the mean BCE through the batch-major reference graph."""
-    probs, _, (c1, c2, c3, c4, c5, c6) = ref_forward(params, x, batch_major_lstm=True)
+    probs, _, (c1, c2, c3, c4, c5, c6, pre5) = ref_forward(params, x, batch_major_lstm=True)
     dfeat, dw6, db6 = dense_backward(((probs - y) / len(y))[:, None], c6)
-    dh, dw5, db5 = dense_backward(dfeat, c5)
+    dh, dw5, db5 = dense_backward(dfeat * (pre5 > 0), c5)
     dp3, dwx, dwh, dbl = btd_lstm_backward(dh, c4)
     da1, dw2, db2 = btc_conv1d_backward(btc_maxpool1d_backward(dp3, c3), c2)
     _, dw1, db1 = btc_conv1d_backward(da1, c1)
@@ -563,6 +558,16 @@ class TestModelAgainstReference:
         shapes = {a.shape for a in _arrays(cache)}
         assert conv2_out not in shapes
         assert (cfg.conv2_filters, b, conv2_out[2] // 2) in shapes
+
+    def test_cache_holds_each_relu_output_once(self):
+        # the layers are linear: a ReLU output is cached as the input of the
+        # layer that reads it, and no pre-activation of the same shape is kept
+        cfg = model.ModelConfig()
+        b, w = 7, 48  # B differs from every layer width, so shapes are distinct
+        _, _, cache = model.forward(model.init_params(cfg), np.zeros((b, w, 3)))
+        shapes = [a.shape for a in _arrays(cache)]
+        assert shapes.count((cfg.conv1_filters, b, w - cfg.conv1_kernel + 1)) == 1
+        assert shapes.count((b, model.FEATURE_UNITS)) == 1
 
 
 def ref_adam_step(tensors, grads, m, v, t, config):

@@ -25,7 +25,7 @@ from vitalnet.nn import (
 )
 from vitalnet.nn import gradcheck
 from vitalnet.nn.gradcheck import make_check_batch
-from vitalnet.nn.layers import conv1d_forward
+from vitalnet.nn.layers import conv1d_forward, dense_forward
 from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_WIDTH, TENSOR_ORDER
 from vitalnet.nn.train import MAX_EPOCHS
 
@@ -346,13 +346,15 @@ class TestCheckpoint:
 
 def relu_then_pool_margin(params, x):
     """The kink margin with the pool-tie gap taken over conv2's ReLU output,
-    as for a ReLU before the pool. conv2's arrays are rebuilt from its cached
-    input, as the model's cache holds no (F, B, T) array of conv2."""
+    as for a ReLU before the pool. The pre-activations are rebuilt from the
+    layers' cached inputs, as the model's cache holds none."""
     t = params.tensors
-    _, _, (c1, c2, _, _, _, c5, _) = forward(params, x)
-    pre2, _ = conv1d_forward(c2[0], t["conv2_w"], t["conv2_b"], relu=False)
+    _, _, (c1, c2, _, _, c5, _) = forward(params, x)
+    pre1, _ = conv1d_forward(c1[0], t["conv1_w"], t["conv1_b"])
+    pre2, _ = conv1d_forward(c2[0], t["conv2_w"], t["conv2_b"])
+    pre5, _ = dense_forward(c5[0], t["dense1_w"], t["dense1_b"])
     out2 = np.maximum(pre2, 0.0)
-    margin = min(float(np.abs(pre).min()) for pre in (c1[2], pre2, c5[2]))
+    margin = min(float(np.abs(pre).min()) for pre in (pre1, pre2, pre5))
     win = np.lib.stride_tricks.sliding_window_view(out2, 2, axis=2)[:, :, ::2]
     top2 = -np.partition(-win, 1, axis=3)[..., :2]
     gap = top2[..., 0] - top2[..., 1]

@@ -192,6 +192,12 @@ class TestConditionalAffinities:
         with pytest.raises(ValidationError, match="duplicate"):
             conditional_affinities(x, 3.0)
 
+    def test_overflowing_distances_rejected(self):
+        # squared distances of rows near 1e200 overflow float64
+        x = np.random.default_rng(4).standard_normal((8, 3)) * 1e200
+        with pytest.raises(ValidationError, match="not finite"):
+            conditional_affinities(x, 3.0)
+
     # scale 40 in 2-D puts most squared distances past exp's underflow at the
     # first bandwidth, so whole rows of weights start at 0
     @pytest.mark.parametrize("n,d,scale,perplexity", [
