@@ -342,8 +342,9 @@ def _cmd_train(args) -> RunRecord:
         tcfg.seed = args.seed
     check_window_args(args.window_len, args.stride)
     cohort = load_cohort(args.train)
-    stats = compute_channel_stats([resample(p) for p in cohort.patients])
-    dataset = windows_from_cohort(cohort, stats, args.window_len, args.stride)
+    grids = [resample(p) for p in cohort.patients]  # one pass feeds the stats and the windows
+    stats = compute_channel_stats(grids)
+    dataset = windows_from_cohort(cohort, grids, stats, args.window_len, args.stride)
     params, history = train(dataset, mcfg, tcfg)
     preprocess = {
         "window_len": args.window_len,
@@ -374,7 +375,8 @@ def _cmd_train(args) -> RunRecord:
 def _cmd_eval(args) -> RunRecord:
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.test)
-    dataset = windows_from_cohort(cohort, stats, window_len, stride)
+    grids = [resample(p) for p in cohort.patients]
+    dataset = windows_from_cohort(cohort, grids, stats, window_len, stride)
     probs = predict(params, dataset)
     acc, auc = window_metrics(probs, dataset, args.threshold, args.per_patient)
     _write_json(args.out, {
@@ -409,7 +411,8 @@ def _cmd_embed(args) -> RunRecord:
     params, stats, window_len, stride = _load_model(args.model)
     cohort = load_cohort(args.data)
     days = None if args.days is None else (args.days,)
-    dataset = windows_from_cohort(cohort, stats, window_len, stride, days)
+    grids = [resample(p) for p in cohort.patients]
+    dataset = windows_from_cohort(cohort, grids, stats, window_len, stride, days)
     if len(dataset) < 4:
         raise ValidationError("embed: need at least 4 windows")
     features = extract_features(params, dataset)

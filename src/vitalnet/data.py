@@ -12,16 +12,16 @@ empty ones. `make_windows` windows the first `cut` slots of each grid, and
 each window records its end slot and its patient's grid length, which is
 what a day sweep selects on.
 
-The text path has one reader. `load_cohort` reads blocks of lines, split
-at commas until a block holds a quote or a CR and read by the csv module
-from there on, and checks canonical stamps by arithmetic on their bytes; a
-block that holds another stamp form is parsed one stamp at a time. An error
-names the first bad line, as a reader of one row at a time would.
-`write_cohort` formats up to `_CHUNK_ROWS` of a patient's rows at once in
-a byte array, by table lookups and integer arithmetic, with the id quoted
-as `csv.writer` would; a block holding a value that is not a whole number
-of hundredths below 1e13, or a stamp outside years 1-9999, is formatted one
-`repr` per value, with the same bytes.
+The text path has one reader. `load_cohort` reads blocks of rows with
+`np.loadtxt` and checks canonical stamps by arithmetic on their bytes; a
+file that this block path cannot vouch for is read whole by the row path,
+one row at a time, as Python parses it. An error names the first bad line,
+as a reader of one row at a time would. `write_cohort` formats up to
+`_CHUNK_ROWS` of a patient's rows at once in a byte array, by table
+lookups and integer arithmetic, with the id quoted as `csv.writer` would;
+a block holding a value that is not a whole number of hundredths below
+1e13, or a stamp outside years 1-9999, is formatted one `repr` per value,
+with the same bytes.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import csv
 import io
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +104,6 @@ class Cohort:
     def __len__(self) -> int:
         return len(self.patients)
 
-    def labels(self) -> np.ndarray:
-        return np.array([p.label for p in self.patients], dtype=int)
-
 
 @dataclass
 class RegularSeries:
@@ -169,7 +167,8 @@ class WindowedDataset:
 # ---------------------------------------------------------------------------
 
 
-def _parse_timestamp(raw: str, line_no: int) -> np.datetime64:
+def _parse_timestamp(raw: str, line_no: int) -> int:
+    """`raw` in microseconds since 1970-01-01 UTC."""
     try:
         ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     except ValueError:
@@ -181,7 +180,7 @@ def _parse_timestamp(raw: str, line_no: int) -> np.datetime64:
     except OverflowError:
         raise ParseError(f"line {line_no}: timestamp {raw!r} is outside years 1-9999 "
                          "in UTC") from None
-    return np.datetime64(ts.replace(tzinfo=None), "us")
+    return (ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
 
 
 # A canonical stamp is 'YYYY-MM-DDTHH:MM:SSZ': these bytes at these offsets,
@@ -192,16 +191,16 @@ _STAMP_DIGIT_AT = [i for i in range(20) if i not in _STAMP_SEP_AT]
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _parse_stamps(stamps: list[str]) -> np.ndarray | None:
-    """Canonical stamps as datetime64[us], checked and converted by arithmetic;
-    None unless every stamp is canonical and names a real date and time (year
-    >= 1, Gregorian leap years, no leap second)."""
-    if set(map(len, stamps)) != {20}:
+def _parse_stamps(stamps: np.ndarray) -> np.ndarray | None:
+    """Canonical stamps, an `S` array, as datetime64[us], checked and
+    converted by arithmetic on their bytes; None unless every stamp is 20
+    bytes long, canonical, and names a real date and time (year >= 1,
+    Gregorian leap years, no leap second). An `S` array does not keep a
+    stamp's trailing NULs, so a file holding a NUL never comes here."""
+    raw = np.ascontiguousarray(stamps).view(np.uint8).reshape(len(stamps), stamps.itemsize)
+    if raw.shape[1] < 20 or raw[:, 20:].any():
         return None
-    try:
-        raw = np.frombuffer("".join(stamps).encode("ascii"), np.uint8).reshape(-1, 20)
-    except UnicodeEncodeError:
-        return None
+    raw = raw[:, :20]
     digits = raw[:, _STAMP_DIGIT_AT] - np.uint8(48)  # bytes below "0" wrap past 9
     if (raw[:, _STAMP_SEP_AT] != _STAMP_SEPS).any() or (digits > 9).any():
         return None
@@ -223,54 +222,82 @@ def _parse_stamps(stamps: list[str]) -> np.ndarray | None:
     return (seconds * 1_000_000).view("datetime64[us]")
 
 
-def _ints(raw: list[str], dtype) -> np.ndarray:
-    """`raw` as narrow `dtype` ints, or as Python ints if one does not fit;
-    each distinct string is parsed once."""
-    parsed = {text: int(text) for text in set(raw)}
-    try:
-        return np.fromiter(map(parsed.__getitem__, raw), dtype, len(raw))
-    except OverflowError:
-        return np.array(list(map(parsed.__getitem__, raw)), object)
+# A row of the block path. An id that fills its column may have been cut,
+# and the stamp column holds a byte more than a canonical stamp, so that a
+# longer stamp shows.
+_ROW = np.dtype([("pid", "U32"), ("stamp", "S21"), ("values", "f8", 3), ("age", "i2"),
+                 ("label", "i1")])
 
 
-def _parse_block(flat: list[str]) -> tuple | None:
-    """Columns of a block of rows given as their fields in one flat list, 7
-    a row; None if a field does not parse. Canonical stamps are converted by
-    arithmetic; a block that holds another form, one stamp at a time."""
-    pids, stamps, hr, sbp, dbp, ages, labels = (flat[k::7] for k in range(7))
-    times = _parse_stamps(stamps)
-    try:
-        if times is None:  # the line is named when the row is re-read
-            times = np.array([_parse_timestamp(stamp, 0) for stamp in stamps])
-        values = np.fromiter(map(float, hr + sbp + dbp), float, 3 * len(hr)).reshape(3, -1).T
-        return pids, times, values, _ints(ages, np.int16), _ints(labels, np.int8)
-    except (ValueError, ParseError):
-        return None
+def _plain(text: bytes) -> bool:
+    """Whether the block path reads `text` as Python would: ASCII (NumPy's
+    integer parser accepts some other text that Python's rejects) with no
+    NUL (fixed-width strings drop one that ends a field) and none of
+    0x1C-0x1F (NumPy's number parsers skip them as blanks)."""
+    return text.isascii() and not any(map(text.__contains__, b"\0\x1c\x1d\x1e\x1f"))
 
 
-def _blocks(fh):
-    """The non-blank data rows, up to `_CHUNK_ROWS` lines at a time, as (their
-    columns, or None if a row does not parse; the rows as lists of fields).
-    Lines are split at commas until a block holds a quote or a CR; from there
-    `csv.reader` reads the rest of the file, so a quoted field may span lines."""
-    while lines := list(islice(fh, _CHUNK_ROWS)):
-        text = ",".join(lines)  # each label keeps its newline, which int() ignores
-        if '"' in text or "\r" in text:
+def _block_columns(fh, capacity: int, path: Path):
+    """The block path: `np.loadtxt` reads the rows after the header,
+    `_CHUNK_ROWS` at a time, into columns filled in place. Returns the
+    patient index (id -> code, in order of first row), the columns and None
+    (no row stopped the read); or None as soon as a block does not parse, or
+    holds an id that fills its column or a stamp that is not canonical."""
+    codes = np.empty(capacity, np.int32)
+    times = np.empty(capacity, "datetime64[us]")
+    values = np.empty((capacity, 3))
+    ages = np.empty(capacity, np.int16)
+    labels = np.empty(capacity, np.int8)
+    index: dict[str, int] = {}
+    n = 0
+    while True:
+        with warnings.catch_warnings():  # of blank lines, and of a read that finds no rows
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                block = np.loadtxt(fh, _ROW, delimiter=",", quotechar='"', comments=None,
+                                   max_rows=_CHUNK_ROWS, ndmin=1)
+            except ValueError:  # a field that does not parse, or a row of another width
+                return None
+        if not len(block):
             break
-        if "\n" in lines:  # blank lines carry no data
-            lines = [line for line in lines if line != "\n"]
-            text = ",".join(lines)
-        if lines:
-            counts = set(map(str.count, lines, repeat(",")))
-            yield (_parse_block(text.split(",")) if counts == {len(CSV_HEADER) - 1} else None,
-                   map(str.split, lines, repeat(",")))
-    else:
-        return
-    reader = csv.reader(chain(lines, fh))
-    while block := list(islice(reader, _CHUNK_ROWS)):
-        if rows := [row for row in block if row]:
-            whole = set(map(len, rows)) == {len(CSV_HEADER)}
-            yield _parse_block(list(chain.from_iterable(rows))) if whole else None, rows
+        pids, stamps = block["pid"], _parse_stamps(block["stamp"])
+        if stamps is None or (np.char.str_len(pids) == pids.itemsize // 4).any():
+            return None
+        rows = slice(n, n + len(block))
+        if rows.stop > capacity:
+            raise ParseError(f"{path}: the file grew while it was read")
+        # ids come in runs: look each run up once
+        starts = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]])
+        runs = [index.setdefault(pid, len(index)) for pid in pids[starts].tolist()]
+        codes[rows] = np.repeat(runs, np.diff(starts, append=len(block)))
+        times[rows], values[rows], ages[rows], labels[rows] = (
+            stamps, block["values"], block["age"], block["label"])
+        n = rows.stop
+        if len(block) < _CHUNK_ROWS:  # the end of the file
+            break
+    return index, tuple(a[:n] for a in (codes, times, values, ages, labels)), None
+
+
+def _row_columns(path: Path):
+    """The row path: `_numbered_rows` reads the rows after the header one at
+    a time, up to the first that does not parse. Returns what the block path
+    does, with the index of that row last (None if every row parses). Ages
+    and labels are Python ints, whatever their size."""
+    index: dict[str, int] = {}
+    rows, bad = [], None
+    with path.open(newline="", encoding="utf-8") as fh:
+        for _, row in islice(_numbered_rows(fh), 1, None):
+            try:
+                pid, stamp, hr, sbp, dbp, age, label = row
+                rows.append((index.setdefault(pid, len(index)), _parse_timestamp(stamp, 0),
+                             (float(hr), float(sbp), float(dbp)), int(age), int(label)))
+            except (ValueError, ParseError):  # the line is named when the row is re-read
+                bad = len(rows)
+                break
+    codes, times, values, ages, labels = zip(*rows) if rows else ((),) * 5
+    columns = (np.array(codes, np.int32), np.array(times, np.int64).view("datetime64[us]"),
+               np.array(values).reshape(-1, 3), np.array(ages, object), np.array(labels, object))
+    return index, columns, bad
 
 
 def _row_error(row: list[str], line_no: int) -> VitalnetError | None:
@@ -304,9 +331,9 @@ def _row_error(row: list[str], line_no: int) -> VitalnetError | None:
 
 def _numbered_rows(fh):
     """The non-blank rows of a cohort file, header first, with their line
-    numbers. As in `_blocks`, lines are split at commas until one holds a
-    quote or a CR, so an unquoted field has no length limit; from there
-    `csv.reader` reads the rest, numbering its records."""
+    numbers. Lines are split at commas until one holds a quote or a CR, so
+    an unquoted field has no length limit; from there `csv.reader` reads the
+    rest, numbering its records."""
     for line_no, line in enumerate(fh, start=1):
         if '"' in line or "\r" in line:
             break
@@ -346,61 +373,38 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
 def load_cohort(path) -> Cohort:
     """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
 
-    A first pass counts the file's line ends, which bounds its rows (a file
-    that grows past the count while it is read is an error): the columns
-    are filled in place from the blocks of `_blocks`, and the records are
-    views of them. An error names the first bad line, as a reader of one
-    row at a time would: a block that does not parse keeps its rows before
-    the first that `_row_error` rejects, and `_first_error` finds the first
-    bad row among those kept.
+    A first pass over the bytes counts the line ends, which bounds the rows
+    (a file that grows past the count while it is read is an error), and
+    checks that the block path can vouch for the text (`_plain`). The block
+    path (`_block_columns`) reads the rows with `np.loadtxt`; a file that it
+    cannot vouch for, or that it gives up on, is read whole by the row path
+    (`_row_columns`), which stops at the first row that does not parse.
+    The records are views of the columns. An error names the first bad line,
+    as a reader of one row at a time would: `_first_error` finds it among
+    the rows read and the row that stopped the row path.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
     # a row per line end (LF, CR or CRLF), and one after the last; reads stay
     # under glibc's 128 KiB mmap threshold, which freeing a larger buffer would raise
+    capacity, plain = 1, True
     with path.open("rb") as fh:
-        capacity = 1 + sum(
-            chunk.count(b"\n") + (b"\r" in chunk and chunk.count(b"\r") - chunk.count(b"\r\n"))
-            for chunk in iter(partial(fh.read, 1 << 16), b""))
-    codes = np.empty(capacity, np.int32)
-    times = np.empty(capacity, "datetime64[us]")
-    values = np.empty((capacity, 3))
-    ages = np.empty(capacity, np.int16)
-    labels = np.empty(capacity, np.int8)
-    index: dict[str, int] = {}  # patient id -> code, in order of first row
-    first: list[int] = []  # each patient's first row
-    n, bad = 0, None  # rows kept; the first row that fails its own checks
+        for chunk in iter(partial(fh.read, 1 << 16), b""):
+            capacity += chunk.count(b"\n") + (
+                b"\r" in chunk and chunk.count(b"\r") - chunk.count(b"\r\n"))
+            plain = plain and _plain(chunk)
     with path.open(newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)  # reads the header's line(s) only
         if header is None:
             raise ParseError(f"{path}: empty file")
         if header != CSV_HEADER:
             raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-        for columns, rows in _blocks(fh):
-            if columns is None:  # keep the rows before the first bad one
-                rows = list(rows)
-                bad = n + next(j for j, row in enumerate(rows) if _row_error(row, 0))
-                if bad == n:
-                    break
-                columns = _parse_block(list(chain.from_iterable(rows[:bad - n])))
-            pids, *columns = columns  # ids come in runs: look each run up once
-            rows = slice(n, n + len(pids))
-            if rows.stop > capacity:
-                raise ParseError(f"{path}: the file grew while it was read")
-            runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
-            codes[rows] = np.repeat(*np.array(runs).T)
-            if object in (columns[2].dtype, columns[3].dtype):  # an int too wide for them
-                ages, labels = ages.astype(object, copy=False), labels.astype(object, copy=False)
-            times[rows], values[rows], ages[rows], labels[rows] = columns
-            for code, length in runs:
-                if code == len(first):  # a new patient
-                    first.append(n)
-                n += length
-            if bad is not None:
-                break
-    columns = codes, times, values, ages, labels = tuple(
-        a[:n] for a in (codes, times, values, ages, labels))
+        read = _block_columns(fh, capacity, path) if plain else None
+    index, columns, bad = read or _row_columns(path)
+    codes, times, values, ages, labels = columns
+    # each patient's first row: codes are numbered in order of first row
+    first = np.flatnonzero(codes > np.r_[-1, np.maximum.accumulate(codes)[:-1]])
     # rows already grouped by patient and in time order, as written here, stay put
     same = codes[1:] == codes[:-1]
     in_order = ((codes[1:] > codes[:-1]) | (same & (times[1:] > times[:-1]))).all()

@@ -17,6 +17,7 @@ import numpy as np
 from .data import (
     ChannelStats,
     Cohort,
+    RegularSeries,
     WindowedDataset,
     check_window_args,
     make_windows,
@@ -140,27 +141,28 @@ def _metrics(probs, labels, patient_ids, threshold, per_patient) -> tuple[float,
 
 def windows_from_cohort(
     cohort: Cohort,
+    grids: list[RegularSeries],
     stats: ChannelStats,
     window_len: int,
     stride: int,
     days: tuple[int, ...] | None = None,
 ) -> WindowedDataset:
     """Every distinct window that some cut of the cohort's hourly grids
-    reads: a grid of len slots is cut to b = min(len, 24*N) slots for each N
-    in `days`, or not cut when `days` is None.
+    reads: `grids` holds `resample(p)` for each patient p of the cohort, in
+    its order, and a grid of len slots is cut to b = min(len, 24*N) slots for
+    each N in `days`, or not cut when `days` is None.
 
     A cut reads the grid's windows that end at or before b, or, if
     b < window_len, one front-padded window of the first b slots. So each
-    patient, resampled once and in cohort order, gives one padded window per
-    distinct cut shorter than window_len, then the windows that end at or
-    before its longest cut.
+    patient, in cohort order, gives one padded window per distinct cut
+    shorter than window_len, then the windows that end at or before its
+    longest cut.
     """
     if days is not None and min(days, default=1) < 1:
         raise ValidationError(f"number of days must be >= 1, got {min(days)}")
     check_window_args(window_len, stride)
     entries = []
-    for p in cohort.patients:
-        reg = resample(p)
+    for p, reg in zip(cohort.patients, grids, strict=True):
         cuts = [len(reg)] if days is None else sorted({min(len(reg), 24 * n) for n in days})
         entries += [(p.patient_id, reg, p.label, b) for b in cuts
                     if b < window_len or b == cuts[-1]]
@@ -191,7 +193,8 @@ def day_sweep(
     if len(test_cohort) == 0:
         raise ValidationError("day_sweep: empty test cohort")
     days = sorted(days)
-    table = windows_from_cohort(test_cohort, stats, window_len, stride, days)
+    grids = [resample(p) for p in test_cohort.patients]
+    table = windows_from_cohort(test_cohort, grids, stats, window_len, stride, days)
     probs = predict(params, table)
     rows = []
     for n_days in days:

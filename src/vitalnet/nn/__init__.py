@@ -1,6 +1,5 @@
 """From-scratch CNN+LSTM binary classifier with manual backpropagation."""
 
-from .gradcheck import finite_diff_grads, grad_check, max_relative_error
 from .layers import bce_loss, sigmoid
 from .model import (
     ModelConfig,
@@ -10,7 +9,6 @@ from .model import (
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
-    zero_params,
 )
 from .train import AdamState, TrainConfig, adam_step, train
 
@@ -21,15 +19,11 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "bce_loss",
-    "finite_diff_grads",
     "forward",
-    "grad_check",
     "init_params",
     "load_checkpoint",
     "loss_and_grads",
-    "max_relative_error",
     "save_checkpoint",
     "sigmoid",
     "train",
-    "zero_params",
 ]

@@ -163,12 +163,6 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(tensors=tensors, config=config)
 
 
-def zero_params(config: ModelConfig) -> ModelParams:
-    params = init_params(config)
-    params.tensors.flat[:] = 0.0
-    return params
-
-
 def forward(params: ModelParams, x: np.ndarray):
     """x: (B, W, 3) normalized windows -> (probs (B,), features (B, 100), cache).
 

@@ -403,9 +403,6 @@ class CalibrationReport:
     cells: list[CellReport]
     resting_hr: dict[int, dict[str, float | bool]]
 
-    def all_mean_cells_overlap(self) -> bool:
-        return all(c.overlaps for c in self.cells if c.stat == "mean")
-
 
 def patient_feature_table(cohort: Cohort) -> dict[str, np.ndarray]:
     """Per-patient summary features over hourly-resampled series.

@@ -42,12 +42,14 @@ def pipeline(default_cohort) -> TrainedPipeline:
     """Default end-to-end run: 80/20 patient split, default configs."""
     t_start = time.time()
     train_cohort, test_cohort = split_by_patient(default_cohort, 0.8, seed=11)
-    stats = compute_channel_stats([resample(p) for p in train_cohort.patients])
-    dataset = windows_from_cohort(train_cohort, stats, WINDOW_LEN, STRIDE)
+    grids = [resample(p) for p in train_cohort.patients]
+    stats = compute_channel_stats(grids)
+    dataset = windows_from_cohort(train_cohort, grids, stats, WINDOW_LEN, STRIDE)
     t_train = time.time()
     params, history = train(dataset, ModelConfig(seed=7), TrainConfig(seed=7))
     train_seconds = time.time() - t_train
-    test_ds = windows_from_cohort(test_cohort, stats, WINDOW_LEN, STRIDE)
+    test_grids = [resample(p) for p in test_cohort.patients]
+    test_ds = windows_from_cohort(test_cohort, test_grids, stats, WINDOW_LEN, STRIDE)
     probs = predict(params, test_ds)
     acc, auc = window_metrics(probs, test_ds)
     return TrainedPipeline(

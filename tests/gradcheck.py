@@ -1,4 +1,5 @@
-"""Finite-difference verification of the end-to-end analytic gradient.
+"""Finite-difference verification of the end-to-end analytic gradient, a
+helper of the tests.
 
 Central differences on every parameter coordinate are compared against the
 backward pass for the mean BCE on a random mini-batch. Inputs whose ReLU
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
-from .layers import bce_loss, conv1d_forward, dense_forward
-from .model import ModelConfig, ModelParams, forward, init_params, loss_and_grads
+from vitalnet.errors import ValidationError
+from vitalnet.nn.layers import bce_loss, conv1d_forward, dense_forward
+from vitalnet.nn.model import ModelConfig, ModelParams, forward, init_params, loss_and_grads
 
 # margin around ReLU kinks / pool ties below which a draw is rejected
 KINK_MARGIN = 2e-4

@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 
 from vitalnet.cli import run as cli_run
-from vitalnet.data import write_cohort
+from vitalnet.data import resample, write_cohort
 from vitalnet.evaluate import day_sweep, extract_features, roc_auc
 from vitalnet.nn import (
     ModelConfig,
     forward,
-    grad_check,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -31,6 +30,7 @@ from vitalnet.tsne import (
     kl_gradient,
 )
 
+from gradcheck import grad_check  # the finite-difference helper
 from test_tsne import realized_perplexities  # the reference helper
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -120,7 +120,7 @@ def test_criterion_2_statistical_oracles():
 def test_criterion_3_synthetic_calibration(default_cohort):
     with _Budget("criterion 3: synthetic calibration", 60):
         cfg = default_config()
-        labels = default_cohort.labels()
+        labels = np.array([p.label for p in default_cohort.patients])
         assert len(default_cohort) == 70
         assert int(labels.sum()) == 32 and int((labels == 0).sum()) == 38
         for group in cfg.groups:
@@ -282,7 +282,8 @@ def test_criterion_7_output_format_fidelity(tmp_path, pipeline):
         # embedding scatter (the 2-D feature-map figure), one marker per window
         from vitalnet.evaluate import windows_from_cohort
 
-        test_ds = windows_from_cohort(pipeline.test_cohort, pipeline.stats, 48, 24)
+        grids = [resample(p) for p in pipeline.test_cohort.patients]
+        test_ds = windows_from_cohort(pipeline.test_cohort, grids, pipeline.stats, 48, 24)
         feats = extract_features(pipeline.params, test_ds)
         emb = embed(feats, perplexity=min(30.0, len(test_ds) - 2), iters=300, seed=0)
         emb_csv = tmp_path / "embedding.csv"

@@ -6,12 +6,13 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-from vitalnet import __version__, svg, tsne
+from vitalnet import __version__, cli, evaluate, svg, tsne
 from vitalnet.cli import _openblas_core, run
 from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
@@ -367,6 +368,19 @@ class TestTrainEvalSweep:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_train_resamples_each_patient_once(self, tmp_path):
+        cohort, tr, te = tmp_path / "c.csv", tmp_path / "tr.csv", tmp_path / "te.csv"
+        assert run(["synth", "--out", str(cohort)]) == 0
+        assert run(["split", "--cohort", str(cohort), "--seed", "11",
+                    "--train-out", str(tr), "--test-out", str(te)]) == 0
+        resample = mock.Mock(wraps=cli.resample)
+        with mock.patch.object(cli, "resample", resample), \
+                mock.patch.object(evaluate, "resample", resample):
+            assert run(["train", "--train", str(tr), "--set-train", "epochs=0",
+                        "--out", str(tmp_path / "m.json")]) == 0
+        ids = [c.args[0].patient_id for c in resample.call_args_list]
+        assert len(ids) == len(set(ids)) == 56
 
     def test_eval_metrics_schema(self, tmp_path, small_cohort_csv, small_model):
         out = tmp_path / "metrics.json"

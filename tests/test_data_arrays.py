@@ -413,13 +413,16 @@ class TestLoadErrorsOracle:
 
     def test_trailing_nul_is_not_canonical(self, tmp_path):
         # `datetime.fromisoformat` accepts a trailing NUL, which NumPy's
-        # string arrays would drop; such a stamp is parsed on its own
+        # string arrays would drop; a file holding a NUL skips the block path
+        # and each stamp is parsed on its own
         rows = [["P0", format_stamp(T0 + timedelta(hours=h), "Z") + "\x00" * (h == 1),
                  "80.0", "120.0", "70.0", "50", "1"] for h in range(3)]
         path = tmp_path / "c.csv"
         write_rows(path, rows)
-        with mock.patch.object(data, "_parse_timestamp", wraps=data._parse_timestamp) as parse:
+        with mock.patch.object(data, "_block_columns", wraps=data._block_columns) as blocks, \
+                mock.patch.object(data, "_parse_timestamp", wraps=data._parse_timestamp) as parse:
             cohort = load_cohort(path)
+        assert not blocks.called
         assert rows[1][1] in [c.args[0] for c in parse.call_args_list]
         assert_same_record(cohort.patients[0], ref_load_cohort(path)[0])
 

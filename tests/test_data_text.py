@@ -3,11 +3,12 @@
 The references below are an earlier block reader (`csv.reader`, then
 `zip(*rows)` and a NumPy string round trip to check each stamp), the
 row-at-a-time reader it fell back to for every file it rejected, and the
-previous writer (`csv.writer.writerows` per patient). The one-pass reader,
-the arithmetic stamp parser and the per-patient string writer must accept
-the same stamps and files, give equal records and bytes, and raise the same
-error class and message (line number included) on anything else. The
-writer differs in one way on purpose: it quotes an id holding a lone CR.
+previous writer (`csv.writer.writerows` per patient). The reader (its
+`np.loadtxt` block path and its row path), the arithmetic stamp parser and
+the per-patient string writer must accept the same stamps and files, give
+equal records and bytes, and raise the same error class and message (line
+number included) on anything else. The writer differs in one way on
+purpose: it quotes an id holding a lone CR.
 """
 
 import csv
@@ -17,7 +18,7 @@ import re
 import sys
 import warnings
 from datetime import datetime, timedelta, timezone
-from itertools import chain, groupby, islice, repeat
+from itertools import groupby, islice, repeat
 from pathlib import Path
 from unittest import mock
 
@@ -227,9 +228,19 @@ def assert_same_outcome(path):
     return got
 
 
+def stamp_column(stamps):
+    """The stamps as the block path's column holds them: their UTF-8 bytes,
+    cut to the column's 21 bytes as `np.loadtxt` cuts a longer field."""
+    return np.array([s.encode()[:21] for s in stamps], data._ROW["stamp"])
+
+
 def assert_same_stamps(stamps):
     want = ref_parse_stamps(stamps)
-    got = data._parse_stamps(stamps)
+    if not data._plain("".join(stamps).encode()):
+        # a file holding such a stamp takes the row path: none is canonical
+        assert want is None, stamps
+        return
+    got = data._parse_stamps(stamp_column(stamps))
     if want is None:
         assert got is None, stamps
     else:
@@ -275,15 +286,16 @@ class TestParseStamps:
 
     def test_lengths_that_cancel_out(self):
         # 19 + 21 characters join to two well-formed 20-character rows
-        assert_same_stamps(["2020-03-21T14:00:00", "Z2020-03-21T15:00:00Z"])
-        assert data._parse_stamps(["2020-03-21T14:00:00", "Z2020-03-21T15:00:00Z"]) is None
+        stamps = ["2020-03-21T14:00:00", "Z2020-03-21T15:00:00Z"]
+        assert_same_stamps(stamps)
+        assert data._parse_stamps(stamp_column(stamps)) is None
 
     def test_every_day_of_four_centuries(self):
         days = np.arange(np.datetime64("1600-01-01"), np.datetime64("2000-01-01"))
         stamps = [f"{d}T{(i * 7) % 24:02d}:{i % 60:02d}:{(i * 13) % 60:02d}Z"
                   for i, d in enumerate(days.astype(str).tolist())]
         assert_same_stamps(stamps)
-        assert len(data._parse_stamps(stamps)) == len(days)
+        assert len(data._parse_stamps(stamp_column(stamps))) == len(days)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -299,7 +311,8 @@ class TestParseStamps:
     @given(st.lists(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
                     min_size=1, max_size=8))
     def test_property_over_real_instants(self, instants):
-        got = data._parse_stamps([t.isoformat(timespec="seconds") + "Z" for t in instants])
+        got = data._parse_stamps(stamp_column([t.isoformat(timespec="seconds") + "Z"
+                                               for t in instants]))
         want = np.array([np.datetime64(t.replace(microsecond=0), "us") for t in instants])
         assert np.array_equal(got, want)
 
@@ -458,6 +471,8 @@ class TestWriter:
 # Files
 # ---------------------------------------------------------------------------
 
+ID_WIDTH = data._ROW["pid"].itemsize // 4  # characters in the block path's id column
+
 FILE_CORPUS = {
     "empty": "",
     "header_only": HEADER,
@@ -494,6 +509,14 @@ FILE_CORPUS = {
     "non_ascii_id": HEADER + (ROW + ROW2).replace("P0", "é中"),
     "non_finite": HEADER + ROW + ROW2.replace("81.5", "inf"),
     "huge_age": HEADER + ROW.replace(",50,", ",99999999999999999999,"),
+    # NumPy's fixed-width strings drop a trailing NUL and cut a longer field
+    "nul_ending_id": HEADER + ROW + ROW2.replace("P0", "P0\x00"),
+    "stamp_of_21_bytes": HEADER + ROW.replace("00:00:00Z", "00:00:00Z0") + ROW2,
+    "id_at_width": HEADER + (ROW + ROW2).replace("P0", "P" * ID_WIDTH),
+    "id_past_width": HEADER + (ROW + ROW2).replace("P0", "P" * (ID_WIDTH + 1)),
+    # NumPy's number parsers read these as a blank and as a digit; Python's do not
+    "separator_in_age": HEADER + ROW.replace(",50,", ",50\x1c,") + ROW2,
+    "devanagari_in_age": HEADER + ROW.replace(",50,", ",5\u0930,") + ROW2,
 }
 
 
@@ -518,38 +541,43 @@ class TestLoadFiles:
         with pytest.raises(ParseError, match=r"bad header \[\]"):
             load_cohort(path)
 
-    # (switches to csv.reader, takes the per-stamp parse, errors) for the files
-    # that do any of these; the others are read by splitting lines at commas
-    ROUTES = {
-        "crlf": (True, False, False), "lone_cr": (True, False, False),
-        "quoted_id": (True, False, False), "offset_stamp": (False, True, False),
-        "lowercase_z": (False, True, True), "spaces_only_line": (False, False, True),
-    }
+    # the files that the block path starts on and gives up: a field that
+    # np.loadtxt does not parse, a row of another width, an id that fills its
+    # column or a stamp that is not canonical
+    GIVEN_UP = {"offset_stamp", "lowercase_z", "spaces_only_line", "underscore_number",
+                "stamp_of_21_bytes", "id_at_width", "id_past_width"}
 
-    @pytest.mark.parametrize("name,row_reader", [
-        ("no_trailing_newline", False), ("blank_between_rows", False),
-        ("underscore_number", False), ("non_ascii_id", False), ("nul_in_id", False),
-        ("crlf", True), ("lone_cr", True), ("quoted_id", True), ("offset_stamp", True),
-        ("lowercase_z", True), ("spaces_only_line", True),
+    @pytest.mark.parametrize("name,row_path", [
+        ("no_trailing_newline", False), ("blank_between_rows", False), ("crlf", False),
+        ("lone_cr", False), ("quoted_id", False), ("offset_stamp", True),
+        ("lowercase_z", True), ("spaces_only_line", True), ("underscore_number", True),
+        ("non_ascii_id", True), ("nul_in_id", True), ("nul_ending_id", True),
+        ("stamp_of_21_bytes", True), ("id_at_width", True), ("id_past_width", True),
+        ("separator_in_age", True), ("devanagari_in_age", True),
     ])
-    def test_which_files_take_the_row_reader(self, tmp_path, name, row_reader):
-        # `row_reader`: the file once sent the whole load to a row-at-a-time reader
+    def test_which_files_take_the_row_reader(self, tmp_path, name, row_path):
+        # `row_path`: the file is read whole by the row-at-a-time path; the
+        # others are read by np.loadtxt alone
         path = tmp_path / "c.csv"
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
-        rejected = []
+        with mock.patch.object(data, "_block_columns", wraps=data._block_columns) as blocks, \
+                mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+            assert_same_outcome(path)
+        assert rows.called == row_path
+        assert blocks.called == (not row_path or name in self.GIVEN_UP)
 
-        def parse_stamps(stamps, real=data._parse_stamps):
-            times = real(stamps)
-            rejected.append(times is None)
-            return times
-
-        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader, \
-                mock.patch.object(data, "_parse_stamps", parse_stamps):
-            result = outcome(load_cohort, path)
-        switched = any(isinstance(c.args[0], chain) for c in reader.call_args_list)
-        route = (switched, any(rejected), result[0] != "ok")
-        assert route == self.ROUTES.get(name, (False, False, False))
-        assert any(route) == row_reader
+    def test_synth_cohort_and_its_halves_never_take_the_row_path(self, tmp_path):
+        cohort = generate_cohort(default_config())
+        for i, part in enumerate([cohort, *split_by_patient(cohort, 0.8, 11)]):
+            write_cohort(part, tmp_path / f"{i}.csv")
+        with mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+            loaded = [load_cohort(tmp_path / f"{i}.csv") for i in range(3)]
+            assert not rows.called
+            slow = tmp_path / "slow.csv"  # one stamp with an offset
+            slow.write_text((tmp_path / "2.csv").read_text().replace("Z,", "+00:00,", 1))
+            assert_same_cohort(load_cohort(slow), loaded[2])
+            assert rows.called
+        assert_same_cohort(loaded[0], cohort)
 
     def test_rows_spanning_blocks_with_blank_lines(self, tmp_path):
         t0 = datetime(2020, 3, 21, tzinfo=timezone.utc)
@@ -618,18 +646,25 @@ class TestBlockBoundaries:
         (patient,) = load_cohort(path).patients
         assert patient.patient_id == pid and len(patient.times) == 1
 
+    def test_long_number_on_the_block_path_has_no_field_limit(self, tmp_path):
+        # longer than csv.field_size_limit(), in a file with a quoted id
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + row('"P0"', 0, hr="0" * 200_000 + "80.5"))
+        (patient,) = load_cohort(path).patients
+        assert patient.patient_id == "P0" and patient.values[0, 0] == 80.5
+
     def test_file_growing_while_read_is_an_error(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(HEADER + row("P0", 0))
-        real = data._parse_block
+        real = np.loadtxt
 
-        def parse_block(flat):  # the file grows once its first block is read
+        def loadtxt(*args, **kwargs):  # the file grows once its first block is read
+            block = real(*args, **kwargs)
             if len(path.read_text().splitlines()) == 2:
                 with path.open("a") as fh:
                     fh.write(row("P0", 1) + row("P0", 2) + row("P0", 3))
-            return real(flat)
+            return block
 
-        with mock.patch.object(data, "_CHUNK_ROWS", 1), \
-                mock.patch.object(data, "_parse_block", parse_block):
+        with mock.patch.object(data, "_CHUNK_ROWS", 1), mock.patch.object(np, "loadtxt", loadtxt):
             with pytest.raises(ParseError, match=re.escape(f"{path}: the file grew")):
                 load_cohort(path)

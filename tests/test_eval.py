@@ -23,12 +23,14 @@ from vitalnet.evaluate import (
     window_metrics,
     windows_from_cohort,
 )
-from vitalnet.nn import ModelConfig, init_params, zero_params
+from vitalnet.nn import ModelConfig, init_params
 from vitalnet.synth import default_config, generate_cohort
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
 )
+ZERO = init_params(TINY)
+ZERO.tensors.flat[:] = 0.0  # every sigmoid reads 0.5 and every ReLU 0
 
 
 def pair_count_auc(probs, labels):
@@ -124,7 +126,7 @@ class TestRocAuc:
 class TestPredict:
     def test_zero_init_all_half(self):
         ds = make_dataset()
-        probs = predict(zero_params(TINY), ds)
+        probs = predict(ZERO, ds)
         assert np.all(probs == 0.5)
 
     def test_empty_dataset(self):
@@ -142,7 +144,7 @@ class TestPredict:
 
     def test_zero_init_accuracy_is_majority_share(self):
         ds = make_dataset(n=10)
-        probs = predict(zero_params(TINY), ds)
+        probs = predict(ZERO, ds)
         assert accuracy(probs, ds.y) == ds.y.mean()
 
     def test_chunks_match_one_forward_pass(self, monkeypatch):
@@ -168,7 +170,7 @@ class TestExtractFeatures:
         assert feats.shape == (12, 100)
 
     def test_zero_init_all_zero(self):
-        feats = extract_features(zero_params(TINY), make_dataset())
+        feats = extract_features(ZERO, make_dataset())
         assert np.all(feats == 0.0)
 
     def test_identical_windows_identical_rows(self):
@@ -265,9 +267,10 @@ class TestWindowsFromCohort:
             g.patients_per_bin = [1, 0, 0, 0]
             g.stay_days = (3, 4)
         cohort = generate_cohort(cfg)
-        stats = compute_channel_stats([resample(p) for p in cohort.patients])
+        grids = [resample(p) for p in cohort.patients]
+        stats = compute_channel_stats(grids)
         # truncate to 1 day (24 slots), below the 48-slot window
-        ds = windows_from_cohort(cohort, stats, 48, 24, days=(1,))
+        ds = windows_from_cohort(cohort, grids, stats, 48, 24, days=(1,))
         assert len(ds) == len(cohort.patients)
         assert ds.padded.all()
         assert_same_windows(ds, reference_windows(cohort, stats, 48, 24, max_days=1))
@@ -278,7 +281,8 @@ class TestWindowsFromCohort:
                                                   max_days):
         cohort, stats = short_cohort
         days = None if max_days is None else (max_days,)
-        got = windows_from_cohort(cohort, stats, window_len, stride, days)
+        grids = [resample(p) for p in cohort.patients]
+        got = windows_from_cohort(cohort, grids, stats, window_len, stride, days)
         assert_same_windows(got, reference_windows(cohort, stats, window_len, stride,
                                                    max_days))
         lengths = {p.patient_id: len(resample(p)) for p in cohort.patients}
@@ -363,8 +367,9 @@ class TestDaySweepOracle:
 
     def test_short_cohort_has_padded_windows(self, short_cohort):
         cohort, stats = short_cohort
-        assert windows_from_cohort(cohort, stats, 48, 24).padded.sum() >= 2
-        assert windows_from_cohort(cohort, stats, 48, 24, days=(1,)).padded.all()
+        grids = [resample(p) for p in cohort.patients]
+        assert windows_from_cohort(cohort, grids, stats, 48, 24).padded.sum() >= 2
+        assert windows_from_cohort(cohort, grids, stats, 48, 24, days=(1,)).padded.all()
 
     def test_scores_only_windows_some_row_reads(self, monkeypatch, pipeline):
         sizes = []

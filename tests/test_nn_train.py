@@ -12,22 +12,19 @@ from vitalnet.nn import (
     ModelConfig,
     TrainConfig,
     adam_step,
-    finite_diff_grads,
     forward,
-    grad_check,
     init_params,
     load_checkpoint,
     loss_and_grads,
-    max_relative_error,
     save_checkpoint,
     train,
-    zero_params,
 )
-from vitalnet.nn import gradcheck
-from vitalnet.nn.gradcheck import make_check_batch
 from vitalnet.nn.layers import conv1d_forward, dense_forward
 from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_WIDTH, TENSOR_ORDER
 from vitalnet.nn.train import MAX_EPOCHS
+
+import gradcheck  # the finite-difference helper
+from gradcheck import finite_diff_grads, grad_check, make_check_batch, max_relative_error
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
@@ -52,7 +49,8 @@ def make_dataset(n_windows=40, window_len=24, separation=0.0, seed=0):
 
 class TestModelBasics:
     def test_zero_params_probability_half(self):
-        params = zero_params(TINY)
+        params = init_params(TINY)
+        params.tensors.flat[:] = 0.0
         rng = np.random.default_rng(0)
         probs, feats, _ = forward(params, rng.standard_normal((5, 16, 3)))
         assert np.all(probs == 0.5)
@@ -159,7 +157,8 @@ class TestAdam:
         # with constant g=1 at t=1, bias correction gives m_hat = v_hat = 1,
         # so the update is lr / (1 + eps)
         cfg = TrainConfig(learning_rate=0.1)
-        params = zero_params(TINY)
+        params = init_params(TINY)
+        params.tensors.flat[:] = 0.0
         grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
         adam_step(params, grads, AdamState(), 1, cfg)
         delta = params.tensors["dense1_w"]

@@ -32,7 +32,7 @@ def cohort():
 
 class TestGenerateCohort:
     def test_patient_counts(self, cohort):
-        labels = cohort.labels()
+        labels = np.array([p.label for p in cohort.patients])
         assert len(cohort) == 70
         assert int(labels.sum()) == 32
         assert int((labels == 0).sum()) == 38
@@ -58,7 +58,7 @@ class TestGenerateCohort:
         path = tmp_path / "cohort.csv"
         write_cohort(cohort, path)
         loaded = load_cohort(path)
-        labels = loaded.labels()
+        labels = np.array([p.label for p in loaded.patients])
         assert len(loaded) == 70
         assert int(labels.sum()) == 32 and int((labels == 0).sum()) == 38
         assert [len(p.times) for p in loaded.patients] == [
@@ -151,7 +151,7 @@ class TestGenerateCohort:
 class TestCalibrationReport:
     def test_mean_cells_overlap(self, cohort):
         report = calibration_report(cohort)
-        assert report.all_mean_cells_overlap()
+        assert all(c.overlaps for c in report.cells if c.stat == "mean")
 
     def test_positive_mean_hr_interval(self, cohort):
         report = calibration_report(cohort)
