@@ -222,10 +222,10 @@ def _parse_stamps(stamps: np.ndarray) -> np.ndarray | None:
     return (seconds * 1_000_000).view("datetime64[us]")
 
 
-# A row of the block path. An id that fills its column may have been cut,
-# and the stamp column holds a byte more than a canonical stamp, so that a
-# longer stamp shows.
-_ROW = np.dtype([("pid", "U32"), ("stamp", "S21"), ("values", "f8", 3), ("age", "i2"),
+# A row of the block path. Ids are bytes, as `_plain` text is ASCII; an id
+# that fills its column may have been cut, and the stamp column holds a byte
+# more than a canonical stamp, so that a longer stamp shows.
+_ROW = np.dtype([("pid", "S32"), ("stamp", "S21"), ("values", "f8", 3), ("age", "i2"),
                  ("label", "i1")])
 
 
@@ -261,14 +261,14 @@ def _block_columns(fh, capacity: int, path: Path):
         if not len(block):
             break
         pids, stamps = block["pid"], _parse_stamps(block["stamp"])
-        if stamps is None or (np.char.str_len(pids) == pids.itemsize // 4).any():
+        if stamps is None or (np.char.str_len(pids) == pids.itemsize).any():
             return None
         rows = slice(n, n + len(block))
         if rows.stop > capacity:
             raise ParseError(f"{path}: the file grew while it was read")
         # ids come in runs: look each run up once
         starts = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]])
-        runs = [index.setdefault(pid, len(index)) for pid in pids[starts].tolist()]
+        runs = [index.setdefault(pid.decode(), len(index)) for pid in pids[starts].tolist()]
         codes[rows] = np.repeat(runs, np.diff(starts, append=len(block)))
         times[rows], values[rows], ages[rows], labels[rows] = (
             stamps, block["values"], block["age"], block["label"])

@@ -7,6 +7,9 @@ burst process on all channels, correlated blood-pressure noise) that is
 affinely rescaled so the realized series mean and minimum land on the
 latent draws. Group-level confidence intervals therefore concentrate
 inside the target intervals by construction.
+
+Each patient's draws are made in turn; the AR(1) and burst recurrences,
+which draw nothing, then run for a block of patients at once (`_recur`).
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ MAX_STAY_DAYS = (
 )
 # A cadence longer than the longest stay never gives a second sample.
 MAX_CADENCE_MINUTES = MAX_STAY_DAYS * 24 * 60
-# Patients are built one at a time and the cohort is held in memory; 10,000
-# per bin (80,000 patients) is far past the default cohort's 70.
+# The cohort is held in memory; 10,000 per bin (80,000 patients) is far past
+# the default cohort's 70.
 MAX_PATIENTS_PER_BIN = 10_000
 # The whole cohort is held in memory, ~32 bytes a row as arrays: 10 million
 # rows is ~60x the x4 cohort's 166k rows (~750k at worst for its config) and
-# keeps a config of valid-looking stays from exhausting the machine.
+# keeps a config of valid-looking stays from exhausting the machine. A block
+# of patients adds its recurrence buffer, at most 1 MiB (`_BLOCK_CELLS`) or
+# 40 B a row for one longer patient, less than one path's Python lists took.
 MAX_ROWS = 10_000_000
 
 
@@ -219,28 +224,37 @@ def default_config() -> SynthConfig:
 _CLIP = {"hr": (30.0, 200.0), "sbp": (60.0, 250.0), "dbp": (20.0, 150.0)}
 
 
-def _ar1(rng, n: int, coef: float) -> np.ndarray:
-    """Unit-variance stationary AR(1) path of length n."""
-    eps = (rng.standard_normal(n) * np.sqrt(1.0 - coef * coef)).tolist()
-    x = rng.standard_normal()
-    out = [x]
-    for e in eps[1:]:  # Python floats: the same float64 operations, in order
-        x = coef * x + e
-        out.append(x)
-    return np.array(out)
+# Recurrence cells per block: a block's time-major buffer holds at most this
+# many float64 values (1 MiB), unless one patient alone needs more.
+_BLOCK_CELLS = 1 << 17
 
 
-def _burst(rng, n: int, rate: float, decay: float, dt_hours: float) -> np.ndarray:
-    """Non-negative decaying burst process (sparse exponential impulses)."""
-    hits = rng.random(n) < rate * dt_hours
-    amps = (rng.exponential(1.0, size=n) * hits).tolist()
-    d = decay**dt_hours
-    acc = 0.0
-    out = []
-    for a in amps:
-        acc = d * acc + a
-        out.append(acc)
-    return np.array(out)
+def _recur(buf: np.ndarray, coefs: np.ndarray, lengths: np.ndarray) -> None:
+    """x_t = coefs * x_{t-1} + buf[t], in place down each column of the
+    time-major `buf` from its first row to its length in `lengths`. Lengths
+    do not rise, so the columns still running are a prefix. Each step is one
+    multiply and one add, each rounded, as in a loop over Python floats."""
+    acc = np.empty_like(coefs)
+    start = 1
+    for stop in np.unique(lengths[lengths > 1]).tolist():
+        k = np.count_nonzero(lengths >= stop)
+        c, a, rows = coefs[:k], acc[:k], list(buf[start - 1:stop, :k])
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(c, prev, out=a)
+            np.add(a, row, out=row)
+        start = stop
+
+
+def _blocks(lengths: list[int]):
+    """Runs of consecutive patients whose five series, at the longest one's
+    length, fit in `_BLOCK_CELLS`; a patient that needs more is a run alone."""
+    start, longest = 0, 0
+    for i, n in enumerate(lengths):
+        longest = max(longest, n)
+        if i > start and 5 * longest * (i + 1 - start) > _BLOCK_CELLS:
+            yield start, i
+            start, longest = i, n
+    yield start, len(lengths)
 
 
 def _cadence_assignment(config: SynthConfig, n: int) -> list[int]:
@@ -288,48 +302,64 @@ def generate_cohort(config: SynthConfig) -> Cohort:
         for (bin_lo, bin_hi), count in zip(config.age_bins, group.patients_per_bin):
             ages.extend(rng.integers(bin_lo, bin_hi + 1, size=count).tolist())
 
-        for i in range(n_group):
-            pid = f"SYN-{group.label}-{i:03d}"
-            patients.append(
-                _generate_patient(
-                    rng,
-                    pid,
-                    group,
-                    dyn,
-                    age=int(ages[i]),
-                    duration_days=float(durations[i]),
-                    cadence_min=int(cadences[i]),
-                )
-            )
+        lengths = [int(float(days) * 24.0 / (cadence / 60.0)) + 1
+                   for days, cadence in zip(durations, cadences)]
+        for lo, hi in _blocks(lengths):
+            patients.extend(_generate_block(rng, group, dyn, lo, ages[lo:hi], cadences[lo:hi],
+                                            lengths[lo:hi]))
     return Cohort(patients=patients)
 
 
-def _generate_patient(
-    rng, pid: str, group: GroupSpec, dyn: Dynamics, age, duration_days, cadence_min
-) -> PatientRecord:
-    dt_hours = cadence_min / 60.0
-    n = int(duration_days * 24.0 / dt_hours) + 1
-    t_hours = np.arange(n) * dt_hours
-    coef = dyn.ar_coef_hourly**dt_hours
-    decay = dyn.burst_decay_hourly
+def _generate_block(rng, group: GroupSpec, dyn: Dynamics, first: int, ages, cadences,
+                    lengths) -> list[PatientRecord]:
+    """The group's patients from index `first` on, one block. Each patient's
+    draws are made in turn, in the generator's order, and the five series
+    that its recurrences read are written to its columns of one time-major
+    buffer, longest patient first. Then every recurrence runs at once
+    (`_recur`), and each patient is assembled from its five paths."""
+    lengths = np.array(lengths)
+    cols = np.empty(len(lengths), int)
+    cols[np.argsort(-lengths, kind="stable")] = np.arange(0, 5 * len(lengths), 5)
+    buf = np.empty((lengths.max(), 5 * len(lengths)))
+    coefs = np.empty(5 * len(lengths))
+    latent = []
+    for cadence, n, c in zip(cadences, lengths, cols):
+        dt_hours = cadence / 60.0
+        coef, d = dyn.ar_coef_hourly**dt_hours, dyn.burst_decay_hourly**dt_hours
+        # latent per-patient targets: series mean and minimum per vital
+        mu, mn = {}, {}
+        for vital in VITALS:
+            mu[vital] = rng.normal(_target_mid(group, vital, "mean"), dyn.mean_sd[vital])
+            raw_min = rng.normal(_target_mid(group, vital, "min"), dyn.min_sd[vital])
+            mn[vital] = min(raw_min, mu[vital] - 5.0)
+        # shared structure: positive bursts on all channels, dips on HR,
+        # correlated blood-pressure noise. A burst's first value is its first
+        # impulse (d * 0.0 + a is a, as a >= +0.0); an AR(1) path's is a draw.
+        for j, rate in enumerate((dyn.spike_rate_per_hour, dyn.dip_rate_per_hour)):
+            hits = rng.random(n) < rate * dt_hours
+            buf[:n, c + j] = rng.exponential(1.0, size=n) * hits
+        for j in (2, 3, 4):  # HR, SBP and the independent part of DBP
+            buf[:n, c + j] = rng.standard_normal(n) * np.sqrt(1.0 - coef * coef)
+            buf[0, c + j] = rng.standard_normal()
+        coefs[c:c + 5] = (d, d, coef, coef, coef)
+        phase = rng.uniform(0.0, 24.0)
+        latent.append((mu, mn, phase, int(rng.integers(0, _START_SPREAD_DAYS * 24 * 60))))
+    _recur(buf, coefs, np.repeat(-np.sort(-lengths), 5))
+    return [_assemble_patient(f"SYN-{group.label}-{first + i:03d}", group, dyn, age,
+                              cadence, buf[:n, c:c + 5], *drawn)
+            for i, (age, cadence, n, c, drawn) in enumerate(zip(ages, cadences, lengths,
+                                                               cols, latent))]
 
-    # latent per-patient targets: series mean and minimum per vital
-    mu, mn = {}, {}
-    for vital in VITALS:
-        mu[vital] = rng.normal(_target_mid(group, vital, "mean"), dyn.mean_sd[vital])
-        raw_min = rng.normal(_target_mid(group, vital, "min"), dyn.min_sd[vital])
-        mn[vital] = min(raw_min, mu[vital] - 5.0)
 
-    # shared structure: positive bursts on all channels, dips on HR,
-    # correlated blood-pressure noise
-    spikes = _burst(rng, n, dyn.spike_rate_per_hour, decay, dt_hours)
-    dips = _burst(rng, n, dyn.dip_rate_per_hour, decay, dt_hours)
-    ar_hr = _ar1(rng, n, coef)
-    ar_sbp = _ar1(rng, n, coef)
-    ar_ind = _ar1(rng, n, coef)
+def _assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, age: int, cadence_min: int,
+                      paths, mu, mn, phase, start_minute) -> PatientRecord:
+    """A patient from its five paths and latent draws: the paths mixed per
+    vital, then rescaled so each series' mean and minimum land on mu and mn."""
+    spikes, dips, ar_hr, ar_sbp, ar_ind = paths.T
+    n = len(paths)
+    t_hours = np.arange(n) * (cadence_min / 60.0)
     rho = dyn.sbp_dbp_corr
     ar_dbp = rho * ar_sbp + np.sqrt(1.0 - rho * rho) * ar_ind
-    phase = rng.uniform(0.0, 24.0)
     circadian = group.circadian_hr_amp * np.sin(2.0 * np.pi * (t_hours + phase) / 24.0)
 
     z = {
@@ -345,7 +375,6 @@ def _generate_patient(
         - dyn.dip_gain["dbp"] * dips,
     }
 
-    start_minute = int(rng.integers(0, _START_SPREAD_DAYS * 24 * 60))
     channels = {}
     for vital in VITALS:
         zc = z[vital]

@@ -471,7 +471,7 @@ class TestWriter:
 # Files
 # ---------------------------------------------------------------------------
 
-ID_WIDTH = data._ROW["pid"].itemsize // 4  # characters in the block path's id column
+ID_WIDTH = data._ROW["pid"].itemsize  # bytes (ASCII characters) in the block path's id column
 
 FILE_CORPUS = {
     "empty": "",

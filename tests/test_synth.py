@@ -1,9 +1,12 @@
 import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from synth_oracle import _ar1, _burst  # the Python loops the block kernel replaced
+from vitalnet import synth
 from vitalnet.data import write_cohort
 from vitalnet.errors import ValidationError
 from vitalnet.synth import (
@@ -23,6 +26,18 @@ PINNED_SHA256 = {
     1: "af78d0ae1bb30f8af1be5f99b047a19afa1371658980d63b89b2e25f98a39f54",
     42: "2a9a54b9e0a9752dd9ec2b5686dfd603f67408e111cda07e3cae29087222e472",
 }
+
+# SHA-256 of `write_cohort` for the benchmark's x4 cohort: the default config
+# with 4x the patients per bin, seed 1 (280 patients, 167,644 rows)
+X4_SHA256 = "f8c7c7c4c5f840fb7eed0c587e81ad6c63ccfc9d1f7a122aa2d73ae3022a6462"
+
+
+def x4_config():
+    cfg = default_config()
+    cfg.seed = 1
+    for group in cfg.groups:
+        group.patients_per_bin = [4 * n for n in group.patients_per_bin]
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +94,46 @@ class TestGenerateCohort:
         path = tmp_path / "cohort.csv"
         write_cohort(generate_cohort(cfg), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[seed]
+
+    @pytest.mark.parametrize("cells", [0, 1 << 62])
+    @pytest.mark.parametrize("seed", sorted(PINNED_SHA256))
+    def test_pinned_bytes_at_block_bounds(self, tmp_path, monkeypatch, seed, cells):
+        # 0: every patient is a block of its own; 2**62: each group is one
+        # block (a block never spans groups, whose stays are drawn in turn)
+        recur, blocks = synth._recur, []
+
+        def counted(buf, *args):
+            blocks.append(buf.shape[1] // 5)  # patients in the block
+            recur(buf, *args)
+
+        monkeypatch.setattr(synth, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(synth, "_recur", counted)
+        cfg = default_config()
+        cfg.seed = seed
+        path = tmp_path / "cohort.csv"
+        write_cohort(generate_cohort(cfg), path)
+        assert blocks == ([1] * 70 if cells == 0 else [38, 32])
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[seed]
+
+    def test_pinned_x4_bytes(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        cohort = generate_cohort(x4_config())
+        write_cohort(cohort, path)
+        assert sum(len(p.times) for p in cohort.patients) == 167_644
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == X4_SHA256
+
+    def test_x4_memory_peak(self):
+        # the blocks bound what the recurrences hold: 6.4 MiB at the default
+        # bound, 18.5 MiB with each group in one block, 5.5 MiB with one
+        # patient a block (as the Python loops ran)
+        cfg = x4_config()
+        tracemalloc.start()
+        try:
+            generate_cohort(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_different_seed_differs(self, cohort, tmp_path):
         cfg = default_config()
@@ -146,6 +201,44 @@ class TestGenerateCohort:
         cfg = default_config()
         again = SynthConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+
+# (coef,) is an AR(1) path and (rate, decay, dt_hours) a burst path, each run
+# at every length of a set: the coefficients span the Dynamics bounds, rate 0
+# and 100 give no and only impulses, and decay 1e-100 runs into subnormals
+RECURRENCES = [(0.0,), (1.0,), (0.9**0.25,), (0.0, 0.9, 0.25), (0.05, 0.0, 1.0),
+               (0.05, 1.0, 0.5), (100.0, 0.9, 0.25), (0.5, 1e-100, 1.0)]
+
+
+class TestRecurrenceBlocks:
+    @pytest.mark.parametrize("lengths", [[1], [2], [1, 2], [40] * 4, [2, 1, 300, 3, 1, 2]])
+    def test_block_matches_python_loops(self, lengths):
+        specs = [(n, *args) for n in lengths for args in RECURRENCES]
+        expected, draws, coefs = [], [], []
+        for seed, (n, *args) in enumerate(specs):
+            rng = np.random.default_rng(seed)
+            expected.append(_ar1(rng, n, *args) if len(args) == 1 else _burst(rng, n, *args))
+            rng = np.random.default_rng(seed)  # the generator's draws, in its order
+            if len(args) == 1:
+                (coef,) = args
+                x = rng.standard_normal(n) * np.sqrt(1.0 - coef * coef)
+                x[0] = rng.standard_normal()
+            else:
+                rate, decay, dt_hours = args
+                coef = decay**dt_hours
+                hits = rng.random(n) < rate * dt_hours
+                x = rng.exponential(1.0, size=n) * hits
+            draws.append(x)
+            coefs.append(coef)
+        order = sorted(range(len(specs)), key=lambda i: -len(draws[i]))  # longest first
+        buf = np.full((max(lengths), len(specs)), 7.0)
+        for col, i in enumerate(order):
+            buf[:len(draws[i]), col] = draws[i]
+        synth._recur(buf, np.array(coefs)[order], np.array([len(draws[i]) for i in order]))
+        for col, i in enumerate(order):
+            got = buf[:len(draws[i]), col]
+            assert (got.view(np.int64) == expected[i].view(np.int64)).all(), specs[i]
+            assert (buf[len(draws[i]):, col] == 7.0).all()  # past its end: untouched
 
 
 class TestCalibrationReport:
