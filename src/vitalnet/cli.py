@@ -345,6 +345,7 @@ def _cmd_train(args) -> RunRecord:
     grids = [resample(p) for p in cohort.patients]  # one pass feeds the stats and the windows
     stats = compute_channel_stats(grids)
     dataset = windows_from_cohort(cohort, grids, stats, args.window_len, args.stride)
+    del cohort, grids  # the windows hold all that training reads
     params, history = train(dataset, mcfg, tcfg)
     preprocess = {
         "window_len": args.window_len,

@@ -1,8 +1,15 @@
-"""Exception types shared across the package, and the one range check that
-every config number goes through."""
+"""Exception types shared across the package, the one range check that
+every config number goes through, and the one element budget that every
+product of sizes is checked against."""
 
 import math
 import numbers
+
+
+# the most float64 elements (512 MiB) that one batch's or one window's arrays,
+# or the parameters, may take: every size is bounded, but their products are
+# not, so a product over this is rejected before anything is allocated
+MAX_ELEMENTS = 2**26
 
 
 class VitalnetError(Exception):
@@ -35,3 +42,10 @@ def require(name: str, value, kind=numbers.Real, lo=-math.inf, hi=math.inf) -> N
     if not ok:
         what = "an integer" if kind is numbers.Integral else "a finite number"
         raise ValidationError(f"{name} must be {what} in [{lo}, {hi}], got {value!r}")
+
+
+def check_elements(what: str, n: int) -> None:
+    """Reject `what` when it needs more than MAX_ELEMENTS float64 elements."""
+    if n > MAX_ELEMENTS:
+        raise ValidationError(f"{what} needs {n:,} float64 elements, more than the "
+                              f"budget of {MAX_ELEMENTS:,}")

@@ -4,7 +4,9 @@ extraction for the t-SNE projection.
 
 `windows_from_cohort` is the one place a cohort becomes windows: training,
 eval, the sweep and embed all call it. Prediction and feature extraction
-share one chunked forward loop; the sweep scores its table of distinct
+share one chunked forward loop, whose chunk holds as many windows as fit in
+1/64 of the element budget, rounded down to a power of two (32 at the
+default config and 48 slots); the sweep scores its table of distinct
 windows once and selects each row's windows from it.
 """
 
@@ -23,12 +25,13 @@ from .data import (
     make_windows,
     resample,
 )
-from .errors import ValidationError
-from .nn.model import FEATURE_UNITS, ModelParams, forward
+from .errors import MAX_ELEMENTS, ValidationError, check_elements
+from .nn.layers import Workspace
+from .nn.model import FEATURE_UNITS, ModelConfig, ModelParams, forward
 
 DEFAULT_DAYS = tuple(range(2, 29, 2))
 
-_PREDICT_CHUNK = 256
+_CHUNK_ELEMENTS = MAX_ELEMENTS // 64  # 8 MiB of float64 per scoring chunk
 
 
 @dataclass(frozen=True)
@@ -79,15 +82,31 @@ def roc_auc(probs, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+def chunk_windows(config: ModelConfig, window_len: int) -> int:
+    """Windows per scoring chunk: as many as _CHUNK_ELEMENTS holds, rounded
+    down to a power of two, at least one; a window over the whole element
+    budget is rejected."""
+    per_window = config.window_elements(window_len)
+    check_elements(f"one window of {window_len} slots", per_window)
+    return 1 << (max(1, _CHUNK_ELEMENTS // per_window).bit_length() - 1)
+
+
 def _score(params: ModelParams, dataset: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities (n,) and penultimate features (n, FEATURE_UNITS), one
-    forward pass per chunk of `_PREDICT_CHUNK` windows, order preserved."""
+    forward pass per chunk of `chunk_windows` windows, order preserved. The
+    chunks share one workspace, so that each reuses the first one's buffers
+    instead of handing them back to the OS and faulting them in again.
+
+    A window's outputs can take other last bits at another chunk size: a
+    GEMM's result depends on its row count."""
+    chunk = chunk_windows(params.config, dataset.X.shape[1])
     probs = np.empty(len(dataset))
     feats = np.empty((len(dataset), FEATURE_UNITS))
+    ws = Workspace()
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for lo in range(0, len(dataset), _PREDICT_CHUNK):
-            hi = lo + _PREDICT_CHUNK
-            probs[lo:hi], feats[lo:hi], _ = forward(params, dataset.X[lo:hi])
+        for lo in range(0, len(dataset), chunk):
+            hi = lo + chunk
+            probs[lo:hi], feats[lo:hi], _ = forward(params, dataset.X[lo:hi], ws)
     if not (np.isfinite(probs).all() and np.isfinite(feats).all()):
         raise ValidationError("the model gives non-finite outputs on these windows")
     return probs, feats

@@ -13,9 +13,10 @@ w.reshape(F, K*C) @ cols, where the im2col matrix cols is a contiguous (K*C,
 B*T_out) copy built from K slices along T (Chellapilla, Puri & Simard 2006);
 its weight and input gradients are the GEMMs dpre @ cols.T and w.reshape(F,
 K*C).T @ dpre. The im2col is not cached: the backward pass
-rebuilds it, because the model's forward pass holds every layer's cache until
-it returns, and a cached (K*C, B*T_out) copy per layer would add to the peak
-memory of every inference chunk.
+rebuilds it, because without a workspace (below) a cached (K*C, B*T_out) copy
+per layer would stay alive until the model's forward pass returns and add to
+its peak memory. The backward pass writes dcols over the rebuilt im2col, once
+the dw GEMM has consumed it.
 
 Max-pooling is the paper's, size 2 and stride 2: one np.maximum of the even
 and the odd time slots.
@@ -35,9 +36,22 @@ through the loop, and forms dwx, dwh, db and dx after one transpose of the
 gate gradients to (4H, B*T); dx is (D, B, T), as the pool's backward pass
 reads it. The final hidden state reaches the dense layers as a contiguous
 (B, H) array; the dense layers take a leading batch axis.
+
+Every convolution, pooling and LSTM function takes an optional Workspace. With
+none, each call allocates its arrays. Training passes one Workspace for the
+whole run, and scoring one for all of its chunks, so that a pass's large
+arrays (the im2col, the layer outputs and their gradients, the LSTM's gates,
+states and transposed copies) are views of buffers that the first pass
+allocated; every op is the same ufunc or GEMM, writing through `out=`, so the
+results are the same bits. A buffer is reused by the next call of the same
+layer, so a cache is only good until then, and the LSTM's backward pass
+writes over its cached gates and cell states once it has read them: with a
+Workspace, a backward pass consumes its cache.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,23 +70,59 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class Workspace:
+    """Reusable flat float64 buffers keyed by role.
+
+    `take(role, shape)` returns the first prod(shape) elements of the role's
+    buffer, reshaped, and grows the buffer when it is too small; so a partial
+    last batch reuses the full batch's memory. The contents are whatever the
+    role's last user left. `layer(name)` is a view of the same buffers whose
+    roles are prefixed by `name`, so two layers never share a buffer.
+    """
+
+    def __init__(self, buffers: dict | None = None, prefix: str = ""):
+        self._buffers = {} if buffers is None else buffers
+        self._prefix = prefix
+
+    def layer(self, name: str) -> "Workspace":
+        return Workspace(self._buffers, f"{self._prefix}{name}.")
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        key = self._prefix + role
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def scope(ws: Workspace | None, name: str) -> Workspace | None:
+    """The layer `name` of `ws`, or None for a pass that allocates."""
+    return None if ws is None else ws.layer(name)
+
+
+def scratch(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array: the role's buffer of `ws`, or a new one."""
+    return np.empty(shape) if ws is None else ws.take(role, shape)
+
+
 # ---------------------------------------------------------------------------
 # 1-D convolution (valid cross-correlation along time)
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, ws=None) -> np.ndarray:
     """x: (C, B, T) -> contiguous (K*C, B*T_out) patches; row j*C + c holds
     x[c, :, j:j+T_out], matching w.reshape(F, K*C)."""
     c, b, t = x.shape
     t_out = t - k + 1
-    cols = np.empty((k, c, b, t_out))
+    cols = scratch(ws, "cols", (k, c, b, t_out))
     for j in range(k):
         cols[j] = x[:, :, j : j + t_out]
     return cols.reshape(k * c, b * t_out)
 
 
-def conv1d_forward(x, w, bias):
+def conv1d_forward(x, w, bias, ws=None):
     """x: (C, B, T), w: (F, K, C), bias: (F,) -> pre-activation (F, B, T-K+1)."""
     c, b, t = x.shape
     f, k, cw = w.shape
@@ -80,21 +130,24 @@ def conv1d_forward(x, w, bias):
         raise ValidationError(f"conv1d: channel mismatch (input {c}, weights {cw})")
     if t < k:
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
-    pre = (w.reshape(f, k * c) @ _im2col(x, k)).reshape(f, b, t - k + 1)
+    pre = scratch(ws, "out", (f, b, t - k + 1))
+    np.matmul(w.reshape(f, k * c), _im2col(x, k, ws), out=pre.reshape(f, -1))
     pre += bias[:, None, None]
     return pre, (x, w)
 
 
-def conv1d_backward(dpre, cache):
+def conv1d_backward(dpre, cache, ws=None):
     """dpre: (F, B, T-K+1) -> (dx (C, B, T), dw, db)."""
     x, w = cache
     c, b, t = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
     flat = dpre.reshape(f, -1)
-    dw = (flat @ _im2col(x, k).T).reshape(f, k, c)
-    dcols = (w.reshape(f, k * c).T @ flat).reshape(k, c, b, t_out)
-    dx = np.zeros_like(x)
+    cols = _im2col(x, k, ws)
+    dw = (flat @ cols.T).reshape(f, k, c)
+    dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
+    dx = scratch(ws, "dx", x.shape)
+    dx.fill(0.0)
     for j in range(k):
         dx[:, :, j : j + t_out] += dcols[j]
     return dx, dw, flat.sum(axis=1)
@@ -105,7 +158,7 @@ def conv1d_backward(dpre, cache):
 # ---------------------------------------------------------------------------
 
 
-def maxpool1d_forward(x):
+def maxpool1d_forward(x, ws=None):
     """x: (C, B, T) -> out (C, B, T // 2), the max of slots 2t and 2t+1; an
     odd last slot is dropped.
 
@@ -117,16 +170,19 @@ def maxpool1d_forward(x):
     if t < 2:
         raise ValidationError(f"maxpool1d: input length {t} shorter than window 2")
     first, second = x[..., 0 : t - 1 : 2], x[..., 1:t:2]
-    return np.maximum(first, second), (x.shape, second > first)
+    out = np.maximum(first, second, out=scratch(ws, "out", first.shape))
+    return out, (x.shape, second > first)
 
 
-def maxpool1d_backward(dout, cache):
+def maxpool1d_backward(dout, cache, ws=None):
     shape, second = cache
     t = shape[2]
-    dx = np.zeros(shape)
+    dx = scratch(ws, "dx", shape)
+    dx.fill(0.0)
+    tmp = scratch(ws, "tmp", dout.shape)
     # added into zeros, not assigned, so a masked-out negative dout leaves 0.0
-    dx[..., 0 : t - 1 : 2] += dout * ~second
-    dx[..., 1:t:2] += dout * second
+    dx[..., 0 : t - 1 : 2] += np.multiply(dout, ~second, out=tmp)
+    dx[..., 1:t:2] += np.multiply(dout, second, out=tmp)
     return dx
 
 
@@ -135,7 +191,7 @@ def maxpool1d_backward(dout, cache):
 # ---------------------------------------------------------------------------
 
 
-def lstm_forward(x, wx, wh, bias):
+def lstm_forward(x, wx, wh, bias, ws=None):
     """x: (D, B, T), wx: (D, 4H), wh: (H, 4H), bias: (4H,) -> h_T (B, H)."""
     d, b, t = x.shape
     h_dim = wh.shape[0]
@@ -146,16 +202,18 @@ def lstm_forward(x, wx, wh, bias):
     # exact because 0.5 is a power of two.
     scale = np.full((4 * h_dim, 1), 0.5)
     scale[2 * h_dim : 3 * h_dim] = 1.0
-    wx_s = np.ascontiguousarray(wx.T * scale)
-    wh_s = np.ascontiguousarray(wh.T * scale)
+    wx_s = np.multiply(wx.T, scale, out=scratch(ws, "wx_s", (4 * h_dim, d)))
+    wh_s = np.multiply(wh.T, scale, out=scratch(ws, "wh_s", (4 * h_dim, h_dim)))
     # input projection of every step: one (4H, D) @ (D, B) GEMM per step
-    gates = np.matmul(wx_s, x.transpose(2, 0, 1))
+    gates = np.matmul(wx_s, x.transpose(2, 0, 1), out=scratch(ws, "gates", (t, 4 * h_dim, b)))
     gates += bias[:, None] * scale
-    cs = np.zeros((t + 1, h_dim, b))
-    hs = np.zeros((t + 1, h_dim, b))
+    cs = scratch(ws, "cs", (t + 1, h_dim, b))
+    hs = scratch(ws, "hs", (t + 1, h_dim, b))
+    cs[0] = 0.0  # every later row is written by its step
+    hs[0] = 0.0
     # per-step scratch, reused so that the loop allocates no arrays
-    rec = np.empty((4 * h_dim, b))
-    ig = np.empty((h_dim, b))
+    rec = scratch(ws, "rec", (4 * h_dim, b))
+    ig = scratch(ws, "ig", (h_dim, b))
     for step in range(t):
         z = gates[step]
         z += np.matmul(wh_s, hs[step], out=rec)
@@ -173,7 +231,7 @@ def lstm_forward(x, wx, wh, bias):
     return np.ascontiguousarray(hs[t].T), (x, wx, wh, gates, cs, hs)
 
 
-def lstm_backward(dh_last, cache):
+def lstm_backward(dh_last, cache, ws=None):
     """dh_last: (B, H) -> (dx (D, B, T), dwx, dwh, db)."""
     x, wx, wh, gates, cs, hs = cache
     d, b, t = x.shape
@@ -181,7 +239,7 @@ def lstm_backward(dh_last, cache):
     i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     # local derivatives of every step, formed in place in dz's blocks: dz per
     # unit dc for the i, f and g blocks and per unit dh for the o block
-    dz = np.empty_like(gates)
+    dz = scratch(ws, "dz", gates.shape)
     di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     for dk, s in ((di, i), (df, f), (do, o)):
         np.subtract(1.0, s, out=dk)
@@ -191,7 +249,9 @@ def lstm_backward(dh_last, cache):
     np.multiply(g, g, out=dg)
     np.subtract(1.0, dg, out=dg)
     dg *= i
-    tanh_c = np.tanh(cs[1:])
+    # with a workspace, tanh_c and then hs_t below are written over the
+    # cached cs, which df has consumed
+    tanh_c = np.tanh(cs[1:], out=scratch(ws, "cs", cs.shape)[1:])
     do *= tanh_c
     # dc per unit dh, o * (1 - tanh(c)^2), in tanh_c's buffer
     dc_dh = tanh_c
@@ -208,12 +268,17 @@ def lstm_backward(dh_last, cache):
         if step:
             dh = wh @ dz[step]
             dc *= f[step]
-    # (4H, B*T), columns in x's (B, T) order
-    dz = dz.transpose(1, 2, 0).reshape(4 * h_dim, b * t)
-    dwx = x.reshape(d, b * t) @ dz.T
-    dwh = hs[:-1].transpose(1, 2, 0).reshape(h_dim, b * t) @ dz.T
+    # (4H, B*T), columns in x's (B, T) order; with a workspace it is written
+    # over the cached gates, which the loop has consumed
+    dz_t = scratch(ws, "gates", (4 * h_dim, b, t))
+    np.copyto(dz_t, dz.transpose(1, 2, 0))
+    dz = dz_t.reshape(4 * h_dim, b * t)
+    hs_t = scratch(ws, "cs", (h_dim, b, t))
+    np.copyto(hs_t, hs[:-1].transpose(1, 2, 0))
+    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=scratch(ws, "dwx", (d, 4 * h_dim)))
+    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T, out=scratch(ws, "dwh", (h_dim, 4 * h_dim)))
     db = dz.sum(axis=1)
-    dx = (wx @ dz).reshape(d, b, t)
+    dx = np.matmul(wx, dz, out=scratch(ws, "dx", (d, b * t))).reshape(d, b, t)
     return dx, dwx, dwh, db
 
 

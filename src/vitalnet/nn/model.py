@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError, require
+from ..errors import ValidationError, check_elements, require
 from . import layers
+from .layers import Workspace, scope
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -73,6 +74,28 @@ class ModelConfig:
         # smallest input length that survives both convs and the size-2 pool
         return self.conv1_kernel + self.conv2_kernel
 
+    def window_elements(self, window_len: int) -> int:
+        """Float64 elements that one window of `window_len` slots adds to a
+        forward pass: both im2col matrices, the conv and pool outputs, and
+        the LSTM's gates and states (20,116 at the defaults and 48 slots)."""
+        if window_len < self.min_window_len():
+            raise ValidationError(f"window length {window_len} below the minimum "
+                                  f"{self.min_window_len()} for this config")
+        f1, k1, f2, k2 = (self.conv1_filters, self.conv1_kernel,
+                          self.conv2_filters, self.conv2_kernel)
+        t1 = window_len - k1 + 1
+        t2 = t1 - k2 + 1
+        h, tp = self.lstm_hidden, t2 // 2
+        return ((k1 * N_CHANNELS + f1) * t1 + (k2 * f1 + f2) * t2 + f2 * tp
+                + 4 * h * tp + 2 * h * (tp + 1))
+
+    def check_batch(self, window_len: int, batch: int) -> None:
+        """Reject, before anything is allocated, a batch of `batch` windows
+        or a parameter count over the element budget."""
+        check_elements(f"a batch of {batch} windows of {window_len} slots",
+                       batch * self.window_elements(window_len))
+        check_elements("the parameters", sum(math.prod(s) for s in tensor_shapes(self).values()))
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
         if not isinstance(raw, dict):
@@ -91,12 +114,13 @@ class ModelConfig:
 class FlatTensors(dict):
     """Tensors keyed per TENSOR_ORDER, stored as views into one contiguous
     float64 vector, `flat`, so that an elementwise update of every tensor is
-    one array operation. Built as a copy of `tensors`."""
+    one array operation. Built as a copy of `tensors`, into `out` if given."""
 
-    def __init__(self, tensors):
+    def __init__(self, tensors, out: np.ndarray | None = None):
         super().__init__()
-        self.flat = np.concatenate([np.ravel(tensors[n]) for n in TENSOR_ORDER],
-                                   dtype=float)
+        parts = [np.ravel(tensors[n]) for n in TENSOR_ORDER]
+        self.flat = (np.concatenate(parts, dtype=float) if out is None
+                     else np.concatenate(parts, out=out))
         lo = 0
         for name in TENSOR_ORDER:
             shape = np.shape(tensors[name])
@@ -163,12 +187,13 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(tensors=tensors, config=config)
 
 
-def forward(params: ModelParams, x: np.ndarray):
+def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None):
     """x: (B, W, 3) normalized windows -> (probs (B,), features (B, 100), cache).
 
     The layers are linear; the model applies the three ReLUs in place, after
     conv1, after the pool and after dense1. Each ReLU output is cached once,
-    as the input of the layer that reads it.
+    as the input of the layer that reads it. With a workspace, the cache
+    holds its buffers, good until the next pass.
     """
     cfg = params.config
     t = params.tensors
@@ -183,13 +208,14 @@ def forward(params: ModelParams, x: np.ndarray):
     # every layer up to the LSTM runs channels-first, (C, B, T). conv2's ReLU
     # runs after the pool, on the pooled array: relu(max(a, b)) =
     # max(relu(a), relu(b)), and conv2's full output is freed once pooled.
-    a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"])
+    a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"],
+                                   scope(ws, "conv1"))
     np.maximum(a1, 0.0, out=a1)
-    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"])
-    a3, c3 = layers.maxpool1d_forward(pre2)
+    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], scope(ws, "conv2"))
+    a3, c3 = layers.maxpool1d_forward(pre2, scope(ws, "pool"))
     del pre2
     np.maximum(a3, 0.0, out=a3)
-    h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+    h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"], scope(ws, "lstm"))
     feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"])
     np.maximum(feats, 0.0, out=feats)
     logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"])
@@ -198,20 +224,22 @@ def forward(params: ModelParams, x: np.ndarray):
     return probs, feats, cache
 
 
-def backward(params: ModelParams, dlogits: np.ndarray, cache):
-    """Gradients of the loss w.r.t. every tensor, given d(loss)/d(logit)."""
+def backward(params: ModelParams, dlogits: np.ndarray, cache, ws: Workspace | None = None):
+    """Gradients of the loss w.r.t. every tensor, given d(loss)/d(logit).
+    With a workspace, this consumes the cache of forward's pass, and the
+    LSTM's weight gradients are its buffers, good until the next pass."""
     c1, c2, c3, c4, c5, c6 = cache
     # each ReLU's mask is read off its output, the next layer's cached input:
     # max(p, 0) > 0 exactly where p > 0
     dfeat, dw6, db6 = layers.dense_backward(dlogits[:, None], c6)
     dfeat *= c6[0] > 0
     dh, dw5, db5 = layers.dense_backward(dfeat, c5)
-    da3, dwx, dwh, dbl = layers.lstm_backward(dh, c4)
+    da3, dwx, dwh, dbl = layers.lstm_backward(dh, c4, scope(ws, "lstm"))
     da3 *= c4[0] > 0
-    dpre2 = layers.maxpool1d_backward(da3, c3)
-    da1, dw2, db2 = layers.conv1d_backward(dpre2, c2)
+    dpre2 = layers.maxpool1d_backward(da3, c3, scope(ws, "pool"))
+    da1, dw2, db2 = layers.conv1d_backward(dpre2, c2, scope(ws, "conv2"))
     da1 *= c2[0] > 0
-    _, dw1, db1 = layers.conv1d_backward(da1, c1)
+    _, dw1, db1 = layers.conv1d_backward(da1, c1, scope(ws, "conv1"))
     return {
         "conv1_w": dw1,
         "conv1_b": db1,
@@ -227,12 +255,13 @@ def backward(params: ModelParams, dlogits: np.ndarray, cache):
     }
 
 
-def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray):
+def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
+                   ws: Workspace | None = None):
     """Mean BCE over the batch plus gradients for every parameter tensor."""
-    probs, _, cache = forward(params, x)
+    probs, _, cache = forward(params, x, ws)
     loss = layers.bce_loss(probs, y)
     dlogits = (probs - np.asarray(y, dtype=float)) / len(y)
-    grads = backward(params, dlogits, cache)
+    grads = backward(params, dlogits, cache, ws)
     return loss, probs, grads
 
 

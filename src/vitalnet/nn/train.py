@@ -9,6 +9,7 @@ import numpy as np
 
 from ..data import WindowedDataset
 from ..errors import ValidationError, require
+from .layers import Workspace, scope, scratch
 from .model import FlatTensors, ModelConfig, ModelParams, init_params, loss_and_grads
 
 # far above the paper's 30 epochs; one epoch over the default cohort takes
@@ -62,15 +63,19 @@ def adam_step(
     state: AdamState,
     t: int,
     config: TrainConfig,
+    ws: Workspace | None = None,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update; mutates params and state in place.
 
     The update is elementwise, so it runs once over the flat parameter,
-    gradient and moment vectors.
+    gradient and moment vectors. With a workspace, the flat gradient and the
+    scratch vector are its buffers.
     """
     if t < 1:
         raise ValidationError(f"adam_step: step index must be >= 1, got {t}")
-    flat_grads = FlatTensors(grads)
+    ws = scope(ws, "adam")
+    shape = params.tensors.flat.shape
+    flat_grads = FlatTensors(grads, scratch(ws, "grad", shape))
     bad = flat_grads.first_nonfinite()
     if bad is not None:
         raise ValidationError(f"non-finite gradient in tensor {bad}")
@@ -81,15 +86,16 @@ def adam_step(
     b1, b2 = config.beta1, config.beta2
     m = state.m.flat
     v = state.v.flat
-    # two scratch vectors carry every intermediate of
+    # one scratch vector, then also the gradient's own copy once the moments
+    # have read it, carry every intermediate of
     # p -= lr * m_hat / (sqrt(v_hat) + eps), operand order as written
-    step = np.empty_like(g)
-    denom = np.empty_like(g)
+    step = scratch(ws, "step", shape)
     m *= b1
     m += np.multiply(1.0 - b1, g, out=step)
     v *= b2
     np.multiply(1.0 - b2, g, out=step)
     v += np.multiply(step, g, out=step)
+    denom = g
     np.divide(m, 1.0 - b1**t, out=step)
     np.divide(v, 1.0 - b2**t, out=denom)
     np.sqrt(denom, out=denom)
@@ -106,6 +112,9 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Mini-batch training with seeded shuffling; returns params and the
     per-epoch history (epoch, loss, accuracy on the training windows).
+
+    Every step's large arrays are views of one Workspace's buffers, which
+    the first (and largest) batch allocates.
     """
     mcfg = mcfg or ModelConfig()
     tcfg = tcfg or TrainConfig()
@@ -117,8 +126,10 @@ def train(
     classes = set(np.unique(train_set.y).tolist())
     if classes != {0, 1}:
         raise ValidationError(f"train: need both labels present, got {sorted(classes)}")
+    mcfg.check_batch(train_set.X.shape[1], min(tcfg.batch_size, n))
 
     params = init_params(mcfg)
+    ws = Workspace()
     state = AdamState()
     rng = np.random.default_rng(tcfg.seed)
     history: list[dict] = []
@@ -134,11 +145,11 @@ def train(
             for lo in range(0, n, tcfg.batch_size):
                 idx = order[lo : lo + tcfg.batch_size]
                 xb, yb = x_all[idx], y_all[idx]
-                loss, probs, grads = loss_and_grads(params, xb, yb)
+                loss, probs, grads = loss_and_grads(params, xb, yb, ws)
                 total_loss += loss * len(idx)
                 correct += int(((probs >= 0.5).astype(int) == yb).sum())
                 step += 1
-                adam_step(params, grads, state, step, tcfg)
+                adam_step(params, grads, state, step, tcfg, ws)
             history.append(
                 {
                     "epoch": epoch + 1,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 from xml.dom import minidom
@@ -14,6 +15,8 @@ import pytest
 
 from vitalnet import __version__, cli, evaluate, svg, tsne
 from vitalnet.cli import _openblas_core, run
+from vitalnet.data import write_cohort
+from vitalnet.nn import save_checkpoint
 from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
@@ -382,6 +385,27 @@ class TestTrainEvalSweep:
         ids = [c.args[0].patient_id for c in resample.call_args_list]
         assert len(ids) == len(set(ids)) == 56
 
+    def test_train_drops_the_cohort(self, tmp_path, small_cohort_csv, monkeypatch):
+        # the cohort and its grids are garbage once the windows exist, so
+        # training's memory does not hold them
+        refs, alive = [], []
+
+        def loading(path):
+            cohort = load(path)
+            refs.append(weakref.ref(cohort))
+            return cohort
+
+        def training(*args):
+            alive.append(refs[0]() is not None)
+            return train(*args)
+
+        load, train = cli.load_cohort, cli.train
+        monkeypatch.setattr(cli, "load_cohort", loading)
+        monkeypatch.setattr(cli, "train", training)
+        assert run(["train", "--train", str(small_cohort_csv), *FAST_TRAIN,
+                    "--out", str(tmp_path / "m.json")]) == 0
+        assert alive == [False]
+
     def test_eval_metrics_schema(self, tmp_path, small_cohort_csv, small_model):
         out = tmp_path / "metrics.json"
         code = run(["eval", "--model", str(small_model),
@@ -418,6 +442,34 @@ class TestTrainEvalSweep:
                     str(small_cohort_csv), "--days", "2:8", "--out",
                     str(tmp_path / "x.csv")])
         assert code == 1
+
+
+class TestScoringChunks:
+    def test_eval_and_sweep_bytes_same_at_derived_chunk_and_256(
+            self, tmp_path, pipeline, monkeypatch):
+        # the default model on the seed-11 held-out split: 216 windows in
+        # chunks of 32, or in one pass. The embedding is left out: dense1's
+        # GEMM gives its features other last bits at other row counts.
+        model, test = tmp_path / "model.json", tmp_path / "test.csv"
+        save_checkpoint(model, pipeline.params, {
+            "window_len": 48, "stride": 24, "channel_mean": pipeline.stats.mean.tolist(),
+            "channel_std": pipeline.stats.std.tolist()})
+        write_cohort(pipeline.test_cohort, test)
+        assert evaluate.chunk_windows(pipeline.params.config, 48) == 32
+        argvs = {
+            "eval.json": ["eval"], "eval_pp.json": ["eval", "--per-patient"],
+            "sweep.csv": ["sweep"], "sweep_pp.csv": ["sweep", "--per-patient"]}
+
+        def outputs(tag):
+            for name, argv in argvs.items():
+                assert run([*argv, "--model", str(model), "--test", str(test),
+                            "--out", str(tmp_path / f"{tag}_{name}")]) == 0
+            return {name: (tmp_path / f"{tag}_{name}").read_bytes() for name in argvs}
+
+        derived = outputs("derived")
+        monkeypatch.setattr(evaluate, "chunk_windows", lambda config, window_len: 256)
+        assert outputs("one_pass") == derived
+        assert json.loads(derived["eval.json"])["n_windows"] == 216
 
 
 class TestOutOfRangeValues:

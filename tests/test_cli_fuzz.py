@@ -1,6 +1,8 @@
 """Property test of the CLI's exit contract: for real subcommands and flags,
 over valid and corrupted input files, `run` returns 0, 1 or 2, exit 1 prints
-`error:`, and nothing escapes as a traceback.
+`error:`, and nothing escapes as a traceback. A corpus of in-range maxima,
+whose products of sizes are over the element budget, must be rejected
+before anything large is allocated.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from childproc import run_cli
 from vitalnet.cli import run
+from vitalnet.nn import ModelConfig, init_params, save_checkpoint
 from vitalnet.synth import default_config
 
 COHORT_HEADER = "patient_id,timestamp,hr,sbp,dbp,age,label"
@@ -205,3 +209,47 @@ def test_exit_contract(inputs, tmp_path_factory, case):
     if code == 1:
         assert err.startswith("error:"), (argv, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# in-range sizes whose products are over the element budget; each runs in a
+# child process under a 2 GiB address-space limit, where allocating the
+# arrays would end in a MemoryError traceback
+MAX_WINDOW = ["--window-len", "8784", "--stride", "8784"]
+BIG_CONVS = ["--set", "conv1_filters=1024", "--set", "conv2_filters=1024"]
+MAXIMA = {
+    "conv_filters": ["train", *MAX_WINDOW, *BIG_CONVS],
+    "conv_filters_batch_1": ["train", *MAX_WINDOW, *BIG_CONVS, "--set-train", "batch_size=1"],
+    "lstm_hidden": ["train", *MAX_WINDOW, "--set", "lstm_hidden=1024"],
+    "every_size": ["train", *MAX_WINDOW, *BIG_CONVS, "--set", "conv1_kernel=64",
+                   "--set", "conv2_kernel=64", "--set", "lstm_hidden=1024"],
+    "parameters": ["train", "--window-len", "128", *BIG_CONVS, "--set", "conv1_kernel=64",
+                   "--set", "conv2_kernel=64"],
+    "eval_checkpoint": ["eval", "--model", "{big_model}"],
+    "sweep_checkpoint": ["sweep", "--model", "{big_model}"],
+    "embed_checkpoint": ["embed", "--model", "{big_model}"],
+}
+ADDRESS_LIMIT = 2 << 30
+
+
+@pytest.fixture(scope="module")
+def big_model(tmp_path_factory) -> Path:
+    """A checkpoint of in-range maxima that fits in a few MB of JSON: conv1
+    has 1,024 filters of width 64 and conv2 width 64, over 8,784-slot windows."""
+    path = tmp_path_factory.mktemp("maxima") / "big_model.json"
+    cfg = ModelConfig(conv1_filters=1024, conv1_kernel=64, conv2_filters=2, conv2_kernel=64,
+                      lstm_hidden=3)
+    save_checkpoint(path, init_params(cfg), {"window_len": 8784, "stride": 8784,
+                                             "channel_mean": [0.0] * 3, "channel_std": [1.0] * 3})
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MAXIMA))
+def test_in_range_maxima_rejected(inputs, big_model, tmp_path, case):
+    argv = [a.replace("{big_model}", str(big_model)) for a in MAXIMA[case]]
+    data = {"train": "--train", "embed": "--data"}.get(argv[0], "--test")
+    argv += [data, str(inputs["cohort.csv"]), "--out", str(tmp_path / "out")]
+    result = run_cli(argv, rlimit_as=ADDRESS_LIMIT, timeout=120)
+    assert result.code == 1, result.stderr
+    assert result.stderr.startswith("error:") and "float64 elements" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.seconds < 30

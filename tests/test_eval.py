@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from vitalnet.evaluate import (
 )
 from vitalnet.nn import ModelConfig, init_params
 from vitalnet.synth import default_config, generate_cohort
+
+from alloc_probe import LARGE_BLOCK, largest_line_rise
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
@@ -153,7 +157,7 @@ class TestPredict:
         ds = make_dataset(n=20)
         params = init_params(TINY)
         probs, feats, _ = forward(params, ds.X)
-        monkeypatch.setattr(evaluate, "_PREDICT_CHUNK", 7)
+        monkeypatch.setattr(evaluate, "chunk_windows", lambda config, window_len: 7)
         assert np.abs(predict(params, ds) - probs).max() < 1e-12
         assert np.abs(extract_features(params, ds) - feats).max() < 1e-12
 
@@ -162,6 +166,68 @@ class TestPredict:
         params.tensors["dense2_b"][...] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             predict(params, make_dataset())
+
+
+@pytest.fixture(scope="module")
+def heldout(pipeline):
+    """The 216 windows of the seed-11 held-out split."""
+    grids = [resample(p) for p in pipeline.test_cohort.patients]
+    return windows_from_cohort(pipeline.test_cohort, grids, pipeline.stats, 48, 24)
+
+
+class TestScoringChunks:
+    """_score's chunk comes from the element budget and the checkpoint's
+    per-window element count."""
+
+    def test_default_chunk(self):
+        assert evaluate.chunk_windows(ModelConfig(), 48) == 32
+
+    @pytest.mark.parametrize("cfg,window_len", [
+        (ModelConfig(), 48), (ModelConfig(), 200), (TINY, 16), (ModelConfig(), 8784),
+        (ModelConfig(conv1_filters=1024, conv2_filters=1024, lstm_hidden=1024), 48)])
+    def test_chunk_is_the_largest_power_of_two_in_budget(self, cfg, window_len):
+        chunk = evaluate.chunk_windows(cfg, window_len)
+        per_window = cfg.window_elements(window_len)
+        assert chunk & (chunk - 1) == 0
+        assert chunk == 1 or chunk * per_window <= evaluate._CHUNK_ELEMENTS
+        assert 2 * chunk * per_window > evaluate._CHUNK_ELEMENTS
+
+    def test_window_over_budget_rejected(self):
+        cfg = ModelConfig(conv1_filters=1024, conv1_kernel=64, conv2_kernel=64)
+        with pytest.raises(ValidationError, match="one window of 8784 slots needs"):
+            evaluate.chunk_windows(cfg, 8784)
+
+    def test_heldout_peak_within_chunk_budget(self, pipeline, heldout):
+        # one 216-window pass peaked at 18.45 MiB; a chunk's arrays stay
+        # inside the 8 MiB that _CHUNK_ELEMENTS float64 elements take
+        assert len(heldout) == 216
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate._score(pipeline.params, heldout)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * evaluate._CHUNK_ELEMENTS
+
+    def test_chunks_after_the_first_allocate_no_large_block(self, pipeline, heldout,
+                                                            monkeypatch):
+        # the chunks share one workspace; 216 windows give six chunks of 32
+        # and a partial one of 24
+        passes = 0
+        forward = evaluate.forward
+
+        def counting(*args):
+            nonlocal passes
+            out = forward(*args)
+            passes += 1
+            return out
+
+        monkeypatch.setattr(evaluate, "forward", counting)
+        rise = largest_line_rise(lambda: evaluate._score(pipeline.params, heldout),
+                                 armed=lambda: passes >= 1)
+        assert passes == 7
+        assert rise < LARGE_BLOCK
 
 
 class TestExtractFeatures:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import numbers
 from dataclasses import fields
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from vitalnet.data import WindowedDataset
-from vitalnet.errors import ValidationError, require
+from vitalnet.errors import MAX_ELEMENTS, ValidationError, require
 from vitalnet.nn import (
     AdamState,
     ModelConfig,
@@ -19,12 +20,16 @@ from vitalnet.nn import (
     save_checkpoint,
     train,
 )
-from vitalnet.nn.layers import conv1d_forward, dense_forward
+from vitalnet.nn.layers import Workspace, conv1d_forward, dense_forward
 from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_WIDTH, TENSOR_ORDER
 from vitalnet.nn.train import MAX_EPOCHS
 
 import gradcheck  # the finite-difference helper
+from alloc_probe import LARGE_BLOCK, largest_line_rise
 from gradcheck import finite_diff_grads, grad_check, make_check_batch, max_relative_error
+
+# the module itself: as an attribute of `vitalnet.nn`, `train` is the function
+train_module = importlib.import_module("vitalnet.nn.train")
 
 TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
@@ -212,6 +217,108 @@ class TestTrain:
         ds = make_dataset()
         _, history = train(ds, TINY, TrainConfig(epochs=4))
         assert [h["epoch"] for h in history] == [1, 2, 3, 4]
+
+
+def train_without_workspace(ds, mcfg, tcfg):
+    """train()'s loop with every step allocating its arrays: the oracle of
+    the workspace."""
+    params, state = init_params(mcfg), AdamState()
+    rng = np.random.default_rng(tcfg.seed)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tcfg.epochs):
+            order = rng.permutation(len(ds))
+            for lo in range(0, len(ds), tcfg.batch_size):
+                idx = order[lo : lo + tcfg.batch_size]
+                _, _, grads = loss_and_grads(params, ds.X[idx], ds.y[idx])
+                step += 1
+                adam_step(params, grads, state, step, tcfg)
+    return params
+
+
+class TestWorkspace:
+    """Training reuses one workspace's buffers; the bits stay those of a
+    training loop that allocates every step."""
+
+    def test_take_gives_prefix_views_per_role(self):
+        ws = Workspace()
+        a = ws.take("x", (4, 3))
+        assert ws.take("x", (2, 3)).base is a.base  # a smaller batch reuses it
+        assert ws.layer("conv1").take("x", (4, 3)).base is not a.base
+        assert ws.layer("conv1").take("x", (2,)).base is ws.layer("conv1").take("x", (3,)).base
+        grown = ws.take("x", (5, 3))  # a larger one grows the buffer
+        assert grown.shape == (5, 3) and grown.base is not a.base
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), TINY])
+    def test_same_gradients_as_allocating_pass(self, cfg):
+        # batch sizes that shrink, grow back and shrink again through one
+        # workspace; each pass is compared before the next overwrites it
+        params = init_params(cfg)
+        rng = np.random.default_rng(3)
+        ws = Workspace()
+        for batch in (32, 8, 32, 1):
+            x = rng.standard_normal((batch, 48, 3))
+            y = np.arange(batch) % 2
+            loss, probs, grads = loss_and_grads(params, x, y, ws)
+            ref_loss, ref_probs, ref_grads = loss_and_grads(params, x, y)
+            assert loss == ref_loss
+            assert np.array_equal(probs, ref_probs)
+            for name in TENSOR_ORDER:
+                assert np.array_equal(grads[name], ref_grads[name]), (batch, name)
+
+    @pytest.mark.parametrize("cfg,n,batch", [(ModelConfig(seed=3), 72, 32), (TINY, 23, 5)])
+    def test_train_matches_allocating_loop(self, cfg, n, batch):
+        ds = make_dataset(n_windows=n, window_len=48, seed=2)
+        tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
+        params, _ = train(ds, cfg, tcfg)
+        ref = train_without_workspace(ds, cfg, tcfg)
+        assert np.array_equal(params.tensors.flat, ref.tensors.flat)
+
+    def test_steps_after_the_first_allocate_no_large_block(self, monkeypatch):
+        # default config and batch; 72 windows give two full batches and a
+        # partial one per epoch
+        steps = 0
+        adam = train_module.adam_step
+
+        def counting(*args, **kwargs):
+            nonlocal steps
+            out = adam(*args, **kwargs)
+            steps += 1
+            return out
+
+        monkeypatch.setattr(train_module, "adam_step", counting)
+        ds = make_dataset(n_windows=72, window_len=48, seed=1)
+        rise = largest_line_rise(lambda: train(ds, ModelConfig(), TrainConfig(epochs=2)),
+                                 armed=lambda: steps >= 1)
+        assert steps == 6
+        assert rise < LARGE_BLOCK
+
+
+class TestElementBudget:
+    def test_default_window_elements(self):
+        assert ModelConfig().window_elements(48) == 20_116
+
+    def test_short_window_rejected(self):
+        with pytest.raises(ValidationError, match="below the minimum 10"):
+            ModelConfig().window_elements(9)
+
+    def test_batch_over_budget_rejected_before_init(self, monkeypatch):
+        cfg = ModelConfig(conv1_filters=64, conv2_filters=64)
+        per_window = cfg.window_elements(48)
+        batch = MAX_ELEMENTS // per_window + 1
+        ds = make_dataset(n_windows=batch, window_len=48)
+        monkeypatch.setattr(train_module, "init_params", None)  # reached = TypeError
+        with pytest.raises(ValidationError, match=f"a batch of {batch} windows"):
+            train(ds, cfg, TrainConfig(batch_size=batch))
+        # the batch is the smaller of batch_size and the window count
+        with pytest.raises(TypeError):
+            train(ds, cfg, TrainConfig(batch_size=batch - 1))
+
+    def test_parameter_count_over_budget_rejected(self):
+        cfg = ModelConfig(conv1_filters=MAX_WIDTH, conv1_kernel=MAX_KERNEL,
+                          conv2_filters=MAX_WIDTH, conv2_kernel=MAX_KERNEL)
+        with pytest.raises(ValidationError, match="the parameters needs"):
+            cfg.check_batch(2 * MAX_KERNEL, 1)
 
 
 class TestCheckpoint:
