@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, VitalnetError, require
+from .errors import ParseError, ValidationError, VitalnetError, check_elements, require
 
 CSV_HEADER = ["patient_id", "timestamp", "hr", "sbp", "dbp", "age", "label"]
 
@@ -610,9 +610,13 @@ def make_windows(
 
     Windows start at the first slot and step by stride. A cut shorter than
     window_len gives one window, front-zero-padded (zeros in normalized space
-    equal the channel means) and flagged as padded.
+    equal the channel means) and flagged as padded. A table over the element
+    budget is rejected before any window is built.
     """
     check_window_args(window_len, stride)
+    n = sum(1 if t < window_len else (t - window_len) // stride + 1
+            for t in (min(cut, len(reg)) for _, reg, _, cut in series))
+    check_elements(f"a table of {n:,} windows of {window_len} slots", n * window_len * 3)
     xs, ys, pids, padded, ends, lengths = [], [], [], [], [], []
     for pid, reg, label, cut in series:
         norm = stats.normalize(reg.values[:cut])

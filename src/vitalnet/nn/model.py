@@ -7,6 +7,7 @@ the t-SNE projection; the final unit yields the positive-class probability.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import numbers
@@ -19,7 +20,9 @@ from ..errors import ValidationError, check_elements, require
 from . import layers
 from .layers import Workspace, scope
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+# how a tensor's `data` is written in each format version that still loads
+DATA_FORMS = {1: "a list of numbers", 2: "base64 of little-endian float64 bytes"}
 
 N_CHANNELS = 3
 FEATURE_UNITS = 100  # width of dense1, the feature layer
@@ -273,7 +276,11 @@ def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
 def save_checkpoint(
     path, params: ModelParams, preprocess: dict | None = None
 ) -> None:
-    """JSON checkpoint: format_version, model_config, per-tensor flat data."""
+    """JSON checkpoint of format CHECKPOINT_FORMAT_VERSION: `format_version`,
+    `model_config`, `preprocess` and, per tensor in TENSOR_ORDER, an object
+    `{name, shape, data}`, where `data` is the standard padded base64 of the
+    tensor's C-order little-endian float64 bytes: exact by construction, and
+    decoded without parsing a decimal per value."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(params.config),
@@ -282,7 +289,7 @@ def save_checkpoint(
             {
                 "name": name,
                 "shape": list(params.tensors[name].shape),
-                "data": params.tensors[name].ravel(order="C").tolist(),
+                "data": base64.b64encode(params.tensors[name].astype("<f8").tobytes()).decode(),
             }
             for name in TENSOR_ORDER
         ],
@@ -293,18 +300,39 @@ def save_checkpoint(
         fh.write(text + "\n")
 
 
+def _tensor_data(version: int, data) -> np.ndarray:
+    """The flat float64 values of one tensor's `data` in format `version`;
+    TypeError or ValueError when it is not of DATA_FORMS[version]."""
+    if version == 1:
+        if not isinstance(data, list):
+            raise TypeError
+        return np.array(data, dtype=float)
+    if not isinstance(data, str):
+        raise TypeError
+    return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8")
+
+
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Params and preprocess dict of a checkpoint of format 2 or of the
+    older format 1, whose `data` is a list of decimal floats; the
+    `format_version` field picks the decoder. Any other version, a missing,
+    unknown or repeated tensor, a shape other than the config's, data that
+    does not fill it, or a NaN or inf is a ValidationError."""
     with Path(path).open(encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version not in DATA_FORMS:
         raise ValidationError(
             f"unsupported checkpoint format_version {version!r} "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
+            f"(expected one of {sorted(DATA_FORMS)})"
         )
     try:
         config = ModelConfig.from_dict(doc["model_config"])
-        entries = {e["name"]: (e["shape"], e["data"]) for e in doc["tensors"]}
+        entries = {}
+        for e in doc["tensors"]:
+            if e["name"] in entries:
+                raise ValidationError(f"checkpoint holds tensor {e['name']!r} twice")
+            entries[e["name"]] = (e["shape"], e["data"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed checkpoint: missing or bad field {exc}") from None
     shapes = tensor_shapes(config)
@@ -318,10 +346,11 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if shape != want:
             raise ValidationError(f"checkpoint tensor {name} has shape {shape}, config: {want}")
         try:
-            tensors[name] = np.array(data, dtype=float).reshape(want)
+            tensors[name] = _tensor_data(version, data).reshape(want)
         except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"checkpoint tensor {name}: data does not fill {want} "
-                                  "with floats") from None
+            raise ValidationError(
+                f"checkpoint tensor {name}: data does not fill {want} with floats "
+                f"(format {version}: {DATA_FORMS[version]})") from None
     params = ModelParams(tensors=tensors, config=config)
     params.check_finite()
     return params, doc.get("preprocess", {})

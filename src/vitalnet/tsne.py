@@ -52,8 +52,9 @@ class Embedding:
 
 
 def _pairwise_sq_dists(x: np.ndarray, out=None, gram=None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of `x`, zero diagonal;
-    built in the n x n buffer `out`, with `gram` as scratch, when given."""
+    """Squared Euclidean distances between the rows of `x`, built in the
+    n x n buffer `out`, with `gram` as scratch, when given. The diagonal is
+    left as computed, ~0 but not always 0: every caller discards it."""
     sq = np.sum(x * x, axis=1)
     gram = np.matmul(x, x.T, out=gram)
     gram *= 2.0
@@ -63,7 +64,6 @@ def _pairwise_sq_dists(x: np.ndarray, out=None, gram=None) -> np.ndarray:
     d += sq[:, None]
     d -= gram
     np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
     return d
 
 
@@ -172,10 +172,11 @@ def _student_t_q(y: np.ndarray, out=None):
     w = _pairwise_sq_dists(y, out=w, gram=q)
     w += 1.0
     np.divide(1.0, w, out=w)
-    np.fill_diagonal(w, 0.0)
+    n = w.shape[0]
+    w.reshape(-1)[:: n + 1] = 0.0  # the diagonal, as a strided view of w
     q = np.divide(w, w.sum(), out=q)
     np.maximum(q, _P_FLOOR, out=q)
-    np.fill_diagonal(q, 0.0)
+    q.reshape(-1)[:: n + 1] = 0.0
     return w, q
 
 
@@ -262,10 +263,10 @@ def embed(
         grad = kl_gradient(p_exaggerated if early else p, y, kernel, scratch)
         momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
         gains = np.where((update * grad) < 0.0, gains + 0.2, gains * 0.8)
-        np.clip(gains, MIN_GAIN, None, out=gains)
+        np.maximum(gains, MIN_GAIN, out=gains)
         update = momentum * update - LEARNING_RATE * gains * grad
         y = y + update
-        y = y - y.mean(axis=0)
+        y = y - y.sum(axis=0) / n  # what y.mean(axis=0) computes
         kernel = _student_t_q(y, kernel)
         if it % KL_EVERY == 0 or it == iters:
             kl_history.append(kl_divergence(p, y, kernel, terms))

@@ -20,6 +20,8 @@ from vitalnet.nn import save_checkpoint
 from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
+from checkpoint_docs import write_version_1
+
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -356,7 +358,8 @@ class TestSplit:
 class TestTrainEvalSweep:
     def test_train_writes_checkpoint_and_history(self, tmp_path, small_model):
         doc = json.loads(small_model.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
+        assert all(isinstance(t["data"], str) for t in doc["tensors"])
         assert {t["name"] for t in doc["tensors"]} >= {"conv1_w", "lstm_wx", "dense2_b"}
         history = (tmp_path / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,loss,accuracy"
@@ -442,6 +445,27 @@ class TestTrainEvalSweep:
                     str(small_cohort_csv), "--days", "2:8", "--out",
                     str(tmp_path / "x.csv")])
         assert code == 1
+
+
+class TestCheckpointVersions:
+    def test_format_1_checkpoint_gives_the_same_bytes(self, tmp_path, pipeline):
+        # the default model on the seed-11 held-out split, saved in format 2
+        # and rewritten as the format-1 writer wrote it
+        v2, v1, test = tmp_path / "v2.json", tmp_path / "v1.json", tmp_path / "test.csv"
+        save_checkpoint(v2, pipeline.params, {
+            "window_len": 48, "stride": 24, "channel_mean": pipeline.stats.mean.tolist(),
+            "channel_std": pipeline.stats.std.tolist()})
+        write_version_1(v2, v1)
+        write_cohort(pipeline.test_cohort, test)
+        argvs = {"eval.json": ["eval", "--test"], "sweep.csv": ["sweep", "--test"],
+                 "embedding.csv": ["embed", "--iters", "100", "--data"]}
+        outputs = {}
+        for model in (v2, v1):
+            for name, argv in argvs.items():
+                out = tmp_path / f"{model.stem}_{name}"
+                assert run([*argv, str(test), "--model", str(model), "--out", str(out)]) == 0
+                outputs.setdefault(name, []).append(out.read_bytes())
+        assert all(a == b for a, b in outputs.values())
 
 
 class TestScoringChunks:

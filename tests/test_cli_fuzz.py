@@ -12,12 +12,15 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from checkpoint_docs import as_version, b64_floats, with_data
 from childproc import run_cli
 from vitalnet.cli import run
+from vitalnet.data import Cohort, PatientRecord, write_cohort
 from vitalnet.nn import ModelConfig, init_params, save_checkpoint
 from vitalnet.synth import default_config
 
@@ -211,6 +214,46 @@ def test_exit_contract(inputs, tmp_path_factory, case):
     assert "Traceback" not in err, (argv, err)
 
 
+def _last_tensor(doc: dict) -> dict:
+    return doc["tensors"][-1]  # dense2_b, one float: 12 base64 characters
+
+
+# checkpoint corruptions: (the versions they apply to, an edit of the document)
+BAD_CHECKPOINTS = {
+    "missing_name": ((1, 2), lambda d: _last_tensor(d).pop("name")),
+    "missing_shape": ((1, 2), lambda d: _last_tensor(d).pop("shape")),
+    "missing_data": ((1, 2), lambda d: _last_tensor(d).pop("data")),
+    "shape": ((1, 2), lambda d: _last_tensor(d).update(shape=[1, 1])),
+    "short_data": ((1, 2), lambda d: _last_tensor(d).update(
+        data=with_data(d["format_version"], []))),
+    "unknown_tensor": ((1, 2), lambda d: d["tensors"].append(
+        {"name": "extra_w", "shape": [1], "data": with_data(d["format_version"], [0.0])})),
+    "repeated_tensor": ((1, 2), lambda d: d["tensors"].append(dict(_last_tensor(d)))),
+    "unknown_version": ((1, 2), lambda d: d.update(format_version=3)),
+    "non_alphabet": ((2,), lambda d: _last_tensor(d).update(data="AAAA!AAAAAA=")),
+    "bad_padding": ((2,), lambda d: _last_tensor(d).update(data="AAAAAAAAAAA")),
+    "byte_count": ((2,), lambda d: _last_tensor(d).update(data=b64_floats([0.0, 0.0]))),
+    "nan_bytes": ((2,), lambda d: _last_tensor(d).update(data=b64_floats([float("nan")]))),
+    "inf_bytes": ((2,), lambda d: _last_tensor(d).update(data=b64_floats([float("inf")]))),
+    "list_in_version_2": ((2,), lambda d: _last_tensor(d).update(data=[0.0])),
+    "string_in_version_1": ((1,), lambda d: _last_tensor(d).update(data=b64_floats([0.0]))),
+    "integer_beyond_float": ((1,), lambda d: _last_tensor(d).update(data=[10**400])),
+}
+
+
+@pytest.mark.parametrize("case,version", [(c, v) for c, (versions, _) in BAD_CHECKPOINTS.items()
+                                          for v in versions])
+def test_bad_checkpoint_exits_1(inputs, tmp_path, capsys, case, version):
+    doc = as_version(json.loads(inputs["model.json"].read_text()), version)
+    BAD_CHECKPOINTS[case][1](doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = run(["eval", "--model", str(model), "--test", str(inputs["cohort.csv"]),
+                "--out", str(tmp_path / "eval.json")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err, err
+
+
 # in-range sizes whose products are over the element budget; each runs in a
 # child process under a 2 GiB address-space limit, where allocating the
 # arrays would end in a MemoryError traceback
@@ -227,8 +270,17 @@ MAXIMA = {
     "eval_checkpoint": ["eval", "--model", "{big_model}"],
     "sweep_checkpoint": ["sweep", "--model", "{big_model}"],
     "embed_checkpoint": ["embed", "--model", "{big_model}"],
+    # every stride-1 window of 400-day stays: 13,072 windows, 2.75 GB
+    "window_table": ["train", "--window-len", "8784", "--stride", "1",
+                     "--train", "{long_stays}"],
+    "eval_window_table": ["eval", "--model", "{long_model}", "--test", "{long_stays}"],
+    "sweep_window_table": ["sweep", "--model", "{long_model}", "--days", "400",
+                           "--test", "{long_stays}"],
+    "embed_window_table": ["embed", "--model", "{long_model}", "--data", "{long_stays}"],
 }
 ADDRESS_LIMIT = 2 << 30
+LONG_STAY_PATIENTS = 16
+LONG_STAY_HOURS = 400 * 24
 
 
 @pytest.fixture(scope="module")
@@ -243,11 +295,37 @@ def big_model(tmp_path_factory) -> Path:
     return path
 
 
+@pytest.fixture(scope="module")
+def long_stays(tmp_path_factory) -> Path:
+    """A cohort of LONG_STAY_PATIENTS hourly stays of 400 days each."""
+    path = tmp_path_factory.mktemp("long_stays") / "cohort.csv"
+    hours = np.arange(LONG_STAY_HOURS)
+    times = np.datetime64("2020-01-01T00:00:00", "us") + hours * np.timedelta64(1, "h")
+    wave = np.round(np.sin(hours / 24.0), 2)[:, None]
+    values = np.array([80.0, 120.0, 70.0]) + np.array([10.0, 15.0, 5.0]) * wave
+    write_cohort(Cohort([PatientRecord(f"P{i}", 60, i % 2, times, values)
+                         for i in range(LONG_STAY_PATIENTS)]), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def long_model(tmp_path_factory) -> Path:
+    """A small checkpoint that reads every stride-1 window of 8,784 slots."""
+    path = tmp_path_factory.mktemp("long_model") / "model.json"
+    cfg = ModelConfig(conv1_filters=2, conv2_filters=2, lstm_hidden=3)
+    save_checkpoint(path, init_params(cfg), {"window_len": 8784, "stride": 1,
+                                             "channel_mean": [0.0] * 3, "channel_std": [1.0] * 3})
+    return path
+
+
 @pytest.mark.parametrize("case", sorted(MAXIMA))
-def test_in_range_maxima_rejected(inputs, big_model, tmp_path, case):
-    argv = [a.replace("{big_model}", str(big_model)) for a in MAXIMA[case]]
+def test_in_range_maxima_rejected(inputs, big_model, long_model, long_stays, tmp_path, case):
+    files = {"{big_model}": big_model, "{long_model}": long_model, "{long_stays}": long_stays}
+    argv = [str(files.get(a, a)) for a in MAXIMA[case]]
     data = {"train": "--train", "embed": "--data"}.get(argv[0], "--test")
-    argv += [data, str(inputs["cohort.csv"]), "--out", str(tmp_path / "out")]
+    if data not in argv:
+        argv += [data, str(inputs["cohort.csv"])]
+    argv += ["--out", str(tmp_path / "out")]
     result = run_cli(argv, rlimit_as=ADDRESS_LIMIT, timeout=120)
     assert result.code == 1, result.stderr
     assert result.stderr.startswith("error:") and "float64 elements" in result.stderr

@@ -1,3 +1,4 @@
+import base64
 import importlib
 import json
 import numbers
@@ -25,6 +26,7 @@ from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_WIDTH, TENSOR_ORDER
 from vitalnet.nn.train import MAX_EPOCHS
 
 import gradcheck  # the finite-difference helper
+from checkpoint_docs import as_version, b64_floats, with_data
 from alloc_probe import LARGE_BLOCK, largest_line_rise
 from gradcheck import finite_diff_grads, grad_check, make_check_batch, max_relative_error
 
@@ -321,54 +323,31 @@ class TestElementBudget:
             cfg.check_batch(2 * MAX_KERNEL, 1)
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_identical(self, tmp_path):
-        params = init_params(TINY)
-        path = tmp_path / "model.json"
-        save_checkpoint(path, params, {"window_len": 16})
-        loaded, preprocess = load_checkpoint(path)
-        assert preprocess["window_len"] == 16
-        x = np.random.default_rng(7).standard_normal((6, 16, 3))
-        a = forward(params, x)[0]
-        b = forward(loaded, x)[0]
-        assert np.array_equal(a, b)
+class CheckpointDocTests:
+    """Edits of a saved checkpoint document in format VERSION; each must load
+    as before or be a ValidationError. The Test classes below set VERSION."""
 
-    def test_bytes_match_streamed_json_dump(self, tmp_path):
-        # the former writer, json.dump() to the file, is the reference
-        params = init_params(TINY)
-        params.tensors["dense1_w"][0, 0] = 1e-300
-        params.tensors["dense2_b"][0] = -0.0
-        preprocess = {"window_len": 16, "stride": 8, "channel_mean": [70.0, 120.5, 80.25],
-                      "channel_std": [11.0, 15.0, 9.5]}
+    VERSION = 2
+
+    def _saved_doc(self, tmp_path):
         path = tmp_path / "model.json"
-        save_checkpoint(path, params, preprocess)
-        doc = {
-            "format_version": 1,
-            "model_config": {f.name: getattr(TINY, f.name) for f in fields(TINY)},
-            "preprocess": preprocess,
-            "tensors": [{"name": n, "shape": list(params.tensors[n].shape),
-                         "data": params.tensors[n].ravel().tolist()} for n in TENSOR_ORDER],
-        }
-        ref = tmp_path / "ref.json"
-        with ref.open("w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
-        assert path.read_bytes() == ref.read_bytes()
+        save_checkpoint(path, init_params(TINY))
+        return path, as_version(json.loads(path.read_text()), self.VERSION)
 
     def test_unknown_format_version_rejected(self, tmp_path):
-        params = init_params(TINY)
-        path = tmp_path / "model.json"
-        save_checkpoint(path, params)
-        doc = path.read_text().replace('"format_version":1', '"format_version":99')
-        path.write_text(doc)
+        path, doc = self._saved_doc(tmp_path)
+        doc["format_version"] = 99
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="format_version"):
             load_checkpoint(path)
 
-    @staticmethod
-    def _saved_doc(tmp_path):
-        path = tmp_path / "model.json"
-        save_checkpoint(path, init_params(TINY))
-        return path, json.loads(path.read_text())
+    @pytest.mark.parametrize("bad", [0, 3, "2", 2.0, 1.0, True, None])
+    def test_format_version_must_be_1_or_2(self, tmp_path, bad):
+        path, doc = self._saved_doc(tmp_path)
+        doc["format_version"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="format_version"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("field", ["name", "shape", "data"])
     def test_tensor_entry_missing_field(self, tmp_path, field):
@@ -388,23 +367,30 @@ class TestCheckpoint:
 
     def test_data_must_fill_shape(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
-        doc["tensors"][0]["data"] = doc["tensors"][0]["data"][:-1]
+        values = init_params(TINY).tensors["conv1_w"].ravel().tolist()
+        doc["tensors"][0]["data"] = with_data(self.VERSION, values[:-1])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="does not fill"):
-            load_checkpoint(path)
-
-    def test_integer_beyond_float_in_data_rejected(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path)
-        doc["tensors"][0]["data"][0] = 10**400
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="does not fill"):
+        with pytest.raises(ValidationError, match="conv1_w: data does not fill"):
             load_checkpoint(path)
 
     def test_unknown_tensor_rejected(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
-        doc["tensors"].append({"name": "extra_w", "shape": [1], "data": [0.0]})
+        doc["tensors"].append({"name": "extra_w", "shape": [1],
+                               "data": with_data(self.VERSION, [0.0])})
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="unknown tensors: \\['extra_w'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("which", [0, -1])
+    def test_repeated_tensor_rejected(self, tmp_path, which):
+        # the second copy holds other values, which a dict would keep silently
+        path, doc = self._saved_doc(tmp_path)
+        entry = doc["tensors"][which]
+        size = int(np.prod(entry["shape"]))
+        doc["tensors"].insert(which % len(doc["tensors"]) + 1,
+                              {**entry, "data": with_data(self.VERSION, [0.25] * size)})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"tensor '{entry['name']}' twice"):
             load_checkpoint(path)
 
     def test_older_layout_still_loads(self, tmp_path):
@@ -447,6 +433,109 @@ class TestCheckpoint:
         doc["model_config"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=f"{key} is fixed"):
+            load_checkpoint(path)
+
+    def _with_dense2_b(self, tmp_path, data):
+        """The saved document with dense2_b's data replaced, written back."""
+        path, doc = self._saved_doc(tmp_path)
+        next(e for e in doc["tensors"] if e["name"] == "dense2_b")["data"] = data
+        path.write_text(json.dumps(doc))
+        return path
+
+
+class TestCheckpoint(CheckpointDocTests):
+    """Format 2, which save_checkpoint writes."""
+
+    def test_round_trip_bit_identical(self, tmp_path):
+        params = init_params(TINY)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, {"window_len": 16})
+        loaded, preprocess = load_checkpoint(path)
+        assert preprocess["window_len"] == 16
+        x = np.random.default_rng(7).standard_normal((6, 16, 3))
+        a = forward(params, x)[0]
+        b = forward(loaded, x)[0]
+        assert np.array_equal(a, b)
+
+    def test_extremes_round_trip_bit_exact_in_both_versions(self, tmp_path):
+        # format 2 keeps the bits; format 1's shortest decimals read back to them
+        params = init_params(TINY)
+        big = np.finfo(float).max
+        params.tensors["conv1_w"].reshape(-1)[:5] = [-0.0, 1e-300, big, -big, 5e-324]
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params)
+        assert json.loads(path.read_text())["format_version"] == 2
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(as_version(json.loads(path.read_text()), 1)))
+        for p in (path, v1):
+            loaded, _ = load_checkpoint(p)
+            for name, t in params.tensors.items():
+                assert loaded.tensors[name].tobytes() == t.tobytes(), (p, name)
+
+    def test_bytes_match_streamed_json_dump(self, tmp_path):
+        # the format-2 reference: json.dump() to the file of each tensor's
+        # float64 values packed little-endian by struct, then base64
+        params = init_params(TINY)
+        params.tensors["dense1_w"][0, 0] = 1e-300
+        params.tensors["dense2_b"][0] = -0.0
+        preprocess = {"window_len": 16, "stride": 8, "channel_mean": [70.0, 120.5, 80.25],
+                      "channel_std": [11.0, 15.0, 9.5]}
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, preprocess)
+        doc = {
+            "format_version": 2,
+            "model_config": {f.name: getattr(TINY, f.name) for f in fields(TINY)},
+            "preprocess": preprocess,
+            "tensors": [{"name": n, "shape": list(params.tensors[n].shape),
+                         "data": b64_floats(params.tensors[n].ravel().tolist())}
+                        for n in TENSOR_ORDER],
+        }
+        ref = tmp_path / "ref.json"
+        with ref.open("w", encoding="utf-8") as fh:
+            json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_integer_beyond_float_in_data_rejected(self, tmp_path):
+        # only format 1 holds numbers in its data
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_params(TINY))
+        doc = as_version(json.loads(path.read_text()), 1)
+        doc["tensors"][0]["data"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="does not fill"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("data,message", [
+        ("AAAA!AAAAAA=", "does not fill"),  # a byte outside the base64 alphabet
+        ("AAAAAAAAAAA", "does not fill"),  # its padding stripped
+        ("AAAAAAAAAAA==", "does not fill"),  # excess padding
+        ("AAAAAAAAAAA=\n", "does not fill"),  # a line end
+        (base64.b64encode(bytes(12)).decode(), "does not fill"),  # 12 bytes for 1 float
+        (b64_floats([0.0, 0.0]), "does not fill"),  # 2 floats for 1
+        ("", "does not fill"),
+        (b64_floats([float("nan")]), "non-finite values in parameter dense2_b"),
+        (b64_floats([float("-inf")]), "non-finite values in parameter dense2_b"),
+        ([0.5], "does not fill"),  # format 1's list in a format-2 document
+        (0.5, "does not fill"),
+        (None, "does not fill"),
+    ])
+    def test_bad_format_2_data_rejected(self, tmp_path, data, message):
+        path = self._with_dense2_b(tmp_path, data)
+        with pytest.raises(ValidationError, match=message):
+            load_checkpoint(path)
+
+
+class TestCheckpointFormat1(CheckpointDocTests):
+    """Format 1, which older versions wrote: `data` is a list of floats."""
+
+    VERSION = 1
+
+    @pytest.mark.parametrize("data", [b64_floats([0.5]), "0.5", 0.5, {"0": 0.5}])
+    def test_data_must_be_a_list(self, tmp_path, data):
+        # np.array("0.5", dtype=float) would fill a shape of one element
+        path = self._with_dense2_b(tmp_path, data)
+        with pytest.raises(ValidationError, match="dense2_b: data does not fill"):
             load_checkpoint(path)
 
 
