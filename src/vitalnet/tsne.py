@@ -5,11 +5,15 @@ switching, and adaptive per-coordinate gains.
 
 Exact O(n^2) affinities keep the implementation verifiable at cohort scale;
 no Barnes-Hut approximation. The search runs over every unconverged row at
-once, with the arithmetic of a search one row at a time. The descent builds
-the Student-t kernel and Q once per iteration, right after Y moves, in n x n
-buffers allocated once: that pair gives the next iteration's gradient and,
-after every KL_EVERY-th iteration and the last, the KL history entry. The
-descent never reads the KL, so it is evaluated only where it is recorded.
+once, with the arithmetic of a search one row at a time. The descent works on
+the n(n-1)/2 unordered pairs, held in a `pair_table`. It builds the Student-t
+kernel once per iteration, right after Y moves, in buffers allocated once:
+the kernel gives the next iteration's gradient and, after every KL_EVERY-th
+iteration and the last, the KL history entry, which the descent never reads.
+The descent calls no BLAS: each step is an elementwise IEEE op or a NumPy sum
+in a fixed order, so given the same P, Y has the same bits on every SIMD
+level and OpenBLAS core. The search's exp, log and batched row dot are not
+fixed in this way, so Y from the same features can still differ by machine.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError, require
 
@@ -34,14 +39,16 @@ LEARNING_RATE = 200.0
 MIN_GAIN = 0.01
 KL_EVERY = 50
 
-# embed holds at most five n x n float64 arrays at once: P, the exaggerated P,
-# the kernel's w and q, and one scratch for the gradient multiplier and the KL
-# terms (the perplexity search holds fewer). Capping them at 1 GiB admits
-# ~5,180 points, past the x4 cohort's ~3,900 windows.
+# embed holds at most five n x n float64 arrays at once. The perplexity search
+# holds about four; the full P is freed once its pair table is gathered; the
+# descent holds 4.5: the pair tables of P and the exaggerated P, the kernel's
+# weights and a scratch (1/2 each), the coordinate differences (1) and the
+# wrapped terms (3/2). Capping them at 1 GiB admits ~5,180 points, past the
+# x4 cohort's ~3,900 windows.
 _EMBED_MATRICES = 5
 MAX_ROWS = math.isqrt((1 << 30) // (8 * _EMBED_MATRICES))
 # 100x the default iteration count, so that one flag cannot buy years of
-# descent (an iteration over 216 rows takes ~0.4 ms, over MAX_ROWS far more)
+# descent (an iteration over 216 rows takes ~0.25 ms, over MAX_ROWS far more)
 MAX_ITERS = 100_000
 
 
@@ -51,15 +58,14 @@ class Embedding:
     kl_history: list[float]
 
 
-def _pairwise_sq_dists(x: np.ndarray, out=None, gram=None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of `x`, built in the
-    n x n buffer `out`, with `gram` as scratch, when given. The diagonal is
-    left as computed, ~0 but not always 0: every caller discards it."""
+def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of `x`. The diagonal is
+    left as computed, ~0 but not always 0: the caller discards it."""
     sq = np.sum(x * x, axis=1)
-    gram = np.matmul(x, x.T, out=gram)
+    gram = np.matmul(x, x.T)
     gram *= 2.0
     # sq_i + sq_j as a row broadcast then a column add: same sums, fewer passes
-    d = np.empty_like(gram) if out is None else out
+    d = np.empty_like(gram)
     d[...] = sq
     d += sq[:, None]
     d -= gram
@@ -153,9 +159,10 @@ def symmetrize(cond: np.ndarray) -> np.ndarray:
     stability and renormalized to total mass 1: symmetric, zero diagonal.
     """
     n = cond.shape[0]
-    p = (cond + cond.T) / (2.0 * n)
-    off = ~np.eye(n, dtype=bool)
-    p[off] = np.maximum(p[off], _P_FLOOR)
+    p = np.add(cond, cond.T)
+    p /= 2.0 * n
+    off = _off_diagonal(p)
+    np.maximum(off, _P_FLOOR, out=off)
     np.fill_diagonal(p, 0.0)
     p /= p.sum()
     return p
@@ -165,21 +172,6 @@ def joint_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return symmetrize(conditional_affinities(x, perplexity))
 
 
-def _student_t_q(y: np.ndarray, out=None):
-    """Low-dimensional kernel weights w = 1/(1+d^2) and normalized Q, built in
-    `out`, a pair of n x n buffers, when given."""
-    w, q = (None, None) if out is None else out
-    w = _pairwise_sq_dists(y, out=w, gram=q)
-    w += 1.0
-    np.divide(1.0, w, out=w)
-    n = w.shape[0]
-    w.reshape(-1)[:: n + 1] = 0.0  # the diagonal, as a strided view of w
-    q = np.divide(w, w.sum(), out=q)
-    np.maximum(q, _P_FLOOR, out=q)
-    q.reshape(-1)[:: n + 1] = 0.0
-    return w, q
-
-
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of square `a` as an (n-1, n) view in row-major
     order, striding past each diagonal slot instead of a boolean mask."""
@@ -187,44 +179,115 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
 
 
-def _kl_terms(p: np.ndarray, scratch=None):
-    """What KL(P || .) reads of P, taken once per P: its off-diagonal entries
-    (a view), the mask of those > 0 (None when all are), and a buffer of their
-    shape (the front of the n x n `scratch` when given)."""
-    pv = _off_diagonal(p)
-    mask = pv > 0
-    buf = np.empty(pv.shape) if scratch is None else scratch.reshape(-1)[: pv.size]
-    return pv, None if mask.all() else mask, buf.reshape(pv.shape)
+def pair_table(a: np.ndarray) -> np.ndarray:
+    """The entries a[i, (i + k) mod n] of square `a` as an (n // 2, n) table,
+    row k - 1 for k = 1 .. n // 2. For symmetric `a` it lists every unordered
+    pair {i, j} once, except that when n is even the last row (k = n / 2)
+    lists each of its pairs twice, at columns i and i + n / 2."""
+    n = a.shape[0]
+    table = np.empty((n // 2, n))
+    for k in range(1, n // 2 + 1):
+        table[k - 1, : n - k] = a.diagonal(k)
+        table[k - 1, n - k :] = a.diagonal(k - n)
+    return table
 
 
-def kl_divergence(p: np.ndarray, y: np.ndarray, kernel: tuple | None = None,
-                  terms: tuple | None = None) -> float:
-    """KL(P || Q) at embedding Y (diagonal and zero entries of P excluded).
-    `kernel` is `_student_t_q(y)` and `terms` is `_kl_terms(p)` when the caller
-    has already built them."""
-    _, q = _student_t_q(y) if kernel is None else kernel
-    pv, mask, buf = _kl_terms(p) if terms is None else terms
-    qv = _off_diagonal(q)
-    if mask is not None:
-        pv, qv = pv[mask], qv[mask]
-        buf = qv
-    # sum(pv * log(pv / qv)), in place in the buffer
-    np.divide(pv, qv, out=buf)
-    np.log(buf, out=buf)
-    buf *= pv
-    return float(np.sum(buf))
+def _ordered_pair_sum(table: np.ndarray) -> float:
+    """The sum over ordered pairs i != j of a symmetric quantity held in a
+    pair table: twice the rows that list each pair once, plus the last row
+    when n is even, as it lists its pairs twice already."""
+    once = (table.shape[1] - 1) // 2
+    return 2.0 * table[:once].sum() + table[once:].sum()
 
 
-def kl_gradient(p: np.ndarray, y: np.ndarray, kernel: tuple | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """dKL/dY: 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j). `kernel` is
-    `_student_t_q(y)` when the caller has already built it; `out` is an n x n
-    buffer for the multiplier (p - q) * w."""
-    w, q = _student_t_q(y) if kernel is None else kernel
-    mult = np.subtract(p, q, out=out)
-    mult *= w
-    # grad_i = 4 * (sum_j mult_ij) y_i - 4 * sum_j mult_ij y_j
-    return 4.0 * (mult.sum(axis=1)[:, None] * y - mult @ y)
+class _Kernel:
+    """The Student-t kernel of an n x 2 embedding (n >= 3, as every P from
+    `joint_affinities` has) over its unordered pairs, in `pair_table` layout,
+    with the buffers that the gradient and the KL write.
+
+    `diff[c, k - 1, i]` is y[(i + k) mod n, c] - y[i, c] (the gradient turns
+    it into the pair's term in place), `w` holds the weights 1 / (1 + d^2) and
+    `total` their sum over ordered pairs; Q is max(w / total, _P_FLOOR).
+    `wrapped` holds the first (n - 1) // 2 rows of terms, each behind a copy
+    of its last (n - 1) // 2 entries, and `skewed` reads it so that column j
+    of its row k - 1 is the term of pair {(j - k) mod n, j}.
+    """
+
+    def __init__(self, n: int):
+        m, once = n // 2, (n - 1) // 2
+        self.y2 = np.empty((2, 2 * n))  # each coordinate stored twice over
+        # a Hankel view: [c, k - 1, i] reads y[(i + k) mod n, c]
+        self.shifted = sliding_window_view(self.y2[:, 1:], n, axis=1)[:, :m]
+        self.diff = np.empty((2, m, n))
+        self.w = np.empty((m, n))
+        self.total = 0.0
+        self.scratch = np.empty((m, n))
+        self.wrapped = np.empty((2, once, n + once))
+        # row r starts at column once - 1 - r, so it reads terms[r, (j - r - 1) mod n]
+        windows = sliding_window_view(self.wrapped.reshape(2, -1), n, axis=1)
+        self.skewed = windows[:, once - 1 :: n + once - 1][:, :once]
+
+    def q(self) -> np.ndarray:
+        """Q's pair table, built in the scratch."""
+        q = np.divide(self.w, self.total, out=self.scratch)
+        return np.maximum(q, _P_FLOOR, out=q)
+
+
+def _student_t(y: np.ndarray, kernel: _Kernel | None = None) -> _Kernel:
+    """The kernel of `y`, built in `kernel`'s buffers when given. Every step is
+    an elementwise IEEE op or a NumPy sum in a fixed order, with no BLAS call,
+    so its bits do not depend on the CPU's SIMD level or BLAS kernels."""
+    n = y.shape[0]
+    kernel = _Kernel(n) if kernel is None else kernel
+    kernel.y2[:, :n] = y.T
+    kernel.y2[:, n:] = y.T
+    diff = np.subtract(kernel.shifted, kernel.y2[:, None, :n], out=kernel.diff)
+    w = np.multiply(diff[0], diff[0], out=kernel.w)
+    w += np.multiply(diff[1], diff[1], out=kernel.scratch)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    kernel.total = _ordered_pair_sum(w)
+    return kernel
+
+
+def kl_divergence(p: np.ndarray, y: np.ndarray, kernel: _Kernel | None = None) -> float:
+    """KL(P || Q) at embedding Y, over ordered pairs i != j with p_ij > 0. `p`
+    is the joint P, n x n or as its `pair_table`; `kernel` is `_student_t(y)`
+    when the caller has already built it."""
+    n = y.shape[0]
+    p = pair_table(p) if p.shape == (n, n) else p
+    kernel = _student_t(y) if kernel is None else kernel
+    # sum(p * log(p / q)), in place in the scratch; p = 0 adds 0
+    buf = np.divide(p, kernel.q(), out=kernel.scratch)
+    np.log(buf, out=buf, where=buf > 0.0)
+    buf *= p
+    return float(_ordered_pair_sum(buf))
+
+
+def kl_gradient(p: np.ndarray, y: np.ndarray, kernel: _Kernel | None = None) -> np.ndarray:
+    """dKL/dY: 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j). `p` is the joint
+    P, n x n or as its `pair_table`; `kernel` is `_student_t(y)` when the
+    caller has already built it, and serves one gradient: its differences
+    become the pairs' terms."""
+    n = y.shape[0]
+    p = pair_table(p) if p.shape == (n, n) else p
+    kernel = _student_t(y) if kernel is None else kernel
+    mult = np.subtract(p, kernel.q(), out=kernel.scratch)
+    mult *= kernel.w
+    # the term t = mult * (y_j - y_i) of pair {i, j = i + k} is 1/4 of
+    # -dKL/dy_i and of +dKL/dy_j
+    t = kernel.diff
+    t *= mult
+    once = (n - 1) // 2
+    kernel.wrapped[:, :, :once] = t[:, :once, n - once :]
+    kernel.wrapped[:, :, once:] = t[:, :once]
+    # point j: a column sum of the skewed rows, which leave out the even-n last
+    # row, as it lists each of its pairs at both points; point i: a column sum
+    # over every row
+    grad = kernel.skewed.sum(axis=1)
+    grad -= t.sum(axis=1)
+    grad *= 4.0
+    return grad.T
 
 
 def embed(
@@ -244,30 +307,32 @@ def embed(
         raise ValidationError(f"embed: need at least 4 rows, got {n}")
     _check_rows(n, "embed")
     require("embed: iters", iters, numbers.Integral, 1, MAX_ITERS)
-    if seed < 0:
-        raise ValidationError(f"embed: seed must be >= 0, got {seed}")
-    p = joint_affinities(x, perplexity)
+    require("embed: seed", seed, numbers.Integral, 0)
+    # the full P is freed once its pair table is gathered
+    return _descend(pair_table(joint_affinities(x, perplexity)), iters, seed)
+
+
+def _descend(p: np.ndarray, iters: int, seed: int) -> Embedding:
+    """embed's descent from P's pair table `p`: given the same `p`, the bits
+    of Y do not depend on the machine."""
+    n = p.shape[1]
     p_exaggerated = p * EARLY_EXAGGERATION
-    # one scratch serves the gradient multiplier and the KL terms: the KL is
-    # taken after the kernel is built and before the next gradient
-    w, q, scratch = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    terms = _kl_terms(p, scratch)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, 2)) * 1e-4
-    kernel = _student_t_q(y, (w, q))
+    kernel = _student_t(y)
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     kl_history: list[float] = []
     for it in range(1, iters + 1):
         early = it <= EXAGGERATION_ITERS
-        grad = kl_gradient(p_exaggerated if early else p, y, kernel, scratch)
+        grad = kl_gradient(p_exaggerated if early else p, y, kernel)
         momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
         gains = np.where((update * grad) < 0.0, gains + 0.2, gains * 0.8)
         np.maximum(gains, MIN_GAIN, out=gains)
         update = momentum * update - LEARNING_RATE * gains * grad
         y = y + update
         y = y - y.sum(axis=0) / n  # what y.mean(axis=0) computes
-        kernel = _student_t_q(y, kernel)
+        kernel = _student_t(y, kernel)
         if it % KL_EVERY == 0 or it == iters:
-            kl_history.append(kl_divergence(p, y, kernel, terms))
+            kl_history.append(kl_divergence(p, y, kernel))
     return Embedding(Y=y, kl_history=kl_history)

@@ -1,7 +1,11 @@
+import hashlib
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from childproc import run_call
 
 from vitalnet import tsne
 from vitalnet.errors import ValidationError
@@ -21,6 +25,7 @@ from vitalnet.tsne import (
     joint_affinities,
     kl_divergence,
     kl_gradient,
+    pair_table,
     symmetrize,
 )
 
@@ -133,6 +138,13 @@ def reference_gradient(p, y):
     w, q = reference_q(y)
     mult = (p - q) * w
     return 4.0 * (mult.sum(axis=1)[:, None] * y - mult @ y)
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Equal to within `rtol` of want's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def reference_embed(x, perplexity, iters, seed, learning_rate=LEARNING_RATE):
@@ -300,20 +312,39 @@ class TestKlGradient:
         )
         assert rel < 1e-5
 
-    # a point 1e8 away from the rest puts its row of Q below the 1e-12 floor
-    @pytest.mark.parametrize("n,seed,far", [(4, 0, 0.0), (17, 1, 0.0), (40, 2, 0.0),
-                                            (12, 3, 1e8)])
+    # a point 1e8 away from the rest puts its row of Q below the 1e-12 floor;
+    # n odd and even, as the last row of an even n's pair table lists each
+    # of its pairs twice
+    @pytest.mark.parametrize("n,seed,far", [(4, 0, 0.0), (5, 4, 0.0), (17, 1, 0.0),
+                                            (40, 2, 0.0), (12, 3, 1e8), (13, 5, 1e8),
+                                            (216, 6, 0.0), (217, 7, 0.0)])
     def test_match_reference_kernel(self, n, seed, far):
         rng = np.random.default_rng(seed)
         p = joint_affinities(rng.standard_normal((n, 5)), 3.0)
         p[0, 1] = p[1, 0] = 0.0  # a zero entry, left out of the KL sum
         y = rng.standard_normal((n, 2))
         y[-1] += far
-        assert kl_divergence(p, y) == reference_kl(p, y)
-        assert np.array_equal(kl_gradient(p, y), reference_gradient(p, y))
-        kernel = reference_q(y)  # the kernel embed passes in, built by the caller
-        assert kl_divergence(p, y, kernel) == reference_kl(p, y)
-        assert np.array_equal(kl_gradient(p, y, kernel), reference_gradient(p, y))
+        assert_close(kl_divergence(p, y), reference_kl(p, y))
+        assert_close(kl_gradient(p, y), reference_gradient(p, y))
+        # the kernel embed builds once per iteration, and P as its pair table
+        w, q = reference_q(y)
+        kernel = tsne._student_t(y)
+        assert_close(kernel.w, pair_table(w))
+        assert_close(kernel.q(), pair_table(q))
+        assert_close(kl_divergence(pair_table(p), y, kernel), reference_kl(p, y))
+        assert_close(kl_gradient(pair_table(p), y, kernel), reference_gradient(p, y))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
+    def test_pair_table_lists_each_pair_once(self, n):
+        # entry (i, j) names its pair as min(i, j) * n + max(i, j)
+        i, j = np.indices((n, n))
+        table = pair_table((np.minimum(i, j) * n + np.maximum(i, j)).astype(float))
+        assert table.shape == (n // 2, n)
+        listed = table[: (n - 1) // 2].ravel().tolist()
+        if n % 2 == 0:  # the last row lists each of its pairs at both points
+            assert np.array_equal(table[-1, : n // 2], table[-1, n // 2 :])
+            listed += table[-1, : n // 2].tolist()
+        assert sorted(listed) == [a * n + b for a in range(n) for b in range(a + 1, n)]
 
     def test_kl_non_negative(self):
         rng = np.random.default_rng(8)
@@ -391,11 +422,59 @@ class TestEmbed:
         ],
     )
     def test_matches_reference_descent(self, n, perplexity, seed, iters):
+        # the descent sums in another order than the reference, and it is
+        # chaotic, so Y can agree only to round-off and only over one step;
+        # later in the descent the two must agree at the same Y
         x = np.random.default_rng(100 + n).standard_normal((n, 9))
-        y, kl_history = reference_embed(x, perplexity, iters, seed)
-        got = embed(x, perplexity=perplexity, iters=iters, seed=seed)
-        assert np.array_equal(got.Y, y)
-        assert got.kl_history == [kl_history[i - 1] for i in recorded_iterations(iters)]
+        p = symmetrize(reference_conditional_affinities(x, perplexity))
+        assert np.array_equal(joint_affinities(x, perplexity), p)
+        y1, kl1 = reference_embed(x, perplexity, 1, seed)
+        got = embed(x, perplexity=perplexity, iters=1, seed=seed)
+        assert_close(got.Y, y1)
+        assert_close(got.kl_history, kl1)
+        y, _ = reference_embed(x, perplexity, iters, seed)
+        assert_close(kl_divergence(p, y), reference_kl(p, y))
+        for p_eff in (p, p * EARLY_EXAGGERATION):
+            assert_close(kl_gradient(p_eff, y), reference_gradient(p_eff, y))
+
+    def test_descent_calls_no_blas(self):
+        # elementwise IEEE ops and NumPy sums only, so that Y does not depend on
+        # the BLAS kernels a CPU picks; the full-matrix kernel is gone
+        for f in (tsne._descend, tsne._Kernel, tsne._student_t, kl_gradient, kl_divergence):
+            assert not re.search(r"@|matmul|\bdot\b|einsum|tensordot|linalg",
+                                 inspect.getsource(f))
+        assert not hasattr(tsne, "_student_t_q") and not hasattr(tsne, "_kl_terms")
+
+    def test_embedding_does_not_depend_on_the_cpu(self):
+        # one fixed P, its descent run in a child process per setting: the
+        # default kernels, NumPy's dispatch held below AVX2 and AVX-512, two
+        # older OpenBLAS cores, and two BLAS threads
+        p = pair_table(joint_affinities(np.random.default_rng(60).standard_normal((60, 9)), 10.0))
+        unset = dict.fromkeys(["NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE",
+                               "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+        settings = [  # (name, variable, value, the environment field it must move)
+            ("default", None, None, None),
+            ("no AVX2/AVX-512", "NPY_DISABLE_CPU_FEATURES",
+             "AVX512_SPR,AVX512_ICL,X86_V4,X86_V3", "simd"),
+            ("Sandybridge", "OPENBLAS_CORETYPE", "Sandybridge", "openblas_core"),
+            ("Prescott", "OPENBLAS_CORETYPE", "Prescott", "openblas_core"),
+            ("2 threads", "OPENBLAS_NUM_THREADS", "2", None),
+        ]
+        hashes, default = {}, None
+        for name, var, value, field in settings:
+            env = {**unset, **({var: value} if var else {})}
+            runs = [run_call("vitalnet.cli:_environment", env=env, timeout=120),
+                    run_call("vitalnet.tsne:_descend", p, 300, 0, env=env, timeout=120)]
+            for run in runs:
+                assert run.code == 0, f"{name}: the child failed:\n{run.stderr}"
+            found, emb = runs[0].value, runs[1].value
+            default = default or found
+            if field:
+                assert found[field] != default[field], (
+                    f"{var}={value} left {field} at {found[field]!r}: NumPy or OpenBLAS "
+                    "did not take the setting on this host")
+            hashes[name] = hashlib.sha256(emb.Y.tobytes()).hexdigest()
+        assert len(set(hashes.values())) == 1, hashes
 
     @pytest.mark.parametrize("iters", [1, 49, 50, 120])
     def test_work_per_descent(self, monkeypatch, iters):
@@ -414,6 +493,25 @@ class TestEmbed:
     def test_too_few_rows(self):
         with pytest.raises(ValidationError):
             embed(np.zeros((3, 5)), perplexity=2)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "0"])
+    def test_seed_checked_before_any_work(self, monkeypatch, seed):
+        monkeypatch.setattr(tsne, "joint_affinities", None)  # never reached
+        with pytest.raises(ValidationError, match=r"embed: seed must be an integer in \[0, "):
+            embed(np.random.default_rng(0).standard_normal((8, 3)), 2.0, 10, seed)
+
+    def test_peak_memory_within_budget(self):
+        # MAX_ROWS assumes embed never holds more than _EMBED_MATRICES n x n
+        # float64 arrays at once, search and descent alike
+        n = 600
+        x = np.random.default_rng(12).standard_normal((n, 10))
+        tracemalloc.start()
+        try:
+            embed(x, perplexity=30.0, iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tsne._EMBED_MATRICES * n * n * 8
 
     @pytest.mark.parametrize("iters", [0, MAX_ITERS + 1, 10**12, 2.5, True])
     def test_iters_bounded_before_any_work(self, monkeypatch, iters):
