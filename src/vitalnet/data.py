@@ -565,10 +565,13 @@ def resample(record: PatientRecord) -> RegularSeries:
     timestamp; empty slots are forward-filled.
 
     Slot t covers [first + t hours, first + t+1 hours). Slot 0 holds the
-    first sample, so every empty slot has a filled one before it.
+    first sample, so every empty slot has a filled one before it. A grid over
+    the element budget is rejected before any of it is allocated.
     """
     slots = (record.times - record.times[0]) // np.timedelta64(HOUR)
     n_slots = int(slots[-1]) + 1
+    check_elements(f"patient {record.patient_id}'s hourly grid of {n_slots:,} slots",
+                   n_slots * len(CHANNELS))
     counts = np.bincount(slots, minlength=n_slots)
     sums = np.column_stack([np.bincount(slots, col, n_slots) for col in record.values.T])
     # each slot reads the mean of the last filled slot at or before it

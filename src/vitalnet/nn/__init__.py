@@ -1,6 +1,6 @@
 """From-scratch CNN+LSTM binary classifier with manual backpropagation."""
 
-from .layers import bce_loss, sigmoid
+from .layers import Workspace, bce_loss, sigmoid
 from .model import (
     ModelConfig,
     ModelParams,
@@ -17,6 +17,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "TrainConfig",
+    "Workspace",
     "adam_step",
     "bce_loss",
     "forward",

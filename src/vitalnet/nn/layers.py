@@ -3,8 +3,8 @@ dense layers, and binary cross-entropy, each with a manual backward pass.
 
 Every forward function returns a cache consumed by the matching backward
 function, and every backward function returns (dx, *parameter gradients).
-The convolution and dense layers are linear; their cache is (x, w), and the
-model applies the ReLUs between them.
+The convolution and dense layers are linear, and the model applies the ReLUs
+between them.
 
 Every layer up to the dense ones works channels-first: the convolutions and
 max-pooling take and return (C, B, T) arrays, and the LSTM reads (D, B, T),
@@ -12,11 +12,9 @@ so that time is the contiguous axis. A convolution is one channel-major GEMM,
 w.reshape(F, K*C) @ cols, where the im2col matrix cols is a contiguous (K*C,
 B*T_out) copy built from K slices along T (Chellapilla, Puri & Simard 2006);
 its weight and input gradients are the GEMMs dpre @ cols.T and w.reshape(F,
-K*C).T @ dpre. The im2col is not cached: the backward pass
-rebuilds it, because without a workspace (below) a cached (K*C, B*T_out) copy
-per layer would stay alive until the model's forward pass returns and add to
-its peak memory. The backward pass writes dcols over the rebuilt im2col, once
-the dw GEMM has consumed it.
+K*C).T @ dpre. The cache is (x, w, cols): the backward pass reads the
+forward pass's im2col, and writes dcols over it once the dw GEMM has consumed
+it. A dense layer's cache is (x, w).
 
 Max-pooling is the paper's, size 2 and stride 2: one np.maximum of the even
 and the odd time slots.
@@ -37,16 +35,15 @@ gate gradients to (4H, B*T); dx is (D, B, T), as the pool's backward pass
 reads it. The final hidden state reaches the dense layers as a contiguous
 (B, H) array; the dense layers take a leading batch axis.
 
-Every convolution, pooling and LSTM function takes an optional Workspace. With
-none, each call allocates its arrays. Training passes one Workspace for the
-whole run, and scoring one for all of its chunks, so that a pass's large
-arrays (the im2col, the layer outputs and their gradients, the LSTM's gates,
-states and transposed copies) are views of buffers that the first pass
-allocated; every op is the same ufunc or GEMM, writing through `out=`, so the
-results are the same bits. A buffer is reused by the next call of the same
-layer, so a cache is only good until then, and the LSTM's backward pass
-writes over its cached gates and cell states once it has read them: with a
-Workspace, a backward pass consumes its cache.
+Every convolution, pooling and LSTM function works in a Workspace, the
+layer's own `ws.layer(name)`: its large arrays (the im2col, the outputs and
+their gradients, the LSTM's gates, states and transposed copies) are views of
+buffers that the first pass allocated and every later pass reuses. Training
+passes one Workspace for the whole run, and scoring one for all of its
+chunks. Every op writes through `out=`, so the bits do not depend on the
+buffers' history. A cache stays valid until that layer's next call, and a
+backward pass consumes it: the conv writes dcols over its cached im2col, and
+the LSTM writes over its cached gates and cell states once it has read them.
 """
 
 from __future__ import annotations
@@ -96,33 +93,23 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def scope(ws: Workspace | None, name: str) -> Workspace | None:
-    """The layer `name` of `ws`, or None for a pass that allocates."""
-    return None if ws is None else ws.layer(name)
-
-
-def scratch(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array: the role's buffer of `ws`, or a new one."""
-    return np.empty(shape) if ws is None else ws.take(role, shape)
-
-
 # ---------------------------------------------------------------------------
 # 1-D convolution (valid cross-correlation along time)
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, k: int, ws=None) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, ws: Workspace) -> np.ndarray:
     """x: (C, B, T) -> contiguous (K*C, B*T_out) patches; row j*C + c holds
     x[c, :, j:j+T_out], matching w.reshape(F, K*C)."""
     c, b, t = x.shape
     t_out = t - k + 1
-    cols = scratch(ws, "cols", (k, c, b, t_out))
+    cols = ws.take("cols", (k, c, b, t_out))
     for j in range(k):
         cols[j] = x[:, :, j : j + t_out]
     return cols.reshape(k * c, b * t_out)
 
 
-def conv1d_forward(x, w, bias, ws=None):
+def conv1d_forward(x, w, bias, ws):
     """x: (C, B, T), w: (F, K, C), bias: (F,) -> pre-activation (F, B, T-K+1)."""
     c, b, t = x.shape
     f, k, cw = w.shape
@@ -130,23 +117,23 @@ def conv1d_forward(x, w, bias, ws=None):
         raise ValidationError(f"conv1d: channel mismatch (input {c}, weights {cw})")
     if t < k:
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
-    pre = scratch(ws, "out", (f, b, t - k + 1))
-    np.matmul(w.reshape(f, k * c), _im2col(x, k, ws), out=pre.reshape(f, -1))
+    cols = _im2col(x, k, ws)
+    pre = ws.take("out", (f, b, t - k + 1))
+    np.matmul(w.reshape(f, k * c), cols, out=pre.reshape(f, -1))
     pre += bias[:, None, None]
-    return pre, (x, w)
+    return pre, (x, w, cols)
 
 
-def conv1d_backward(dpre, cache, ws=None):
+def conv1d_backward(dpre, cache, ws):
     """dpre: (F, B, T-K+1) -> (dx (C, B, T), dw, db)."""
-    x, w = cache
+    x, w, cols = cache
     c, b, t = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
     flat = dpre.reshape(f, -1)
-    cols = _im2col(x, k, ws)
     dw = (flat @ cols.T).reshape(f, k, c)
     dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
-    dx = scratch(ws, "dx", x.shape)
+    dx = ws.take("dx", x.shape)
     dx.fill(0.0)
     for j in range(k):
         dx[:, :, j : j + t_out] += dcols[j]
@@ -158,7 +145,7 @@ def conv1d_backward(dpre, cache, ws=None):
 # ---------------------------------------------------------------------------
 
 
-def maxpool1d_forward(x, ws=None):
+def maxpool1d_forward(x, ws):
     """x: (C, B, T) -> out (C, B, T // 2), the max of slots 2t and 2t+1; an
     odd last slot is dropped.
 
@@ -170,16 +157,16 @@ def maxpool1d_forward(x, ws=None):
     if t < 2:
         raise ValidationError(f"maxpool1d: input length {t} shorter than window 2")
     first, second = x[..., 0 : t - 1 : 2], x[..., 1:t:2]
-    out = np.maximum(first, second, out=scratch(ws, "out", first.shape))
+    out = np.maximum(first, second, out=ws.take("out", first.shape))
     return out, (x.shape, second > first)
 
 
-def maxpool1d_backward(dout, cache, ws=None):
+def maxpool1d_backward(dout, cache, ws):
     shape, second = cache
     t = shape[2]
-    dx = scratch(ws, "dx", shape)
+    dx = ws.take("dx", shape)
     dx.fill(0.0)
-    tmp = scratch(ws, "tmp", dout.shape)
+    tmp = ws.take("tmp", dout.shape)
     # added into zeros, not assigned, so a masked-out negative dout leaves 0.0
     dx[..., 0 : t - 1 : 2] += np.multiply(dout, ~second, out=tmp)
     dx[..., 1:t:2] += np.multiply(dout, second, out=tmp)
@@ -191,7 +178,7 @@ def maxpool1d_backward(dout, cache, ws=None):
 # ---------------------------------------------------------------------------
 
 
-def lstm_forward(x, wx, wh, bias, ws=None):
+def lstm_forward(x, wx, wh, bias, ws):
     """x: (D, B, T), wx: (D, 4H), wh: (H, 4H), bias: (4H,) -> h_T (B, H)."""
     d, b, t = x.shape
     h_dim = wh.shape[0]
@@ -202,18 +189,18 @@ def lstm_forward(x, wx, wh, bias, ws=None):
     # exact because 0.5 is a power of two.
     scale = np.full((4 * h_dim, 1), 0.5)
     scale[2 * h_dim : 3 * h_dim] = 1.0
-    wx_s = np.multiply(wx.T, scale, out=scratch(ws, "wx_s", (4 * h_dim, d)))
-    wh_s = np.multiply(wh.T, scale, out=scratch(ws, "wh_s", (4 * h_dim, h_dim)))
+    wx_s = np.multiply(wx.T, scale, out=ws.take("wx_s", (4 * h_dim, d)))
+    wh_s = np.multiply(wh.T, scale, out=ws.take("wh_s", (4 * h_dim, h_dim)))
     # input projection of every step: one (4H, D) @ (D, B) GEMM per step
-    gates = np.matmul(wx_s, x.transpose(2, 0, 1), out=scratch(ws, "gates", (t, 4 * h_dim, b)))
+    gates = np.matmul(wx_s, x.transpose(2, 0, 1), out=ws.take("gates", (t, 4 * h_dim, b)))
     gates += bias[:, None] * scale
-    cs = scratch(ws, "cs", (t + 1, h_dim, b))
-    hs = scratch(ws, "hs", (t + 1, h_dim, b))
+    cs = ws.take("cs", (t + 1, h_dim, b))
+    hs = ws.take("hs", (t + 1, h_dim, b))
     cs[0] = 0.0  # every later row is written by its step
     hs[0] = 0.0
     # per-step scratch, reused so that the loop allocates no arrays
-    rec = scratch(ws, "rec", (4 * h_dim, b))
-    ig = scratch(ws, "ig", (h_dim, b))
+    rec = ws.take("rec", (4 * h_dim, b))
+    ig = ws.take("ig", (h_dim, b))
     for step in range(t):
         z = gates[step]
         z += np.matmul(wh_s, hs[step], out=rec)
@@ -231,7 +218,7 @@ def lstm_forward(x, wx, wh, bias, ws=None):
     return np.ascontiguousarray(hs[t].T), (x, wx, wh, gates, cs, hs)
 
 
-def lstm_backward(dh_last, cache, ws=None):
+def lstm_backward(dh_last, cache, ws):
     """dh_last: (B, H) -> (dx (D, B, T), dwx, dwh, db)."""
     x, wx, wh, gates, cs, hs = cache
     d, b, t = x.shape
@@ -239,7 +226,7 @@ def lstm_backward(dh_last, cache, ws=None):
     i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     # local derivatives of every step, formed in place in dz's blocks: dz per
     # unit dc for the i, f and g blocks and per unit dh for the o block
-    dz = scratch(ws, "dz", gates.shape)
+    dz = ws.take("dz", gates.shape)
     di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     for dk, s in ((di, i), (df, f), (do, o)):
         np.subtract(1.0, s, out=dk)
@@ -249,9 +236,9 @@ def lstm_backward(dh_last, cache, ws=None):
     np.multiply(g, g, out=dg)
     np.subtract(1.0, dg, out=dg)
     dg *= i
-    # with a workspace, tanh_c and then hs_t below are written over the
-    # cached cs, which df has consumed
-    tanh_c = np.tanh(cs[1:], out=scratch(ws, "cs", cs.shape)[1:])
+    # tanh_c, and then hs_t below, are written over the cached cs, which df
+    # has consumed
+    tanh_c = np.tanh(cs[1:], out=cs[1:])
     do *= tanh_c
     # dc per unit dh, o * (1 - tanh(c)^2), in tanh_c's buffer
     dc_dh = tanh_c
@@ -268,17 +255,17 @@ def lstm_backward(dh_last, cache, ws=None):
         if step:
             dh = wh @ dz[step]
             dc *= f[step]
-    # (4H, B*T), columns in x's (B, T) order; with a workspace it is written
-    # over the cached gates, which the loop has consumed
-    dz_t = scratch(ws, "gates", (4 * h_dim, b, t))
+    # (4H, B*T), columns in x's (B, T) order, written over the cached gates,
+    # which the loop has consumed
+    dz_t = ws.take("gates", (4 * h_dim, b, t))
     np.copyto(dz_t, dz.transpose(1, 2, 0))
     dz = dz_t.reshape(4 * h_dim, b * t)
-    hs_t = scratch(ws, "cs", (h_dim, b, t))
+    hs_t = ws.take("cs", (h_dim, b, t))
     np.copyto(hs_t, hs[:-1].transpose(1, 2, 0))
-    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=scratch(ws, "dwx", (d, 4 * h_dim)))
-    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T, out=scratch(ws, "dwh", (h_dim, 4 * h_dim)))
+    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=ws.take("dwx", (d, 4 * h_dim)))
+    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T, out=ws.take("dwh", (h_dim, 4 * h_dim)))
     db = dz.sum(axis=1)
-    dx = np.matmul(wx, dz, out=scratch(ws, "dx", (d, b * t))).reshape(d, b, t)
+    dx = np.matmul(wx, dz, out=ws.take("dx", (d, b * t))).reshape(d, b, t)
     return dx, dwx, dwh, db
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ValidationError, check_elements, require
 from . import layers
-from .layers import Workspace, scope
+from .layers import Workspace
 
 CHECKPOINT_FORMAT_VERSION = 2
 # how a tensor's `data` is written in each format version that still loads
@@ -149,9 +149,6 @@ class ModelParams:
     def __post_init__(self):
         self.tensors = FlatTensors(self.tensors)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(tensors=self.tensors, config=self.config)
-
     def check_finite(self) -> None:
         name = self.tensors.first_nonfinite()
         if name is not None:
@@ -190,13 +187,13 @@ def init_params(config: ModelConfig) -> ModelParams:
     return ModelParams(tensors=tensors, config=config)
 
 
-def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None):
+def forward(params: ModelParams, x: np.ndarray, ws: Workspace):
     """x: (B, W, 3) normalized windows -> (probs (B,), features (B, 100), cache).
 
     The layers are linear; the model applies the three ReLUs in place, after
     conv1, after the pool and after dense1. Each ReLU output is cached once,
-    as the input of the layer that reads it. With a workspace, the cache
-    holds its buffers, good until the next pass.
+    as the input of the layer that reads it. The cache holds views of the
+    workspace's buffers, good until the next pass.
     """
     cfg = params.config
     t = params.tensors
@@ -209,16 +206,15 @@ def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None):
             f"{cfg.min_window_len()} for this config"
         )
     # every layer up to the LSTM runs channels-first, (C, B, T). conv2's ReLU
-    # runs after the pool, on the pooled array: relu(max(a, b)) =
-    # max(relu(a), relu(b)), and conv2's full output is freed once pooled.
+    # runs after the pool, on the half-size pooled array: relu(max(a, b)) =
+    # max(relu(a), relu(b)).
     a1, c1 = layers.conv1d_forward(x.transpose(2, 0, 1), t["conv1_w"], t["conv1_b"],
-                                   scope(ws, "conv1"))
+                                   ws.layer("conv1"))
     np.maximum(a1, 0.0, out=a1)
-    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], scope(ws, "conv2"))
-    a3, c3 = layers.maxpool1d_forward(pre2, scope(ws, "pool"))
-    del pre2
+    pre2, c2 = layers.conv1d_forward(a1, t["conv2_w"], t["conv2_b"], ws.layer("conv2"))
+    a3, c3 = layers.maxpool1d_forward(pre2, ws.layer("pool"))
     np.maximum(a3, 0.0, out=a3)
-    h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"], scope(ws, "lstm"))
+    h4, c4 = layers.lstm_forward(a3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"], ws.layer("lstm"))
     feats, c5 = layers.dense_forward(h4, t["dense1_w"], t["dense1_b"])
     np.maximum(feats, 0.0, out=feats)
     logits, c6 = layers.dense_forward(feats, t["dense2_w"], t["dense2_b"])
@@ -227,9 +223,9 @@ def forward(params: ModelParams, x: np.ndarray, ws: Workspace | None = None):
     return probs, feats, cache
 
 
-def backward(params: ModelParams, dlogits: np.ndarray, cache, ws: Workspace | None = None):
+def backward(dlogits: np.ndarray, cache, ws: Workspace):
     """Gradients of the loss w.r.t. every tensor, given d(loss)/d(logit).
-    With a workspace, this consumes the cache of forward's pass, and the
+    This consumes the cache of forward's pass in the same workspace, and the
     LSTM's weight gradients are its buffers, good until the next pass."""
     c1, c2, c3, c4, c5, c6 = cache
     # each ReLU's mask is read off its output, the next layer's cached input:
@@ -237,34 +233,21 @@ def backward(params: ModelParams, dlogits: np.ndarray, cache, ws: Workspace | No
     dfeat, dw6, db6 = layers.dense_backward(dlogits[:, None], c6)
     dfeat *= c6[0] > 0
     dh, dw5, db5 = layers.dense_backward(dfeat, c5)
-    da3, dwx, dwh, dbl = layers.lstm_backward(dh, c4, scope(ws, "lstm"))
+    da3, dwx, dwh, dbl = layers.lstm_backward(dh, c4, ws.layer("lstm"))
     da3 *= c4[0] > 0
-    dpre2 = layers.maxpool1d_backward(da3, c3, scope(ws, "pool"))
-    da1, dw2, db2 = layers.conv1d_backward(dpre2, c2, scope(ws, "conv2"))
+    dpre2 = layers.maxpool1d_backward(da3, c3, ws.layer("pool"))
+    da1, dw2, db2 = layers.conv1d_backward(dpre2, c2, ws.layer("conv2"))
     da1 *= c2[0] > 0
-    _, dw1, db1 = layers.conv1d_backward(da1, c1, scope(ws, "conv1"))
-    return {
-        "conv1_w": dw1,
-        "conv1_b": db1,
-        "conv2_w": dw2,
-        "conv2_b": db2,
-        "lstm_wx": dwx,
-        "lstm_wh": dwh,
-        "lstm_b": dbl,
-        "dense1_w": dw5,
-        "dense1_b": db5,
-        "dense2_w": dw6,
-        "dense2_b": db6,
-    }
+    _, dw1, db1 = layers.conv1d_backward(da1, c1, ws.layer("conv1"))
+    return dict(zip(TENSOR_ORDER, (dw1, db1, dw2, db2, dwx, dwh, dbl, dw5, db5, dw6, db6)))
 
 
-def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
-                   ws: Workspace | None = None):
+def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray, ws: Workspace):
     """Mean BCE over the batch plus gradients for every parameter tensor."""
     probs, _, cache = forward(params, x, ws)
     loss = layers.bce_loss(probs, y)
     dlogits = (probs - np.asarray(y, dtype=float)) / len(y)
-    grads = backward(params, dlogits, cache, ws)
+    grads = backward(dlogits, cache, ws)
     return loss, probs, grads
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..data import WindowedDataset
 from ..errors import ValidationError, require
-from .layers import Workspace, scope, scratch
+from .layers import Workspace
 from .model import FlatTensors, ModelConfig, ModelParams, init_params, loss_and_grads
 
 # far above the paper's 30 epochs; one epoch over the default cohort takes
@@ -63,19 +63,19 @@ def adam_step(
     state: AdamState,
     t: int,
     config: TrainConfig,
-    ws: Workspace | None = None,
+    ws: Workspace,
 ) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update; mutates params and state in place.
 
     The update is elementwise, so it runs once over the flat parameter,
-    gradient and moment vectors. With a workspace, the flat gradient and the
-    scratch vector are its buffers.
+    gradient and moment vectors. The flat gradient and the scratch vector
+    are buffers of the workspace.
     """
     if t < 1:
         raise ValidationError(f"adam_step: step index must be >= 1, got {t}")
-    ws = scope(ws, "adam")
+    ws = ws.layer("adam")
     shape = params.tensors.flat.shape
-    flat_grads = FlatTensors(grads, scratch(ws, "grad", shape))
+    flat_grads = FlatTensors(grads, ws.take("grad", shape))
     bad = flat_grads.first_nonfinite()
     if bad is not None:
         raise ValidationError(f"non-finite gradient in tensor {bad}")
@@ -89,7 +89,7 @@ def adam_step(
     # one scratch vector, then also the gradient's own copy once the moments
     # have read it, carry every intermediate of
     # p -= lr * m_hat / (sqrt(v_hat) + eps), operand order as written
-    step = scratch(ws, "step", shape)
+    step = ws.take("step", shape)
     m *= b1
     m += np.multiply(1.0 - b1, g, out=step)
     v *= b2

@@ -131,6 +131,19 @@ class Dynamics:
                         lo=0.0 if name.endswith("_sd") else -math.inf)
 
 
+def _pair(what: str, value) -> tuple:
+    """A config's [lo, hi] list as a tuple; any other shape is rejected."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"{what} must be a pair [lo, hi], got {value!r}")
+    return tuple(value)
+
+
+def _object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 @dataclass
 class SynthConfig:
     seed: int
@@ -178,10 +191,11 @@ class SynthConfig:
                 GroupSpec(
                     label=g["label"],
                     patients_per_bin=list(g["patients_per_bin"]),
-                    stay_days=tuple(g["stay_days"]),
+                    stay_days=_pair("stay_days", g["stay_days"]),
                     targets={
-                        v: {s: tuple(iv) for s, iv in cells.items()}
-                        for v, cells in g["targets"].items()
+                        v: {s: _pair(f"target {v} {s}", iv)
+                            for s, iv in _object(f"targets for {v}", cells).items()}
+                        for v, cells in _object("targets", g["targets"]).items()
                     },
                     circadian_hr_amp=g["circadian_hr_amp"],
                 )
@@ -190,7 +204,7 @@ class SynthConfig:
             dyn_raw = raw.get("dynamics", {})
             cfg = cls(
                 seed=raw["seed"],
-                age_bins=[tuple(b) for b in raw["age_bins"]],
+                age_bins=[_pair("age bin", b) for b in raw["age_bins"]],
                 cadences_minutes=list(raw["cadences_minutes"]),
                 cadence_weights=list(raw["cadence_weights"]),
                 groups=groups,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from vitalnet.errors import ValidationError
-from vitalnet.nn.layers import bce_loss, conv1d_forward, dense_forward
+from vitalnet.nn.layers import Workspace, bce_loss, conv1d_forward, dense_forward
 from vitalnet.nn.model import ModelConfig, ModelParams, forward, init_params, loss_and_grads
 
 # margin around ReLU kinks / pool ties below which a draw is rejected
@@ -25,9 +25,10 @@ def finite_diff_grads(
     params: ModelParams, x: np.ndarray, y: np.ndarray, eps: float = 1e-5
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient of the mean BCE for every coordinate."""
+    ws = Workspace()
 
     def loss_at() -> float:
-        probs, _, _ = forward(params, x)
+        probs, _, _ = forward(params, x, ws)
         return bce_loss(probs, y)
 
     grads = {}
@@ -64,9 +65,9 @@ def max_relative_error(
 def _kink_margin(params: ModelParams, x: np.ndarray) -> float:
     """Distance of the closest pre-activation to a ReLU kink or pool tie."""
     tensors = params.tensors
-    _, _, (c1, c2, _, _, c5, _) = forward(params, x)
-    pre1, _ = conv1d_forward(c1[0], tensors["conv1_w"], tensors["conv1_b"])
-    pre2, _ = conv1d_forward(c2[0], tensors["conv2_w"], tensors["conv2_b"])
+    _, _, (c1, c2, _, _, c5, _) = forward(params, x, Workspace())
+    pre1, _ = conv1d_forward(c1[0], tensors["conv1_w"], tensors["conv1_b"], Workspace())
+    pre2, _ = conv1d_forward(c2[0], tensors["conv2_w"], tensors["conv2_b"], Workspace())
     pre5, _ = dense_forward(c5[0], tensors["dense1_w"], tensors["dense1_b"])
     margin = min(float(np.abs(pre).min()) for pre in (pre1, pre2, pre5))
     t = pre2.shape[2]
@@ -118,6 +119,6 @@ def grad_check(
         )
     mcfg.validate()
     params, x, y = make_check_batch(mcfg, window_len, batch, seed)
-    _, _, analytic = loss_and_grads(params, x, y)
+    _, _, analytic = loss_and_grads(params, x, y, Workspace())
     numeric = finite_diff_grads(params, x, y, eps)
     return max_relative_error(analytic, numeric)

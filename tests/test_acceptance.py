@@ -14,6 +14,7 @@ from vitalnet.data import resample, write_cohort
 from vitalnet.evaluate import day_sweep, extract_features, roc_auc
 from vitalnet.nn import (
     ModelConfig,
+    Workspace,
     forward,
     init_params,
     load_checkpoint,
@@ -246,7 +247,8 @@ def test_criterion_6_determinism(tmp_path, default_cohort):
         save_checkpoint(ckpt, params, {"window_len": 16})
         loaded, _ = load_checkpoint(ckpt)
         x = np.random.default_rng(0).standard_normal((5, 16, 3))
-        assert np.array_equal(forward(params, x)[0], forward(loaded, x)[0])
+        assert np.array_equal(forward(params, x, Workspace())[0],
+                              forward(loaded, x, Workspace())[0])
 
 
 def test_criterion_7_output_format_fidelity(tmp_path, pipeline):

@@ -796,6 +796,18 @@ class TestValidate:
         assert all(c["overlaps"] for c in doc["cells"] if c["stat"] == "mean")
 
 
+    def test_wrong_shape_config_is_validation_error(self, tmp_path, capsys, small_cohort_csv):
+        raw = default_config().to_dict()
+        raw["groups"][0]["targets"]["hr"]["mean"].append(95.0)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        code = run(["validate", "--cohort", str(small_cohort_csv), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "target hr mean" in err
+        assert "Traceback" not in err
+
+
 class TestStatsCommand:
     def test_layout(self, tmp_path, small_cohort_csv):
         out = tmp_path / "stats.csv"

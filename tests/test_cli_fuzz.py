@@ -277,6 +277,9 @@ MAXIMA = {
     "sweep_window_table": ["sweep", "--model", "{long_model}", "--days", "400",
                            "--test", "{long_stays}"],
     "embed_window_table": ["embed", "--model", "{long_model}", "--data", "{long_stays}"],
+    # one patient's hourly grid from year 1 to 9999: 87,649,393 slots
+    "stats_grid": ["stats", "--cohort", "{long_span}"],
+    "train_grid": ["train", "--train", "{long_span}"],
 }
 ADDRESS_LIMIT = 2 << 30
 LONG_STAY_PATIENTS = 16
@@ -318,11 +321,24 @@ def long_model(tmp_path_factory) -> Path:
     return path
 
 
+@pytest.fixture(scope="module")
+def long_span(tmp_path_factory) -> Path:
+    """Four patients of two rows each; patient A's rows span years 1 to 9999."""
+    path = tmp_path_factory.mktemp("long_span") / "cohort.csv"
+    rows = ["A,0001-01-01T00:00:00Z,80,120,80,50,1", "A,9999-12-31T00:00:00Z,80,120,80,50,1"]
+    rows += [f"{pid},2020-01-01T0{h}:00:00Z,{80 + h},{120 + h},{80 + h},{age},{label}"
+             for pid, age, label in (("B", 50, 0), ("C", 60, 1), ("D", 70, 0)) for h in (0, 1)]
+    path.write_text("\n".join([COHORT_HEADER, *rows]) + "\n")
+    return path
+
+
 @pytest.mark.parametrize("case", sorted(MAXIMA))
-def test_in_range_maxima_rejected(inputs, big_model, long_model, long_stays, tmp_path, case):
-    files = {"{big_model}": big_model, "{long_model}": long_model, "{long_stays}": long_stays}
+def test_in_range_maxima_rejected(inputs, big_model, long_model, long_stays, long_span,
+                                  tmp_path, case):
+    files = {"{big_model}": big_model, "{long_model}": long_model, "{long_stays}": long_stays,
+             "{long_span}": long_span}
     argv = [str(files.get(a, a)) for a in MAXIMA[case]]
-    data = {"train": "--train", "embed": "--data"}.get(argv[0], "--test")
+    data = {"train": "--train", "embed": "--data", "stats": "--cohort"}.get(argv[0], "--test")
     if data not in argv:
         argv += [data, str(inputs["cohort.csv"])]
     argv += ["--out", str(tmp_path / "out")]

@@ -208,6 +208,13 @@ class TestResample:
         assert len(reg) == int(span / np.timedelta64(HOUR)) + 1
         assert np.isfinite(reg.values).all()
 
+    def test_grid_over_budget_names_the_patient(self):
+        # years 1 to 9999 are in range, but not one hourly grid between them
+        rec = PatientRecord("A", 50, 1, times=["0001-01-01", "9999-12-31"],
+                            values=[[80.0, 120.0, 70.0]] * 2)
+        with pytest.raises(ValidationError, match="patient A's hourly grid of 87,649,393 slots"):
+            resample(rec)
+
 
 class TestChannelStats:
     def test_constant_channel_rejected(self):

@@ -25,7 +25,7 @@ from vitalnet.evaluate import (
     window_metrics,
     windows_from_cohort,
 )
-from vitalnet.nn import ModelConfig, init_params
+from vitalnet.nn import ModelConfig, Workspace, init_params
 from vitalnet.synth import default_config, generate_cohort
 
 from alloc_probe import LARGE_BLOCK, largest_line_rise
@@ -143,7 +143,8 @@ class TestPredict:
         batched = predict(params, ds)
         from vitalnet.nn import forward
 
-        single = np.array([forward(params, ds.X[i : i + 1])[0][0] for i in range(20)])
+        ws = Workspace()
+        single = np.array([forward(params, ds.X[i : i + 1], ws)[0][0] for i in range(20)])
         assert np.abs(batched - single).max() < 1e-12
 
     def test_zero_init_accuracy_is_majority_share(self):
@@ -156,7 +157,7 @@ class TestPredict:
 
         ds = make_dataset(n=20)
         params = init_params(TINY)
-        probs, feats, _ = forward(params, ds.X)
+        probs, feats, _ = forward(params, ds.X, Workspace())
         monkeypatch.setattr(evaluate, "chunk_windows", lambda config, window_len: 7)
         assert np.abs(predict(params, ds) - probs).max() < 1e-12
         assert np.abs(extract_features(params, ds) - feats).max() < 1e-12

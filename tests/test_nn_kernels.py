@@ -17,8 +17,9 @@ exactly.
 import numpy as np
 import pytest
 
-from vitalnet.nn import model
+from vitalnet.nn import layers, model
 from vitalnet.nn.layers import (
+    Workspace,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -265,9 +266,10 @@ def lstm_case(rng, b, t, d, h, scale):
 
 def check_lstm(x, wx, wh, bias, dh):
     """The feature-major LSTM on cf(x) against both (B, T, D) references."""
-    h_new, cache = lstm_forward(cf(x), wx, wh, bias)
+    ws = Workspace()
+    h_new, cache = lstm_forward(cf(x), wx, wh, bias, ws)
     assert h_new.flags["C_CONTIGUOUS"]
-    dx, *dws = lstm_backward(dh, cache)
+    dx, *dws = lstm_backward(dh, cache, ws)
     assert dx.shape == cf(x).shape
     for ref_fwd, ref_bwd in ((ref_lstm_forward, ref_lstm_backward),
                              (btd_lstm_forward, btd_lstm_backward)):
@@ -303,16 +305,6 @@ class TestLstmAgainstReference:
             assert np.isfinite(h_new).all()
             assert all(np.isfinite(g).all() for g in grads)
 
-    def test_backward_leaves_cache_reusable(self):
-        rng = np.random.default_rng(7)
-        x, wx, wh, bias = lstm_case(rng, 2, 4, 3, 3, scale=0.5)
-        _, cache = lstm_forward(cf(x), wx, wh, bias)
-        dh = rng.standard_normal((2, 3))
-        first = lstm_backward(dh, cache)
-        second = lstm_backward(dh, cache)
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-
 
 POOL_GEOMETRIES = [(size, stride) for size in (1, 2, 3, 4) for stride in (1, 2, 3)]
 POOL_REFERENCES = ((ref_maxpool1d_forward, ref_maxpool1d_backward),
@@ -332,9 +324,10 @@ def check_pool(x, size, stride, rng):
     dout = rng.standard_normal(out_ref.shape)
     assert_close(btc_maxpool1d_backward(dout, cache_btc),
                  ref_maxpool1d_backward(dout, cache_ref))
-    out, cache = maxpool1d_forward(cf(x))
+    ws = Workspace()
+    out, cache = maxpool1d_forward(cf(x), ws)
     dout = rng.standard_normal(btc(out).shape)
-    dx = btc(maxpool1d_backward(cf(dout), cache))
+    dx = btc(maxpool1d_backward(cf(dout), cache, ws))
     for ref_fwd, ref_bwd in POOL_REFERENCES:
         out_ref, cache_ref = ref_fwd(x, 2, 2)
         assert np.array_equal(btc(out), out_ref)
@@ -374,7 +367,7 @@ class TestMaxPoolAgainstReference:
 
     def test_all_equal_window_picks_offset_zero(self):
         x = np.full((2, 1, 6), 3.0)  # (C, B, T)
-        _, (_, second) = maxpool1d_forward(x)
+        _, (_, second) = maxpool1d_forward(x, Workspace())
         assert not second.any()
 
 
@@ -392,13 +385,14 @@ class TestConvAgainstReference:
         bias = rng.standard_normal(f) * 0.1
         # the layer is linear: its output is the reference's pre-activation,
         # and the reference's ReLU mask is applied to dout before the backward
-        pre, cache = conv1d_forward(cf(x), w, bias)
+        ws = Workspace()
+        pre, cache = conv1d_forward(cf(x), w, bias, ws)
         out_ref, cache_ref = btc_conv1d_forward(x, w, bias)
         assert pre.shape == (f, b, t - k + 1)
         assert_close(btc(np.maximum(pre, 0.0)), out_ref)
         assert_close(btc(pre), cache_ref[2])
         dout = rng.standard_normal(out_ref.shape)
-        dx, dw, db = conv1d_backward(cf(dout * (cache_ref[2] > 0)), cache)
+        dx, dw, db = conv1d_backward(cf(dout * (cache_ref[2] > 0)), cache, ws)
         dx_ref, dw_ref, db_ref = btc_conv1d_backward(dout, cache_ref)
         assert_close(btc(dx), dx_ref)
         assert_close(dw, dw_ref)
@@ -410,11 +404,12 @@ class TestConvAgainstReference:
         x = rng.standard_normal((5, 11, 3))
         w = rng.standard_normal((4, 3, 3))
         bias = rng.standard_normal(4)
-        out_view, cache = conv1d_forward(x.transpose(2, 0, 1), w, bias)
-        out_copy, _ = conv1d_forward(cf(x), w, bias)
+        ws = Workspace()
+        out_view, cache = conv1d_forward(x.transpose(2, 0, 1), w, bias, ws)
+        out_copy, _ = conv1d_forward(cf(x), w, bias, Workspace())
         assert np.array_equal(out_view, out_copy)
         dout = rng.standard_normal(out_view.shape)
-        _, dw, db = conv1d_backward(dout * (out_view > 0), cache)
+        _, dw, db = conv1d_backward(dout * (out_view > 0), cache, ws)
         _, dw_ref, db_ref = btc_conv1d_backward(btc(dout), btc_conv1d_forward(x, w, bias)[1])
         assert_close(dw, dw_ref)
         assert_close(db, db_ref)
@@ -422,7 +417,15 @@ class TestConvAgainstReference:
 
 def channels_first_pools(size, stride):
     """The pool, fixed at size 2 and stride 2, and the argmax reference at
-    (size, stride), each as a (forward, backward) pair on (C, B, T) arrays."""
+    (size, stride), each as a (forward, backward) pair on (C, B, T) arrays;
+    each call of the pool gets its own workspace, so that its output and
+    cache outlive the next call."""
+
+    def forward_cf(x):
+        return maxpool1d_forward(x, Workspace())
+
+    def backward_cf(dout, cache):
+        return maxpool1d_backward(dout, cache, Workspace())
 
     def ref_forward_cf(x):
         out, cache = ref_maxpool1d_forward(btc(x), size, stride)
@@ -431,7 +434,7 @@ def channels_first_pools(size, stride):
     def ref_backward_cf(dout, cache):
         return cf(ref_maxpool1d_backward(btc(dout), cache))
 
-    return (maxpool1d_forward, maxpool1d_backward), (ref_forward_cf, ref_backward_cf)
+    return (forward_cf, backward_cf), (ref_forward_cf, ref_backward_cf)
 
 
 class TestReluAfterPool:
@@ -448,7 +451,7 @@ class TestReluAfterPool:
         w = rng.integers(-1, 2, size=(5, 3, 4)).astype(float)
         bias = rng.integers(-1, 2, size=5).astype(float)
         w[0], bias[0] = 0.0, -1.0  # one filter's windows are all negative
-        pre, _ = conv1d_forward(x, w, bias)
+        pre, _ = conv1d_forward(x, w, bias, Workspace())
         act = np.maximum(pre, 0.0)
         for pool_forward, pool_backward in channels_first_pools(size, stride):
             out_ref, pool_ref = pool_forward(act)
@@ -491,7 +494,7 @@ def ref_forward(params, x, batch_major_lstm=False):
     if batch_major_lstm:
         h4, c4 = btd_lstm_forward(p3, t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
     else:
-        h4, c4 = lstm_forward(cf(p3), t["lstm_wx"], t["lstm_wh"], t["lstm_b"])
+        h4, c4 = lstm_forward(cf(p3), t["lstm_wx"], t["lstm_wh"], t["lstm_b"], Workspace())
     pre5, c5 = dense_forward(h4, t["dense1_w"], t["dense1_b"])
     feats = np.maximum(pre5, 0.0)
     logits, c6 = dense_forward(feats, t["dense2_w"], t["dense2_b"])
@@ -523,7 +526,7 @@ class TestModelAgainstReference:
     def test_forward_bit_identical(self, b):
         params = model.init_params(model.ModelConfig(seed=b))
         x = np.random.default_rng(b).standard_normal((b, 48, 3))
-        probs, feats, _ = model.forward(params, x)
+        probs, feats, _ = model.forward(params, x, Workspace())
         probs_ref, feats_ref, _ = ref_forward(params, x)
         assert np.array_equal(probs, probs_ref)
         assert np.array_equal(feats, feats_ref)
@@ -532,7 +535,7 @@ class TestModelAgainstReference:
     def test_forward_matches_batch_major_graph(self, b):
         params = model.init_params(model.ModelConfig(seed=b))
         x = np.random.default_rng(b).standard_normal((b, 48, 3))
-        probs, feats, _ = model.forward(params, x)
+        probs, feats, _ = model.forward(params, x, Workspace())
         probs_ref, feats_ref, _ = ref_forward(params, x, batch_major_lstm=True)
         assert np.array_equal(probs, probs_ref)
         assert_close(feats, feats_ref)
@@ -543,7 +546,7 @@ class TestModelAgainstReference:
         rng = np.random.default_rng(b)
         x = rng.standard_normal((b, 48, 3))
         y = rng.integers(0, 2, size=b).astype(float)
-        _, _, grads = model.loss_and_grads(params, x, y)
+        _, _, grads = model.loss_and_grads(params, x, y, Workspace())
         for name, want in ref_grads(params, x, y).items():
             scale = max(np.abs(want).max(), 1e-300)
             assert grads[name].shape == want.shape
@@ -553,7 +556,7 @@ class TestModelAgainstReference:
         # conv2's (F, B, T_out) output lives only until the pool has read it
         cfg = model.ModelConfig()
         b, w = 32, 48
-        _, _, cache = model.forward(model.init_params(cfg), np.zeros((b, w, 3)))
+        _, _, cache = model.forward(model.init_params(cfg), np.zeros((b, w, 3)), Workspace())
         conv2_out = (cfg.conv2_filters, b, w - cfg.conv1_kernel - cfg.conv2_kernel + 2)
         shapes = {a.shape for a in _arrays(cache)}
         assert conv2_out not in shapes
@@ -564,10 +567,26 @@ class TestModelAgainstReference:
         # layer that reads it, and no pre-activation of the same shape is kept
         cfg = model.ModelConfig()
         b, w = 7, 48  # B differs from every layer width, so shapes are distinct
-        _, _, cache = model.forward(model.init_params(cfg), np.zeros((b, w, 3)))
+        _, _, cache = model.forward(model.init_params(cfg), np.zeros((b, w, 3)), Workspace())
         shapes = [a.shape for a in _arrays(cache)]
         assert shapes.count((cfg.conv1_filters, b, w - cfg.conv1_kernel + 1)) == 1
         assert shapes.count((b, model.FEATURE_UNITS)) == 1
+
+    def test_conv_backward_reads_the_cached_im2col(self, monkeypatch):
+        # one im2col per conv layer per step: each forward pass builds it,
+        # and the backward pass reads it from the cache
+        calls = []
+        im2col = layers._im2col
+
+        def counting(x, k, ws):
+            calls.append(x.shape)
+            return im2col(x, k, ws)
+
+        monkeypatch.setattr(layers, "_im2col", counting)
+        params = model.init_params(model.ModelConfig())
+        x = np.random.default_rng(5).standard_normal((4, 48, 3))
+        model.loss_and_grads(params, x, np.arange(4) % 2, Workspace())
+        assert calls == [(3, 4, 48), (32, 4, 44)]
 
 
 def ref_adam_step(tensors, grads, m, v, t, config):
@@ -597,7 +616,7 @@ class TestAdamAgainstReference:
         for step in range(1, 6):
             grads = {k: rng.standard_normal(t.shape) * 10.0**rng.integers(-6, 2)
                      for k, t in ref.items()}
-            adam_step(params, grads, state, step, tcfg)
+            adam_step(params, grads, state, step, tcfg, Workspace())
             ref_adam_step(ref, grads, m, v, step, tcfg)
             for k in ref:
                 assert np.array_equal(params.tensors[k], ref[k])
@@ -614,6 +633,3 @@ class TestAdamAgainstReference:
         for k, t in params.tensors.items():
             assert np.shares_memory(t, flat)
             assert not np.shares_memory(t, given[k])
-        copy = params.copy()
-        assert not np.shares_memory(copy.tensors.flat, flat)
-        assert np.array_equal(copy.tensors.flat, flat)

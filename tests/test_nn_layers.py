@@ -5,6 +5,7 @@ import pytest
 
 from vitalnet.errors import ValidationError
 from vitalnet.nn.layers import (
+    Workspace,
     bce_loss,
     conv1d_backward,
     conv1d_forward,
@@ -57,7 +58,7 @@ class TestConv1d:
     def test_hand_sum(self):
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])  # C=1, B=1, T=4
         w = np.array([[[1.0], [1.0]]])  # F=1, K=2, C=1
-        out, _ = conv1d_forward(x, w, np.zeros(1))
+        out, _ = conv1d_forward(x, w, np.zeros(1), Workspace())
         assert out[0, 0, :].tolist() == [3.0, 5.0, 7.0]
 
     def test_kernel_one_identity(self):
@@ -65,12 +66,12 @@ class TestConv1d:
         w = np.zeros((2, 1, 2))
         w[0, 0, 0] = 1.0
         w[1, 0, 1] = 1.0
-        out, _ = conv1d_forward(x, w, np.zeros(2))
+        out, _ = conv1d_forward(x, w, np.zeros(2), Workspace())
         assert np.array_equal(out, x)
 
     def test_too_short_input(self):
         with pytest.raises(ValidationError):
-            conv1d_forward(np.ones((1, 1, 2)), np.ones((1, 5, 1)), np.zeros(1))
+            conv1d_forward(np.ones((1, 1, 2)), np.ones((1, 5, 1)), np.zeros(1), Workspace())
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -80,11 +81,12 @@ class TestConv1d:
         proj = rng.standard_normal((4, 3, 7))
 
         def loss():
-            out, _ = conv1d_forward(x, w, b)
+            out, _ = conv1d_forward(x, w, b, Workspace())
             return float((out * proj).sum())
 
-        _, cache = conv1d_forward(x, w, b)
-        dx, dw, db = conv1d_backward(proj, cache)
+        ws = Workspace()
+        _, cache = conv1d_forward(x, w, b, ws)
+        dx, dw, db = conv1d_backward(proj, cache, ws)
         assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
         assert rel_err(dw, numeric_grad(loss, w)) < 1e-6
         assert rel_err(db, numeric_grad(loss, b)) < 1e-6
@@ -94,19 +96,20 @@ class TestMaxPool:
     # channels-first, (C, B, T), pooled along T
     def test_hand_example(self):
         x = np.array([[[1.0, 3.0, 2.0, 5.0]]])
-        out, _ = maxpool1d_forward(x)
+        out, _ = maxpool1d_forward(x, Workspace())
         assert out[0, 0, :].tolist() == [3.0, 5.0]
 
     def test_constant_ties_route_first(self):
         x = np.ones((1, 1, 4))
-        out, cache = maxpool1d_forward(x)
+        ws = Workspace()
+        out, cache = maxpool1d_forward(x, ws)
         assert np.all(out == 1.0)
-        dx = maxpool1d_backward(np.ones((1, 1, 2)), cache)
+        dx = maxpool1d_backward(np.ones((1, 1, 2)), cache, ws)
         assert dx[0, 0, :].tolist() == [1.0, 0.0, 1.0, 0.0]
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            maxpool1d_forward(np.ones((2, 1, 1)))
+            maxpool1d_forward(np.ones((2, 1, 1)), Workspace())
 
     def test_gradient_away_from_ties(self):
         rng = np.random.default_rng(1)
@@ -114,11 +117,12 @@ class TestMaxPool:
         proj = rng.standard_normal((3, 2, 4))
 
         def loss():
-            out, _ = maxpool1d_forward(x)
+            out, _ = maxpool1d_forward(x, Workspace())
             return float((out * proj).sum())
 
-        _, cache = maxpool1d_forward(x)
-        dx = maxpool1d_backward(proj, cache)
+        ws = Workspace()
+        _, cache = maxpool1d_forward(x, ws)
+        dx = maxpool1d_backward(proj, cache, ws)
         assert rel_err(dx, numeric_grad(loss, x)) < 1e-6
 
 
@@ -146,7 +150,7 @@ class TestLstm:
         wh = rng.standard_normal((hdim, 4 * hdim)) * 0.4
         b = rng.standard_normal(4 * hdim) * 0.1
         x = rng.standard_normal((d, 1, t))
-        h_batch, _ = lstm_forward(x, wx, wh, b)
+        h_batch, _ = lstm_forward(x, wx, wh, b, Workspace())
         h = np.zeros(hdim)
         c = np.zeros(hdim)
         for step in range(t):
@@ -163,11 +167,12 @@ class TestLstm:
         proj = rng.standard_normal((2, hdim))
 
         def loss():
-            h, _ = lstm_forward(x, wx, wh, b)
+            h, _ = lstm_forward(x, wx, wh, b, Workspace())
             return float((h * proj).sum())
 
-        _, cache = lstm_forward(x, wx, wh, b)
-        dx, dwx, dwh, db = lstm_backward(proj, cache)
+        ws = Workspace()
+        _, cache = lstm_forward(x, wx, wh, b, ws)
+        dx, dwx, dwh, db = lstm_backward(proj, cache, ws)
         assert rel_err(dwx, numeric_grad(loss, wx)) < 1e-6
         assert rel_err(dwh, numeric_grad(loss, wh)) < 1e-6
         assert rel_err(db, numeric_grad(loss, b)) < 1e-6

@@ -59,33 +59,33 @@ class TestModelBasics:
         params = init_params(TINY)
         params.tensors.flat[:] = 0.0
         rng = np.random.default_rng(0)
-        probs, feats, _ = forward(params, rng.standard_normal((5, 16, 3)))
+        probs, feats, _ = forward(params, rng.standard_normal((5, 16, 3)), Workspace())
         assert np.all(probs == 0.5)
         assert np.all(feats == 0.0)  # ReLU of zero pre-activations
 
     def test_forward_deterministic(self):
         params = init_params(TINY)
         x = np.random.default_rng(1).standard_normal((3, 16, 3))
-        a = forward(params, x)[0]
-        b = forward(params, x)[0]
+        a = forward(params, x, Workspace())[0]
+        b = forward(params, x, Workspace())[0]
         assert np.array_equal(a, b)
 
     def test_feature_width_fixed_at_100(self):
         params = init_params(TINY)
         x = np.random.default_rng(2).standard_normal((4, 16, 3))
-        _, feats, _ = forward(params, x)
+        _, feats, _ = forward(params, x, Workspace())
         assert feats.shape == (4, 100)
 
     def test_probabilities_in_open_interval(self):
         params = init_params(TINY)
         x = np.random.default_rng(3).standard_normal((8, 16, 3))
-        probs, _, _ = forward(params, x)
+        probs, _, _ = forward(params, x, Workspace())
         assert np.all((probs > 0) & (probs < 1))
 
     def test_window_too_short_rejected(self):
         params = init_params(TINY)
         with pytest.raises(ValidationError):
-            forward(params, np.zeros((1, 4, 3)))
+            forward(params, np.zeros((1, 4, 3)), Workspace())
 
     def test_dense1_units_pinned(self):
         with pytest.raises(ValidationError):
@@ -154,7 +154,7 @@ class TestAdam:
         before = {k: v.copy() for k, v in params.tensors.items()}
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         state = AdamState()
-        adam_step(params, grads, state, 1, TrainConfig())
+        adam_step(params, grads, state, 1, TrainConfig(), Workspace())
         for k in before:
             assert np.array_equal(params.tensors[k], before[k])
             assert np.all(state.m[k] == 0.0)
@@ -167,7 +167,7 @@ class TestAdam:
         params = init_params(TINY)
         params.tensors.flat[:] = 0.0
         grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
-        adam_step(params, grads, AdamState(), 1, cfg)
+        adam_step(params, grads, AdamState(), 1, cfg, Workspace())
         delta = params.tensors["dense1_w"]
         assert np.allclose(delta, -0.1 / (1 + cfg.eps), atol=1e-12)
         assert np.allclose(delta, -0.1, atol=1e-6)
@@ -177,13 +177,13 @@ class TestAdam:
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         grads["lstm_wh"][0, 0] = np.nan
         with pytest.raises(ValidationError, match="lstm_wh"):
-            adam_step(params, grads, AdamState(), 1, TrainConfig())
+            adam_step(params, grads, AdamState(), 1, TrainConfig(), Workspace())
 
     def test_bad_step_index(self):
         params = init_params(TINY)
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         with pytest.raises(ValidationError):
-            adam_step(params, grads, AdamState(), 0, TrainConfig())
+            adam_step(params, grads, AdamState(), 0, TrainConfig(), Workspace())
 
 
 class TestTrain:
@@ -221,9 +221,9 @@ class TestTrain:
         assert [h["epoch"] for h in history] == [1, 2, 3, 4]
 
 
-def train_without_workspace(ds, mcfg, tcfg):
-    """train()'s loop with every step allocating its arrays: the oracle of
-    the workspace."""
+def train_allocating(ds, mcfg, tcfg):
+    """train()'s loop with a fresh workspace per step, so that every step
+    allocates its arrays: the oracle of the reused workspace."""
     params, state = init_params(mcfg), AdamState()
     rng = np.random.default_rng(tcfg.seed)
     step = 0
@@ -232,15 +232,16 @@ def train_without_workspace(ds, mcfg, tcfg):
             order = rng.permutation(len(ds))
             for lo in range(0, len(ds), tcfg.batch_size):
                 idx = order[lo : lo + tcfg.batch_size]
-                _, _, grads = loss_and_grads(params, ds.X[idx], ds.y[idx])
+                ws = Workspace()
+                _, _, grads = loss_and_grads(params, ds.X[idx], ds.y[idx], ws)
                 step += 1
-                adam_step(params, grads, state, step, tcfg)
+                adam_step(params, grads, state, step, tcfg, ws)
     return params
 
 
 class TestWorkspace:
-    """Training reuses one workspace's buffers; the bits stay those of a
-    training loop that allocates every step."""
+    """Training reuses one workspace's buffers; the bits stay those of
+    passes that each allocate a fresh workspace."""
 
     def test_take_gives_prefix_views_per_role(self):
         ws = Workspace()
@@ -254,7 +255,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("cfg", [ModelConfig(), TINY])
     def test_same_gradients_as_allocating_pass(self, cfg):
         # batch sizes that shrink, grow back and shrink again through one
-        # workspace; each pass is compared before the next overwrites it
+        # workspace, each pass against one in a fresh workspace and compared
+        # before the next overwrites it
         params = init_params(cfg)
         rng = np.random.default_rng(3)
         ws = Workspace()
@@ -262,7 +264,7 @@ class TestWorkspace:
             x = rng.standard_normal((batch, 48, 3))
             y = np.arange(batch) % 2
             loss, probs, grads = loss_and_grads(params, x, y, ws)
-            ref_loss, ref_probs, ref_grads = loss_and_grads(params, x, y)
+            ref_loss, ref_probs, ref_grads = loss_and_grads(params, x, y, Workspace())
             assert loss == ref_loss
             assert np.array_equal(probs, ref_probs)
             for name in TENSOR_ORDER:
@@ -273,7 +275,7 @@ class TestWorkspace:
         ds = make_dataset(n_windows=n, window_len=48, seed=2)
         tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
         params, _ = train(ds, cfg, tcfg)
-        ref = train_without_workspace(ds, cfg, tcfg)
+        ref = train_allocating(ds, cfg, tcfg)
         assert np.array_equal(params.tensors.flat, ref.tensors.flat)
 
     def test_steps_after_the_first_allocate_no_large_block(self, monkeypatch):
@@ -453,8 +455,8 @@ class TestCheckpoint(CheckpointDocTests):
         loaded, preprocess = load_checkpoint(path)
         assert preprocess["window_len"] == 16
         x = np.random.default_rng(7).standard_normal((6, 16, 3))
-        a = forward(params, x)[0]
-        b = forward(loaded, x)[0]
+        a = forward(params, x, Workspace())[0]
+        b = forward(loaded, x, Workspace())[0]
         assert np.array_equal(a, b)
 
     def test_extremes_round_trip_bit_exact_in_both_versions(self, tmp_path):
@@ -544,9 +546,9 @@ def relu_then_pool_margin(params, x):
     as for a ReLU before the pool. The pre-activations are rebuilt from the
     layers' cached inputs, as the model's cache holds none."""
     t = params.tensors
-    _, _, (c1, c2, _, _, c5, _) = forward(params, x)
-    pre1, _ = conv1d_forward(c1[0], t["conv1_w"], t["conv1_b"])
-    pre2, _ = conv1d_forward(c2[0], t["conv2_w"], t["conv2_b"])
+    _, _, (c1, c2, _, _, c5, _) = forward(params, x, Workspace())
+    pre1, _ = conv1d_forward(c1[0], t["conv1_w"], t["conv1_b"], Workspace())
+    pre2, _ = conv1d_forward(c2[0], t["conv2_w"], t["conv2_b"], Workspace())
     pre5, _ = dense_forward(c5[0], t["dense1_w"], t["dense1_b"])
     out2 = np.maximum(pre2, 0.0)
     margin = min(float(np.abs(pre).min()) for pre in (pre1, pre2, pre5))
@@ -587,7 +589,7 @@ class TestGradCheck:
     def test_corrupted_backward_is_caught(self):
         # harness self-test: a sign flip in one tensor must blow the error up
         params, x, y = make_check_batch(TINY, window_len=16, batch=4, seed=0)
-        _, _, analytic = loss_and_grads(params, x, y)
+        _, _, analytic = loss_and_grads(params, x, y, Workspace())
         numeric = finite_diff_grads(params, x, y)
         analytic["conv2_w"] = -analytic["conv2_w"]
         assert max_relative_error(analytic, numeric) > 1e-1

@@ -186,6 +186,12 @@ class TestGenerateCohort:
             (("dynamics", "spike_rate_per_hour"), -1.0),
             (("dynamics", "min_sd", "sbp"), -3.0),
             (("dynamics", "dip_gain", "hr"), "1"),
+            # pieces of the wrong shape
+            (("groups", 0, "targets"), [1, 2]),
+            (("groups", 1, "targets", "hr"), [[80, 90], [10, 15]]),
+            (("groups", 0, "targets", "sbp", "mean"), [110.0, 120.0, 130.0]),
+            (("groups", 1, "stay_days"), [3, 6, 9]),
+            (("age_bins", 0), [21, 30, 40]),
         ],
     )
     def test_out_of_range_config_value_rejected(self, path, value):
