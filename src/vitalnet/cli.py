@@ -33,7 +33,7 @@ from .data import (
     split_by_patient,
     write_cohort,
 )
-from .errors import ValidationError, VitalnetError
+from .errors import ValidationError, VitalnetError, read_json
 from .evaluate import (
     day_sweep,
     extract_features,
@@ -128,7 +128,7 @@ def _load_json_config(path, overrides: list[str], flag: str) -> dict:
         p = Path(path)
         if not p.exists():
             raise ValidationError(f"no such file: {p}")
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = read_json(p)
         if not isinstance(raw, dict):
             raise ValidationError(f"{p}: expected a JSON object, got {type(raw).__name__}")
     for item in overrides or []:
@@ -576,9 +576,6 @@ def run(argv=None) -> int:
             _write_manifest(args.command, record, time.perf_counter() - t0)
     except (VitalnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 1
     except csv.Error as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)

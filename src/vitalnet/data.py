@@ -31,6 +31,7 @@ import io
 import math
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -98,7 +99,7 @@ class Cohort:
     def __post_init__(self):
         ids = [p.patient_id for p in self.patients]
         if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValidationError(f"duplicate patient ids: {dupes}")
 
     def __len__(self) -> int:
@@ -570,8 +571,11 @@ def resample(record: PatientRecord) -> RegularSeries:
     """
     slots = (record.times - record.times[0]) // np.timedelta64(HOUR)
     n_slots = int(slots[-1]) + 1
+    # the grid's arrays peak at 12 elements a slot: counts (1), sums (3), the
+    # source slots (1), both gathers (4) and the result (3); each row adds its
+    # slot index and one transient (its time offset or a value column's copy)
     check_elements(f"patient {record.patient_id}'s hourly grid of {n_slots:,} slots",
-                   n_slots * len(CHANNELS))
+                   4 * n_slots * len(CHANNELS) + 2 * len(slots))
     counts = np.bincount(slots, minlength=n_slots)
     sums = np.column_stack([np.bincount(slots, col, n_slots) for col in record.values.T])
     # each slot reads the mean of the last filled slot at or before it

@@ -1,9 +1,11 @@
 """Exception types shared across the package, the one range check that
-every config number goes through, and the one element budget that every
-product of sizes is checked against."""
+every config number goes through, the one element budget that every
+product of sizes is checked against, and the one reader of JSON files."""
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 
 # the most float64 elements (512 MiB) that one batch's or one window's arrays,
@@ -49,3 +51,14 @@ def check_elements(what: str, n: int) -> None:
     if n > MAX_ELEMENTS:
         raise ValidationError(f"{what} needs {n:,} float64 elements, more than the "
                               f"budget of {MAX_ELEMENTS:,}")
+
+
+def read_json(path):
+    """The document in the UTF-8 JSON file at `path`. Text that is not JSON,
+    nests past the recursion limit or holds an integer past Python's digit
+    limit is a ValidationError that starts `malformed JSON:`."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed JSON: {exc}") from None

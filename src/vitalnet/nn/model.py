@@ -3,6 +3,8 @@ ReLU) -> dense(1, sigmoid), with seeded initialization and checkpoint I/O.
 
 The 100-unit dense layer's activations are the feature vectors consumed by
 the t-SNE projection; the final unit yields the positive-class probability.
+The parameter tensors are views of one float64 vector, `ModelParams.flat`,
+which Adam updates in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError, check_elements, require
+from ..errors import ValidationError, check_elements, read_json, require
 from . import layers
 from .layers import Workspace
 
@@ -114,45 +116,30 @@ class ModelConfig:
         return cfg
 
 
-class FlatTensors(dict):
-    """Tensors keyed per TENSOR_ORDER, stored as views into one contiguous
-    float64 vector, `flat`, so that an elementwise update of every tensor is
-    one array operation. Built as a copy of `tensors`, into `out` if given."""
-
-    def __init__(self, tensors, out: np.ndarray | None = None):
-        super().__init__()
-        parts = [np.ravel(tensors[n]) for n in TENSOR_ORDER]
-        self.flat = (np.concatenate(parts, dtype=float) if out is None
-                     else np.concatenate(parts, out=out))
-        lo = 0
-        for name in TENSOR_ORDER:
-            shape = np.shape(tensors[name])
-            size = math.prod(shape)
-            self[name] = self.flat[lo : lo + size].reshape(shape)
-            lo += size
-
-    def first_nonfinite(self) -> str | None:
-        """Name of the first tensor holding a NaN or inf, or None."""
-        if np.isfinite(self.flat).all():
-            return None
-        return next(n for n, t in self.items() if not np.isfinite(t).all())
-
-
 @dataclass
 class ModelParams:
-    """All weight tensors, keyed per TENSOR_ORDER; `tensors` becomes a
-    FlatTensors copy of what is passed in."""
+    """All weight tensors, keyed per TENSOR_ORDER. `flat` is one contiguous
+    float64 copy of the tensors passed in, and `tensors` becomes views of
+    it, so that an elementwise update of every tensor is one array operation."""
 
     tensors: dict[str, np.ndarray]
     config: ModelConfig
 
     def __post_init__(self):
-        self.tensors = FlatTensors(self.tensors)
+        given = self.tensors
+        self.flat = np.concatenate([np.ravel(given[n]) for n in TENSOR_ORDER], dtype=float)
+        self.tensors, lo = {}, 0
+        for name in TENSOR_ORDER:
+            shape = np.shape(given[name])
+            size = math.prod(shape)
+            self.tensors[name] = self.flat[lo : lo + size].reshape(shape)
+            lo += size
 
-    def check_finite(self) -> None:
-        name = self.tensors.first_nonfinite()
-        if name is not None:
-            raise ValidationError(f"non-finite values in parameter {name}")
+
+def first_nonfinite(tensors: dict[str, np.ndarray]) -> str:
+    """Name of the first tensor, in TENSOR_ORDER, that holds a NaN or inf;
+    called once a check over all of them has failed."""
+    return next(n for n in TENSOR_ORDER if not np.isfinite(tensors[n]).all())
 
 
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -301,8 +288,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
     `format_version` field picks the decoder. Any other version, a missing,
     unknown or repeated tensor, a shape other than the config's, data that
     does not fill it, or a NaN or inf is a ValidationError."""
-    with Path(path).open(encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version not in DATA_FORMS:
         raise ValidationError(
@@ -335,5 +321,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
                 f"checkpoint tensor {name}: data does not fill {want} with floats "
                 f"(format {version}: {DATA_FORMS[version]})") from None
     params = ModelParams(tensors=tensors, config=config)
-    params.check_finite()
+    if not np.isfinite(params.flat).all():
+        name = first_nonfinite(params.tensors)
+        raise ValidationError(f"non-finite values in parameter {name}")
     return params, doc.get("preprocess", {})

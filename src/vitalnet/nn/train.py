@@ -10,7 +10,8 @@ import numpy as np
 from ..data import WindowedDataset
 from ..errors import ValidationError, require
 from .layers import Workspace
-from .model import FlatTensors, ModelConfig, ModelParams, init_params, loss_and_grads
+from .model import (TENSOR_ORDER, ModelConfig, ModelParams, first_nonfinite, init_params,
+                    loss_and_grads)
 
 # far above the paper's 30 epochs; one epoch over the default cohort takes
 # ~0.35 s, so the bound keeps one flag from buying years of training
@@ -50,11 +51,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, shaped like the parameters; None
-    until the first step."""
+    """First and second moment estimates, float64 vectors laid out like
+    `ModelParams.flat`; None until the first step."""
 
-    m: FlatTensors | None = None
-    v: FlatTensors | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
@@ -64,28 +65,24 @@ def adam_step(
     t: int,
     config: TrainConfig,
     ws: Workspace,
-) -> tuple[ModelParams, AdamState]:
+) -> None:
     """One bias-corrected Adam update; mutates params and state in place.
 
     The update is elementwise, so it runs once over the flat parameter,
-    gradient and moment vectors. The flat gradient and the scratch vector
-    are buffers of the workspace.
+    gradient and moment vectors. The flat gradient, packed per TENSOR_ORDER,
+    and the scratch vector are buffers of the workspace.
     """
     if t < 1:
         raise ValidationError(f"adam_step: step index must be >= 1, got {t}")
     ws = ws.layer("adam")
-    shape = params.tensors.flat.shape
-    flat_grads = FlatTensors(grads, ws.take("grad", shape))
-    bad = flat_grads.first_nonfinite()
-    if bad is not None:
-        raise ValidationError(f"non-finite gradient in tensor {bad}")
-    g = flat_grads.flat
+    shape = params.flat.shape
+    g = np.concatenate([np.ravel(grads[n]) for n in TENSOR_ORDER], out=ws.take("grad", shape))
+    if not np.isfinite(g).all():
+        raise ValidationError(f"non-finite gradient in tensor {first_nonfinite(grads)}")
     if state.m is None:
-        zeros = {name: np.zeros_like(x) for name, x in params.tensors.items()}
-        state.m, state.v = FlatTensors(zeros), FlatTensors(zeros)
+        state.m, state.v = np.zeros(shape), np.zeros(shape)
     b1, b2 = config.beta1, config.beta2
-    m = state.m.flat
-    v = state.v.flat
+    m, v = state.m, state.v
     # one scratch vector, then also the gradient's own copy once the moments
     # have read it, carry every intermediate of
     # p -= lr * m_hat / (sqrt(v_hat) + eps), operand order as written
@@ -101,8 +98,7 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += config.eps
     np.multiply(config.learning_rate, step, out=step)
-    params.tensors.flat -= np.divide(step, denom, out=step)
-    return params, state
+    params.flat -= np.divide(step, denom, out=step)
 
 
 def train(

@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from .data import Cohort, PatientRecord, resample
-from .errors import ValidationError, require
+from .errors import ValidationError, read_json, require
 from .stats import confidence_interval
 
 VITALS = ("hr", "sbp", "dbp")
@@ -221,8 +221,7 @@ class SynthConfig:
 
 
 def load_config(path) -> SynthConfig:
-    with open(path, encoding="utf-8") as fh:
-        return SynthConfig.from_dict(json.load(fh))
+    return SynthConfig.from_dict(read_json(path))
 
 
 def default_config() -> SynthConfig:

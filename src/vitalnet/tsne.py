@@ -233,12 +233,12 @@ class _Kernel:
         return np.maximum(q, _P_FLOOR, out=q)
 
 
-def _student_t(y: np.ndarray, kernel: _Kernel | None = None) -> _Kernel:
-    """The kernel of `y`, built in `kernel`'s buffers when given. Every step is
-    an elementwise IEEE op or a NumPy sum in a fixed order, with no BLAS call,
-    so its bits do not depend on the CPU's SIMD level or BLAS kernels."""
+def _student_t(y: np.ndarray, kernel: _Kernel) -> _Kernel:
+    """The kernel of `y`, built in the buffers of `kernel`, a `_Kernel(n)`.
+    Every step is an elementwise IEEE op or a NumPy sum in a fixed order, with
+    no BLAS call, so its bits do not depend on the CPU's SIMD level or BLAS
+    kernels."""
     n = y.shape[0]
-    kernel = _Kernel(n) if kernel is None else kernel
     kernel.y2[:, :n] = y.T
     kernel.y2[:, n:] = y.T
     diff = np.subtract(kernel.shifted, kernel.y2[:, None, :n], out=kernel.diff)
@@ -250,13 +250,10 @@ def _student_t(y: np.ndarray, kernel: _Kernel | None = None) -> _Kernel:
     return kernel
 
 
-def kl_divergence(p: np.ndarray, y: np.ndarray, kernel: _Kernel | None = None) -> float:
-    """KL(P || Q) at embedding Y, over ordered pairs i != j with p_ij > 0. `p`
-    is the joint P, n x n or as its `pair_table`; `kernel` is `_student_t(y)`
-    when the caller has already built it."""
-    n = y.shape[0]
-    p = pair_table(p) if p.shape == (n, n) else p
-    kernel = _student_t(y) if kernel is None else kernel
+def kl_divergence(p: np.ndarray, kernel: _Kernel) -> float:
+    """KL(P || Q) over ordered pairs i != j with p_ij > 0, where `p` is the
+    `pair_table` of the joint P and `kernel` is `_student_t` of the
+    embedding Y."""
     # sum(p * log(p / q)), in place in the scratch; p = 0 adds 0
     buf = np.divide(p, kernel.q(), out=kernel.scratch)
     np.log(buf, out=buf, where=buf > 0.0)
@@ -264,14 +261,12 @@ def kl_divergence(p: np.ndarray, y: np.ndarray, kernel: _Kernel | None = None) -
     return float(_ordered_pair_sum(buf))
 
 
-def kl_gradient(p: np.ndarray, y: np.ndarray, kernel: _Kernel | None = None) -> np.ndarray:
-    """dKL/dY: 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j). `p` is the joint
-    P, n x n or as its `pair_table`; `kernel` is `_student_t(y)` when the
-    caller has already built it, and serves one gradient: its differences
-    become the pairs' terms."""
-    n = y.shape[0]
-    p = pair_table(p) if p.shape == (n, n) else p
-    kernel = _student_t(y) if kernel is None else kernel
+def kl_gradient(p: np.ndarray, kernel: _Kernel) -> np.ndarray:
+    """dKL/dY: 4 * sum_j (p_ij - q_ij) * w_ij * (y_i - y_j), where `p` is the
+    `pair_table` of the joint P and `kernel` is `_student_t` of the embedding
+    Y. The kernel serves one gradient: its differences become the pairs'
+    terms."""
+    n = p.shape[1]
     mult = np.subtract(p, kernel.q(), out=kernel.scratch)
     mult *= kernel.w
     # the term t = mult * (y_j - y_i) of pair {i, j = i + k} is 1/4 of
@@ -314,25 +309,26 @@ def embed(
 
 def _descend(p: np.ndarray, iters: int, seed: int) -> Embedding:
     """embed's descent from P's pair table `p`: given the same `p`, the bits
-    of Y do not depend on the machine."""
+    of Y do not depend on the machine. One `_Kernel` holds the buffers of
+    every iteration's kernel."""
     n = p.shape[1]
     p_exaggerated = p * EARLY_EXAGGERATION
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n, 2)) * 1e-4
-    kernel = _student_t(y)
+    kernel = _student_t(y, _Kernel(n))
     update = np.zeros_like(y)
     gains = np.ones_like(y)
     kl_history: list[float] = []
     for it in range(1, iters + 1):
         early = it <= EXAGGERATION_ITERS
-        grad = kl_gradient(p_exaggerated if early else p, y, kernel)
+        grad = kl_gradient(p_exaggerated if early else p, kernel)
         momentum = MOMENTUM_EARLY if early else MOMENTUM_LATE
         gains = np.where((update * grad) < 0.0, gains + 0.2, gains * 0.8)
         np.maximum(gains, MIN_GAIN, out=gains)
         update = momentum * update - LEARNING_RATE * gains * grad
         y = y + update
         y = y - y.sum(axis=0) / n  # what y.mean(axis=0) computes
-        kernel = _student_t(y, kernel)
+        _student_t(y, kernel)
         if it % KL_EVERY == 0 or it == iters:
-            kl_history.append(kl_divergence(p, y, kernel))
+            kl_history.append(kl_divergence(p, kernel))
     return Embedding(Y=y, kl_history=kl_history)

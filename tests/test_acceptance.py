@@ -24,11 +24,14 @@ from vitalnet.stats import point_biserial
 from vitalnet.synth import calibration_report, default_config
 from vitalnet.tsne import (
     PERPLEXITY_TOL,
+    _Kernel,
+    _student_t,
     conditional_affinities,
     embed,
     joint_affinities,
     kl_divergence,
     kl_gradient,
+    pair_table,
 )
 
 from gradcheck import grad_check  # the finite-difference helper
@@ -177,9 +180,9 @@ def test_criterion_5_tsne_correctness():
         assert abs(joint.sum() - 1.0) <= 1e-9
         # KL gradient vs central differences at n = 20
         x20 = rng.standard_normal((20, 5))
-        p20 = joint_affinities(x20, 6.0)
+        p20 = pair_table(joint_affinities(x20, 6.0))
         y20 = rng.standard_normal((20, 2))
-        grad = kl_gradient(p20, y20)
+        grad = kl_gradient(p20, _student_t(y20, _Kernel(20)))
         numeric = np.zeros_like(y20)
         eps = 1e-6
         for i in range(20):
@@ -189,7 +192,8 @@ def test_criterion_5_tsne_correctness():
                 ym = y20.copy()
                 ym[i, j] -= eps
                 numeric[i, j] = (
-                    kl_divergence(p20, yp) - kl_divergence(p20, ym)
+                    kl_divergence(p20, _student_t(yp, _Kernel(20)))
+                    - kl_divergence(p20, _student_t(ym, _Kernel(20)))
                 ) / (2 * eps)
         rel = np.abs(grad - numeric).max() / max(
             np.abs(grad).max(), np.abs(numeric).max()

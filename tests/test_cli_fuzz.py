@@ -105,6 +105,10 @@ def _corrupt_json(text: str, kind: str, cut: float) -> bytes:
         return b"[1, 2, 3]"
     if kind == "non_utf8":
         return b'{"seed": "\xff"}'
+    if kind == "deep_nesting":  # past the decoder's recursion limit
+        return b"[" * 100_000 + b"]" * 100_000
+    if kind == "long_integer":  # past Python's int digit limit, which json.dumps refuses
+        return b'{"seed": ' + b"7" * 5_000 + b"}"
     if kind in BAD_NUMBERS:  # one numeric leaf, picked by `cut`, replaced
         doc = json.loads(text)
         leaves = list(_numeric_leaves(doc))
@@ -128,7 +132,8 @@ BAD_NUMBERS = {"nan_number": float("nan"), "negative_number": -3, "huge_number":
                "large_integer": 10**12, "int64_overflow": 2**70}
 CSV_KINDS = mostly(["valid"], ["truncated", "wrong_header", "empty", "header_only", "nan",
                                "inf", "non_numeric", "non_utf8", "stamp_out_of_range"])
-JSON_KINDS = mostly(["valid"], ["truncated", "not_an_object", "non_utf8", *BAD_NUMBERS])
+JSON_KINDS = mostly(["valid"], ["truncated", "not_an_object", "non_utf8", "deep_nesting",
+                               "long_integer", *BAD_NUMBERS])
 
 DAYS = mostly(["2:28:2", "1,3,40", "2,2,1", "1:3:1"], ["0", "-2", "two", "5:1:1", "1:3:0",
                                                        "1e3", ""])
@@ -212,6 +217,30 @@ def test_exit_contract(inputs, tmp_path_factory, case):
     if code == 1:
         assert err.startswith("error:"), (argv, err)
     assert "Traceback" not in err, (argv, err)
+
+
+# every reader of a JSON file: its argv, where {json} is the file read
+JSON_READERS = {
+    "synth": ["synth", "--config", "{json}"],
+    "validate": ["validate", "--cohort", "{cohort}", "--config", "{json}"],
+    "train_model_config": ["train", "--train", "{cohort}", "--model-config", "{json}"],
+    "train_train_config": ["train", "--train", "{cohort}", "--train-config", "{json}"],
+    "eval": ["eval", "--model", "{json}", "--test", "{cohort}"],
+    "sweep": ["sweep", "--model", "{json}", "--test", "{cohort}"],
+    "embed": ["embed", "--model", "{json}", "--data", "{cohort}"],
+}
+
+
+@pytest.mark.parametrize("kind", ["deep_nesting", "long_integer"])
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_undecodable_json_exits_1(inputs, tmp_path, reader, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_corrupt_json("", kind, 0.5))
+    files = {"{json}": str(bad), "{cohort}": str(inputs["cohort.csv"])}
+    code, err = _quiet_run([files.get(a, a) for a in JSON_READERS[reader]]
+                           + ["--out", str(tmp_path / "out")])
+    assert code == 1 and err.startswith("error: malformed JSON:"), err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def _last_tensor(doc: dict) -> dict:

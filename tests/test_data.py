@@ -1,8 +1,11 @@
+import time
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
 import pytest
 
+from vitalnet import data
 from vitalnet.data import (
     CSV_HEADER,
     ChannelStats,
@@ -58,6 +61,17 @@ class TestTypes:
     def test_cohort_unique_ids(self):
         with pytest.raises(ValidationError):
             Cohort([record("a"), record("a")])
+        # each repeated id once, sorted
+        with pytest.raises(ValidationError, match=r"^duplicate patient ids: \['a', 'b'\]$"):
+            Cohort([record(i) for i in ["b", "a", "b", "c", "a", "b"]])
+
+    def test_duplicate_ids_found_in_linear_time(self):
+        # counting each id by a scan of all ids took 6 s over these 20,001
+        records = [record(f"p{i}") for i in range(20_000)] + [record("p7")]
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"\['p7'\]"):
+            Cohort(records)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLoadCohort:
@@ -207,6 +221,25 @@ class TestResample:
         span = rec.times[-1] - rec.times[0]
         assert len(reg) == int(span / np.timedelta64(HOUR)) + 1
         assert np.isfinite(reg.values).all()
+
+    # a grid of two rows, of one row a slot and of ten rows a slot
+    @pytest.mark.parametrize("n_slots,rows_per_slot", [(200_000, 0), (200_000, 1), (20_000, 10)])
+    def test_peak_within_the_charged_elements(self, monkeypatch, n_slots, rows_per_slot):
+        n_rows = max(2, n_slots * rows_per_slot)
+        hours = np.linspace(0, n_slots - 1, n_rows)
+        rec = PatientRecord("A", 50, 1, times=T0 + (hours * 3600e6).astype("timedelta64[us]"),
+                            values=np.tile([80.0, 120.0, 70.0], (n_rows, 1)))
+        charged = []
+        monkeypatch.setattr(data, "check_elements", lambda what, n: charged.append(n))
+        tracemalloc.start()
+        try:
+            resample(rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        # NumPy's internal buffers add a fixed ~68 KB at any grid size
+        assert peak <= 8 * charged[0] + (128 << 10), (peak, charged[0])
 
     def test_grid_over_budget_names_the_patient(self):
         # years 1 to 9999 are in range, but not one hourly grid between them

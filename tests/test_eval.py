@@ -34,7 +34,7 @@ TINY = ModelConfig(
     conv1_filters=2, conv1_kernel=3, conv2_filters=2, conv2_kernel=3, lstm_hidden=4
 )
 ZERO = init_params(TINY)
-ZERO.tensors.flat[:] = 0.0  # every sigmoid reads 0.5 and every ReLU 0
+ZERO.flat[:] = 0.0  # every sigmoid reads 0.5 and every ReLU 0
 
 
 def pair_count_auc(probs, labels):

@@ -620,13 +620,14 @@ class TestAdamAgainstReference:
             ref_adam_step(ref, grads, m, v, step, tcfg)
             for k in ref:
                 assert np.array_equal(params.tensors[k], ref[k])
-                assert np.array_equal(state.m[k], m[k])
-                assert np.array_equal(state.v[k], v[k])
+            # the moments are flat vectors, packed per TENSOR_ORDER
+            assert np.array_equal(state.m, np.concatenate([m[k].ravel() for k in ref]))
+            assert np.array_equal(state.v, np.concatenate([v[k].ravel() for k in ref]))
 
     def test_tensors_are_views_of_one_vector(self):
         given = {k: t.copy() for k, t in model.init_params(model.ModelConfig()).tensors.items()}
         params = model.ModelParams(tensors=given, config=model.ModelConfig())
-        flat = params.tensors.flat
+        flat = params.flat
         assert flat.flags["C_CONTIGUOUS"] and flat.dtype == np.float64
         assert sum(t.size for t in params.tensors.values()) == flat.size
         assert list(params.tensors) == list(model.TENSOR_ORDER)

@@ -57,7 +57,7 @@ def make_dataset(n_windows=40, window_len=24, separation=0.0, seed=0):
 class TestModelBasics:
     def test_zero_params_probability_half(self):
         params = init_params(TINY)
-        params.tensors.flat[:] = 0.0
+        params.flat[:] = 0.0
         rng = np.random.default_rng(0)
         probs, feats, _ = forward(params, rng.standard_normal((5, 16, 3)), Workspace())
         assert np.all(probs == 0.5)
@@ -157,15 +157,15 @@ class TestAdam:
         adam_step(params, grads, state, 1, TrainConfig(), Workspace())
         for k in before:
             assert np.array_equal(params.tensors[k], before[k])
-            assert np.all(state.m[k] == 0.0)
-            assert np.all(state.v[k] == 0.0)
+        assert state.m.shape == state.v.shape == params.flat.shape
+        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     def test_first_step_magnitude(self):
         # with constant g=1 at t=1, bias correction gives m_hat = v_hat = 1,
         # so the update is lr / (1 + eps)
         cfg = TrainConfig(learning_rate=0.1)
         params = init_params(TINY)
-        params.tensors.flat[:] = 0.0
+        params.flat[:] = 0.0
         grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
         adam_step(params, grads, AdamState(), 1, cfg, Workspace())
         delta = params.tensors["dense1_w"]
@@ -276,7 +276,7 @@ class TestWorkspace:
         tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
         params, _ = train(ds, cfg, tcfg)
         ref = train_allocating(ds, cfg, tcfg)
-        assert np.array_equal(params.tensors.flat, ref.tensors.flat)
+        assert np.array_equal(params.flat, ref.flat)
 
     def test_steps_after_the_first_allocate_no_large_block(self, monkeypatch):
         # default config and batch; 72 windows give two full batches and a

@@ -291,13 +291,18 @@ class TestSymmetrize:
         assert np.all(joint[off] > 0.0)
 
 
+def kernel_of(y):
+    """The Student-t kernel of `y`, in buffers of its own."""
+    return tsne._student_t(y, tsne._Kernel(y.shape[0]))
+
+
 class TestKlGradient:
     def test_matches_finite_differences_n20(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((20, 5))
-        p = joint_affinities(x, 6.0)
+        p = pair_table(joint_affinities(x, 6.0))
         y = rng.standard_normal((20, 2))
-        grad = kl_gradient(p, y)
+        grad = kl_gradient(p, kernel_of(y))
         eps = 1e-6
         numeric = np.zeros_like(y)
         for i in range(20):
@@ -306,7 +311,8 @@ class TestKlGradient:
                 yp[i, j] += eps
                 ym = y.copy()
                 ym[i, j] -= eps
-                numeric[i, j] = (kl_divergence(p, yp) - kl_divergence(p, ym)) / (2 * eps)
+                numeric[i, j] = (kl_divergence(p, kernel_of(yp))
+                                 - kl_divergence(p, kernel_of(ym))) / (2 * eps)
         rel = np.abs(grad - numeric).max() / max(
             np.abs(grad).max(), np.abs(numeric).max()
         )
@@ -324,15 +330,13 @@ class TestKlGradient:
         p[0, 1] = p[1, 0] = 0.0  # a zero entry, left out of the KL sum
         y = rng.standard_normal((n, 2))
         y[-1] += far
-        assert_close(kl_divergence(p, y), reference_kl(p, y))
-        assert_close(kl_gradient(p, y), reference_gradient(p, y))
         # the kernel embed builds once per iteration, and P as its pair table
         w, q = reference_q(y)
-        kernel = tsne._student_t(y)
+        kernel = kernel_of(y)
         assert_close(kernel.w, pair_table(w))
         assert_close(kernel.q(), pair_table(q))
-        assert_close(kl_divergence(pair_table(p), y, kernel), reference_kl(p, y))
-        assert_close(kl_gradient(pair_table(p), y, kernel), reference_gradient(p, y))
+        assert_close(kl_divergence(pair_table(p), kernel), reference_kl(p, y))
+        assert_close(kl_gradient(pair_table(p), kernel), reference_gradient(p, y))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
     def test_pair_table_lists_each_pair_once(self, n):
@@ -349,9 +353,9 @@ class TestKlGradient:
     def test_kl_non_negative(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((15, 4))
-        p = joint_affinities(x, 5.0)
+        p = pair_table(joint_affinities(x, 5.0))
         for _ in range(5):
-            assert kl_divergence(p, rng.standard_normal((15, 2))) >= 0.0
+            assert kl_divergence(p, kernel_of(rng.standard_normal((15, 2)))) >= 0.0
 
 
 class TestEmbed:
@@ -433,9 +437,10 @@ class TestEmbed:
         assert_close(got.Y, y1)
         assert_close(got.kl_history, kl1)
         y, _ = reference_embed(x, perplexity, iters, seed)
-        assert_close(kl_divergence(p, y), reference_kl(p, y))
+        assert_close(kl_divergence(pair_table(p), kernel_of(y)), reference_kl(p, y))
         for p_eff in (p, p * EARLY_EXAGGERATION):
-            assert_close(kl_gradient(p_eff, y), reference_gradient(p_eff, y))
+            assert_close(kl_gradient(pair_table(p_eff), kernel_of(y)),
+                         reference_gradient(p_eff, y))
 
     def test_descent_calls_no_blas(self):
         # elementwise IEEE ops and NumPy sums only, so that Y does not depend on
