@@ -3,6 +3,9 @@ dense layers, and binary cross-entropy, each with a manual backward pass.
 
 Every forward function returns a cache consumed by the matching backward
 function, and every backward function returns (dx, *parameter gradients).
+The one exception is the first convolution, whose input gradient no caller
+reads: `conv1d_backward(..., input_grad=False)` returns (None, dw, db) and
+skips the dcols GEMM and its strided adds.
 The convolution and dense layers are linear, and the model applies the ReLUs
 between them.
 
@@ -29,21 +32,28 @@ overflow; the inner 0.5 is folded into scaled copies of wx, wh and the bias,
 so one tanh pass covers all four gates. The cache is (x, wx, wh, gates, cs,
 hs); cs and hs hold the cell and hidden states of every step as (T+1, H, B)
 arrays whose row 0 is the zero initial state. The backward pass derives every
-step's local derivatives in place before its loop, carries only dh and dc
-through the loop, and forms dwx, dwh, db and dx after one transpose of the
-gate gradients to (4H, B*T); dx is (D, B, T), as the pool's backward pass
-reads it. The final hidden state reaches the dense layers as a contiguous
-(B, H) array; the dense layers take a leading batch axis.
+step's local derivatives in place before its loop: s(1 - s) of the i, f and
+o gates takes two contiguous passes over the whole gate buffer, and the g
+block is overwritten after. The loop carries only dh and dc, in the forward
+pass's per-step scratch, and allocates nothing. After it, one transpose
+takes the gate gradients to (4H, B*T), and one (D+H, B*T) @ (B*T, 4H) GEMM
+over the stacked [x; h_{t-1}] forms both weight gradients: dwx and dwh are
+row views of its result. Its rows hold the bits of one GEMM per weight; the
+tests check this under three OpenBLAS cores. db and dx follow; dx is (D, B, T), as the pool's
+backward pass reads it. The final hidden state reaches the dense layers as a
+contiguous (B, H) array; the dense layers take a leading batch axis.
 
 Every convolution, pooling and LSTM function works in a Workspace, the
 layer's own `ws.layer(name)`: its large arrays (the im2col, the outputs and
-their gradients, the LSTM's gates, states and transposed copies) are views of
-buffers that the first pass allocated and every later pass reuses. Training
-passes one Workspace for the whole run, and scoring one for all of its
-chunks. Every op writes through `out=`, so the bits do not depend on the
-buffers' history. A cache stays valid until that layer's next call, and a
-backward pass consumes it: the conv writes dcols over its cached im2col, and
-the LSTM writes over its cached gates and cell states once it has read them.
+their gradients, the LSTM's gates, states, per-step scratch and weight
+gradients) are views of buffers that the first pass allocated and every
+later pass reuses. Training passes one Workspace for the whole run, and
+scoring one for all of its chunks. Every op writes through `out=`, so the
+bits do not depend on the buffers' history. A cache stays valid until that
+layer's next call, and a backward pass consumes it: the conv writes dcols
+over its cached im2col; the LSTM writes over its cached gates and cell
+states once it has read them, and the stacked [x; h_{t-1}] over its gate
+gradients once they are transposed.
 """
 
 from __future__ import annotations
@@ -124,20 +134,25 @@ def conv1d_forward(x, w, bias, ws):
     return pre, (x, w, cols)
 
 
-def conv1d_backward(dpre, cache, ws):
-    """dpre: (F, B, T-K+1) -> (dx (C, B, T), dw, db)."""
+def conv1d_backward(dpre, cache, ws, input_grad=True):
+    """dpre: (F, B, T-K+1) -> (dx (C, B, T), dw, db); dx is None when
+    `input_grad` is false, as for the first layer, whose input gradient no
+    caller reads."""
     x, w, cols = cache
     c, b, t = x.shape
     f, k, _ = w.shape
     t_out = t - k + 1
     flat = dpre.reshape(f, -1)
     dw = (flat @ cols.T).reshape(f, k, c)
+    db = flat.sum(axis=1)
+    if not input_grad:
+        return None, dw, db
     dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
     dx = ws.take("dx", x.shape)
     dx.fill(0.0)
     for j in range(k):
         dx[:, :, j : j + t_out] += dcols[j]
-    return dx, dw, flat.sum(axis=1)
+    return dx, dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +240,18 @@ def lstm_backward(dh_last, cache, ws):
     h_dim = wh.shape[0]
     i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     # local derivatives of every step, formed in place in dz's blocks: dz per
-    # unit dc for the i, f and g blocks and per unit dh for the o block
-    dz = ws.take("dz", gates.shape)
+    # unit dc for the i, f and g blocks and per unit dh for the o block. s(1-s)
+    # of the i, f and o gates takes two passes over the whole buffer; the g
+    # block is overwritten after.
+    dz = np.subtract(1.0, gates, out=ws.take("dz", gates.shape))
+    dz *= gates
     di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-    for dk, s in ((di, i), (df, f), (do, o)):
-        np.subtract(1.0, s, out=dk)
-        dk *= s
     di *= g
     df *= cs[:-1]
     np.multiply(g, g, out=dg)
     np.subtract(1.0, dg, out=dg)
     dg *= i
-    # tanh_c, and then hs_t below, are written over the cached cs, which df
-    # has consumed
+    # tanh_c is written over the cached cs, which df has consumed
     tanh_c = np.tanh(cs[1:], out=cs[1:])
     do *= tanh_c
     # dc per unit dh, o * (1 - tanh(c)^2), in tanh_c's buffer
@@ -245,28 +259,34 @@ def lstm_backward(dh_last, cache, ws):
     dc_dh *= tanh_c
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
-    dh = dh_last.T
-    dc = np.zeros((h_dim, b))
+    # the carried dh and dc, and dh * dc_dh, are (H, B) blocks of the forward
+    # pass's per-step scratch, so that the loop allocates no arrays
+    dh, dc, dh_dc = ws.take("rec", (4 * h_dim, b))[: 3 * h_dim].reshape(3, h_dim, b)
+    np.copyto(dh, dh_last.T)
+    dc.fill(0.0)
     for step in range(t - 1, -1, -1):
-        dc += dh * dc_dh[step]
+        dc += np.multiply(dh, dc_dh[step], out=dh_dc)
         ifg = dz[step, : 3 * h_dim].reshape(3, h_dim, b)
         ifg *= dc
         do[step] *= dh
         if step:
-            dh = wh @ dz[step]
+            np.matmul(wh, dz[step], out=dh)
             dc *= f[step]
     # (4H, B*T), columns in x's (B, T) order, written over the cached gates,
     # which the loop has consumed
     dz_t = ws.take("gates", (4 * h_dim, b, t))
     np.copyto(dz_t, dz.transpose(1, 2, 0))
-    dz = dz_t.reshape(4 * h_dim, b * t)
-    hs_t = ws.take("cs", (h_dim, b, t))
-    np.copyto(hs_t, hs[:-1].transpose(1, 2, 0))
-    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=ws.take("dwx", (d, 4 * h_dim)))
-    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T, out=ws.take("dwh", (h_dim, 4 * h_dim)))
-    db = dz.sum(axis=1)
-    dx = np.matmul(wx, dz, out=ws.take("dx", (d, b * t))).reshape(d, b, t)
-    return dx, dwx, dwh, db
+    dz_t = dz_t.reshape(4 * h_dim, b * t)
+    # both weight gradients from one GEMM over the stacked [x; h_{t-1}], which
+    # is written over dz once dz_t holds its values: rows :D are dwx, D: dwh
+    xh = ws.take("dz", (d + h_dim, b, t))
+    np.copyto(xh[:d], x)
+    np.copyto(xh[d:], hs[:-1].transpose(1, 2, 0))
+    dw = np.matmul(xh.reshape(d + h_dim, b * t), dz_t.T,
+                   out=ws.take("dw", (d + h_dim, 4 * h_dim)))
+    db = dz_t.sum(axis=1)
+    dx = np.matmul(wx, dz_t, out=ws.take("dx", (d, b * t))).reshape(d, b, t)
+    return dx, dw[:d], dw[d:], db
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def backward(dlogits: np.ndarray, cache, ws: Workspace):
     dpre2 = layers.maxpool1d_backward(da3, c3, ws.layer("pool"))
     da1, dw2, db2 = layers.conv1d_backward(dpre2, c2, ws.layer("conv2"))
     da1 *= c2[0] > 0
-    _, dw1, db1 = layers.conv1d_backward(da1, c1, ws.layer("conv1"))
+    _, dw1, db1 = layers.conv1d_backward(da1, c1, ws.layer("conv1"), input_grad=False)
     return dict(zip(TENSOR_ORDER, (dw1, db1, dw2, db2, dwx, dwh, dbl, dw5, db5, dw6, db6)))
 
 

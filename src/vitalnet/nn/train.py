@@ -14,7 +14,8 @@ from .model import (TENSOR_ORDER, ModelConfig, ModelParams, first_nonfinite, ini
                     loss_and_grads)
 
 # far above the paper's 30 epochs; one epoch over the default cohort takes
-# ~0.35 s, so the bound keeps one flag from buying years of training
+# ~0.19 s (1 BLAS thread, 2-vCPU Xeon), so the bound keeps one flag from
+# buying years of training
 MAX_EPOCHS = 10_000
 
 

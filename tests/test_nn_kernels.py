@@ -12,11 +12,21 @@ route pool gradients with strided adds and run the conv GEMMs channel-major,
 so they must agree with these to 1e-12; the conv/pool forward pass, conv2's
 ReLU after the pool and Adam keep their arithmetic, so they must agree
 exactly.
+
+The conv and LSTM backward kernels that the weights-only conv1 pass, the
+stacked LSTM weight GEMM and the whole-buffer gate derivatives replaced are
+kept as `oracle_conv1d_backward` and `oracle_lstm_backward`. The same
+arithmetic runs in both, so the production kernels must match them bit for
+bit, and so must a training run.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from childproc import run_call
+from test_nn_train import make_dataset
 from vitalnet.nn import layers, model
 from vitalnet.nn.layers import (
     Workspace,
@@ -30,7 +40,7 @@ from vitalnet.nn.layers import (
     maxpool1d_forward,
     sigmoid,
 )
-from vitalnet.nn.train import AdamState, TrainConfig, adam_step
+from vitalnet.nn.train import AdamState, TrainConfig, adam_step, train
 
 TOL = 1e-12
 
@@ -634,3 +644,218 @@ class TestAdamAgainstReference:
         for k, t in params.tensors.items():
             assert np.shares_memory(t, flat)
             assert not np.shares_memory(t, given[k])
+
+
+def oracle_conv1d_backward(dpre, cache, ws):
+    """dpre: (F, B, T-K+1) -> (dx (C, B, T), dw, db); always forms dx."""
+    x, w, cols = cache
+    c, b, t = x.shape
+    f, k, _ = w.shape
+    t_out = t - k + 1
+    flat = dpre.reshape(f, -1)
+    dw = (flat @ cols.T).reshape(f, k, c)
+    dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
+    dx = ws.take("dx", x.shape)
+    dx.fill(0.0)
+    for j in range(k):
+        dx[:, :, j : j + t_out] += dcols[j]
+    return dx, dw, flat.sum(axis=1)
+
+
+def oracle_lstm_backward(dh_last, cache, ws):
+    """dh_last: (B, H) -> (dx (D, B, T), dwx, dwh, db): per-gate derivative
+    passes, a loop that allocates, and one GEMM per weight gradient."""
+    x, wx, wh, gates, cs, hs = cache
+    d, b, t = x.shape
+    h_dim = wh.shape[0]
+    i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+    dz = ws.take("dz", gates.shape)
+    di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
+    for dk, s in ((di, i), (df, f), (do, o)):
+        np.subtract(1.0, s, out=dk)
+        dk *= s
+    di *= g
+    df *= cs[:-1]
+    np.multiply(g, g, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= i
+    tanh_c = np.tanh(cs[1:], out=cs[1:])
+    do *= tanh_c
+    dc_dh = tanh_c
+    dc_dh *= tanh_c
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dh = dh_last.T
+    dc = np.zeros((h_dim, b))
+    for step in range(t - 1, -1, -1):
+        dc += dh * dc_dh[step]
+        ifg = dz[step, : 3 * h_dim].reshape(3, h_dim, b)
+        ifg *= dc
+        do[step] *= dh
+        if step:
+            dh = wh @ dz[step]
+            dc *= f[step]
+    dz_t = ws.take("gates", (4 * h_dim, b, t))
+    np.copyto(dz_t, dz.transpose(1, 2, 0))
+    dz = dz_t.reshape(4 * h_dim, b * t)
+    hs_t = ws.take("cs", (h_dim, b, t))
+    np.copyto(hs_t, hs[:-1].transpose(1, 2, 0))
+    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=ws.take("dwx", (d, 4 * h_dim)))
+    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T, out=ws.take("dwh", (h_dim, 4 * h_dim)))
+    db = dz.sum(axis=1)
+    dx = np.matmul(wx, dz, out=ws.take("dx", (d, b * t))).reshape(d, b, t)
+    return dx, dwx, dwh, db
+
+
+def lstm_backward_pair(b, t, d, h, scale, seed):
+    """(production, oracle) LSTM backward outputs on one random case, each
+    from its own forward pass, as the backward pass consumes its cache."""
+    rng = np.random.default_rng(seed)
+    x, wx, wh, bias = lstm_case(rng, b, t, d, h, scale)
+    dh = rng.standard_normal((b, h))
+    outs = []
+    for backward in (lstm_backward, oracle_lstm_backward):
+        ws = Workspace()
+        _, cache = lstm_forward(cf(x), wx, wh, bias, ws)
+        outs.append(backward(dh, cache, ws))
+    return outs
+
+
+def stacked_gemm_rows(b, seed):
+    """The default LSTM's weight gradients at batch `b` from the stacked GEMM
+    and from the oracle's two GEMMs, with the OpenBLAS core that computed
+    them; run in a child process per core."""
+    from vitalnet.cli import _environment
+
+    new, old = lstm_backward_pair(b, 20, 64, 64, 0.2, seed)
+    return _environment()["openblas_core"], new[1:3], old[1:3]
+
+
+BATCHES = [1, 17, 30, 32, 256]
+# (B, T, D, H, scale): the LSTM grid above, saturated gates, and the model's
+# shape at every batch size (48-slot windows pool to 20 steps)
+LSTM_CASES = ([(b, t, d, h, 0.4) for b, t, d, h in
+               [(1, 1, 3, 5), (1, 1, 1, 1), (2, 7, 5, 3), (4, 3, 2, 6), (32, 20, 64, 64),
+                (1, 22, 64, 64), (17, 22, 64, 64), (17, 5, 3, 7)]]
+              + [(b, 6, 4, 5, scale) for b in (1, 3, 17, 32) for scale in (20.0, 60.0)]
+              + [(b, 20, 64, 64, 0.2) for b in BATCHES])
+# (B, T, C, F, K): the conv grid above, and both model layers at every batch size
+CONV_ORACLE_CASES = list(dict.fromkeys(CONV_CASES + [(b, 48, 3, 32, 5) for b in BATCHES]
+                                       + [(b, 44, 32, 64, 5) for b in BATCHES]))
+
+
+class GemmCounter(np.ndarray):
+    """An array view that counts the matmul calls it takes part in."""
+
+    gemms = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            GemmCounter.gemms += 1
+        plain = [a.view(np.ndarray) if isinstance(a, GemmCounter) else a for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(a.view(np.ndarray) if isinstance(a, GemmCounter) else a
+                                  for a in out)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestBackwardAgainstOracle:
+    @pytest.mark.parametrize("b,t,d,h,scale", LSTM_CASES)
+    def test_lstm_bit_equal(self, b, t, d, h, scale):
+        new, old = lstm_backward_pair(b, t, d, h, scale, seed=7 * b + t + d * h)
+        for got, want in zip(new, old):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("b,t,c,f,k", CONV_ORACLE_CASES)
+    def test_conv_bit_equal(self, b, t, c, f, k):
+        rng = np.random.default_rng(b * 100 + t * 10 + k)
+        x = rng.standard_normal((c, b, t))
+        w = rng.standard_normal((f, k, c)) / np.sqrt(k * c)
+        bias = rng.standard_normal(f) * 0.1
+        dpre = rng.standard_normal((f, b, t - k + 1))
+        outs = []
+        for backward in (oracle_conv1d_backward, conv1d_backward,
+                         lambda d, cache, ws: conv1d_backward(d, cache, ws, input_grad=False)):
+            ws = Workspace()
+            _, cache = conv1d_forward(x, w, bias, ws)
+            outs.append(backward(dpre, cache, ws))
+        (dx_ref, dw_ref, db_ref), (dx, dw, db), (none, dw_only, db_only) = outs
+        assert none is None
+        assert np.array_equal(dx, dx_ref)
+        for got in (dw, dw_only):
+            assert np.array_equal(got, dw_ref)
+        for got in (db, db_only):
+            assert np.array_equal(got, db_ref)
+
+    @pytest.mark.parametrize("cfg,n,batch", [(model.ModelConfig(seed=3), 72, 32),
+                                             (model.ModelConfig(seed=5, lstm_hidden=24), 23, 5)])
+    def test_training_bit_equal(self, monkeypatch, cfg, n, batch):
+        # two epochs whose last batch is partial, against the same run with
+        # the oracle kernels in `layers`
+        ds = make_dataset(n_windows=n, window_len=48, seed=2)
+        tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
+        params, history = train(ds, cfg, tcfg)
+        monkeypatch.setattr(layers, "lstm_backward", oracle_lstm_backward)
+        monkeypatch.setattr(layers, "conv1d_backward",
+                            lambda dpre, cache, ws, input_grad=True:
+                            oracle_conv1d_backward(dpre, cache, ws))
+        ref_params, ref_history = train(ds, cfg, tcfg)
+        assert np.array_equal(params.flat, ref_params.flat)
+        assert history == ref_history
+
+    def test_conv1_input_gradient_never_formed(self, monkeypatch):
+        # conv1's backward forms dw and db with one GEMM, and no dx buffer
+        conv_backward = layers.conv1d_backward
+        gemms = {}
+
+        def counting(dpre, cache, ws, **kwargs):
+            x, w, cols = cache
+            before = GemmCounter.gemms
+            counted = tuple(a.view(GemmCounter) for a in (x, w, cols))
+            out = conv_backward(dpre.view(GemmCounter), counted, ws, **kwargs)
+            gemms[w.shape[2]] = GemmCounter.gemms - before
+            return out
+
+        monkeypatch.setattr(layers, "conv1d_backward", counting)
+        cfg = model.ModelConfig()
+        ws = Workspace()
+        x = np.random.default_rng(5).standard_normal((4, 48, 3))
+        model.loss_and_grads(model.init_params(cfg), x, np.arange(4) % 2, ws)
+        assert gemms == {model.N_CHANNELS: 1, cfg.conv1_filters: 2}
+        assert "conv1.dx" not in ws._buffers
+        assert "conv2.dx" in ws._buffers
+
+    def test_no_lstm_buffer_grows(self):
+        # the stacked [x; h] operand is written over dz, dwx and dwh are rows
+        # of one gradient buffer, and the loop's dh and dc live in the
+        # forward pass's per-step scratch
+        cfg = model.ModelConfig()
+        ws = Workspace()
+        x = np.random.default_rng(6).standard_normal((32, 48, 3))
+        model.loss_and_grads(model.init_params(cfg), x, np.arange(32) % 2, ws)
+        sizes = {k: v.size for k, v in ws._buffers.items() if k.startswith("lstm.")}
+        t = (48 - cfg.conv1_kernel - cfg.conv2_kernel + 2) // 2
+        d, h = cfg.conv2_filters, cfg.lstm_hidden
+        assert sizes["lstm.dz"] == sizes["lstm.gates"] == t * 4 * h * 32
+        assert sizes["lstm.dw"] == (d + h) * 4 * h
+        assert sizes["lstm.rec"] == 4 * h * 32
+        assert set(sizes) == {f"lstm.{role}" for role in
+                              ("wx_s", "wh_s", "gates", "cs", "hs", "rec", "ig", "dz", "dw", "dx")}
+
+    def test_stacked_gemm_under_other_blas_cores(self):
+        # the rows of the one weight GEMM equal the two separate GEMMs under
+        # the default OpenBLAS core and two older ones, each picked in a
+        # child's environment only
+        tests = str(Path(__file__).parent)
+        cores = set()
+        for coretype in (None, "Sandybridge", "Prescott"):
+            env = {"PYTHONPATH": tests, "OPENBLAS_CORETYPE": coretype}
+            for b in (1, 32):
+                run = run_call("test_nn_kernels:stacked_gemm_rows", b, b, env=env, timeout=120)
+                assert run.code == 0, f"{coretype}: the child failed:\n{run.stderr}"
+                core, new, old = run.value
+                cores.add(core)
+                for got, want in zip(new, old):
+                    assert np.array_equal(got, want), (coretype, b)
+        assert len(cores) == 3, f"OpenBLAS did not take every OPENBLAS_CORETYPE: {cores}"

@@ -1,0 +1,36 @@
+"""tools/numerics_ab.py, run in its quick mode on this tree against itself:
+every gradient and probability is bit-equal, and both sides time a step."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from vitalnet.nn.model import TENSOR_ORDER
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("numerics_ab", ROOT / "tools" / "numerics_ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_against_itself(tmp_path, capsys):
+    tool = load_tool()
+    out = tmp_path / "ab.json"
+    assert tool.main([str(ROOT / "src"), str(ROOT / "src"), "--out", str(out), "--quick"]) == 0
+    report = json.loads(out.read_text())
+    assert report["all_equal"] is True
+    assert sorted(report["gradients"], key=int) == [str(b) for b in tool.BATCHES]
+    for row in report["gradients"].values():
+        assert set(row) == {"probabilities", *TENSOR_ORDER}
+        assert all(cell == {"equal": True, "max_rel_diff": 0.0} for cell in row.values())
+    steps = report["step_ms"]
+    assert len(steps["per_child"]["a"]) == len(steps["per_child"]["b"]) == 1
+    assert steps["median"]["a"] > 0 and steps["median"]["b"] > 0
+    env = report["environment"]
+    assert env["a"] == env["b"]
+    assert env["a"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert "all_equal True" in capsys.readouterr().out
