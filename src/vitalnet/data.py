@@ -7,21 +7,21 @@ with ISO-8601 UTC timestamps (e.g. 2020-03-21T14:00:00Z) and label in {0,1}.
 
 A patient is two arrays, `times` (datetime64[us], UTC) and `values` (n x 3),
 checked once when the record is built. Loading, writing and resampling work
-on whole arrays; `resample` averages each hourly slot and forward-fills the
-empty ones. `make_windows` windows the first `cut` slots of each grid, and
-each window records its end slot and its patient's grid length, which is
-what a day sweep selects on.
+on whole arrays; `resample` divides each channel's hourly sums by the slot
+counts, and gathers to forward-fill only when a slot is empty. `make_windows`
+windows the first `cut` slots of each grid, and each window records its end
+slot and its patient's grid length, which is what a day sweep selects on.
 
 The text path has one reader. `load_cohort` reads blocks of rows with
-`np.loadtxt` and checks canonical stamps by arithmetic on their bytes; a
-file that this block path cannot vouch for is read whole by the row path,
-one row at a time, as Python parses it. An error names the first bad line,
-as a reader of one row at a time would. `write_cohort` formats up to
-`_CHUNK_ROWS` of a patient's rows at once in a byte array, by table
-lookups and integer arithmetic, with the id quoted as `csv.writer` would;
-a block holding a value that is not a whole number of hundredths below
-1e13, or a stamp outside years 1-9999, is formatted one `repr` per value,
-with the same bytes.
+`np.loadtxt`, checks canonical stamps by arithmetic on their bytes and finds
+id runs by comparing ids as 8-byte words; a file that this block path cannot
+vouch for is read whole by the row path, one row at a time, as Python parses
+it. An error names the first bad line, as a reader of one row at a time
+would. `write_cohort` formats up to `_CHUNK_ROWS` of a patient's rows at once
+in a byte array, by table lookups and integer arithmetic, with the id quoted
+as `csv.writer` would; a block holding a value that is not a whole number of
+hundredths below 1e13, or a stamp outside years 1-9999, is formatted one
+`repr` per value, with the same bytes.
 """
 
 from __future__ import annotations
@@ -261,14 +261,17 @@ def _block_columns(fh, capacity: int, path: Path):
                 return None
         if not len(block):
             break
+        # an id fills its column when its last byte is not NUL (`_plain` text holds none)
         pids, stamps = block["pid"], _parse_stamps(block["stamp"])
-        if stamps is None or (np.char.str_len(pids) == pids.itemsize).any():
+        raw = np.ascontiguousarray(pids).view(np.uint8).reshape(len(block), pids.itemsize)
+        if stamps is None or raw[:, -1].any():
             return None
         rows = slice(n, n + len(block))
         if rows.stop > capacity:
             raise ParseError(f"{path}: the file grew while it was read")
-        # ids come in runs: look each run up once
-        starts = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]])
+        # ids come in runs, each looked up once: one starts where an 8-byte word differs
+        d = raw.view(np.uint64)[1:] != raw.view(np.uint64)[:-1]
+        starts = np.flatnonzero(np.r_[True, d[:, 0] | d[:, 1] | d[:, 2] | d[:, 3]])
         runs = [index.setdefault(pid.decode(), len(index)) for pid in pids[starts].tolist()]
         codes[rows] = np.repeat(runs, np.diff(starts, append=len(block)))
         times[rows], values[rows], ages[rows], labels[rows] = (
@@ -571,16 +574,18 @@ def resample(record: PatientRecord) -> RegularSeries:
     """
     slots = (record.times - record.times[0]) // np.timedelta64(HOUR)
     n_slots = int(slots[-1]) + 1
-    # the grid's arrays peak at 12 elements a slot: counts (1), sums (3), the
-    # source slots (1), both gathers (4) and the result (3); each row adds its
-    # slot index and one transient (its time offset or a value column's copy)
+    # the grid's arrays stay under 12 elements a slot (6 with no empty slot, 9
+    # with one); each row adds its slot index and one transient
     check_elements(f"patient {record.patient_id}'s hourly grid of {n_slots:,} slots",
                    4 * n_slots * len(CHANNELS) + 2 * len(slots))
     counts = np.bincount(slots, minlength=n_slots)
-    sums = np.column_stack([np.bincount(slots, col, n_slots) for col in record.values.T])
-    # each slot reads the mean of the last filled slot at or before it
-    src = np.maximum.accumulate(np.where(counts > 0, np.arange(n_slots), 0))
-    return RegularSeries(values=sums[src] / counts[src, None])
+    divisor = np.maximum(counts, 1)  # an empty slot's sum of 0 is divided by 1, then filled
+    means = np.empty((n_slots, len(CHANNELS)))
+    for c, col in enumerate(record.values.T):
+        np.divide(np.bincount(slots, col, n_slots), divisor, out=means[:, c])
+    if not counts.all():  # each slot reads the mean of the last filled slot at or before it
+        means = means[np.maximum.accumulate(np.where(counts > 0, np.arange(n_slots), 0))]
+    return RegularSeries(values=means)
 
 
 def compute_channel_stats(train: list[RegularSeries]) -> ChannelStats:

@@ -149,8 +149,9 @@ def conv1d_backward(dpre, cache, ws, input_grad=True):
         return None, dw, db
     dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
     dx = ws.take("dx", x.shape)
-    dx.fill(0.0)
-    for j in range(k):
+    np.add(dcols[0], 0.0, out=dx[:, :, :t_out])  # the bits of adding it into zeros
+    dx[:, :, t_out:] = 0.0
+    for j in range(1, k):
         dx[:, :, j : j + t_out] += dcols[j]
     return dx, dw, db
 
@@ -180,11 +181,11 @@ def maxpool1d_backward(dout, cache, ws):
     shape, second = cache
     t = shape[2]
     dx = ws.take("dx", shape)
-    dx.fill(0.0)
-    tmp = ws.take("tmp", dout.shape)
-    # added into zeros, not assigned, so a masked-out negative dout leaves 0.0
-    dx[..., 0 : t - 1 : 2] += np.multiply(dout, ~second, out=tmp)
-    dx[..., 1:t:2] += np.multiply(dout, second, out=tmp)
+    dx[..., t - t % 2 :] = 0.0  # an odd last slot takes no gradient
+    # each half is written once, then + 0.0: the bits of adding into zeros
+    for half, mask in ((dx[..., 0 : t - 1 : 2], ~second), (dx[..., 1:t:2], second)):
+        np.multiply(dout, mask, out=half)
+        half += 0.0
     return dx
 
 

@@ -1,6 +1,7 @@
 """Statistical analysis: point-biserial correlation with two-sided
 p-values, t-based confidence intervals and box-plot statistics. The
-per-patient summary features are `synth.patient_feature_table`.
+per-patient summary features, the mean, std, min and max of each vital's
+hourly grid taken along its contiguous rows, are `synth.patient_feature_table`.
 
 The t-distribution tail probabilities are computed from scratch via the
 regularized incomplete beta function so the package has no runtime

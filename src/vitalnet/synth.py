@@ -450,24 +450,17 @@ def patient_feature_table(cohort: Cohort) -> dict[str, np.ndarray]:
     """Per-patient summary features over hourly-resampled series.
 
     Returns arrays keyed 'label', 'age', and '<vital>_<stat>', one row per
-    patient in cohort order.
+    patient in cohort order. Each grid is copied once to a contiguous (3, T)
+    array, whose rows reduce to the same pairwise sums as its strided columns.
     """
-    rows: dict[str, list[float]] = {
-        f"{v}_{s}": [] for v in VITALS for s in STATS
-    }
-    rows["label"] = []
-    rows["age"] = []
-    for p in cohort.patients:
-        series = resample(p)
-        rows["label"].append(p.label)
-        rows["age"].append(p.age)
-        for ci, vital in enumerate(VITALS):
-            col = series.values[:, ci]
-            rows[f"{vital}_mean"].append(float(col.mean()))
-            rows[f"{vital}_std"].append(float(col.std()))
-            rows[f"{vital}_min"].append(float(col.min()))
-            rows[f"{vital}_max"].append(float(col.max()))
-    return {k: np.asarray(v) for k, v in rows.items()}
+    feats = np.empty((len(STATS), len(VITALS), len(cohort)))
+    for j, p in enumerate(cohort.patients):
+        grid = np.ascontiguousarray(resample(p).values.T)
+        for k, stat in enumerate(STATS):  # np.mean, np.std, np.min, np.max
+            getattr(np, stat)(grid, axis=1, out=feats[k, :, j])
+    table = {f"{v}_{s}": feats[k, i] for i, v in enumerate(VITALS) for k, s in enumerate(STATS)}
+    return {**table, "label": np.asarray([p.label for p in cohort.patients]),
+            "age": np.asarray([p.age for p in cohort.patients])}
 
 
 def calibration_report(

@@ -271,6 +271,15 @@ class TestResampleOracle:
         assert got.values.shape == want.shape
         assert got.values.tobytes() == want.tobytes()
 
+    def test_every_slot_filled(self):
+        # two samples in each of 30 slots: no slot is forward-filled
+        times = [T0 + timedelta(minutes=30 * i + 7) for i in range(60)]
+        rows = [(60.0 + i * 0.37, 120.0 + i * 0.11, 70.0 - i * 0.23) for i in range(60)]
+        record = PatientRecord("p", 50, 0, [to_datetime64(t) for t in times], rows)
+        got = resample(record).values
+        want = ref_resample([(t, *r) for t, r in zip(times, rows)], timedelta(hours=1))
+        assert got.shape == (30, 3) and got.tobytes() == want.tobytes()
+
     def test_many_samples_per_slot_and_long_gap(self):
         times = [T0 + timedelta(minutes=m) for m in (0, 1, 2, 59, 60, 61, 600, 601)]
         rows = [(60.0 + i, 120.0 + i, 70.0 - i) for i in range(len(times))]

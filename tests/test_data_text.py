@@ -473,6 +473,13 @@ class TestWriter:
 
 ID_WIDTH = data._ROW["pid"].itemsize  # bytes (ASCII characters) in the block path's id column
 
+
+def two_ids(a, b):
+    """Rows of patients a, b, b, a: the block path finds id runs by 8-byte words."""
+    return HEADER + "".join(r.replace("P0", pid) for r, pid in
+                            ((ROW, a), (ROW, b), (ROW2, b), (ROW2, a)))
+
+
 FILE_CORPUS = {
     "empty": "",
     "header_only": HEADER,
@@ -514,6 +521,13 @@ FILE_CORPUS = {
     "stamp_of_21_bytes": HEADER + ROW.replace("00:00:00Z", "00:00:00Z0") + ROW2,
     "id_at_width": HEADER + (ROW + ROW2).replace("P0", "P" * ID_WIDTH),
     "id_past_width": HEADER + (ROW + ROW2).replace("P0", "P" * (ID_WIDTH + 1)),
+    "id_below_width": HEADER + (ROW + ROW2).replace("P0", "P" * (ID_WIDTH - 1)),
+    # equal in the first 8-byte word, or in every byte but the last
+    "ids_differ_at_byte_9": two_ids("PPPPPPPPa", "PPPPPPPPb"),
+    "ids_one_ends_at_byte_8": two_ids("PPPPPPPP", "PPPPPPPPa"),
+    "ids_differ_in_last_byte": two_ids("P" * (ID_WIDTH - 2) + "a", "P" * (ID_WIDTH - 2) + "b"),
+    "ids_at_width_differ_in_last_byte": two_ids("P" * (ID_WIDTH - 1) + "a",
+                                                "P" * (ID_WIDTH - 1) + "b"),
     # NumPy's number parsers read these as a blank and as a digit; Python's do not
     "separator_in_age": HEADER + ROW.replace(",50,", ",50\x1c,") + ROW2,
     "devanagari_in_age": HEADER + ROW.replace(",50,", ",5\u0930,") + ROW2,
@@ -545,7 +559,8 @@ class TestLoadFiles:
     # np.loadtxt does not parse, a row of another width, an id that fills its
     # column or a stamp that is not canonical
     GIVEN_UP = {"offset_stamp", "lowercase_z", "spaces_only_line", "underscore_number",
-                "stamp_of_21_bytes", "id_at_width", "id_past_width"}
+                "stamp_of_21_bytes", "id_at_width", "id_past_width",
+                "ids_at_width_differ_in_last_byte"}
 
     @pytest.mark.parametrize("name,row_path", [
         ("no_trailing_newline", False), ("blank_between_rows", False), ("crlf", False),
@@ -553,6 +568,9 @@ class TestLoadFiles:
         ("lowercase_z", True), ("spaces_only_line", True), ("underscore_number", True),
         ("non_ascii_id", True), ("nul_in_id", True), ("nul_ending_id", True),
         ("stamp_of_21_bytes", True), ("id_at_width", True), ("id_past_width", True),
+        ("id_below_width", False), ("ids_differ_at_byte_9", False),
+        ("ids_one_ends_at_byte_8", False), ("ids_differ_in_last_byte", False),
+        ("ids_at_width_differ_in_last_byte", True),
         ("separator_in_age", True), ("devanagari_in_age", True),
     ])
     def test_which_files_take_the_row_reader(self, tmp_path, name, row_path):

@@ -13,11 +13,12 @@ so they must agree with these to 1e-12; the conv/pool forward pass, conv2's
 ReLU after the pool and Adam keep their arithmetic, so they must agree
 exactly.
 
-The conv and LSTM backward kernels that the weights-only conv1 pass, the
-stacked LSTM weight GEMM and the whole-buffer gate derivatives replaced are
-kept as `oracle_conv1d_backward` and `oracle_lstm_backward`. The same
-arithmetic runs in both, so the production kernels must match them bit for
-bit, and so must a training run.
+The conv, pool and LSTM backward kernels that the weights-only conv1 pass,
+the once-written dx buffers, the stacked LSTM weight GEMM and the
+whole-buffer gate derivatives replaced are kept as `oracle_conv1d_backward`,
+`oracle_maxpool1d_backward` and `oracle_lstm_backward`. The same arithmetic
+runs in both, so the production kernels must match them bit for bit, and so
+must a training run.
 """
 
 from pathlib import Path
@@ -662,6 +663,19 @@ def oracle_conv1d_backward(dpre, cache, ws):
     return dx, dw, flat.sum(axis=1)
 
 
+def oracle_maxpool1d_backward(dout, cache, ws):
+    """dout: (C, B, T // 2) -> dx (C, B, T): each half's masked dout added
+    into a zero-filled dx."""
+    shape, second = cache
+    t = shape[2]
+    dx = ws.take("dx", shape)
+    dx.fill(0.0)
+    tmp = ws.take("tmp", dout.shape)
+    dx[..., 0 : t - 1 : 2] += np.multiply(dout, ~second, out=tmp)
+    dx[..., 1:t:2] += np.multiply(dout, second, out=tmp)
+    return dx
+
+
 def oracle_lstm_backward(dh_last, cache, ws):
     """dh_last: (B, H) -> (dx (D, B, T), dwx, dwh, db): per-gate derivative
     passes, a loop that allocates, and one GEMM per weight gradient."""
@@ -779,6 +793,7 @@ class TestBackwardAgainstOracle:
                          lambda d, cache, ws: conv1d_backward(d, cache, ws, input_grad=False)):
             ws = Workspace()
             _, cache = conv1d_forward(x, w, bias, ws)
+            ws.take("dx", x.shape).fill(np.nan)  # what a last user may leave
             outs.append(backward(dpre, cache, ws))
         (dx_ref, dw_ref, db_ref), (dx, dw, db), (none, dw_only, db_only) = outs
         assert none is None
@@ -787,6 +802,25 @@ class TestBackwardAgainstOracle:
             assert np.array_equal(got, dw_ref)
         for got in (db, db_only):
             assert np.array_equal(got, db_ref)
+
+    @pytest.mark.parametrize("b,t", [(b, 44) for b in BATCHES] + [(b, 43) for b in (1, 17)]
+                             + [(3, 2), (3, 3)])
+    def test_pool_bit_equal(self, b, t):
+        # the model's pool input (conv2's 64 filters over 44 slots) at every
+        # batch size, and odd lengths, whose last slot takes no gradient;
+        # ties, signed zeros, negative and non-finite gradients included
+        rng = np.random.default_rng(b * 100 + t)
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=(64, b, t))
+        dout = rng.choice([-2.5, -0.0, 0.0, 1.5, np.inf, np.nan], size=(64, b, t // 2))
+        outs = []
+        for backward in (oracle_maxpool1d_backward, maxpool1d_backward):
+            ws = Workspace()
+            _, cache = maxpool1d_forward(x, ws)
+            ws.take("dx", x.shape).fill(np.nan)  # what a last user may leave
+            with np.errstate(invalid="ignore"):  # inf times a masked-out 0
+                outs.append(backward(dout, cache, ws))
+        assert outs[0].shape == outs[1].shape
+        assert outs[0].tobytes() == outs[1].tobytes()
 
     @pytest.mark.parametrize("cfg,n,batch", [(model.ModelConfig(seed=3), 72, 32),
                                              (model.ModelConfig(seed=5, lstm_hidden=24), 23, 5)])
@@ -797,6 +831,7 @@ class TestBackwardAgainstOracle:
         tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
         params, history = train(ds, cfg, tcfg)
         monkeypatch.setattr(layers, "lstm_backward", oracle_lstm_backward)
+        monkeypatch.setattr(layers, "maxpool1d_backward", oracle_maxpool1d_backward)
         monkeypatch.setattr(layers, "conv1d_backward",
                             lambda dpre, cache, ws, input_grad=True:
                             oracle_conv1d_backward(dpre, cache, ws))

@@ -1,5 +1,6 @@
 """tools/numerics_ab.py, run in its quick mode on this tree against itself:
-every gradient and probability is bit-equal, and both sides time a step."""
+every gradient and probability is bit-equal, and both sides time a step,
+taking turns in one child."""
 
 import importlib.util
 import json
@@ -30,6 +31,7 @@ def test_tree_against_itself(tmp_path, capsys):
     steps = report["step_ms"]
     assert len(steps["per_child"]["a"]) == len(steps["per_child"]["b"]) == 1
     assert steps["median"]["a"] > 0 and steps["median"]["b"] > 0
+    assert steps["b_lower_in_children"] in (0, 1) and 0 <= steps["b_faster_share"] <= 1
     env = report["environment"]
     assert env["a"] == env["b"]
     assert env["a"]["OPENBLAS_NUM_THREADS"] == "1"

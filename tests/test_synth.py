@@ -4,16 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth_oracle import _ar1, _burst  # the Python loops the block kernel replaced
+from test_data_arrays import irregular_series, ref_resample
 from vitalnet import synth
-from vitalnet.data import write_cohort
+from vitalnet.data import (Cohort, PatientRecord, RegularSeries, resample, split_by_patient,
+                           write_cohort)
 from vitalnet.errors import ValidationError
 from vitalnet.synth import (
+    STATS,
+    VITALS,
     SynthConfig,
     calibration_report,
     default_config,
     generate_cohort,
+    patient_feature_table,
 )
 
 # published group totals for raw observation counts per vital
@@ -285,3 +292,87 @@ class TestCalibrationReport:
             p.label = 1
         with pytest.raises(ValidationError):
             calibration_report(single)
+
+
+def ref_patient_feature_table(cohort, grid=resample):
+    """The feature table that the row reductions replaced: per patient, one
+    strided reduction per (vital, statistic) of its grid, boxed as a float."""
+    rows = {f"{v}_{s}": [] for v in VITALS for s in STATS}
+    rows["label"] = []
+    rows["age"] = []
+    for p in cohort.patients:
+        series = grid(p)
+        rows["label"].append(p.label)
+        rows["age"].append(p.age)
+        for ci, vital in enumerate(VITALS):
+            col = series.values[:, ci]
+            rows[f"{vital}_mean"].append(float(col.mean()))
+            rows[f"{vital}_std"].append(float(col.std()))
+            rows[f"{vital}_min"].append(float(col.min()))
+            rows[f"{vital}_max"].append(float(col.max()))
+    return {k: np.asarray(v) for k, v in rows.items()}
+
+
+def ref_grid(record):
+    """`ref_resample`'s per-sample and per-slot loops on a record."""
+    samples = [(t, *v) for t, v in zip(record.times.astype(object), record.values.tolist())]
+    return RegularSeries(ref_resample(samples, np.timedelta64(1, "h").astype(object)))
+
+
+def assert_same_table(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def hourly_patient(pid, hours, rows):
+    offsets = (np.asarray(hours) * 3600e6).astype(np.int64)
+    times = np.datetime64("2020-03-21T00:00", "us") + offsets * np.timedelta64(1, "us")
+    return PatientRecord(pid, 50 + len(hours), len(hours) % 2, times, rows)
+
+
+class TestFeatureTableOracle:
+    """`patient_feature_table` byte for byte against the per-column table,
+    on grids from the loop resampler and from `resample`."""
+
+    # patients as (hours since the first sample, (hr, sbp, dbp) rows)
+    CASES = {
+        "empty": [],
+        "one_slot": [([0], [(80.0, 120.0, 70.0)]),
+                     ([0, 0.25, 0.5], [(80.0, 120.0, 70.0), (81.1, 121.3, 70.2),
+                                       (79.7, 119.9, 69.9)])],
+        "constant_channel": [(range(50), [(72.3, 110.0 + i % 7 * 1.1, 65.0)
+                                          for i in range(50)])],
+        "gaps": [([0, 1, 5, 6, 30, 31.5, 100],
+                  [(60.0 + i, 130.0 - i * 0.7, 80.0 + i * 0.3) for i in range(7)]),
+                 ([0, 49], [(99.9, 150.0, 90.0), (40.1, 101.0, 50.5)])],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_small_cohorts(self, name):
+        cohort = Cohort([hourly_patient(f"p{i}", hours, rows)
+                         for i, (hours, rows) in enumerate(self.CASES[name])])
+        want = ref_patient_feature_table(cohort, ref_grid)
+        assert_same_table(patient_feature_table(cohort), want)
+        assert_same_table(ref_patient_feature_table(cohort), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(irregular_series(), min_size=1, max_size=4))
+    def test_irregular_cohorts(self, series):
+        cohort = Cohort([PatientRecord(f"p{i}", 40, i % 2, np.datetime64("2020-03-21", "us")
+                                       + np.asarray(offsets) * np.timedelta64(1, "us"), rows)
+                         for i, (offsets, rows) in enumerate(series)])
+        assert_same_table(patient_feature_table(cohort), ref_patient_feature_table(cohort))
+
+    def test_x4_cohort_and_its_halves(self):
+        cohort = generate_cohort(x4_config())
+        for part in (cohort, *split_by_patient(cohort, 0.8, 3)):
+            assert_same_table(patient_feature_table(part), ref_patient_feature_table(part))
+        # every 10th grid against the loop resampler: none has an empty slot
+        for p in cohort.patients[::10]:
+            grid = resample(p).values
+            assert grid.tobytes() == ref_grid(p).values.tobytes()
+            slots = (p.times - p.times[0]) // np.timedelta64(1, "h")
+            assert len(np.unique(slots)) == len(grid)

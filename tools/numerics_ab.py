@@ -4,18 +4,23 @@ and how long the step takes.
     python3 tools/numerics_ab.py A/src B/src --out ab.json [--rounds 10] [--steps 300]
     python3 tools/numerics_ab.py A/src B/src --out ab.json --quick
 
-Every measurement runs in a fresh interpreter with one tree first on
-PYTHONPATH and one BLAS thread (`tests/childproc.run_call`). The JSON holds:
+Every measurement runs in a fresh interpreter with one BLAS thread
+(`tests/childproc.run_call`). The JSON holds:
 
 - `gradients`: for each batch size in BATCHES, one `loss_and_grads` of the
   default model (init seed = batch size) on a fixed random batch, run by
-  each tree. Per tensor of TENSOR_ORDER and for the probabilities: whether
-  the two trees' arrays are equal bit for bit, and their max |a - b| over
-  max |a|.
-- `step_ms`: the median wall time of a B=32 `loss_and_grads` plus
-  `adam_step`, one value per child process, the trees alternating and the
-  first tree changing every round; then the median of each tree's values
-  and B's median over A's.
+  each tree in its own child, with that tree first on PYTHONPATH. Per
+  tensor of TENSOR_ORDER and for the probabilities: whether the two trees'
+  arrays are equal bit for bit, and their max |a - b| over max |a|.
+- `step_ms`: the wall time of a B=32 `loss_and_grads` plus `adam_step`.
+  Each round is one child process that imports each tree's `vitalnet`
+  under its own name (`vitalnet_a`, `vitalnet_b`; the package's relative
+  imports keep each copy self-contained) and alternates them step by step,
+  the first tree changing every step, so that both see the same stretch of
+  host speed. Per child, each tree's median step; over all children, the
+  median of each tree's values, B's median over A's, the number of
+  children in which B's median was the lower, and the share of paired
+  steps in which B was faster.
 - `environment`: each tree's `vitalnet.cli._environment()` in its child.
 
 `--quick` takes one round of 20 timed steps: enough to check that both trees
@@ -63,24 +68,41 @@ def probe(batches) -> dict:
     return {"environment": _environment(), "outputs": out}
 
 
-def time_steps(steps: int) -> float:
-    """Child side: the median milliseconds of `steps` B=32 training steps,
-    after 10 untimed ones."""
+def _load_nn(src: str, name: str):
+    """`vitalnet.nn` of the tree `src`, its package imported under the name
+    `name`, so that two trees load side by side."""
+    import importlib.util
+
+    package = Path(src) / "vitalnet"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.nn")
+
+
+def time_steps(src_a: str, src_b: str, steps: int) -> dict[str, list[float]]:
+    """Child side: the milliseconds of each of `steps` B=32 training steps per
+    tree, after 10 untimed ones, the trees taking turns step by step."""
     import time
 
-    from vitalnet.nn import (AdamState, ModelConfig, TrainConfig, Workspace, adam_step,
-                             init_params, loss_and_grads)
-
-    params, state, cfg = init_params(ModelConfig(seed=1)), AdamState(), TrainConfig()
-    ws = Workspace()
     x, y = _batch(STEP_BATCH)
-    times = []
+    runs = {}
+    for side, src in (("a", src_a), ("b", src_b)):
+        nn = _load_nn(src, f"vitalnet_{side}")
+        runs[side] = (nn, nn.init_params(nn.ModelConfig(seed=1)), nn.AdamState(),
+                      nn.TrainConfig(), nn.Workspace())
+    times = {"a": [], "b": []}
     for step in range(1, steps + 11):
-        start = time.perf_counter()
-        _, _, grads = loss_and_grads(params, x, y, ws)
-        adam_step(params, grads, state, step, cfg, ws)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times[10:]) * 1e3
+        for side in ("ab" if step % 2 else "ba"):
+            nn, params, state, cfg, ws = runs[side]
+            start = time.perf_counter()
+            _, _, grads = nn.loss_and_grads(params, x, y, ws)
+            nn.adam_step(params, grads, state, step, cfg, ws)
+            if step > 10:
+                times[side].append((time.perf_counter() - start) * 1e3)
+    return times
 
 
 def _call(target: str, src: Path, *args):
@@ -110,10 +132,13 @@ def compare(a: dict, b: dict) -> dict:
 
 def run(src_a: Path, src_b: Path, rounds: int, steps: int) -> dict:
     probes = [_call("probe", src, BATCHES) for src in (src_a, src_b)]
-    times = {"a": [], "b": []}
-    for r in range(rounds):
-        for side in ("ab" if r % 2 == 0 else "ba"):
-            times[side].append(_call("time_steps", src_a if side == "a" else src_b, steps))
+    times, faster, paired = {"a": [], "b": []}, 0, 0
+    for _ in range(rounds):
+        child = _call("time_steps", src_a, str(src_a), str(src_b), steps)
+        for side, values in child.items():
+            times[side].append(statistics.median(values))
+        faster += sum(b < a for a, b in zip(child["a"], child["b"]))
+        paired += len(child["a"])
     median = {side: statistics.median(values) for side, values in times.items()}
     table = compare(probes[0]["outputs"], probes[1]["outputs"])
     return {
@@ -121,7 +146,9 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int) -> dict:
         "all_equal": all(cell["equal"] for row in table.values() for cell in row.values()),
         "gradients": table,
         "step_ms": {"batch": STEP_BATCH, "steps_per_child": steps, "per_child": times,
-                    "median": median, "ratio_b_over_a": median["b"] / median["a"]},
+                    "median": median, "ratio_b_over_a": median["b"] / median["a"],
+                    "b_lower_in_children": sum(b < a for a, b in zip(times["a"], times["b"])),
+                    "b_faster_share": faster / paired},
         "environment": {"a": probes[0]["environment"], "b": probes[1]["environment"]},
     }
 
@@ -138,8 +165,11 @@ def main(argv=None) -> int:
     rounds, steps = (1, 20) if args.quick else (args.rounds, args.steps)
     report = run(args.src_a.resolve(), args.src_b.resolve(), rounds, steps)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"all_equal {report['all_equal']}  step_ms {report['step_ms']['median']}  "
-          f"ratio {report['step_ms']['ratio_b_over_a']:.3f}")
+    timing = report["step_ms"]
+    print(f"all_equal {report['all_equal']}  step_ms {timing['median']}  "
+          f"ratio {timing['ratio_b_over_a']:.3f}  b lower in {timing['b_lower_in_children']}/"
+          f"{len(timing['per_child']['a'])} children, faster in {timing['b_faster_share']:.0%} "
+          "of steps")
     return 0
 
 
