@@ -225,7 +225,7 @@ def load_config(path) -> SynthConfig:
 
 
 def default_config() -> SynthConfig:
-    raw = resources.files("vitalnet").joinpath("synth_default.json").read_text("utf-8")
+    raw = resources.files(__package__).joinpath("synth_default.json").read_text("utf-8")
     return SynthConfig.from_dict(json.loads(raw))
 
 

@@ -8,7 +8,8 @@ previous writer (`csv.writer.writerows` per patient). The reader (its
 the per-patient string writer must accept the same stamps and files, give
 equal records and bytes, and raise the same error class and message (line
 number included) on anything else. The writer differs in one way on
-purpose: it quotes an id holding a lone CR.
+purpose: it quotes an id holding a lone CR. The stamp parser also matches
+the per-block parser it replaced (`oracle_parse_stamps`).
 """
 
 import csv
@@ -131,6 +132,40 @@ def ref_parse_stamps(stamps):
     return times if canon.all() else None
 
 
+# The per-block parser that the slab parser replaced: int64 arithmetic on
+# the digits, and the days_from_civil conversion.
+ORACLE_SEP_AT = [4, 7, 10, 13, 16, 19]
+ORACLE_SEPS = np.frombuffer(b"--T::Z", np.uint8)
+ORACLE_DIGIT_AT = [i for i in range(20) if i not in ORACLE_SEP_AT]
+ORACLE_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def oracle_parse_stamps(stamps: np.ndarray) -> np.ndarray | None:
+    raw = np.ascontiguousarray(stamps).view(np.uint8).reshape(len(stamps), stamps.itemsize)
+    if raw.shape[1] < 20 or raw[:, 20:].any():
+        return None
+    raw = raw[:, :20]
+    digits = raw[:, ORACLE_DIGIT_AT] - np.uint8(48)  # bytes below "0" wrap past 9
+    if (raw[:, ORACLE_SEP_AT] != ORACLE_SEPS).any() or (digits > 9).any():
+        return None
+    digits = digits.astype(np.int64)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_ok = (month >= 1) & (month <= 12)
+    last_day = ORACLE_MONTH_DAYS[np.where(month_ok, month, 0)] + (leap & (month == 2))
+    ok = month_ok & (year >= 1) & (day >= 1) & (day <= last_day)
+    if not (ok & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
+        return None
+    # days since 1970-01-01 (days_from_civil: years start in March, 400-year eras)
+    y = year - (month <= 2)
+    era, yoe = np.divmod(y, 400)
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+    return (seconds * 1_000_000).view("datetime64[us]")
+
+
 def ref_parse_chunk(rows):
     if set(map(len, rows)) != {len(CSV_HEADER)}:
         return None
@@ -228,10 +263,24 @@ def assert_same_outcome(path):
     return got
 
 
-def stamp_column(stamps):
+def stamp_bytes(stamps):
     """The stamps as the block path's column holds them: their UTF-8 bytes,
     cut to the column's 21 bytes as `np.loadtxt` cuts a longer field."""
     return np.array([s.encode()[:21] for s in stamps], data._ROW["stamp"])
+
+
+def stamp_column(stamps):
+    """The stamps as the block path's slab holds them, and `_parse_stamps`
+    reads them: three little-endian 8-byte words a stamp, transposed."""
+    return np.asarray(stamp_bytes(stamps), "S24").view("<u8").reshape(len(stamps), 3).T.copy()
+
+
+def assert_same_times(got, want, stamps):
+    if want is None:
+        assert got is None, stamps
+    else:
+        assert got is not None, stamps
+        assert got.dtype == want.dtype and np.array_equal(got, want), stamps
 
 
 def assert_same_stamps(stamps):
@@ -241,11 +290,8 @@ def assert_same_stamps(stamps):
         assert want is None, stamps
         return
     got = data._parse_stamps(stamp_column(stamps))
-    if want is None:
-        assert got is None, stamps
-    else:
-        assert got is not None, stamps
-        assert got.dtype == want.dtype and np.array_equal(got, want), stamps
+    assert_same_times(got, want, stamps)
+    assert_same_times(got, oracle_parse_stamps(stamp_bytes(stamps)), stamps)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +357,11 @@ class TestParseStamps:
     @given(st.lists(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
                     min_size=1, max_size=8))
     def test_property_over_real_instants(self, instants):
-        got = data._parse_stamps(stamp_column([t.isoformat(timespec="seconds") + "Z"
-                                               for t in instants]))
+        stamps = [t.isoformat(timespec="seconds") + "Z" for t in instants]
+        got = data._parse_stamps(stamp_column(stamps))
         want = np.array([np.datetime64(t.replace(microsecond=0), "us") for t in instants])
         assert np.array_equal(got, want)
+        assert_same_times(got, oracle_parse_stamps(stamp_bytes(stamps)), instants)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +580,39 @@ FILE_CORPUS = {
     "devanagari_in_age": HEADER + ROW.replace(",50,", ",5\u0930,") + ROW2,
 }
 
+# The block path checks stamps and ids once per slab of `data._SLAB_BLOCKS`
+# blocks. Data row SLAB - 1 is in a slab's last block, and row SLAB in the
+# next slab's first block, at chunk sizes 1, 2 and 1024 alike (each divides
+# 1024); the file's SLAB_ROWS rows end in a partial slab at each of them.
+SLAB = data._SLAB_BLOCKS * data._CHUNK_ROWS
+SLAB_ROWS = SLAB + 1031
+SLAB_CHANGES = {  # name: (field, its new text from the old)
+    "offset_stamp": (1, lambda stamp: stamp.replace("Z", "+00:00")),
+    "id_past_width": (0, lambda pid: "P" * (ID_WIDTH + 1)),
+    "unparsable_hr": (2, lambda hr: "eighty"),
+}
+# patients of 1,000 hourly rows each, one after the other
+SLAB_START = datetime(2020, 3, 21)
+SLAB_BASE = [[f"P{i // 1000}", f"{SLAB_START + timedelta(hours=i % 1000):%Y-%m-%dT%H:%M:%SZ}",
+              f"{60 + i % 50}.5", "120.0", f"{70 + i % 7}.0", str(40 + i // 1000),
+              str(i // 1000 % 2)] for i in range(SLAB_ROWS)]
+
+
+def slab_file(at: int, field: int, change) -> str:
+    """The SLAB_ROWS rows of SLAB_BASE, with `change` made to a field of data
+    row `at`."""
+    rows = [list(row) for row in SLAB_BASE]
+    rows[at][field] = change(rows[at][field])
+    return HEADER + "".join(",".join(row) + "\n" for row in rows)
+
+
+FILE_CORPUS.update({
+    f"slab_{place}_{name}": slab_file(at, *change)
+    for place, at in (("last_block", SLAB - 1), ("next_first_block", SLAB),
+                      ("partial_end", SLAB_ROWS - 1))
+    for name, change in SLAB_CHANGES.items()
+})
+
 
 class TestLoadFiles:
     @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
@@ -686,3 +766,46 @@ class TestBlockBoundaries:
         with mock.patch.object(data, "_CHUNK_ROWS", 1), mock.patch.object(np, "loadtxt", loadtxt):
             with pytest.raises(ParseError, match=re.escape(f"{path}: the file grew")):
                 load_cohort(path)
+
+    @pytest.mark.parametrize("bad_block", ["pending", "growing"])
+    def test_file_growing_with_a_bad_stamp_in_the_slab_takes_the_row_path(self, tmp_path,
+                                                                          bad_block):
+        # one-row blocks: the rows read before the file grows leave room for
+        # SLAB_BLOCKS + 1 of them, so the block that overflows is the second
+        # of its slab; a stamp with an offset in the slab's first block
+        # ("pending"), or in the overflowing block itself, sends the file to
+        # the row path before the growth is seen, as a check per block did
+        k = data._SLAB_BLOCKS - 1
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + "".join(row("P0", h) for h in range(k)))
+        bad = k + 1 + (bad_block == "growing")  # data row of the slab's first block, or next
+        grown = [row("P0", h, stamp="2020-03-21T%02d:00:00+00:00" % h if h == bad else None)
+                 for h in range(k, k + 4)]
+        real = np.loadtxt
+
+        def loadtxt(*args, **kwargs):  # the file grows once its first block is read
+            block = real(*args, **kwargs)
+            if len(path.read_text().splitlines()) == k + 1:
+                with path.open("a") as fh:
+                    fh.write("".join(grown))
+            return block
+
+        with mock.patch.object(data, "_CHUNK_ROWS", 1), mock.patch.object(np, "loadtxt", loadtxt), \
+                mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+            got = load_cohort(path)
+        assert rows.called
+        assert_same_cohort(got, ref_load_cohort(path))
+        assert len(got.patients[0].times) == k + 4
+
+    def test_a_load_parses_stamps_once_per_slab(self, tmp_path):
+        # the benchmark's x4 cohort: 280 patients, ~166k rows
+        cfg = default_config()
+        for group in cfg.groups:
+            group.patients_per_bin = [4 * n for n in group.patients_per_bin]
+        path = tmp_path / "c.csv"
+        write_cohort(generate_cohort(cfg), path)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as blocks, \
+                mock.patch.object(data, "_parse_stamps", wraps=data._parse_stamps) as stamps:
+            load_cohort(path)
+        assert blocks.call_count > 100
+        assert stamps.call_count <= -(-blocks.call_count // data._SLAB_BLOCKS)

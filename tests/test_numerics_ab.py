@@ -1,6 +1,6 @@
 """tools/numerics_ab.py, run in its quick mode on this tree against itself:
-every gradient and probability is bit-equal, and both sides time a step,
-taking turns in one child."""
+every gradient, probability and cohort-subcommand output is bit-equal, and
+both sides time a step and a cohort load, taking turns in one child."""
 
 import importlib.util
 import json
@@ -28,10 +28,16 @@ def test_tree_against_itself(tmp_path, capsys):
     for row in report["gradients"].values():
         assert set(row) == {"probabilities", *TENSOR_ORDER}
         assert all(cell == {"equal": True, "max_rel_diff": 0.0} for cell in row.values())
-    steps = report["step_ms"]
-    assert len(steps["per_child"]["a"]) == len(steps["per_child"]["b"]) == 1
-    assert steps["median"]["a"] > 0 and steps["median"]["b"] > 0
-    assert steps["b_lower_in_children"] in (0, 1) and 0 <= steps["b_faster_share"] <= 1
+    outputs = report["outputs"]
+    assert outputs["equal"] is True and outputs["seeds"] == [11]
+    (hashes,) = outputs["sha256"]["a"].values()
+    assert sorted(hashes) == ["boxplot.csv", "calibration.json", "cohort.csv", "stats.csv",
+                              "test.csv", "train.csv"]
+    for name in ("step_ms", "load_ms"):
+        timing = report[name]
+        assert len(timing["per_child"]["a"]) == len(timing["per_child"]["b"]) == 1
+        assert timing["median"]["a"] > 0 and timing["median"]["b"] > 0
+        assert timing["b_lower_in_children"] in (0, 1) and 0 <= timing["b_faster_share"] <= 1
     env = report["environment"]
     assert env["a"] == env["b"]
     assert env["a"]["OPENBLAS_NUM_THREADS"] == "1"

@@ -1,12 +1,15 @@
 import copy
 import hashlib
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from childproc import SRC, run_call
 from synth_oracle import _ar1, _burst  # the Python loops the block kernel replaced
 from test_data_arrays import irregular_series, ref_resample
 from vitalnet import synth
@@ -50,6 +53,31 @@ def x4_config():
 @pytest.fixture(scope="module")
 def cohort():
     return generate_cohort(default_config())
+
+
+# a module for the child of `test_default_config_of_a_copy_under_another_name`
+COPY_PROBE = """
+import importlib.util
+
+def default_config_of_copy():
+    from vitalnet_copy.synth import default_config
+
+    return importlib.util.find_spec("vitalnet") is not None, default_config().to_dict()
+"""
+
+
+def test_default_config_of_a_copy_under_another_name(tmp_path):
+    # a copy of the package, imported as `vitalnet_copy` in a child that has
+    # no plain `vitalnet` to import, reads its own default config
+    shutil.copytree(SRC / "vitalnet", tmp_path / "vitalnet_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "copy_probe.py").write_text(COPY_PROBE)
+    run = run_call("copy_probe:default_config_of_copy", src=tmp_path,
+                   env={"PYTHONPATH": None}, timeout=120)
+    assert run.code == 0, run.stderr
+    plain_importable, config = run.value
+    assert not plain_importable
+    assert config == default_config().to_dict()
 
 
 class TestGenerateCohort:

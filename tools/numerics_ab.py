@@ -1,17 +1,24 @@
-"""Compare two vitalnet source trees: the bits of a training step's outputs,
-and how long the step takes.
+"""Compare two vitalnet source trees: the bits of a training step's outputs
+and of the cohort subcommands' outputs, how long a training step takes, and
+how long a cohort load takes.
 
     python3 tools/numerics_ab.py A/src B/src --out ab.json [--rounds 10] [--steps 300]
     python3 tools/numerics_ab.py A/src B/src --out ab.json --quick
 
 Every measurement runs in a fresh interpreter with one BLAS thread
-(`tests/childproc.run_call`). The JSON holds:
+(`tests/childproc.py`). The JSON holds:
 
 - `gradients`: for each batch size in BATCHES, one `loss_and_grads` of the
   default model (init seed = batch size) on a fixed random batch, run by
   each tree in its own child, with that tree first on PYTHONPATH. Per
   tensor of TENSOR_ORDER and for the probabilities: whether the two trees'
   arrays are equal bit for bit, and their max |a - b| over max |a|.
+- `outputs`: per tree and per seed in OUTPUT_SEEDS, the SHA-256 of every
+  output of `synth`, `validate`, `stats` and `split` on the benchmark's x4
+  cohort (the default config with 4x the patients per bin), each
+  subcommand run by `run_cli` with that tree first on PYTHONPATH; and
+  whether the two trees' hashes are all equal. Manifests hold timings and
+  are not hashed.
 - `step_ms`: the wall time of a B=32 `loss_and_grads` plus `adam_step`.
   Each round is one child process that imports each tree's `vitalnet`
   under its own name (`vitalnet_a`, `vitalnet_b`; the package's relative
@@ -21,28 +28,40 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   median of each tree's values, B's median over A's, the number of
   children in which B's median was the lower, and the share of paired
   steps in which B was faster.
+- `load_ms`: the wall time of one `data.load_cohort` of tree A's seed-11
+  cohort file from `outputs`, LOADS calls per tree in each of the same
+  number of children, alternated call by call as `step_ms` alternates
+  steps, with the same statistics.
 - `environment`: each tree's `vitalnet.cli._environment()` in its child.
+- `all_equal`: whether every gradient, probability and output hash is equal.
 
-`--quick` takes one round of 20 timed steps: enough to check that both trees
-run, not to compare their speed.
+`--quick` takes one round of 20 timed steps and 3 timed loads, and runs the
+cohort subcommands at seed 11 only, on the x1 default config, whose cohort
+is then the one loaded: enough to check that both trees run and to compare
+their bytes, not to compare their speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 sys.path.insert(0, str(TOOLS.parent / "tests"))
 
-from childproc import run_call  # noqa: E402
+from childproc import run_call, run_cli  # noqa: E402
 
 BATCHES = (1, 17, 32, 256)
 STEP_BATCH = 32
 WINDOW_LEN = 48
+OUTPUT_SEEDS = (3, 11)
+LOAD_SEED = 11
+LOADS = 20
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -68,41 +87,73 @@ def probe(batches) -> dict:
     return {"environment": _environment(), "outputs": out}
 
 
-def _load_nn(src: str, name: str):
-    """`vitalnet.nn` of the tree `src`, its package imported under the name
-    `name`, so that two trees load side by side."""
+def _load(src: str, name: str, module: str):
+    """`vitalnet.<module>` of the tree `src`, its package imported under the
+    name `name`, so that two trees load side by side."""
+    import importlib
     import importlib.util
 
     package = Path(src) / "vitalnet"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.nn")
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return importlib.import_module(f"{name}.{module}")
+
+
+def _alternate(calls: dict, count: int, warmup: int) -> dict[str, list[float]]:
+    """The milliseconds of `count` calls of each side's `calls[side](i)`,
+    after `warmup` untimed ones, the sides taking turns call by call and the
+    first side changing every call."""
+    import time
+
+    times = {"a": [], "b": []}
+    for i in range(1, count + warmup + 1):
+        for side in ("ab" if i % 2 else "ba"):
+            start = time.perf_counter()
+            calls[side](i)
+            if i > warmup:
+                times[side].append((time.perf_counter() - start) * 1e3)
+    return times
 
 
 def time_steps(src_a: str, src_b: str, steps: int) -> dict[str, list[float]]:
     """Child side: the milliseconds of each of `steps` B=32 training steps per
     tree, after 10 untimed ones, the trees taking turns step by step."""
-    import time
-
     x, y = _batch(STEP_BATCH)
-    runs = {}
+    calls = {}
     for side, src in (("a", src_a), ("b", src_b)):
-        nn = _load_nn(src, f"vitalnet_{side}")
-        runs[side] = (nn, nn.init_params(nn.ModelConfig(seed=1)), nn.AdamState(),
-                      nn.TrainConfig(), nn.Workspace())
-    times = {"a": [], "b": []}
-    for step in range(1, steps + 11):
-        for side in ("ab" if step % 2 else "ba"):
-            nn, params, state, cfg, ws = runs[side]
-            start = time.perf_counter()
+        nn = _load(src, f"vitalnet_{side}", "nn")
+        params, state, cfg, ws = (nn.init_params(nn.ModelConfig(seed=1)), nn.AdamState(),
+                                  nn.TrainConfig(), nn.Workspace())
+
+        def step(i, nn=nn, params=params, state=state, cfg=cfg, ws=ws):
             _, _, grads = nn.loss_and_grads(params, x, y, ws)
-            nn.adam_step(params, grads, state, step, cfg, ws)
-            if step > 10:
-                times[side].append((time.perf_counter() - start) * 1e3)
-    return times
+            nn.adam_step(params, grads, state, i, cfg, ws)
+
+        calls[side] = step
+    return _alternate(calls, steps, 10)
+
+
+def time_loads(src_a: str, src_b: str, path: str, loads: int) -> dict[str, list[float]]:
+    """Child side: the milliseconds of each of `loads` `load_cohort(path)`
+    calls per tree, after 2 untimed ones, the trees taking turns call by
+    call."""
+    calls = {}
+    for side, src in (("a", src_a), ("b", src_b)):
+        data = _load(src, f"vitalnet_{side}", "data")
+        calls[side] = lambda i, data=data: data.load_cohort(path)
+    return _alternate(calls, loads, 2)
+
+
+def write_x4_config(path: str) -> None:
+    """Child side: the benchmark's x4 synth config, as JSON at `path`."""
+    from vitalnet.synth import default_config
+
+    config = default_config().to_dict()
+    for group in config["groups"]:
+        group["patients_per_bin"] = [4 * n for n in group["patients_per_bin"]]
+    Path(path).write_text(json.dumps(config, indent=2), encoding="utf-8")
 
 
 def _call(target: str, src: Path, *args):
@@ -111,6 +162,30 @@ def _call(target: str, src: Path, *args):
     if run.code != 0:
         raise SystemExit(f"{target} failed in {src}:\n{run.stderr}")
     return run.value
+
+
+def cli_outputs(src: Path, work: Path, config: Path | None, seeds) -> dict:
+    """Per seed, the SHA-256 of each output of `synth`, `validate`, `stats`
+    and `split`, run by the tree `src` in `work` on the synth config
+    `config` (None: the built-in one)."""
+    hashes = {}
+    for seed in seeds:
+        out = work / f"seed{seed}"
+        out.mkdir(parents=True)
+        cohort, cfg = out / "cohort.csv", ["--config", config] if config else []
+        for argv in (["synth", *cfg, "--seed", seed, "--out", cohort],
+                     ["validate", "--cohort", cohort, *cfg, "--out", out / "calibration.json"],
+                     ["stats", "--cohort", cohort, "--out", out / "stats.csv",
+                      "--boxplot-out", out / "boxplot.csv"],
+                     ["split", "--cohort", cohort, "--seed", seed,
+                      "--train-out", out / "train.csv", "--test-out", out / "test.csv"]):
+            run = run_cli(argv, env=ONE_THREAD, src=src, timeout=600)
+            if run.code != 0:
+                raise SystemExit(f"vitalnet {argv[0]} failed in {src}:\n{run.stderr}")
+        hashes[str(seed)] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                             for f in sorted(out.iterdir())
+                             if not f.name.endswith(".manifest.json")}
+    return hashes
 
 
 def compare(a: dict, b: dict) -> dict:
@@ -130,25 +205,48 @@ def compare(a: dict, b: dict) -> dict:
     return table
 
 
-def run(src_a: Path, src_b: Path, rounds: int, steps: int) -> dict:
-    probes = [_call("probe", src, BATCHES) for src in (src_a, src_b)]
+def timing(target: str, src_a: Path, src_b: Path, rounds: int, *args) -> dict:
+    """`rounds` children of the timing function `target`: per child, each
+    tree's median; over all, each tree's median of those, B's over A's, the
+    children in which B's was the lower, and B's share of faster calls."""
     times, faster, paired = {"a": [], "b": []}, 0, 0
     for _ in range(rounds):
-        child = _call("time_steps", src_a, str(src_a), str(src_b), steps)
+        child = _call(target, src_a, str(src_a), str(src_b), *args)
         for side, values in child.items():
             times[side].append(statistics.median(values))
         faster += sum(b < a for a, b in zip(child["a"], child["b"]))
         paired += len(child["a"])
     median = {side: statistics.median(values) for side, values in times.items()}
+    return {"per_child": times, "median": median, "ratio_b_over_a": median["b"] / median["a"],
+            "b_lower_in_children": sum(b < a for a, b in zip(times["a"], times["b"])),
+            "b_faster_share": faster / paired}
+
+
+def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, quick: bool) -> dict:
+    probes = [_call("probe", src, BATCHES) for src in (src_a, src_b)]
     table = compare(probes[0]["outputs"], probes[1]["outputs"])
+    seeds = (LOAD_SEED,) if quick else OUTPUT_SEEDS
+    with tempfile.TemporaryDirectory() as tmp:
+        work, config = Path(tmp), None
+        if not quick:
+            config = work / "synth_x4.json"
+            _call("write_x4_config", src_a, str(config))
+        hashes = {side: cli_outputs(src, work / side, config, seeds)
+                  for side, src in (("a", src_a), ("b", src_b))}
+        cohort = work / "a" / f"seed{LOAD_SEED}" / "cohort.csv"
+        loading = timing("time_loads", src_a, src_b, rounds, str(cohort), loads)
+    stepping = timing("time_steps", src_a, src_b, rounds, steps)
+    outputs_equal = hashes["a"] == hashes["b"]
     return {
         "trees": {"a": str(src_a), "b": str(src_b)},
-        "all_equal": all(cell["equal"] for row in table.values() for cell in row.values()),
+        "all_equal": outputs_equal and all(
+            cell["equal"] for row in table.values() for cell in row.values()),
         "gradients": table,
-        "step_ms": {"batch": STEP_BATCH, "steps_per_child": steps, "per_child": times,
-                    "median": median, "ratio_b_over_a": median["b"] / median["a"],
-                    "b_lower_in_children": sum(b < a for a, b in zip(times["a"], times["b"])),
-                    "b_faster_share": faster / paired},
+        "outputs": {"config": "x1 default" if quick else "x4", "seeds": list(seeds),
+                    "equal": outputs_equal, "sha256": hashes},
+        "step_ms": {"batch": STEP_BATCH, "steps_per_child": steps, **stepping},
+        "load_ms": {"cohort": f"tree a's seed-{LOAD_SEED} synth output",
+                    "loads_per_child": loads, **loading},
         "environment": {"a": probes[0]["environment"], "b": probes[1]["environment"]},
     }
 
@@ -162,14 +260,15 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
-    rounds, steps = (1, 20) if args.quick else (args.rounds, args.steps)
-    report = run(args.src_a.resolve(), args.src_b.resolve(), rounds, steps)
+    rounds, steps, loads = (1, 20, 3) if args.quick else (args.rounds, args.steps, LOADS)
+    report = run(args.src_a.resolve(), args.src_b.resolve(), rounds, steps, loads, args.quick)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    timing = report["step_ms"]
-    print(f"all_equal {report['all_equal']}  step_ms {timing['median']}  "
-          f"ratio {timing['ratio_b_over_a']:.3f}  b lower in {timing['b_lower_in_children']}/"
-          f"{len(timing['per_child']['a'])} children, faster in {timing['b_faster_share']:.0%} "
-          "of steps")
+    print(f"all_equal {report['all_equal']}  outputs equal {report['outputs']['equal']}")
+    for name, unit in (("step_ms", "steps"), ("load_ms", "loads")):
+        t = report[name]
+        print(f"{name} {t['median']}  ratio {t['ratio_b_over_a']:.3f}  b lower in "
+              f"{t['b_lower_in_children']}/{len(t['per_child']['a'])} children, faster in "
+              f"{t['b_faster_share']:.0%} of {unit}")
     return 0
 
 
