@@ -458,7 +458,7 @@ def load_cohort(path) -> Cohort:
     capacity, plain = 1, True
     with path.open("rb") as fh:
         for chunk in iter(partial(fh.read, 1 << 16), b""):
-            capacity += chunk.count(b"\n") + (
+            capacity += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10) + (
                 b"\r" in chunk and chunk.count(b"\r") - chunk.count(b"\r\n"))
             plain = plain and _plain(chunk)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -720,33 +720,22 @@ def make_windows(
     )
 
 
-def split_by_patient(
-    cohort: Cohort, train_fraction: float, seed: int
-) -> tuple[Cohort, Cohort]:
-    """Label-stratified patient-level partition, deterministic per seed."""
+def split_by_patient(cohort: Cohort, train_fraction: float, seed: int) -> tuple[Cohort, Cohort]:
+    """Label-stratified patient-level partition, deterministic per seed; each
+    part keeps the cohort's order, for reproducible output files."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    by_label: dict[int, list[PatientRecord]] = {0: [], 1: []}
-    for p in cohort.patients:
-        by_label[p.label].append(p)
-    if min(len(v) for v in by_label.values()) < 2:
-        raise ValidationError(
-            "cohort too small to stratify: need at least 2 patients of each label"
-        )
+    groups = [sorted(p.patient_id for p in cohort.patients if p.label == y) for y in (0, 1)]
+    if min(map(len, groups)) < 2:
+        raise ValidationError("cohort too small to stratify: need at least 2 patients of "
+                              "each label")
     rng = np.random.default_rng(seed)
-    train, test = [], []
-    for label in (0, 1):
-        group = sorted(by_label[label], key=lambda p: p.patient_id)
+    train_ids = set()
+    for group in groups:
         order = rng.permutation(len(group))
-        n_train = int(round(train_fraction * len(group)))
-        n_train = min(max(n_train, 1), len(group) - 1)
-        chosen = set(order[:n_train].tolist())
-        for i, p in enumerate(group):
-            (train if i in chosen else test).append(p)
-    # preserve original cohort ordering for reproducible output files
-    order_index = {p.patient_id: i for i, p in enumerate(cohort.patients)}
-    train.sort(key=lambda p: order_index[p.patient_id])
-    test.sort(key=lambda p: order_index[p.patient_id])
-    return Cohort(patients=train), Cohort(patients=test)
+        n_train = min(max(int(round(train_fraction * len(group))), 1), len(group) - 1)
+        train_ids.update(group[i] for i in order[:n_train])
+    return (Cohort([p for p in cohort.patients if p.patient_id in train_ids]),
+            Cohort([p for p in cohort.patients if p.patient_id not in train_ids]))

@@ -1,17 +1,13 @@
 """The array-based loader, writer, resampler and synth emitter against the
-row-at-a-time versions they replaced.
+row-at-a-time references they replaced.
 
-The references below are the original per-row code: `load_cohort` parsing
-and checking one row at a time into per-patient dicts of timestamped
-samples, `write_cohort` formatting one row at a time, `resample` with its
-per-sample and per-slot loops, and synth building one rounded sample per
+The references are the per-row code: the cohort reader, writer and
+resampler of `cohort_ref.py`, and synth building one rounded sample per
 observation. The array code must give bit-identical records, series and
 bytes, and the same error class and message (line number included) on
 corrupted input.
 """
 
-import csv
-import math
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -20,6 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cohort_ref import (Patient, assert_same_outcome, assert_same_patients, irregular_series,
+                        outcome, ref_load_rows, ref_resample, ref_write_cohort,
+                        unchecked_records, vital_rows)
 from vitalnet import data
 from vitalnet.data import CSV_HEADER, PatientRecord, load_cohort, resample, write_cohort
 from vitalnet.errors import ParseError, ValidationError
@@ -33,133 +32,6 @@ SETTINGS = settings(
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations (the per-row code)
-# ---------------------------------------------------------------------------
-
-
-def ref_parse_timestamp(raw, line_no):
-    try:
-        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError:
-        raise ParseError(f"line {line_no}: bad timestamp {raw!r}") from None
-    if ts.tzinfo is None:
-        raise ParseError(f"line {line_no}: timestamp {raw!r} lacks a UTC offset")
-    return ts.astimezone(timezone.utc)
-
-
-def ref_parse_float(raw, name, line_no):
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-numeric {name} {raw!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(f"line {line_no}: non-finite {name} {raw!r}")
-    return v
-
-
-def ref_parse_int(raw, name, line_no):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-integer {name} {raw!r}") from None
-
-
-def ref_load_cohort(path):
-    """[(pid, age, label, [(timestamp, hr, sbp, dbp), ...]), ...]"""
-    per_patient = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        assert header == CSV_HEADER
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
-            pid, ts_raw, hr_raw, sbp_raw, dbp_raw, age_raw, label_raw = row
-            ts = ref_parse_timestamp(ts_raw, line_no)
-            hr = ref_parse_float(hr_raw, "hr", line_no)
-            sbp = ref_parse_float(sbp_raw, "sbp", line_no)
-            dbp = ref_parse_float(dbp_raw, "dbp", line_no)
-            age = ref_parse_int(age_raw, "age", line_no)
-            label = ref_parse_int(label_raw, "label", line_no)
-            if dbp >= sbp:
-                raise ValidationError(f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})")
-            if min(hr, sbp, dbp) <= 0:
-                raise ValidationError(f"line {line_no}: vitals must be > 0")
-            if label not in (0, 1):
-                raise ValidationError(f"line {line_no}: label must be 0 or 1")
-            entry = per_patient.setdefault(pid, {"age": age, "label": label, "rows": {}})
-            if entry["age"] != age or entry["label"] != label:
-                raise ValidationError(
-                    f"line {line_no}: patient {pid} has inconsistent age/label"
-                )
-            if ts in entry["rows"]:
-                raise ValidationError(
-                    f"line {line_no}: duplicate timestamp {ts_raw} for patient {pid}"
-                )
-            entry["rows"][ts] = (hr, sbp, dbp)
-    patients = []
-    for pid, entry in per_patient.items():
-        if not 21 <= entry["age"] <= 100:  # the record's own check
-            raise ValidationError(f"age must be in [21, 100], got {entry['age']}")
-        samples = [(ts, *v) for ts, v in sorted(entry["rows"].items())]
-        patients.append((pid, entry["age"], entry["label"], samples))
-    return patients
-
-
-def ref_write_cohort(patients, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for pid, age, label, samples in patients:
-            for ts, hr, sbp, dbp in samples:
-                stamp = ts.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
-                writer.writerow([pid, stamp, repr(hr), repr(sbp), repr(dbp), age, label])
-
-
-def ref_resample(samples, step):
-    start = samples[0][0]
-    last = samples[-1][0]
-    n_slots = int((last - start) / step) + 1
-    sums = np.zeros((n_slots, 3))
-    counts = np.zeros(n_slots)
-    for ts, hr, sbp, dbp in samples:
-        idx = int((ts - start) / step)
-        sums[idx] += (hr, sbp, dbp)
-        counts[idx] += 1
-    values = np.full((n_slots, 3), np.nan)
-    filled = counts > 0
-    values[filled] = sums[filled] / counts[filled, None]
-    last_seen = None
-    for t in range(n_slots):
-        if filled[t]:
-            last_seen = values[t]
-        elif last_seen is not None:
-            values[t] = last_seen
-    nxt = None
-    for t in range(n_slots - 1, -1, -1):
-        if np.isfinite(values[t]).all():
-            nxt = values[t]
-        elif nxt is not None:
-            values[t] = nxt
-    return values
-
-
-def ref_synth_samples(start_minute, cadence_min, channels):
-    start = T0 + timedelta(minutes=float(start_minute))
-    return [
-        (
-            start + timedelta(minutes=cadence_min * k),
-            round(float(channels["hr"][k]), 2),
-            round(float(channels["sbp"][k]), 2),
-            round(float(channels["dbp"][k]), 2),
-        )
-        for k in range(len(channels["hr"]))
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Helpers and strategies
 # ---------------------------------------------------------------------------
 
@@ -168,33 +40,10 @@ def to_datetime64(ts: datetime) -> np.datetime64:
     return np.datetime64(ts.astimezone(UTC).replace(tzinfo=None), "us")
 
 
-def assert_same_record(record, ref):
-    pid, age, label, samples = ref
-    assert (record.patient_id, record.age, record.label) == (pid, age, label)
-    assert record.times.tolist() == [to_datetime64(s[0]).item() for s in samples]
-    expected = np.array([s[1:] for s in samples], dtype=float)
-    assert record.values.tobytes() == expected.tobytes()
-
-
-vital_rows = st.tuples(
-    st.floats(30, 200),  # hr
-    st.floats(100, 220),  # sbp
-    st.floats(20, 99),  # dbp, always below sbp
-)
-# several samples in one slot (seconds apart) and gaps of several hours
-gaps_us = st.one_of(
-    st.integers(1, 600 * 10**6),
-    st.integers(1, 12 * 3600 * 10**6),
-    st.integers(0, 6).map(lambda h: h * 3600 * 10**6 + 1),
-)
-
-
-@st.composite
-def irregular_series(draw):
-    n = draw(st.integers(1, 60))
-    offsets = np.cumsum([0] + draw(st.lists(gaps_us, min_size=n - 1, max_size=n - 1)))
-    rows = draw(st.lists(vital_rows, min_size=n, max_size=n))
-    return [int(o) for o in offsets], rows
+def as_patient(pid, age, label, samples) -> Patient:
+    """(datetime, hr, sbp, dbp) samples as a reference patient."""
+    return Patient(pid, age, label, np.array([to_datetime64(s[0]) for s in samples]),
+                   np.array([s[1:] for s in samples], dtype=float))
 
 
 STAMP_FORMS = ["Z", "+00:00", "+05:30", "-03:00", "frac", "fracZ"]
@@ -247,16 +96,15 @@ def canonical(rows):
     return all(len(r[1]) == 20 and r[1].endswith("Z") for r in rows)
 
 
-def outcome(fn, path):
-    try:
-        return "ok", fn(path)
-    except (ParseError, ValidationError) as exc:
-        return type(exc), str(exc)
-
-
 # ---------------------------------------------------------------------------
 # resample
 # ---------------------------------------------------------------------------
+
+
+def grids(times, rows):
+    """`resample`'s grid and the reference's of one patient's datetimes and rows."""
+    got = resample(PatientRecord("p", 50, 0, [to_datetime64(t) for t in times], rows)).values
+    return got, ref_resample([(t, *r) for t, r in zip(times, rows)], timedelta(hours=1))
 
 
 class TestResampleOracle:
@@ -264,28 +112,21 @@ class TestResampleOracle:
     @given(series=irregular_series())
     def test_bit_equal(self, series):
         offsets, rows = series
-        times = [T0 + timedelta(microseconds=o) for o in offsets]
-        record = PatientRecord("p", 50, 0, [to_datetime64(t) for t in times], rows)
-        got = resample(record)
-        want = ref_resample([(t, *r) for t, r in zip(times, rows)], timedelta(hours=1))
-        assert got.values.shape == want.shape
-        assert got.values.tobytes() == want.tobytes()
+        got, want = grids([T0 + timedelta(microseconds=o) for o in offsets], rows)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_every_slot_filled(self):
         # two samples in each of 30 slots: no slot is forward-filled
         times = [T0 + timedelta(minutes=30 * i + 7) for i in range(60)]
         rows = [(60.0 + i * 0.37, 120.0 + i * 0.11, 70.0 - i * 0.23) for i in range(60)]
-        record = PatientRecord("p", 50, 0, [to_datetime64(t) for t in times], rows)
-        got = resample(record).values
-        want = ref_resample([(t, *r) for t, r in zip(times, rows)], timedelta(hours=1))
+        got, want = grids(times, rows)
         assert got.shape == (30, 3) and got.tobytes() == want.tobytes()
 
     def test_many_samples_per_slot_and_long_gap(self):
         times = [T0 + timedelta(minutes=m) for m in (0, 1, 2, 59, 60, 61, 600, 601)]
         rows = [(60.0 + i, 120.0 + i, 70.0 - i) for i in range(len(times))]
-        record = PatientRecord("p", 50, 0, [to_datetime64(t) for t in times], rows)
-        got = resample(record).values
-        want = ref_resample([(t, *r) for t, r in zip(times, rows)], timedelta(hours=1))
+        got, want = grids(times, rows)
         assert got.tobytes() == want.tobytes()
         assert len(got) == 11 and (got[2:10] == got[1]).all()
 
@@ -301,7 +142,7 @@ class TestLoadOracle:
     def test_same_records_and_bytes(self, tmp_path, rows, chunk, blank_every):
         path = tmp_path / "c.csv"
         write_rows(path, rows, blank_every)
-        ref = ref_load_cohort(path)
+        ref = ref_load_rows(path)
         with mock.patch.object(data, "_CHUNK_ROWS", chunk), mock.patch.object(
             data, "_row_error", wraps=data._row_error
         ) as row_error, mock.patch.object(
@@ -312,9 +153,7 @@ class TestLoadOracle:
         # parsed one at a time
         assert not row_error.called
         assert parse_timestamp.called == (not canonical(rows))
-        assert len(cohort) == len(ref)
-        for record, want in zip(cohort.patients, ref):
-            assert_same_record(record, want)
+        assert_same_patients(cohort.patients, ref)
         out, ref_out = tmp_path / "out.csv", tmp_path / "ref.csv"
         write_cohort(cohort, out)
         ref_write_cohort(ref, ref_out)
@@ -328,8 +167,7 @@ class TestLoadOracle:
         path = tmp_path / "c.csv"
         write_rows(path, rows[::-1])
         cohort = load_cohort(path)
-        for record, want in zip(cohort.patients, ref_load_cohort(path)):
-            assert_same_record(record, want)
+        assert_same_patients(cohort.patients, ref_load_rows(path))
 
 
 def corrupt(row, kind, other):
@@ -382,6 +220,16 @@ CORRUPTIONS = [
 ]
 
 
+def corrupted_file(tmp_path, kind):
+    """Six hourly rows of one patient, the fifth (line 6) corrupted by `kind`."""
+    rows = [["P0", format_stamp(T0 + timedelta(hours=h), "Z"), "80.0", "120.0", "70.0",
+             "50", "1"] for h in range(6)]
+    rows[4] = corrupt(rows[4], kind, rows[1])
+    path = tmp_path / "c.csv"
+    write_rows(path, rows)
+    return path
+
+
 class TestLoadErrorsOracle:
     @SETTINGS
     @given(
@@ -399,26 +247,24 @@ class TestLoadErrorsOracle:
             rows[at % len(rows)] = corrupt(valid[at % len(rows)], kind, valid[other % len(rows)])
         path = tmp_path / "c.csv"
         write_rows(path, rows)
-        want = outcome(ref_load_cohort, path)
+        want = outcome(ref_load_rows, path)
         with mock.patch.object(data, "_CHUNK_ROWS", chunk):
-            got = outcome(load_cohort, path)
-        if want[0] == "ok":
-            assert got[0] == "ok"
-            for record, ref in zip(got[1].patients, want[1]):
-                assert_same_record(record, ref)
-        else:
-            assert got == want
+            assert_same_outcome(outcome(load_cohort, path), want)
 
     @pytest.mark.parametrize("kind", [k for k in CORRUPTIONS if k != "trailing_nul"])
     def test_each_corruption_names_its_line(self, tmp_path, kind):
-        rows = [["P0", format_stamp(T0 + timedelta(hours=h), "Z"), "80.0", "120.0", "70.0",
-                 "50", "1"] for h in range(6)]
-        rows[4] = corrupt(rows[4], kind, rows[1])
-        path = tmp_path / "c.csv"
-        write_rows(path, rows)
-        want = outcome(ref_load_cohort, path)
+        path = corrupted_file(tmp_path, kind)
+        want = outcome(ref_load_rows, path)
         assert want[0] in (ParseError, ValidationError) and "line 6" in want[1]
         assert outcome(load_cohort, path) == want
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_reference_states_every_rule_itself(self, tmp_path, kind):
+        # the reference reads each file the same when the records check nothing
+        path = corrupted_file(tmp_path, kind)
+        want = outcome(ref_load_rows, path)
+        with unchecked_records():
+            assert_same_outcome(outcome(ref_load_rows, path), want)
 
     def test_trailing_nul_is_not_canonical(self, tmp_path):
         # `datetime.fromisoformat` accepts a trailing NUL, which NumPy's
@@ -433,7 +279,7 @@ class TestLoadErrorsOracle:
             cohort = load_cohort(path)
         assert not blocks.called
         assert rows[1][1] in [c.args[0] for c in parse.call_args_list]
-        assert_same_record(cohort.patients[0], ref_load_cohort(path)[0])
+        assert_same_patients(cohort.patients, ref_load_rows(path))
 
     def test_age_out_of_range_after_parse(self, tmp_path):
         rows = [["P0", format_stamp(T0 + timedelta(hours=h), "Z"), "80.0", "120.0", "70.0",
@@ -441,7 +287,7 @@ class TestLoadErrorsOracle:
         path = tmp_path / "c.csv"
         write_rows(path, rows)
         want = (ValidationError, "age must be in [21, 100], got 10")
-        assert outcome(ref_load_cohort, path) == outcome(load_cohort, path) == want
+        assert outcome(ref_load_rows, path) == outcome(load_cohort, path) == want
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +300,8 @@ tie_floats = st.integers(20_000, 250_000).map(lambda k: k / 1000)
 
 
 # hundredths (the block writer's arithmetic path) and other floats (its
-# repr path), from year 1000 on: strftime prints years below 1000 unpadded
+# repr path), in years 1000-9999 (test_data_text's writer cohorts reach
+# years 0 and 10000)
 writer_values = st.one_of(st.integers(1, 10**6).map(lambda k: k / 100), st.floats(1e-3, 1e14))
 writer_starts = [datetime(1000, 1, 1, tzinfo=UTC), datetime(1969, 12, 31, 23, 59, 58, 500001,
                  tzinfo=UTC), T0, datetime(9999, 12, 31, tzinfo=UTC)]
@@ -479,14 +326,20 @@ class TestWriteOracle:
             ts = start + timedelta(microseconds=1) * np.cumsum([row[0] for row in rows])
             samples = [(t, hr, max(a, b), min(a, b) if a != b else a / 2)
                        for t, (_, hr, a, b) in zip(ts, rows)]
-            ref.append((f"P{i}", 21 + i, i % 2, samples))
-        cohort = data.Cohort([
-            PatientRecord(pid, age, label, [to_datetime64(s[0]) for s in samples],
-                          [s[1:] for s in samples]) for pid, age, label, samples in ref])
+            ref.append(as_patient(f"P{i}", 21 + i, i % 2, samples))
+        cohort = data.Cohort([PatientRecord(*p) for p in ref])
         with mock.patch.object(data, "_CHUNK_ROWS", chunk):
             write_cohort(cohort, tmp_path / "new.csv")
         ref_write_cohort(ref, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def ref_synth_samples(start_minute, cadence_min, channels):
+    """Synth's samples built one at a time: a datetime and three rounded vitals."""
+    start = T0 + timedelta(minutes=float(start_minute))
+    return [(start + timedelta(minutes=cadence_min * k),
+             *(round(float(channels[v][k]), 2) for v in ("hr", "sbp", "dbp")))
+            for k in range(len(channels["hr"]))]
 
 
 class TestSynthOracle:
@@ -514,6 +367,5 @@ class TestSynthOracle:
     def test_record_matches_per_sample_build(self, start_minute, cadence, rows):
         channels = {v: np.array(col) for v, col in zip(("hr", "sbp", "dbp"), zip(*rows))}
         record = _patient_record("SYN-0-000", 50, 1, start_minute, cadence, channels)
-        assert_same_record(
-            record, ("SYN-0-000", 50, 1, ref_synth_samples(start_minute, cadence, channels))
-        )
+        want = as_patient("SYN-0-000", 50, 1, ref_synth_samples(start_minute, cadence, channels))
+        assert_same_patients([record], [want])

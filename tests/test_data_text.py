@@ -1,26 +1,22 @@
-"""The cohort text path against the code it replaced.
+"""The cohort text path against the row-at-a-time reference
+(`cohort_ref.py`) and the stamp parsers it replaced.
 
-The references below are an earlier block reader (`csv.reader`, then
-`zip(*rows)` and a NumPy string round trip to check each stamp), the
-row-at-a-time reader it fell back to for every file it rejected, and the
-previous writer (`csv.writer.writerows` per patient). The reader (its
-`np.loadtxt` block path and its row path), the arithmetic stamp parser and
-the per-patient string writer must accept the same stamps and files, give
-equal records and bytes, and raise the same error class and message (line
-number included) on anything else. The writer differs in one way on
-purpose: it quotes an id holding a lone CR. The stamp parser also matches
-the per-block parser it replaced (`oracle_parse_stamps`).
+The reader (its `np.loadtxt` block path and its row path) must give the
+reference reader's records on every file, or raise the same error class
+and message (line number included); the per-patient writer must give the
+reference writer's bytes (`csv.writer` per row), differing in one way on
+purpose: it quotes an id holding a lone CR. The arithmetic stamp parser
+must accept the stamps that the NumPy round trip (`ref_parse_stamps`) and
+the per-block parser it replaced (`oracle_parse_stamps`) accept, with the
+same instants.
 """
 
 import csv
 import io
-import math
 import re
 import sys
 import warnings
 from datetime import datetime, timedelta, timezone
-from itertools import groupby, islice, repeat
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cohort_ref import (assert_same_outcome, assert_same_patients, outcome, ref_load_rows,
+                        ref_write_cohort, unchecked_records)
 from vitalnet import data
 from vitalnet.data import (CSV_HEADER, Cohort, PatientRecord, load_cohort, split_by_patient,
                            write_cohort)
@@ -40,80 +38,8 @@ ROW2 = "P0,2020-03-21T01:00:00Z,81.5,121.0,71.25,50,1\n"
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations (the earlier readers and writer)
+# Stamp references (the NumPy round trip and the earlier per-block parser)
 # ---------------------------------------------------------------------------
-
-
-def ref_parse_timestamp(raw: str, line_no: int) -> np.datetime64:
-    try:
-        ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    except ValueError:
-        raise ParseError(f"line {line_no}: bad timestamp {raw!r}") from None
-    if ts.tzinfo is None:
-        raise ParseError(f"line {line_no}: timestamp {raw!r} lacks a UTC offset")
-    try:
-        ts = ts.astimezone(timezone.utc)
-    except OverflowError:
-        raise ParseError(f"line {line_no}: timestamp {raw!r} is outside years 1-9999 "
-                         "in UTC") from None
-    return np.datetime64(ts.replace(tzinfo=None), "us")
-
-
-def ref_parse_float(raw: str, name: str, line_no: int) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-numeric {name} {raw!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(f"line {line_no}: non-finite {name} {raw!r}")
-    return v
-
-
-def ref_parse_int(raw: str, name: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"line {line_no}: non-integer {name} {raw!r}") from None
-
-
-def ref_load_rows(path: Path) -> Cohort:
-    """Row-at-a-time reader for files the block reader rejects: raises at the
-    first bad line, or reads what the blocks leave out (offset timestamps)."""
-    per_patient: dict[str, dict] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header, checked by load_cohort
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"line {line_no}: expected {len(CSV_HEADER)} fields")
-            pid, ts_raw, hr_raw, sbp_raw, dbp_raw, age_raw, label_raw = row
-            ts = ref_parse_timestamp(ts_raw, line_no)
-            hr = ref_parse_float(hr_raw, "hr", line_no)
-            sbp = ref_parse_float(sbp_raw, "sbp", line_no)
-            dbp = ref_parse_float(dbp_raw, "dbp", line_no)
-            age = ref_parse_int(age_raw, "age", line_no)
-            label = ref_parse_int(label_raw, "label", line_no)
-            if dbp >= sbp:
-                raise ValidationError(f"line {line_no}: dbp ({dbp}) must be < sbp ({sbp})")
-            if min(hr, sbp, dbp) <= 0:
-                raise ValidationError(f"line {line_no}: vitals must be > 0")
-            if label not in (0, 1):
-                raise ValidationError(f"line {line_no}: label must be 0 or 1")
-            entry = per_patient.setdefault(pid, {"age": age, "label": label, "rows": {}})
-            if entry["age"] != age or entry["label"] != label:
-                raise ValidationError(f"line {line_no}: patient {pid} has inconsistent age/label")
-            if ts in entry["rows"]:
-                raise ValidationError(
-                    f"line {line_no}: duplicate timestamp {ts_raw} for patient {pid}"
-                )
-            entry["rows"][ts] = (hr, sbp, dbp)
-    patients = []
-    for pid, entry in per_patient.items():
-        times, values = zip(*sorted(entry["rows"].items()))
-        patients.append(PatientRecord(pid, entry["age"], entry["label"], times, values))
-    return Cohort(patients=patients)
 
 
 def ref_parse_stamps(stamps):
@@ -166,100 +92,15 @@ def oracle_parse_stamps(stamps: np.ndarray) -> np.ndarray | None:
     return (seconds * 1_000_000).view("datetime64[us]")
 
 
-def ref_parse_chunk(rows):
-    if set(map(len, rows)) != {len(CSV_HEADER)}:
-        return None
-    pids, stamps, hr, sbp, dbp, ages, labels = zip(*rows)
-    times = ref_parse_stamps(list(stamps))
-    if times is None:
-        return None
-    try:
-        values = np.array([list(map(float, col)) for col in (hr, sbp, dbp)]).T
-        ages = np.fromiter(map(int, ages), np.int64, len(rows))
-        labels = np.fromiter(map(int, labels), np.int64, len(rows))
-    except (ValueError, OverflowError):
-        return None
-    return pids, times, values, ages, labels
-
-
-def ref_load_cohort(path):
-    """The previous `load_cohort`; its fallback is the row reader, unchanged."""
-    path = Path(path)
-    index, parts = {}, []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if header != CSV_HEADER:
-            raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-        data_rows = filter(None, reader)
-        while rows := list(islice(data_rows, 1024)):
-            columns = ref_parse_chunk(rows)
-            if columns is None:
-                return ref_load_rows(path)
-            pids, *columns = columns
-            runs = [(index.setdefault(pid, len(index)), len(list(g))) for pid, g in groupby(pids)]
-            parts.append((np.repeat(*np.array(runs).T), *columns))
-    if not parts:
-        return Cohort()
-    codes, times, values, ages, labels = map(np.concatenate, zip(*parts))
-    first = np.unique(codes, return_index=True)[1]
-    if (ages != ages[first][codes]).any() or (labels != labels[first][codes]).any():
-        return ref_load_rows(path)
-    order = np.lexsort((times, codes))
-    splits = np.searchsorted(codes[order], np.arange(1, len(index)))
-    try:
-        return Cohort([
-            PatientRecord(pid, int(ages[f]), int(labels[f]), t, v)
-            for pid, f, t, v in zip(
-                index, first, np.split(times[order], splits), np.split(values[order], splits)
-            )
-        ])
-    except ValidationError:
-        return ref_load_rows(path)
-
-
-def ref_write_cohort(cohort, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for p in cohort.patients:
-            stamps = np.char.add(np.datetime_as_string(p.times, unit="s"), "Z").tolist()
-            hr, sbp, dbp = (map(repr, col) for col in p.values.T.tolist())
-            writer.writerows(zip(repeat(p.patient_id), stamps, hr, sbp, dbp,
-                                 repeat(p.age), repeat(p.label)))
-
-
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
 
-def outcome(fn, path):
-    try:
-        return "ok", fn(path)
-    except (ParseError, ValidationError) as exc:
-        return type(exc), str(exc)
-
-
-def assert_same_cohort(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got.patients, want.patients):
-        assert (a.patient_id, a.age, a.label) == (b.patient_id, b.age, b.label)
-        assert np.array_equal(a.times, b.times) and a.times.dtype == b.times.dtype
-        assert np.array_equal(a.values, b.values)
-
-
-def assert_same_outcome(path):
-    want = outcome(ref_load_cohort, path)
+def assert_loads_as_reference(path):
+    """`load_cohort`'s outcome on `path`, which must be the reference's."""
     got = outcome(load_cohort, path)
-    assert got[0] == want[0]
-    if want[0] == "ok":
-        assert_same_cohort(got[1], want[1])
-    else:
-        assert got[1] == want[1]
+    assert_same_outcome(got, outcome(ref_load_rows, path))
     return got
 
 
@@ -454,7 +295,7 @@ class TestWriter:
     def test_same_bytes_as_csv_writer(self, tmp_path, pid):
         cohort = cohort_with_ids([pid, "other"])
         write_cohort(cohort, tmp_path / "new.csv")
-        ref_write_cohort(cohort, tmp_path / "ref.csv")
+        ref_write_cohort(cohort.patients, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == ref_bytes(tmp_path / "ref.csv")
         if pid == "cr\rid":  # csv.writer under a LF line end leaves it bare
             assert b'\n"cr\rid",2020' in (tmp_path / "new.csv").read_bytes()
@@ -463,9 +304,9 @@ class TestWriter:
         cohort = cohort_with_ids(IDS)
         path = tmp_path / "c.csv"
         write_cohort(cohort, path)
-        ref_write_cohort(cohort, tmp_path / "ref.csv")
+        ref_write_cohort(cohort.patients, tmp_path / "ref.csv")
         assert path.read_bytes() == ref_bytes(tmp_path / "ref.csv")
-        assert_same_cohort(assert_same_outcome(path)[1], cohort)
+        assert_same_patients(assert_loads_as_reference(path)[1], cohort.patients)
 
     def test_empty_cohort_is_header_only(self, tmp_path):
         write_cohort(Cohort(), tmp_path / "c.csv")
@@ -479,7 +320,7 @@ class TestWriter:
         d = tmp_path_factory.mktemp("w")
         with mock.patch.object(data, "_CHUNK_ROWS", chunk):
             write_cohort(cohort, d / "new.csv")
-        ref_write_cohort(cohort, d / "ref.csv")
+        ref_write_cohort(cohort.patients, d / "ref.csv")
         assert (d / "new.csv").read_bytes() == ref_bytes(d / "ref.csv")
 
     @pytest.mark.parametrize("v", [0.01, 0.05, 0.1, 0.5, 1.0, 9.99, 10.0, 87.3, 87.05, 100.1,
@@ -510,7 +351,7 @@ class TestWriter:
                            for p in cohort.patients[:2]])
             write_cohort(slow, tmp_path / "slow.csv")  # values with 3 decimals
             assert join_rows.called
-        ref_write_cohort(cohort, tmp_path / "ref.csv")
+        ref_write_cohort(cohort.patients, tmp_path / "ref.csv")
         assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -563,6 +404,11 @@ FILE_CORPUS = {
     "non_ascii_id": HEADER + (ROW + ROW2).replace("P0", "é中"),
     "non_finite": HEADER + ROW + ROW2.replace("81.5", "inf"),
     "huge_age": HEADER + ROW.replace(",50,", ",99999999999999999999,"),
+    # offset stamps whose UTC instant falls outside years 1-9999
+    "utc_before_year_1": HEADER + ROW + ROW2.replace("2020-03-21T01:00:00Z",
+                                                     "0001-01-01T00:00:00+01:00"),
+    "utc_after_year_9999": HEADER + ROW + ROW2.replace("2020-03-21T01:00:00Z",
+                                                       "9999-12-31T23:30:00-01:00"),
     # NumPy's fixed-width strings drop a trailing NUL and cut a longer field
     "nul_ending_id": HEADER + ROW + ROW2.replace("P0", "P0\x00"),
     "stamp_of_21_bytes": HEADER + ROW.replace("00:00:00Z", "00:00:00Z0") + ROW2,
@@ -621,7 +467,16 @@ class TestLoadFiles:
         path = tmp_path / f"{name}.csv"
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
         with mock.patch.object(data, "_CHUNK_ROWS", chunk):
-            assert_same_outcome(path)
+            assert_loads_as_reference(path)
+
+    @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
+    def test_reference_states_every_rule_itself(self, tmp_path, name):
+        # the reference reads each file the same when the records check nothing
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
+        want = outcome(ref_load_rows, path)
+        with unchecked_records():
+            assert_same_outcome(outcome(ref_load_rows, path), want)
 
     def test_empty_file_message(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -660,7 +515,7 @@ class TestLoadFiles:
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
         with mock.patch.object(data, "_block_columns", wraps=data._block_columns) as blocks, \
                 mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
-            assert_same_outcome(path)
+            assert_loads_as_reference(path)
         assert rows.called == row_path
         assert blocks.called == (not row_path or name in self.GIVEN_UP)
 
@@ -673,9 +528,9 @@ class TestLoadFiles:
             assert not rows.called
             slow = tmp_path / "slow.csv"  # one stamp with an offset
             slow.write_text((tmp_path / "2.csv").read_text().replace("Z,", "+00:00,", 1))
-            assert_same_cohort(load_cohort(slow), loaded[2])
+            assert_same_patients(load_cohort(slow).patients, loaded[2].patients)
             assert rows.called
-        assert_same_cohort(loaded[0], cohort)
+        assert_same_patients(loaded[0].patients, cohort.patients)
 
     def test_rows_spanning_blocks_with_blank_lines(self, tmp_path):
         t0 = datetime(2020, 3, 21, tzinfo=timezone.utc)
@@ -691,7 +546,7 @@ class TestLoadFiles:
         with mock.patch.object(data, "_row_error", wraps=data._row_error) as row_error:
             got = load_cohort(path)
         assert not row_error.called
-        assert_same_cohort(got, ref_load_cohort(path))
+        assert_same_patients(got.patients, ref_load_rows(path))
         assert sum(len(p.times) for p in got.patients) == len(lines) - 1 - 22  # 22 blank
 
 
@@ -733,7 +588,7 @@ class TestBlockBoundaries:
         path = tmp_path / f"{name}.csv"
         path.write_bytes((HEADER + text).encode("utf-8"))
         with mock.patch.object(data, "_CHUNK_ROWS", chunk):
-            got = assert_same_outcome(path)
+            got = assert_loads_as_reference(path)
         assert (got[0] == "ok") if want is None else (got == want)
 
     def test_long_unquoted_id_has_no_field_limit(self, tmp_path):
@@ -794,7 +649,7 @@ class TestBlockBoundaries:
                 mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
             got = load_cohort(path)
         assert rows.called
-        assert_same_cohort(got, ref_load_cohort(path))
+        assert_same_patients(got.patients, ref_load_rows(path))
         assert len(got.patients[0].times) == k + 4
 
     def test_a_load_parses_stamps_once_per_slab(self, tmp_path):

@@ -1,12 +1,14 @@
 """tools/numerics_ab.py, run in its quick mode on this tree against itself:
 every gradient, probability and cohort-subcommand output is bit-equal, and
-both sides time a step and a cohort load, taking turns in one child."""
+both sides time a step and a cohort load, taking turns in one child. Its
+full mode's x4 config is the benchmark's."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 from vitalnet.nn.model import TENSOR_ORDER
+from vitalnet.synth import default_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +44,10 @@ def test_tree_against_itself(tmp_path, capsys):
     assert env["a"] == env["b"]
     assert env["a"]["OPENBLAS_NUM_THREADS"] == "1"
     assert "all_equal True" in capsys.readouterr().out
+
+
+def test_x4_config_is_the_benchmarks(tmp_path):
+    path = load_tool()._call("write_x4_config", ROOT / "src", str(tmp_path))
+    config = json.loads(Path(path).read_text())
+    assert [g["patients_per_bin"] for g in config["groups"]] == [
+        [4 * n for n in g.patients_per_bin] for g in default_config().groups]

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from childproc import SRC, run_call
+from cohort_ref import irregular_series, ref_resample
 from synth_oracle import _ar1, _burst  # the Python loops the block kernel replaced
-from test_data_arrays import irregular_series, ref_resample
 from vitalnet import synth
 from vitalnet.data import (Cohort, PatientRecord, RegularSeries, resample, split_by_patient,
                            write_cohort)

@@ -146,14 +146,13 @@ def time_loads(src_a: str, src_b: str, path: str, loads: int) -> dict[str, list[
     return _alternate(calls, loads, 2)
 
 
-def write_x4_config(path: str) -> None:
-    """Child side: the benchmark's x4 synth config, as JSON at `path`."""
-    from vitalnet.synth import default_config
+def write_x4_config(out: str) -> str:
+    """Child side: the benchmark's x4 synth config, written into the
+    directory `out` by the benchmark's own set-up; its path."""
+    sys.path.insert(0, str(TOOLS.parent / "perfbench"))
+    from workloads import cohort_setup
 
-    config = default_config().to_dict()
-    for group in config["groups"]:
-        group["patients_per_bin"] = [4 * n for n in group["patients_per_bin"]]
-    Path(path).write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return str(cohort_setup(None, Path(out), 0)["config"])
 
 
 def _call(target: str, src: Path, *args):
@@ -229,8 +228,7 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, quick: bo
     with tempfile.TemporaryDirectory() as tmp:
         work, config = Path(tmp), None
         if not quick:
-            config = work / "synth_x4.json"
-            _call("write_x4_config", src_a, str(config))
+            config = Path(_call("write_x4_config", src_a, str(work)))
         hashes = {side: cli_outputs(src, work / side, config, seeds)
                   for side, src in (("a", src_a), ("b", src_b))}
         cohort = work / "a" / f"seed{LOAD_SEED}" / "cohort.csv"
