@@ -12,13 +12,14 @@ counts, and gathers to forward-fill only when a slot is empty. `make_windows`
 windows the first `cut` slots of each grid, and each window records its end
 slot and its patient's grid length, which is what a day sweep selects on.
 
-The text path has one reader. `load_cohort` reads blocks of rows with
-`np.loadtxt`. Once per slab of a few blocks, it checks and converts their
-canonical stamps by integer arithmetic on 8-byte words of their bytes and
-lookups in tables of years and months, and finds id runs by comparing ids as
-8-byte words. A file that this block path cannot vouch for is read whole by
-the row path, one row at a time, as Python parses it. An error names the
-first bad line, as a reader of one row at a time would. `write_cohort`
+The text path has one reader. Its byte path reads the bytes of rows by
+integer arithmetic on 8-byte words: an id of up to 32 bytes with no quote or
+CR, a canonical stamp, hr, sbp and dbp of 1-8 ASCII digits with at most one
+point inside, an age of 1-4 digits, a label of 1-2, and LF or CRLF line
+ends; any other file (say with a quote, a lone CR, or a stamp with an
+offset) is read whole by the row path, one row at a time, as Python parses
+it. An error names the first bad line, as a reader of one row at a time
+would. `write_cohort`
 formats up to `_CHUNK_ROWS` of a patient's rows at once in a byte array, by
 table lookups and integer arithmetic, with the id quoted as `csv.writer`
 would; a block holding a value that is not a whole number of hundredths
@@ -32,7 +33,6 @@ import csv
 import io
 import math
 import numbers
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -54,7 +54,8 @@ HOUR = timedelta(hours=1)
 # far above the paper's 48 and 24; it is checked before any window exists
 MAX_WINDOW_LEN = 24 * 366
 
-_CHUNK_ROWS = 1024  # rows per vectorized block; small blocks hold few strings at once
+_CHUNK_ROWS = 1024  # rows the writer formats at once; small blocks hold few strings at once
+_CHUNK_BYTES = 1 << 16  # bytes the byte path reads at once
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +187,6 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
     return (ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
 
 
-# A row of the block path. Ids are bytes, as `_plain` text is ASCII; an id
-# that fills its column may have been cut, and the stamp column holds a byte
-# more than a canonical stamp, so that a longer stamp shows.
-_ROW = np.dtype([("pid", "S32"), ("stamp", "S21"), ("values", "f8", 3), ("age", "i2"),
-                 ("label", "i1")])
-# Blocks whose stamps and ids are checked at once. A slab's ids (32 bytes a
-# row), its stamps (24 bytes a row, as the words that `_parse_stamps`
-# overwrites) and the parser's one other buffer stay under glibc's 128 KiB
-# mmap threshold, as a block does, and the heap a load leaves behind stays
-# near what checks per block left: with three blocks, a load was no faster
-# and `train`'s peak RSS ~0.13 MB higher.
-_SLAB_BLOCKS = 2
-
-
 # A canonical stamp is 'YYYY-MM-DDTHH:MM:SSZ', padded with NULs to three
 # little-endian 8-byte words. XOR with the template's words leaves a digit's
 # value in its byte and zeroes every other byte that matches. A byte is bad
@@ -230,17 +217,13 @@ _MONTH_LAST = _MONTH_LAST.ravel()
 def _parse_stamps(words: np.ndarray) -> np.ndarray | None:
     """Canonical stamps as datetime64[us], checked and converted by integer
     arithmetic on their bytes and table lookups; None unless every stamp is
-    20 bytes long, canonical, and names a real date and time (year >= 1,
-    Gregorian leap years, no leap second). An `S` array does not keep a
-    stamp's trailing NULs, so a file holding a NUL never comes here.
-
-    The stamps come as the block path's slab holds them, and are
-    overwritten: three little-endian 8-byte words a stamp, its bytes padded
-    with NULs, transposed so that word k of stamp i is at [k, i], each row
-    contiguous. The block path calls this once per slab of blocks. Its ~30
-    NumPy calls each run over a row of words or over a byte of each stamp,
-    so that few calls do the work of many rows; its one buffer besides
-    `words` is as large."""
+    canonical and names a real date and time (year >= 1, Gregorian leap
+    years, no leap second). The stamps come as the byte path gathers them
+    once per read, and are overwritten: three little-endian 8-byte words a
+    stamp, its bytes padded with NULs, transposed so that word k of stamp i
+    is at [k, i], each row contiguous. Its ~30 NumPy calls each run over a
+    row of words or over a byte of each stamp, so that few calls do the work
+    of many rows; its one buffer besides `words` is as large."""
     words ^= _STAMP_TEMPLATE
     pairs = words & _LOW7  # in place from here on
     pairs += _STAMP_OVER
@@ -274,80 +257,131 @@ def _parse_stamps(words: np.ndarray) -> np.ndarray | None:
     return seconds.view("datetime64[us]")
 
 
-def _plain(text: bytes) -> bool:
-    """Whether the block path reads `text` as Python would: ASCII (NumPy's
-    integer parser accepts some other text that Python's rejects) with no
-    NUL (fixed-width strings drop one that ends a field) and none of
-    0x1C-0x1F (NumPy's number parsers skip them as blanks)."""
-    return text.isascii() and not any(map(text.__contains__, b"\0\x1c\x1d\x1e\x1f"))
+# The byte path reads each of a row's hr, sbp, dbp, age and label as the 8
+# bytes that end it, one little-endian word whose top byte is the field's
+# last. XOR with `_ZEROS` leaves a digit's value in its byte and a point as
+# 0x1E; `_KEEP[n]` keeps a word's top n bytes.
+_FIELD_WIDTH = np.array([8, 8, 8, 4, 2])
+_POINT_OK = np.uint64([2**56 - 1] * 3 + [0] * 2)[:, None]  # in hr, sbp and dbp, not the last byte
+_ZEROS, _NINES = np.uint64(0x3030_3030_3030_3030), np.uint64(0x7676_7676_7676_7676)  # 0x7F - 9
+_KEEP = np.array([-(1 << 64 - 8 * n) % (1 << 64) for n in range(9)], np.uint64)
+# digit pairs and their sums (Lemire's eight-digit SWAR); 10**d by 8 x the
+# byte of a point, which has d = 7 - its byte digits after it
+_PAIRS = np.uint64(0xFF_0000_00FF)
+_PAIR_SCALES = np.uint64([100 + (10**6 << 32), 1 + (10**4 << 32)])
+_SCALE = np.ones(49)
+_SCALE[8::8] = [10**d for d in range(6, 0, -1)]
+_ID_BYTES = 32  # the longest id that the byte path reads
+_HEADER_LINES = tuple((",".join(CSV_HEADER) + end).encode() for end in ("\n", "\r\n"))
 
 
-def _id_runs(pids: np.ndarray, index: dict[str, int]) -> np.ndarray | None:
-    """The code of each of a slab's ids (`index` numbers new ids in order of
-    first row), or None if an id fills its column: its last byte is not NUL,
-    as `_plain` text holds none. Ids come in runs, each looked up once; one
-    starts where an 8-byte word of the id differs from the id before."""
-    raw = pids.view(np.uint8).reshape(len(pids), pids.itemsize)
-    if raw[:, -1].any():
+def _parse_numbers(x: np.ndarray, lengths: np.ndarray):
+    """The hr, sbp and dbp (rows x 3 floats), ages and labels of fields given
+    as the word that ends each (`x`, overwritten) and their lengths, field by
+    row; None unless each is 1 to `_FIELD_WIDTH` ASCII digits with, in hr,
+    sbp and dbp only, at most one point, neither its first byte nor its last:
+    then its digits make m < 10**8, d of them after the point, and m / 10**d
+    is `float` of its text, the one rounding of an exact quotient."""
+    if lengths.min(initial=1) < 1 or (lengths.max(axis=1, initial=0) > _FIELD_WIDTH).any():
         return None
-    words = raw.view(np.uint64)
-    # the 4 flags of an id's words, viewed as one 4-byte word, are 0 where no word differs
-    starts = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).view(np.uint32).ravel()])
-    runs = [index.setdefault(pid.decode(), len(index)) for pid in pids[starts].tolist()]
-    return np.repeat(runs, np.diff(starts, append=len(pids)))
+    keep = _KEEP.take(lengths)
+    x ^= _ZEROS
+    x &= keep  # the bytes before the field read as leading zeros
+    over = (((x & _LOW7) + _NINES) | x) & _HIGH  # bit 7 of each byte above 9
+    bad = over & (over - 1)  # two such bytes
+    bad |= over & ~(keep << 8 & _POINT_OK)  # or one where no point may be
+    point = over >> 7
+    x ^= point * 0x1E  # a point's byte reads 0
+    bad |= x & point * 0xFF  # or one that is no point
+    if bad.any():
+        return None
+    point = np.maximum(point, 1) - 1  # the bytes before the point move up over it
+    scale = _SCALE.take(np.bitwise_count(point[:3]))
+    x += (x & point) * 255
+    np.add(x * 10, x >> 8, out=x)  # bytes 0, 2, 4 and 6 hold two digits each
+    pairs = (x >> 16 & _PAIRS) * _PAIR_SCALES[1]
+    x &= _PAIRS
+    np.add(x * _PAIR_SCALES[0], pairs, out=x)
+    x >>= 32
+    return (x[:3].view(np.int64) / scale).T, x[3], x[4]
 
 
-def _block_columns(fh, capacity: int, path: Path):
-    """The block path: `np.loadtxt` reads the rows after the header,
-    `_CHUNK_ROWS` at a time, into columns filled in place. Each block's ids
-    and stamps are copied into a slab of `_SLAB_BLOCKS` blocks, and checked
-    and converted by `_id_runs` and `_parse_stamps` once the slab is full,
-    at the end of the file, or before a block past `capacity` is refused.
-    Returns the patient index (id -> code, in order of first row), the
-    columns and None (no row stopped the read); or None as soon as a block
-    does not parse, or a slab holds an id that fills its column or a stamp
-    that is not canonical."""
-    codes = np.empty(capacity, np.int32)
-    times = np.empty(capacity, "datetime64[us]")
-    values = np.empty((capacity, 3))
-    ages = np.empty(capacity, np.int16)
-    labels = np.empty(capacity, np.int8)
-    slab_rows = _SLAB_BLOCKS * _CHUNK_ROWS
-    pids, stamps = np.empty(slab_rows, _ROW["pid"]), np.empty((3, slab_rows), _STAMP_WORD)
+def _parse_rows(text: bytes, end: int, index: dict[str, int]):
+    """The codes, times, values, ages and labels of the rows in the lines
+    after the LF at text[0], up to `end`; None unless each line is blank or
+    a row of the byte path (module docstring). The LFs and the commas are
+    found once, and each field is read as the 8-byte words at its bytes.
+    Ids come in runs, each decoded as UTF-8 and looked up in `index` (id ->
+    code, numbered in order of first row) once; one starts where an id's
+    length, or a word from its start, differs from the row before (past the
+    id, a word holds a comma and the first digits of the stamp)."""
+    raw = np.frombuffer(text, np.uint8, end)
+    lf = np.flatnonzero(raw == 10)
+    starts, stops = lf[:-1] + 1, lf[1:] - (cr := raw[lf[1:] - 1] == 13)  # less a CR before an LF
+    if b'"' in text or b"\r" in text and np.count_nonzero(raw == 13) != np.count_nonzero(cr):
+        return None  # a quote, or a CR that does not end a line
+    if (blank := stops == starts).any():
+        starts, stops = starts[~blank], stops[~blank]
+    commas = np.flatnonzero(raw == 44)
+    if len(commas) != 6 * len(starts):
+        return None
+    seps = np.empty((7, len(starts)), np.intp)  # each row's commas and its end, by field
+    seps[:6], seps[6] = commas.reshape(-1, 6).T, stops
+    # with 6 commas a row in all, these hold only if each row has 6; an id of
+    # at most `_ID_BYTES` and a stamp of 20 bytes must lead
+    if not (((seps[0] - starts).view(np.uint64) <= _ID_BYTES).all()
+            and (seps[5] < stops).all() and (seps[1] - seps[0] == 21).all()):
+        return None
+    words = np.ndarray(max(end - 7, 0), _STAMP_WORD, raw, strides=(1,))  # the word at each byte
+    stamps = np.ndarray(max(end - 23, 0), "V24", raw, strides=(1,))[seps[0] + 1]
+    stamps = stamps.view(_STAMP_WORD).reshape(-1, 3).T.copy()
+    stamps[2] &= 0xFFFF_FFFF  # the bytes after the stamp
+    lengths = seps[2:] - seps[1:6] - 1  # of hr, sbp, dbp, age and label
+    if (numbers := _parse_numbers(words[seps[2:] - 8], lengths)) is None or (
+            times := _parse_stamps(stamps)) is None:
+        return None
+    lengths = seps[0] - starts  # of the ids
+    at = np.arange(0, lengths.max(initial=0), 8)[:, None]
+    ids = words[starts + at]
+    new = np.ones(len(starts), bool)
+    new[1:] = (lengths[1:] != lengths[:-1]) | (ids[:, 1:] != ids[:, :-1]).any(axis=0)
+    first = np.flatnonzero(new)
+    try:
+        runs = [index.setdefault(text[s:e].decode(), len(index))
+                for s, e in zip(starts[first].tolist(), seps[0, first].tolist())]
+    except UnicodeDecodeError:  # which the row path raises
+        return None
+    return np.repeat(runs, np.append(first[1:], len(starts)) - first), times, *numbers
+
+
+def _byte_columns(fh, capacity: int, path: Path):
+    """The byte path: parses the whole lines of each read of the rows after
+    the header (`_parse_rows`) into columns filled in place; no read is
+    shorter than the bytes it follows, so a long line is read in linear time.
+    Returns the patient index, the columns and None; or None if it gives up."""
+    columns = [np.empty(capacity, dtype) for dtype in ("i4", "M8[us]", "3f8", "i2", "i1")]
     index: dict[str, int] = {}
-    n = start = 0  # rows read; the first row of the slab
-    with warnings.catch_warnings():  # of blank lines, and of a read that finds no rows
-        warnings.simplefilter("ignore", UserWarning)
-        while True:
-            try:
-                block = np.loadtxt(fh, _ROW, delimiter=",", quotechar='"', comments=None,
-                                   max_rows=_CHUNK_ROWS, ndmin=1)
-            except ValueError:  # a field that does not parse, or a row of another width
-                return None
-            at, stop = n - start, n + len(block)
-            pids[at:at + len(block)] = block["pid"]
-            stamps[:, at:at + len(block)] = np.asarray(block["stamp"], "S24").view(
-                _STAMP_WORD).reshape(len(block), 3).T
-            grew, end = stop > capacity, len(block) < _CHUNK_ROWS  # the end of the file
-            if not grew:
-                values[n:stop], ages[n:stop], labels[n:stop] = (
-                    block["values"], block["age"], block["label"])
-            n = stop
-            if n > start and (grew or end or n - start == slab_rows):
-                slab_times = _parse_stamps(stamps[:, :n - start])
-                if slab_times is None or (slab_codes := _id_runs(pids[:n - start], index)) is None:
-                    return None
-                if grew:
-                    raise ParseError(f"{path}: the file grew while it was read")
-                codes[start:n], times[start:n], start = slab_codes, slab_times, n
-            if end:
-                break
-    return index, tuple(a[:n] for a in (codes, times, values, ages, labels)), None
+    n, carry = 0, b"\n"  # an LF and the bytes after the last LF; at the end an LF ends them
+    while text := fh.read(max(_CHUNK_BYTES, len(carry))) or b"\n"[:len(carry) - 1]:
+        text = carry + text
+        end = text.rfind(b"\n") + 1
+        carry = b"\n" + text[end:]
+        if end == 1:
+            continue
+        if (rows := _parse_rows(text, end, index)) is None:
+            return None
+        stop = n + len(rows[0])
+        if stop > capacity:
+            raise ParseError(f"{path}: the file grew while it was read")
+        for column, part in zip(columns, rows):
+            column[n:stop] = part
+        n = stop
+    return index, tuple(column[:n] for column in columns), None
 
 
 def _row_columns(path: Path):
     """The row path: `_numbered_rows` reads the rows after the header one at
-    a time, up to the first that does not parse. Returns what the block path
+    a time, up to the first that does not parse. Returns what the byte path
     does, with the index of that row last (None if every row parses). Ages
     and labels are Python ints, whatever their size."""
     index: dict[str, int] = {}
@@ -440,34 +474,29 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
 def load_cohort(path) -> Cohort:
     """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
 
-    A first pass over the bytes counts the line ends, which bounds the rows
-    (a file that grows past the count while it is read is an error), and
-    checks that the block path can vouch for the text (`_plain`). The block
-    path (`_block_columns`) reads the rows with `np.loadtxt`; a file that it
-    cannot vouch for, or that it gives up on, is read whole by the row path
-    (`_row_columns`), which stops at the first row that does not parse.
-    The records are views of the columns. An error names the first bad line,
-    as a reader of one row at a time would: `_first_error` finds it among
-    the rows read and the row that stopped the row path.
+    A first pass over the bytes counts the LFs, which bounds the rows of the
+    byte path (`_byte_columns`; a file that grows past it while it is read
+    is an error). A file whose header line is not exactly the header, or
+    that the byte path gives up on, is read whole by the row path
+    (`_row_columns`), which stops at the first row that does not parse. The
+    records are views of the columns. An error names the first bad line, as
+    a reader of one row at a time would: `_first_error` finds it among the
+    rows read and the row that stopped the row path.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    # a row per line end (LF, CR or CRLF), and one after the last; reads stay
-    # under glibc's 128 KiB mmap threshold, which freeing a larger buffer would raise
-    capacity, plain = 1, True
-    with path.open("rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 16), b""):
-            capacity += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10) + (
-                b"\r" in chunk and chunk.count(b"\r") - chunk.count(b"\r\n"))
-            plain = plain and _plain(chunk)
     with path.open(newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)  # reads the header's line(s) only
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if header != CSV_HEADER:
-            raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-        read = _block_columns(fh, capacity, path) if plain else None
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    if header != CSV_HEADER:
+        raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+    with path.open("rb") as fh:  # a row per LF, and one after the last
+        capacity = 1 + sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+                           for chunk in iter(partial(fh.read, _CHUNK_BYTES), b""))
+        fh.seek(0)
+        read = _byte_columns(fh, capacity, path) if fh.readline() in _HEADER_LINES else None
     index, columns, bad = read or _row_columns(path)
     codes, times, values, ages, labels = columns
     # each patient's first row: codes are numbered in order of first row

@@ -8,6 +8,7 @@ bytes, and the same error class and message (line number included) on
 corrupted input.
 """
 
+import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -25,6 +26,7 @@ from vitalnet.errors import ParseError, ValidationError
 from vitalnet.synth import _patient_record, _round2
 
 UTC = timezone.utc
+CHUNKS = [1, 7, 64, data._CHUNK_BYTES]  # bytes per read of the byte path
 T0 = datetime(2020, 3, 21, tzinfo=UTC)
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -64,8 +66,10 @@ def format_stamp(ts: datetime, form: str) -> str:
 @st.composite
 def cohort_rows(draw):
     """Rows of a valid cohort CSV (header excluded), in a shuffled order;
-    half the files write every timestamp in the canonical '...Z' form."""
+    half the files write every timestamp in the canonical '...Z' form, and
+    half write vitals rounded to hundredths, as synth does."""
     forms = draw(st.sampled_from([["Z"], STAMP_FORMS]))
+    vitals = draw(st.sampled_from([vital_rows, vital_rows.map(lambda r: [round(v, 2) for v in r])]))
     rows = []
     for i in range(draw(st.integers(1, 4))):
         pid = f"P{i}"
@@ -77,7 +81,7 @@ def cohort_rows(draw):
             if micro and not form.startswith("frac"):
                 micro = 0
             ts = T0 + timedelta(seconds=s, microseconds=micro)
-            hr, sbp, dbp = draw(vital_rows)
+            hr, sbp, dbp = draw(vitals)
             rows.append([pid, format_stamp(ts, form), repr(hr), repr(sbp), repr(dbp),
                          str(age), str(label)])
     return draw(st.permutations(rows))
@@ -92,8 +96,11 @@ def write_rows(path, rows, blank_every=0):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def canonical(rows):
-    return all(len(r[1]) == 20 and r[1].endswith("Z") for r in rows)
+def on_byte_path(rows):
+    """Whether the byte path reads every row: canonical stamps, and vitals
+    of at most 8 bytes, digits with at most one point between them."""
+    return all(len(r[1]) == 20 and r[1].endswith("Z")
+               and all(re.fullmatch(r"(?=.{1,8}$)\d+(\.\d+)?", v) for v in r[2:5]) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +145,22 @@ class TestResampleOracle:
 
 class TestLoadOracle:
     @SETTINGS
-    @given(rows=cohort_rows(), chunk=st.integers(1, 9), blank_every=st.sampled_from([0, 0, 4]))
+    @given(rows=cohort_rows(), chunk=st.sampled_from(CHUNKS),
+           blank_every=st.sampled_from([0, 0, 4]))
     def test_same_records_and_bytes(self, tmp_path, rows, chunk, blank_every):
         path = tmp_path / "c.csv"
         write_rows(path, rows, blank_every)
         ref = ref_load_rows(path)
-        with mock.patch.object(data, "_CHUNK_ROWS", chunk), mock.patch.object(
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk), mock.patch.object(
             data, "_row_error", wraps=data._row_error
         ) as row_error, mock.patch.object(
             data, "_parse_timestamp", wraps=data._parse_timestamp
         ) as parse_timestamp:
             cohort = load_cohort(path)
-        # valid files never need the per-row checker; other stamp forms are
-        # parsed one at a time
+        # valid files never need the per-row checker; the row path parses
+        # each stamp on its own
         assert not row_error.called
-        assert parse_timestamp.called == (not canonical(rows))
+        assert parse_timestamp.called == (not on_byte_path(rows))
         assert_same_patients(cohort.patients, ref)
         out, ref_out = tmp_path / "out.csv", tmp_path / "ref.csv"
         write_cohort(cohort, out)
@@ -160,8 +168,9 @@ class TestLoadOracle:
         assert out.read_bytes() == ref_out.read_bytes()
 
     def test_default_chunk_size_spans_blocks(self, tmp_path):
-        # more rows than one block, with a patient crossing the block boundary
-        n = data._CHUNK_ROWS + 10
+        # rows of about 45 bytes, more than one read holds, with a patient
+        # crossing the end of the first read
+        n = data._CHUNK_BYTES // 40
         rows = [["A" if i < n - 20 else "B", format_stamp(T0 + timedelta(minutes=i), "Z"),
                  "80.5", "120.25", "70.0", "50", "1"] for i in range(n)]
         path = tmp_path / "c.csv"
@@ -239,7 +248,7 @@ class TestLoadErrorsOracle:
             min_size=1,
             max_size=3,
         ),
-        chunk=st.sampled_from([1, 3, 8192]),
+        chunk=st.sampled_from(CHUNKS),
     )
     def test_same_error(self, tmp_path, rows, edits, chunk):
         valid, rows = rows, list(rows)
@@ -248,7 +257,7 @@ class TestLoadErrorsOracle:
         path = tmp_path / "c.csv"
         write_rows(path, rows)
         want = outcome(ref_load_rows, path)
-        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk):
             assert_same_outcome(outcome(load_cohort, path), want)
 
     @pytest.mark.parametrize("kind", [k for k in CORRUPTIONS if k != "trailing_nul"])
@@ -256,7 +265,9 @@ class TestLoadErrorsOracle:
         path = corrupted_file(tmp_path, kind)
         want = outcome(ref_load_rows, path)
         assert want[0] in (ParseError, ValidationError) and "line 6" in want[1]
-        assert outcome(load_cohort, path) == want
+        for chunk in CHUNKS:
+            with mock.patch.object(data, "_CHUNK_BYTES", chunk):
+                assert outcome(load_cohort, path) == want, chunk
 
     @pytest.mark.parametrize("kind", CORRUPTIONS)
     def test_reference_states_every_rule_itself(self, tmp_path, kind):
@@ -267,17 +278,17 @@ class TestLoadErrorsOracle:
             assert_same_outcome(outcome(ref_load_rows, path), want)
 
     def test_trailing_nul_is_not_canonical(self, tmp_path):
-        # `datetime.fromisoformat` accepts a trailing NUL, which NumPy's
-        # string arrays would drop; a file holding a NUL skips the block path
-        # and each stamp is parsed on its own
+        # `datetime.fromisoformat` accepts a trailing NUL; the byte path
+        # gives up on a stamp of 21 bytes, and the row path parses each
+        # stamp on its own
         rows = [["P0", format_stamp(T0 + timedelta(hours=h), "Z") + "\x00" * (h == 1),
                  "80.0", "120.0", "70.0", "50", "1"] for h in range(3)]
         path = tmp_path / "c.csv"
         write_rows(path, rows)
-        with mock.patch.object(data, "_block_columns", wraps=data._block_columns) as blocks, \
+        with mock.patch.object(data, "_row_columns", wraps=data._row_columns) as row_path, \
                 mock.patch.object(data, "_parse_timestamp", wraps=data._parse_timestamp) as parse:
             cohort = load_cohort(path)
-        assert not blocks.called
+        assert row_path.called
         assert rows[1][1] in [c.args[0] for c in parse.call_args_list]
         assert_same_patients(cohort.patients, ref_load_rows(path))
 

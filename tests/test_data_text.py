@@ -1,14 +1,15 @@
 """The cohort text path against the row-at-a-time reference
 (`cohort_ref.py`) and the stamp parsers it replaced.
 
-The reader (its `np.loadtxt` block path and its row path) must give the
-reference reader's records on every file, or raise the same error class
-and message (line number included); the per-patient writer must give the
-reference writer's bytes (`csv.writer` per row), differing in one way on
-purpose: it quotes an id holding a lone CR. The arithmetic stamp parser
-must accept the stamps that the NumPy round trip (`ref_parse_stamps`) and
-the per-block parser it replaced (`oracle_parse_stamps`) accept, with the
-same instants.
+The reader (its byte path and its row path) must give the reference
+reader's records on every file, or raise the same error class and message
+(line number included); the per-patient writer must give the reference
+writer's bytes (`csv.writer` per row), differing in one way on purpose: it
+quotes an id holding a lone CR. The arithmetic stamp parser must accept the
+stamps that the NumPy round trip (`ref_parse_stamps`) and the per-block
+parser it replaced (`oracle_parse_stamps`) accept, with the same instants;
+the byte path's number parser must read every field that it accepts as
+`float` or `int` reads its text.
 """
 
 import csv
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alloc_probe import LARGE_BLOCK, largest_line_rise
 from cohort_ref import (assert_same_outcome, assert_same_patients, outcome, ref_load_rows,
                         ref_write_cohort, unchecked_records)
 from vitalnet import data
@@ -105,15 +107,15 @@ def assert_loads_as_reference(path):
 
 
 def stamp_bytes(stamps):
-    """The stamps as the block path's column holds them: their UTF-8 bytes,
-    cut to the column's 21 bytes as `np.loadtxt` cuts a longer field."""
-    return np.array([s.encode()[:21] for s in stamps], data._ROW["stamp"])
+    """The stamps' UTF-8 bytes, as an `S` array."""
+    return np.array([s.encode() for s in stamps], "S")
 
 
 def stamp_column(stamps):
-    """The stamps as the block path's slab holds them, and `_parse_stamps`
-    reads them: three little-endian 8-byte words a stamp, transposed."""
-    return np.asarray(stamp_bytes(stamps), "S24").view("<u8").reshape(len(stamps), 3).T.copy()
+    """The stamps as the byte path hands them to `_parse_stamps`: three
+    little-endian 8-byte words a stamp, its bytes padded with NULs,
+    transposed."""
+    return np.array([s.encode() for s in stamps], "S24").view("<u8").reshape(len(stamps), 3).T.copy()
 
 
 def assert_same_times(got, want, stamps):
@@ -126,8 +128,8 @@ def assert_same_times(got, want, stamps):
 
 def assert_same_stamps(stamps):
     want = ref_parse_stamps(stamps)
-    if not data._plain("".join(stamps).encode()):
-        # a file holding such a stamp takes the row path: none is canonical
+    if any(len(s.encode()) != 20 for s in stamps):
+        # the byte path gives `_parse_stamps` no stamp of another length
         assert want is None, stamps
         return
     got = data._parse_stamps(stamp_column(stamps))
@@ -172,7 +174,8 @@ class TestParseStamps:
         assert_same_stamps([GOOD, stamp, "1999-12-31T23:59:59Z"])
 
     def test_lengths_that_cancel_out(self):
-        # 19 + 21 characters join to two well-formed 20-character rows
+        # 19 + 21 characters make two 20-character stamps; the byte path reads
+        # neither, and `_parse_stamps` refuses both by their bytes
         stamps = ["2020-03-21T14:00:00", "Z2020-03-21T15:00:00Z"]
         assert_same_stamps(stamps)
         assert data._parse_stamps(stamp_column(stamps)) is None
@@ -203,6 +206,92 @@ class TestParseStamps:
         want = np.array([np.datetime64(t.replace(microsecond=0), "us") for t in instants])
         assert np.array_equal(got, want)
         assert_same_times(got, oracle_parse_stamps(stamp_bytes(stamps)), instants)
+
+
+# ---------------------------------------------------------------------------
+# Numbers
+# ---------------------------------------------------------------------------
+
+FIELD_GRAMMAR = [re.compile(rb"(?=.{1,8}$)[0-9]+(\.[0-9]+)?")] * 3 + [
+    re.compile(rb"[0-9]{1,4}"), re.compile(rb"[0-9]{1,2}")]  # hr, sbp, dbp, age, label
+
+
+def field_words(texts, fill=b","):
+    """Texts as the byte path reads a field: the 8 bytes that end it as a
+    little-endian word, `fill` before the text."""
+    return np.frombuffer(b"".join(t.rjust(8, fill)[-8:] for t in texts), "<u8")
+
+
+def parse_fields(texts, field, fill=b","):
+    """`_parse_numbers` on rows whose field `field` (0-2 hr, sbp, dbp; 3
+    age; 4 label) holds one of `texts` and each other field "1": that
+    field's values, or None."""
+    words = np.tile(field_words([b"1"]), (5, len(texts)))
+    lengths = np.ones((5, len(texts)), np.intp)
+    words[field], lengths[field] = field_words(texts, fill), [len(t) for t in texts]
+    got = data._parse_numbers(words, lengths)
+    return None if got is None else got[0][:, field] if field < 3 else got[field - 2]
+
+
+def assert_reads_as_float(words, lengths, texts):
+    """`texts`, given as words (`field_words`) and lengths, a third of them
+    in each of hr, sbp and dbp, read as `float` reads them."""
+    want = np.array(list(map(float, texts)))
+    n = -(-len(texts) // 3)
+    fields, sizes = np.tile(field_words([b"1"]), (5, n)), np.ones((5, n), np.intp)
+    fields.ravel()[:len(texts)], sizes.ravel()[:len(texts)] = words, lengths
+    got = data._parse_numbers(fields, sizes)
+    assert got is not None and got[0].T.ravel()[:len(texts)].tobytes() == want.tobytes()
+
+
+class TestParseNumbers:
+    @pytest.mark.parametrize("form", ["{!r}", "{:.2f}"])
+    def test_every_hundredth_below_ten_thousand(self, form):
+        # with digits before each field, which must not read as its own
+        for lo in range(1, 10**6, 2 * 10**5):
+            values = (np.arange(lo, min(lo + 2 * 10**5, 10**6)) / 100).tolist()
+            texts = [form.format(v).encode() for v in values]
+            assert_reads_as_float(field_words(texts, b"9"), list(map(len, texts)), texts)
+
+    def test_every_thousandth_of_eight_bytes_at_most(self):
+        # "0.000" to "9999.999", built as words by digit arithmetic, spaces
+        # before each, which `float` skips
+        for lo in range(0, 10**7, 2 * 10**6):
+            k = np.arange(lo, lo + 2 * 10**6, dtype=np.uint64)
+            whole = k // 1000
+            words = np.full(len(k), ord(".") << 32, np.uint64)
+            for byte, digit in ((7, k), (6, k // 10), (5, k // 100)):
+                words |= (digit % 10 + 48) << 8 * byte
+            for byte in range(4):  # the whole part's units in byte 3, then up
+                digit = whole // 10 ** (3 - byte)
+                words |= np.where((digit > 0) | (byte == 3), digit % 10 + 48, ord(" ")) << 8 * byte
+            texts = np.frombuffer(words.tobytes(), "S8").tolist()
+            assert texts[-1].lstrip() == f"{int(k[-1]) / 1000:.3f}".encode()
+            assert_reads_as_float(words, 5 + (whole >= 10) + (whole >= 100) + (whole >= 1000),
+                                  texts)
+
+    @pytest.mark.parametrize("field,width", [(3, 4), (4, 2)])
+    def test_every_integer_with_leading_zeros(self, field, width):
+        texts = [f"{i:0{w}d}".encode() for w in range(1, width + 1) for i in range(10**w)]
+        got = parse_fields(texts, field)
+        assert got.tolist() == [int(t) for t in texts]
+        assert parse_fields([b"1" * (width + 1)], field) is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(list(b"0123456789.0123456789.+-e _,\x00\x1c\xc3\xa9")),
+                    min_size=1, max_size=9).map(bytes), st.integers(0, 4))
+    @example(b"1.5", 3)
+    @example(b".5", 0)
+    @example(b"5.", 0)
+    @example(b"1.2.3", 0)
+    @example(b"12345678", 0)
+    @example(b"123456789", 0)
+    def test_property_reads_as_python_or_is_refused(self, text, field):
+        got = parse_fields([text], field)
+        assert (got is not None) == bool(FIELD_GRAMMAR[field].fullmatch(text)), text
+        if got is not None:
+            want = float(text) if field < 3 else int(text)
+            assert np.array([want], got.dtype).tobytes() == got.tobytes(), text
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +448,7 @@ class TestWriter:
 # Files
 # ---------------------------------------------------------------------------
 
-ID_WIDTH = data._ROW["pid"].itemsize  # bytes (ASCII characters) in the block path's id column
+ID_WIDTH = data._ID_BYTES  # the longest id that the byte path reads
 
 
 def two_ids(a, b):
@@ -409,7 +498,8 @@ FILE_CORPUS = {
                                                      "0001-01-01T00:00:00+01:00"),
     "utc_after_year_9999": HEADER + ROW + ROW2.replace("2020-03-21T01:00:00Z",
                                                        "9999-12-31T23:30:00-01:00"),
-    # NumPy's fixed-width strings drop a trailing NUL and cut a longer field
+    # a NUL that ends an id, a stamp a byte too long, and ids at, past and
+    # below the byte path's widest
     "nul_ending_id": HEADER + ROW + ROW2.replace("P0", "P0\x00"),
     "stamp_of_21_bytes": HEADER + ROW.replace("00:00:00Z", "00:00:00Z0") + ROW2,
     "id_at_width": HEADER + (ROW + ROW2).replace("P0", "P" * ID_WIDTH),
@@ -421,17 +511,17 @@ FILE_CORPUS = {
     "ids_differ_in_last_byte": two_ids("P" * (ID_WIDTH - 2) + "a", "P" * (ID_WIDTH - 2) + "b"),
     "ids_at_width_differ_in_last_byte": two_ids("P" * (ID_WIDTH - 1) + "a",
                                                 "P" * (ID_WIDTH - 1) + "b"),
-    # NumPy's number parsers read these as a blank and as a digit; Python's do not
+    # ages that no ASCII-digit parser reads, nor Python's int
     "separator_in_age": HEADER + ROW.replace(",50,", ",50\x1c,") + ROW2,
     "devanagari_in_age": HEADER + ROW.replace(",50,", ",5\u0930,") + ROW2,
 }
 
-# The block path checks stamps and ids once per slab of `data._SLAB_BLOCKS`
-# blocks. Data row SLAB - 1 is in a slab's last block, and row SLAB in the
-# next slab's first block, at chunk sizes 1, 2 and 1024 alike (each divides
-# 1024); the file's SLAB_ROWS rows end in a partial slab at each of them.
-SLAB = data._SLAB_BLOCKS * data._CHUNK_ROWS
-SLAB_ROWS = SLAB + 1031
+# The byte path parses the whole lines of each read of `data._CHUNK_BYTES`
+# at once: a slab, in these names. At the default size, "last_block" changes
+# the last row that the first read holds whole, "next_first_block" the row
+# that the first read cuts and the second ends, and "partial_end" the last
+# row, in a second read that the file ends.
+SLAB_ROWS = data._CHUNK_BYTES // 30  # of about 45 bytes: a read and a half
 SLAB_CHANGES = {  # name: (field, its new text from the old)
     "offset_stamp": (1, lambda stamp: stamp.replace("Z", "+00:00")),
     "id_past_width": (0, lambda pid: "P" * (ID_WIDTH + 1)),
@@ -444,29 +534,41 @@ SLAB_BASE = [[f"P{i // 1000}", f"{SLAB_START + timedelta(hours=i % 1000):%Y-%m-%
               str(i // 1000 % 2)] for i in range(SLAB_ROWS)]
 
 
-def slab_file(at: int, field: int, change) -> str:
-    """The SLAB_ROWS rows of SLAB_BASE, with `change` made to a field of data
-    row `at`."""
+def slab_file(place: str, field: int, change) -> str:
+    """The SLAB_ROWS rows of SLAB_BASE, with `change` made to a field of the
+    data row at `place`, where the first read ends (the byte path reads the
+    header line on its own, then the rows)."""
     rows = [list(row) for row in SLAB_BASE]
+    longer = len(change(rows[0][field])) - len(rows[0][field])
+    ends = np.cumsum([len(",".join(row)) + 1 for row in rows])  # the bytes up to each row's end
+    # the rows read whole, were a row that many bytes longer
+    whole = [int(np.searchsorted(ends + more, data._CHUNK_BYTES, side="right"))
+             for more in (0, longer)]
+    at = {"last_block": whole[1] - 1, "next_first_block": whole[0],
+          "partial_end": SLAB_ROWS - 1}[place]
     rows[at][field] = change(rows[at][field])
     return HEADER + "".join(",".join(row) + "\n" for row in rows)
 
 
 FILE_CORPUS.update({
-    f"slab_{place}_{name}": slab_file(at, *change)
-    for place, at in (("last_block", SLAB - 1), ("next_first_block", SLAB),
-                      ("partial_end", SLAB_ROWS - 1))
+    f"slab_{place}_{name}": slab_file(place, *change)
+    for place in ("last_block", "next_first_block", "partial_end")
     for name, change in SLAB_CHANGES.items()
 })
 
 
+# bytes per read of the byte path: a row spans many reads (1, 2, 7), or
+# about one (64); a read holds a few dozen rows (1024), or the default
+CHUNKS = [1, 2, 7, 64, 1024, data._CHUNK_BYTES]
+
+
 class TestLoadFiles:
     @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
-    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_same_cohort_or_error(self, tmp_path, name, chunk):
         path = tmp_path / f"{name}.csv"
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
-        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk):
             assert_loads_as_reference(path)
 
     @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
@@ -490,34 +592,33 @@ class TestLoadFiles:
         with pytest.raises(ParseError, match=r"bad header \[\]"):
             load_cohort(path)
 
-    # the files that the block path starts on and gives up: a field that
-    # np.loadtxt does not parse, a row of another width, an id that fills its
-    # column or a stamp that is not canonical
-    GIVEN_UP = {"offset_stamp", "lowercase_z", "spaces_only_line", "underscore_number",
-                "stamp_of_21_bytes", "id_at_width", "id_past_width",
-                "ids_at_width_differ_in_last_byte"}
+    # the files whose header line is not exactly the header: the byte path
+    # never starts on them
+    HEADER_OFF = {"quoted_header", "cr_line_ends"}
 
     @pytest.mark.parametrize("name,row_path", [
         ("no_trailing_newline", False), ("blank_between_rows", False), ("crlf", False),
-        ("lone_cr", False), ("quoted_id", False), ("offset_stamp", True),
+        ("lone_cr", True), ("quoted_id", True), ("offset_stamp", True),
         ("lowercase_z", True), ("spaces_only_line", True), ("underscore_number", True),
-        ("non_ascii_id", True), ("nul_in_id", True), ("nul_ending_id", True),
-        ("stamp_of_21_bytes", True), ("id_at_width", True), ("id_past_width", True),
+        ("non_ascii_id", False), ("nul_in_id", False), ("nul_ending_id", False),
+        ("stamp_of_21_bytes", True), ("id_at_width", False), ("id_past_width", True),
         ("id_below_width", False), ("ids_differ_at_byte_9", False),
         ("ids_one_ends_at_byte_8", False), ("ids_differ_in_last_byte", False),
-        ("ids_at_width_differ_in_last_byte", True),
+        ("ids_at_width_differ_in_last_byte", False),
         ("separator_in_age", True), ("devanagari_in_age", True),
+        ("quoted_header", True), ("cr_line_ends", True), ("crlf_header_only", False),
     ])
     def test_which_files_take_the_row_reader(self, tmp_path, name, row_path):
-        # `row_path`: the file is read whole by the row-at-a-time path; the
-        # others are read by np.loadtxt alone
+        # `row_path`: the file is read whole by the row-at-a-time path, after
+        # the byte path gives up on it unless its header line is off; the
+        # others are read by the byte path alone
         path = tmp_path / "c.csv"
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
-        with mock.patch.object(data, "_block_columns", wraps=data._block_columns) as blocks, \
+        with mock.patch.object(data, "_byte_columns", wraps=data._byte_columns) as bytes_read, \
                 mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
             assert_loads_as_reference(path)
         assert rows.called == row_path
-        assert blocks.called == (not row_path or name in self.GIVEN_UP)
+        assert bytes_read.called == (name not in self.HEADER_OFF)
 
     def test_synth_cohort_and_its_halves_never_take_the_row_path(self, tmp_path):
         cohort = generate_cohort(default_config())
@@ -532,10 +633,23 @@ class TestLoadFiles:
             assert rows.called
         assert_same_patients(loaded[0].patients, cohort.patients)
 
+    @pytest.mark.parametrize("change", [
+        lambda text: text.replace(b"SYN-", "é中-".encode()),  # non-ASCII ids
+        lambda text: text.replace(b"\n", b"\r\n"),  # CRLF line ends
+    ], ids=["non_ascii_ids", "crlf"])
+    def test_synth_cohort_rewritten_never_takes_the_row_path(self, tmp_path, change):
+        path = tmp_path / "c.csv"
+        write_cohort(generate_cohort(default_config()), path)
+        path.write_bytes(change(path.read_bytes()))
+        with mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+            got = load_cohort(path)
+        assert not rows.called
+        assert_same_patients(got.patients, ref_load_rows(path))
+
     def test_rows_spanning_blocks_with_blank_lines(self, tmp_path):
         t0 = datetime(2020, 3, 21, tzinfo=timezone.utc)
         lines = [HEADER]
-        for i in range(2 * data._CHUNK_ROWS + 5):
+        for i in range(2 * data._CHUNK_BYTES // 40):  # rows of about 48 bytes: 3 reads
             if i % 97 == 0:
                 lines.append("\n")
             stamp = (t0 + timedelta(minutes=7 * i)).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -547,7 +661,7 @@ class TestLoadFiles:
             got = load_cohort(path)
         assert not row_error.called
         assert_same_patients(got.patients, ref_load_rows(path))
-        assert sum(len(p.times) for p in got.patients) == len(lines) - 1 - 22  # 22 blank
+        assert sum(len(p.times) for p in got.patients) == len(lines) - 1 - lines.count("\n")
 
 
 def row(pid, hour, stamp=None, hr="80.0", dbp="70.0", age=50):
@@ -556,8 +670,8 @@ def row(pid, hour, stamp=None, hr="80.0", dbp="70.0", age=50):
 
 
 def block_cases(c):
-    """Files whose features sit at block boundaries for `_CHUNK_ROWS` = c,
-    with the outcome the reference gives each (None: it loads)."""
+    """Files whose features sit where reads of c rows end, with the outcome
+    the reference gives each (None: it loads)."""
     p0 = [row("P0", h) for h in range(2 * c)]
     multi = '"Q\nR"'  # a quoted id that spans two lines
     return {
@@ -582,12 +696,12 @@ def block_cases(c):
 
 class TestBlockBoundaries:
     @pytest.mark.parametrize("name", sorted(block_cases(1)))
-    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_same_cohort_or_error(self, tmp_path, name, chunk):
-        text, want = block_cases(chunk)[name]
+        text, want = block_cases(max(1, chunk // len(row("P0", 0))))[name]
         path = tmp_path / f"{name}.csv"
         path.write_bytes((HEADER + text).encode("utf-8"))
-        with mock.patch.object(data, "_CHUNK_ROWS", chunk):
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk):
             got = assert_loads_as_reference(path)
         assert (got[0] == "ok") if want is None else (got == want)
 
@@ -599,68 +713,107 @@ class TestBlockBoundaries:
         (patient,) = load_cohort(path).patients
         assert patient.patient_id == pid and len(patient.times) == 1
 
-    def test_long_number_on_the_block_path_has_no_field_limit(self, tmp_path):
-        # longer than csv.field_size_limit(), in a file with a quoted id
+    def test_long_number_has_no_field_limit(self, tmp_path):
+        # longer than csv.field_size_limit(): wider than the byte path reads,
+        # and split at commas by the row path
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + row("P0", 0, hr="0" * 200_000 + "80.5"))
+        with mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+            (patient,) = load_cohort(path).patients
+        assert rows.called
+        assert patient.patient_id == "P0" and patient.values[0, 0] == 80.5
+
+    def test_quoted_field_over_the_csv_limit_is_malformed(self, tmp_path):
+        # a file holding a quote takes the row path, where the csv module
+        # reads from the quote on, under its field limit
         path = tmp_path / "c.csv"
         path.write_text(HEADER + row('"P0"', 0, hr="0" * 200_000 + "80.5"))
-        (patient,) = load_cohort(path).patients
-        assert patient.patient_id == "P0" and patient.values[0, 0] == 80.5
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_cohort(path)
+
+    @staticmethod
+    def growing(path, lines: int, grown: str):
+        """`_parse_rows` as it is, but for appending `grown` to the file the
+        first time that it returns while the file has `lines` lines."""
+        real = data._parse_rows
+
+        def parse_rows(*args):
+            rows = real(*args)
+            if len(path.read_text().splitlines()) == lines:
+                with path.open("a") as fh:
+                    fh.write(grown)
+            return rows
+
+        return parse_rows
 
     def test_file_growing_while_read_is_an_error(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(HEADER + row("P0", 0))
-        real = np.loadtxt
-
-        def loadtxt(*args, **kwargs):  # the file grows once its first block is read
-            block = real(*args, **kwargs)
-            if len(path.read_text().splitlines()) == 2:
-                with path.open("a") as fh:
-                    fh.write(row("P0", 1) + row("P0", 2) + row("P0", 3))
-            return block
-
-        with mock.patch.object(data, "_CHUNK_ROWS", 1), mock.patch.object(np, "loadtxt", loadtxt):
+        parse_rows = self.growing(path, 2, row("P0", 1) + row("P0", 2) + row("P0", 3))
+        with mock.patch.object(data, "_CHUNK_BYTES", 1), \
+                mock.patch.object(data, "_parse_rows", parse_rows):
             with pytest.raises(ParseError, match=re.escape(f"{path}: the file grew")):
                 load_cohort(path)
 
     @pytest.mark.parametrize("bad_block", ["pending", "growing"])
     def test_file_growing_with_a_bad_stamp_in_the_slab_takes_the_row_path(self, tmp_path,
                                                                           bad_block):
-        # one-row blocks: the rows read before the file grows leave room for
-        # SLAB_BLOCKS + 1 of them, so the block that overflows is the second
-        # of its slab; a stamp with an offset in the slab's first block
-        # ("pending"), or in the overflowing block itself, sends the file to
-        # the row path before the growth is seen, as a check per block did
-        k = data._SLAB_BLOCKS - 1
+        # reads of a byte, so that a read's whole lines are at most one row:
+        # the k rows read before the file grows leave room for two more (a
+        # row per LF and one after the last), so the third row read after
+        # it overflows; a stamp with an offset in the row before it
+        # ("pending"), or in it, sends the file to the row path before the
+        # growth is seen
+        k = 1
         path = tmp_path / "c.csv"
         path.write_text(HEADER + "".join(row("P0", h) for h in range(k)))
-        bad = k + 1 + (bad_block == "growing")  # data row of the slab's first block, or next
+        bad = k + 1 + (bad_block == "growing")  # the data row before the overflow, or it
         grown = [row("P0", h, stamp="2020-03-21T%02d:00:00+00:00" % h if h == bad else None)
                  for h in range(k, k + 4)]
-        real = np.loadtxt
-
-        def loadtxt(*args, **kwargs):  # the file grows once its first block is read
-            block = real(*args, **kwargs)
-            if len(path.read_text().splitlines()) == k + 1:
-                with path.open("a") as fh:
-                    fh.write("".join(grown))
-            return block
-
-        with mock.patch.object(data, "_CHUNK_ROWS", 1), mock.patch.object(np, "loadtxt", loadtxt), \
+        with mock.patch.object(data, "_CHUNK_BYTES", 1), \
+                mock.patch.object(data, "_parse_rows", self.growing(path, k + 1, "".join(grown))), \
                 mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
             got = load_cohort(path)
         assert rows.called
         assert_same_patients(got.patients, ref_load_rows(path))
         assert len(got.patients[0].times) == k + 4
 
-    def test_a_load_parses_stamps_once_per_slab(self, tmp_path):
-        # the benchmark's x4 cohort: 280 patients, ~166k rows
+    @pytest.fixture(scope="class")
+    def x4_file(self, tmp_path_factory):
+        """The benchmark's x4 cohort: 280 patients, ~166k rows."""
         cfg = default_config()
         for group in cfg.groups:
             group.patients_per_bin = [4 * n for n in group.patients_per_bin]
-        path = tmp_path / "c.csv"
+        path = tmp_path_factory.mktemp("x4") / "c.csv"
         write_cohort(generate_cohort(cfg), path)
-        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as blocks, \
+        return path
+
+    def test_a_load_parses_stamps_once_per_slab(self, x4_file):
+        with mock.patch.object(data, "_parse_rows", wraps=data._parse_rows) as reads, \
                 mock.patch.object(data, "_parse_stamps", wraps=data._parse_stamps) as stamps:
-            load_cohort(path)
-        assert blocks.call_count > 100
-        assert stamps.call_count <= -(-blocks.call_count // data._SLAB_BLOCKS)
+            load_cohort(x4_file)
+        assert reads.call_count > 100
+        assert stamps.call_count == reads.call_count
+        assert stamps.call_count <= -(-x4_file.stat().st_size // data._CHUNK_BYTES)
+
+    def test_reads_after_the_columns_allocate_no_large_block(self, x4_file):
+        # each line of the byte path, from its first read on, allocates less
+        # than glibc's mmap threshold; only the columns, allocated once
+        # before, may be larger
+        reading = False
+        real = data._byte_columns
+
+        def byte_columns(*args):
+            nonlocal reading
+            reading = True
+            try:
+                return real(*args)
+            finally:
+                reading = False
+
+        parse_rows = mock.patch.object(data, "_parse_rows", wraps=data._parse_rows)
+        with mock.patch.object(data, "_byte_columns", byte_columns), parse_rows as reads:
+            rise = largest_line_rise(lambda: load_cohort(x4_file),
+                                     armed=lambda: reading and reads.called)
+        assert reads.call_count > 100
+        assert rise < LARGE_BLOCK

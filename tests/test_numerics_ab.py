@@ -1,7 +1,7 @@
 """tools/numerics_ab.py, run in its quick mode on this tree against itself:
 every gradient, probability and cohort-subcommand output is bit-equal, and
-both sides time a step and a cohort load, taking turns in one child. Its
-full mode's x4 config is the benchmark's."""
+both sides time a step and a cohort load in each shape, taking turns in one
+child. Its full mode's x4 config is the benchmark's."""
 
 import importlib.util
 import json
@@ -35,8 +35,11 @@ def test_tree_against_itself(tmp_path, capsys):
     (hashes,) = outputs["sha256"]["a"].values()
     assert sorted(hashes) == ["boxplot.csv", "calibration.json", "cohort.csv", "stats.csv",
                               "test.csv", "train.csv"]
-    for name in ("step_ms", "load_ms"):
-        timing = report[name]
+    shapes = report["load_ms"]["shapes"]
+    assert sorted(shapes) == sorted(tool.LOAD_SHAPES)
+    assert report["load_ms"]["loads_per_child"] == {
+        shape: 3 if shape == "as_written" else 1 for shape in tool.LOAD_SHAPES}
+    for timing in [report["step_ms"], *shapes.values()]:
         assert len(timing["per_child"]["a"]) == len(timing["per_child"]["b"]) == 1
         assert timing["median"]["a"] > 0 and timing["median"]["b"] > 0
         assert timing["b_lower_in_children"] in (0, 1) and 0 <= timing["b_faster_share"] <= 1

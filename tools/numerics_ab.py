@@ -29,16 +29,19 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   children in which B's median was the lower, and the share of paired
   steps in which B was faster.
 - `load_ms`: the wall time of one `data.load_cohort` of tree A's seed-11
-  cohort file from `outputs`, LOADS calls per tree in each of the same
-  number of children, alternated call by call as `step_ms` alternates
-  steps, with the same statistics.
+  cohort file from `outputs`, as written and rewritten in each other shape
+  of LOAD_SHAPES, with the same statistics per shape. Each of the same
+  number of children alternates the trees call by call, as `step_ms`
+  alternates steps: LOADS calls per tree of the file as written, then
+  SHAPE_LOADS of each other shape.
 - `environment`: each tree's `vitalnet.cli._environment()` in its child.
 - `all_equal`: whether every gradient, probability and output hash is equal.
 
-`--quick` takes one round of 20 timed steps and 3 timed loads, and runs the
-cohort subcommands at seed 11 only, on the x1 default config, whose cohort
-is then the one loaded: enough to check that both trees run and to compare
-their bytes, not to compare their speed.
+`--quick` takes one round of 20 timed steps, 3 timed loads of the file as
+written and one of each other shape, and runs the cohort subcommands at
+seed 11 only, on the x1 default config, whose cohort is then the one
+loaded: enough to check that both trees run and to compare their bytes, not
+to compare their speed.
 """
 
 from __future__ import annotations
@@ -62,6 +65,28 @@ WINDOW_LEN = 48
 OUTPUT_SEEDS = (3, 11)
 LOAD_SEED = 11
 LOADS = 20
+SHAPE_LOADS = 5
+
+
+def _quote_first_id(text: bytes) -> bytes:
+    header, first, rest = text.split(b"\n", 2)
+    return b"\n".join([header, b'"' + first.replace(b",", b'",', 1), rest])
+
+
+def _cr_after_first_row(text: bytes) -> bytes:
+    header, first, rest = text.split(b"\n", 2)
+    return header + b"\n" + first + b"\r" + rest
+
+
+# the file as written, and each shape in which a reader may see it otherwise
+LOAD_SHAPES = {
+    "as_written": lambda text: text,
+    "non_ascii_ids": lambda text: text.replace(b"SYN-", "SYNé-".encode()),
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "offset_stamp": lambda text: text.replace(b"Z,", b"+00:00,", 1),
+    "quoted_id": _quote_first_id,  # the first row's
+    "lone_cr": _cr_after_first_row,  # a CR, not an LF, ends the first row
+}
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
@@ -135,15 +160,21 @@ def time_steps(src_a: str, src_b: str, steps: int) -> dict[str, list[float]]:
     return _alternate(calls, steps, 10)
 
 
-def time_loads(src_a: str, src_b: str, path: str, loads: int) -> dict[str, list[float]]:
-    """Child side: the milliseconds of each of `loads` `load_cohort(path)`
-    calls per tree, after 2 untimed ones, the trees taking turns call by
-    call."""
-    calls = {}
-    for side, src in (("a", src_a), ("b", src_b)):
-        data = _load(src, f"vitalnet_{side}", "data")
-        calls[side] = lambda i, data=data: data.load_cohort(path)
-    return _alternate(calls, loads, 2)
+def time_loads(src_a: str, src_b: str, paths: dict[str, str], loads: int,
+               shape_loads: int) -> dict[str, dict[str, list[float]]]:
+    """Child side: per shape, the milliseconds of each `load_cohort` of its
+    file per tree, the trees taking turns call by call: `loads` calls of
+    the file as written after 2 untimed ones, and `shape_loads` of each
+    other shape after one untimed one, if it takes more than one."""
+    modules = {side: _load(src, f"vitalnet_{side}", "data")
+               for side, src in (("a", src_a), ("b", src_b))}
+    out = {}
+    for shape, path in paths.items():
+        calls = {side: lambda i, data=data, path=path: data.load_cohort(path)
+                 for side, data in modules.items()}
+        count, warmup = (loads, 2) if shape == "as_written" else (shape_loads, shape_loads > 1)
+        out[shape] = _alternate(calls, count, int(warmup))
+    return out
 
 
 def write_x4_config(out: str) -> str:
@@ -204,13 +235,18 @@ def compare(a: dict, b: dict) -> dict:
     return table
 
 
-def timing(target: str, src_a: Path, src_b: Path, rounds: int, *args) -> dict:
-    """`rounds` children of the timing function `target`: per child, each
-    tree's median; over all, each tree's median of those, B's over A's, the
-    children in which B's was the lower, and B's share of faster calls."""
+def timing(target: str, src_a: Path, src_b: Path, rounds: int, *args) -> list:
+    """What each of `rounds` children of the timing function `target`
+    returns."""
+    return [_call(target, src_a, str(src_a), str(src_b), *args) for _ in range(rounds)]
+
+
+def summary(children: list[dict[str, list[float]]]) -> dict:
+    """Per child, each tree's median; over all, each tree's median of those,
+    B's over A's, the children in which B's was the lower, and B's share of
+    faster calls."""
     times, faster, paired = {"a": [], "b": []}, 0, 0
-    for _ in range(rounds):
-        child = _call(target, src_a, str(src_a), str(src_b), *args)
+    for child in children:
         for side, values in child.items():
             times[side].append(statistics.median(values))
         faster += sum(b < a for a, b in zip(child["a"], child["b"]))
@@ -221,7 +257,8 @@ def timing(target: str, src_a: Path, src_b: Path, rounds: int, *args) -> dict:
             "b_faster_share": faster / paired}
 
 
-def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, quick: bool) -> dict:
+def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, shape_loads: int,
+        quick: bool) -> dict:
     probes = [_call("probe", src, BATCHES) for src in (src_a, src_b)]
     table = compare(probes[0]["outputs"], probes[1]["outputs"])
     seeds = (LOAD_SEED,) if quick else OUTPUT_SEEDS
@@ -232,8 +269,13 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, quick: bo
         hashes = {side: cli_outputs(src, work / side, config, seeds)
                   for side, src in (("a", src_a), ("b", src_b))}
         cohort = work / "a" / f"seed{LOAD_SEED}" / "cohort.csv"
-        loading = timing("time_loads", src_a, src_b, rounds, str(cohort), loads)
-    stepping = timing("time_steps", src_a, src_b, rounds, steps)
+        paths = {}
+        for shape, reshape in LOAD_SHAPES.items():
+            paths[shape] = str(work / f"{shape}.csv")
+            Path(paths[shape]).write_bytes(reshape(cohort.read_bytes()))
+        children = timing("time_loads", src_a, src_b, rounds, paths, loads, shape_loads)
+    loading = {shape: summary([child[shape] for child in children]) for shape in LOAD_SHAPES}
+    stepping = summary(timing("time_steps", src_a, src_b, rounds, steps))
     outputs_equal = hashes["a"] == hashes["b"]
     return {
         "trees": {"a": str(src_a), "b": str(src_b)},
@@ -244,7 +286,9 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, quick: bo
                     "equal": outputs_equal, "sha256": hashes},
         "step_ms": {"batch": STEP_BATCH, "steps_per_child": steps, **stepping},
         "load_ms": {"cohort": f"tree a's seed-{LOAD_SEED} synth output",
-                    "loads_per_child": loads, **loading},
+                    "loads_per_child": {shape: loads if shape == "as_written" else shape_loads
+                                        for shape in LOAD_SHAPES},
+                    "shapes": loading},
         "environment": {"a": probes[0]["environment"], "b": probes[1]["environment"]},
     }
 
@@ -258,12 +302,15 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
-    rounds, steps, loads = (1, 20, 3) if args.quick else (args.rounds, args.steps, LOADS)
-    report = run(args.src_a.resolve(), args.src_b.resolve(), rounds, steps, loads, args.quick)
+    rounds, steps, loads, shape_loads = ((1, 20, 3, 1) if args.quick else
+                                         (args.rounds, args.steps, LOADS, SHAPE_LOADS))
+    report = run(args.src_a.resolve(), args.src_b.resolve(), rounds, steps, loads, shape_loads,
+                 args.quick)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"all_equal {report['all_equal']}  outputs equal {report['outputs']['equal']}")
-    for name, unit in (("step_ms", "steps"), ("load_ms", "loads")):
-        t = report[name]
+    timings = [("step_ms", "steps", report["step_ms"])] + [
+        (f"load_ms {shape}", "loads", t) for shape, t in report["load_ms"]["shapes"].items()]
+    for name, unit, t in timings:
         print(f"{name} {t['median']}  ratio {t['ratio_b_over_a']:.3f}  b lower in "
               f"{t['b_lower_in_children']}/{len(t['per_child']['a'])} children, faster in "
               f"{t['b_faster_share']:.0%} of {unit}")
