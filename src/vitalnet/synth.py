@@ -10,6 +10,8 @@ inside the target intervals by construction.
 
 Each patient's draws are made in turn; the AR(1) and burst recurrences,
 which draw nothing, then run for a block of patients at once (`_recur`).
+A patient's vitals are one (3, n) array, a row per vital; a constant row,
+as every single-sample patient's is, stays at its latent mean, unclipped.
 """
 
 from __future__ import annotations
@@ -233,8 +235,8 @@ def default_config() -> SynthConfig:
 # Generation
 # ---------------------------------------------------------------------------
 
-# physiological clipping bounds per channel
-_CLIP = {"hr": (30.0, 200.0), "sbp": (60.0, 250.0), "dbp": (20.0, 150.0)}
+# physiological clipping bounds, one (lo, hi) row per vital
+_CLIP = np.array([(30.0, 200.0), (60.0, 250.0), (20.0, 150.0)])
 
 
 # Recurrence cells per block: a block's time-major buffer holds at most this
@@ -335,16 +337,16 @@ def _generate_block(rng, group: GroupSpec, dyn: Dynamics, first: int, ages, cade
     cols[np.argsort(-lengths, kind="stable")] = np.arange(0, 5 * len(lengths), 5)
     buf = np.empty((lengths.max(), 5 * len(lengths)))
     coefs = np.empty(5 * len(lengths))
+    mids = np.array([[_target_mid(group, v, s) for s in ("mean", "min")] for v in VITALS])
+    sds = np.array([[dyn.mean_sd[v], dyn.min_sd[v]] for v in VITALS])
+    gains = np.array([[dyn.base_sd[v], dyn.spike_gain[v], dyn.dip_gain[v]] for v in VITALS])
     latent = []
     for cadence, n, c in zip(cadences, lengths, cols):
         dt_hours = cadence / 60.0
         coef, d = dyn.ar_coef_hourly**dt_hours, dyn.burst_decay_hourly**dt_hours
-        # latent per-patient targets: series mean and minimum per vital
-        mu, mn = {}, {}
-        for vital in VITALS:
-            mu[vital] = rng.normal(_target_mid(group, vital, "mean"), dyn.mean_sd[vital])
-            raw_min = rng.normal(_target_mid(group, vital, "min"), dyn.min_sd[vital])
-            mn[vital] = min(raw_min, mu[vital] - 5.0)
+        # latent per-patient targets, (3, 1) columns: series mean and minimum
+        mu, raw_min = rng.normal(mids, sds).T[:, :, None]
+        mn = np.minimum(raw_min, mu - 5.0)
         # shared structure: positive bursts on all channels, dips on HR,
         # correlated blood-pressure noise. A burst's first value is its first
         # impulse (d * 0.0 + a is a, as a >= +0.0); an AR(1) path's is a draw.
@@ -358,52 +360,35 @@ def _generate_block(rng, group: GroupSpec, dyn: Dynamics, first: int, ages, cade
         phase = rng.uniform(0.0, 24.0)
         latent.append((mu, mn, phase, int(rng.integers(0, _START_SPREAD_DAYS * 24 * 60))))
     _recur(buf, coefs, np.repeat(-np.sort(-lengths), 5))
-    return [_assemble_patient(f"SYN-{group.label}-{first + i:03d}", group, dyn, age,
+    return [_assemble_patient(f"SYN-{group.label}-{first + i:03d}", group, dyn, gains, age,
                               cadence, buf[:n, c:c + 5], *drawn)
             for i, (age, cadence, n, c, drawn) in enumerate(zip(ages, cadences, lengths,
                                                                cols, latent))]
 
 
-def _assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, age: int, cadence_min: int,
-                      paths, mu, mn, phase, start_minute) -> PatientRecord:
-    """A patient from its five paths and latent draws: the paths mixed per
-    vital, then rescaled so each series' mean and minimum land on mu and mn."""
-    spikes, dips, ar_hr, ar_sbp, ar_ind = paths.T
-    n = len(paths)
-    t_hours = np.arange(n) * (cadence_min / 60.0)
+def _assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, gains, age: int,
+                      cadence_min: int, paths, mu, mn, phase, start_minute) -> PatientRecord:
+    """A patient from its five paths and latent draws, one (3, n) row per vital:
+    each mixed row is rescaled so its mean and minimum land on mu and mn, then
+    clipped; a row with spread <= 0 (a constant path) stays at mu, unclipped."""
+    spikes, dips = paths.T[:2]
+    ar = paths.T[2:].copy()  # hr, sbp and the independent part of dbp
     rho = dyn.sbp_dbp_corr
-    ar_dbp = rho * ar_sbp + np.sqrt(1.0 - rho * rho) * ar_ind
-    circadian = group.circadian_hr_amp * np.sin(2.0 * np.pi * (t_hours + phase) / 24.0)
+    ar[2] = rho * ar[1] + np.sqrt(1.0 - rho * rho) * ar[2]
+    base, spike, dip = gains.T[:, :, None]
+    t_hours = np.arange(len(paths)) * (cadence_min / 60.0)
+    z = base * ar
+    z[0] += group.circadian_hr_amp * np.sin(2.0 * np.pi * (t_hours + phase) / 24.0)
+    z += spike * spikes
+    z -= dip * dips
 
-    z = {
-        "hr": dyn.base_sd["hr"] * ar_hr
-        + circadian
-        + dyn.spike_gain["hr"] * spikes
-        - dyn.dip_gain["hr"] * dips,
-        "sbp": dyn.base_sd["sbp"] * ar_sbp
-        + dyn.spike_gain["sbp"] * spikes
-        - dyn.dip_gain["sbp"] * dips,
-        "dbp": dyn.base_sd["dbp"] * ar_dbp
-        + dyn.spike_gain["dbp"] * spikes
-        - dyn.dip_gain["dbp"] * dips,
-    }
-
-    channels = {}
-    for vital in VITALS:
-        zc = z[vital]
-        z_mean = zc.mean()
-        spread = z_mean - zc.min()
-        if spread <= 0:  # constant latent path; keep the flat series at mu
-            channels[vital] = np.full(n, mu[vital])
-            continue
-        scale = (mu[vital] - mn[vital]) / spread
-        x = mu[vital] + (zc - z_mean) * scale
-        lo, hi = _CLIP[vital]
-        channels[vital] = np.clip(x, lo, hi)
-    channels["dbp"] = np.minimum(channels["dbp"], channels["sbp"] - 10.0)
-    channels["dbp"] = np.clip(channels["dbp"], _CLIP["dbp"][0], None)
-
-    return _patient_record(pid, age, group.label, start_minute, cadence_min, channels)
+    z_mean = z.mean(axis=1, keepdims=True)
+    spread = z_mean - z.min(axis=1, keepdims=True)
+    live = spread > 0
+    scale = np.divide(mu - mn, spread, out=np.zeros_like(spread), where=live)
+    x = np.where(live, np.clip(mu + (z - z_mean) * scale, _CLIP[:, :1], _CLIP[:, 1:]), mu)
+    x[2] = np.maximum(np.minimum(x[2], x[1] - 10.0), _CLIP[2, 0])
+    return _patient_record(pid, age, group.label, start_minute, cadence_min, x.T.copy())
 
 
 def _round2(x: np.ndarray) -> np.ndarray:
@@ -417,12 +402,12 @@ def _round2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _patient_record(pid, age, label, start_minute, cadence_min, channels) -> PatientRecord:
-    """A sample every cadence_min minutes from start_minute past the base date."""
-    steps = np.arange(len(channels["hr"])) * np.timedelta64(cadence_min, "m")
+def _patient_record(pid, age, label, start_minute, cadence_min, values) -> PatientRecord:
+    """A sample every cadence_min minutes from start_minute past the base date; values (n, 3)."""
+    steps = np.arange(len(values)) * np.timedelta64(cadence_min, "m")
     times = _BASE_DATE + np.timedelta64(start_minute, "m") + steps
-    values = _round2(np.stack([channels[v] for v in VITALS], axis=1))
-    return PatientRecord(patient_id=pid, age=age, label=label, times=times, values=values)
+    return PatientRecord(patient_id=pid, age=age, label=label, times=times,
+                         values=_round2(values))
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,6 @@ class TestSynthOracle:
     )
     def test_record_matches_per_sample_build(self, start_minute, cadence, rows):
         channels = {v: np.array(col) for v, col in zip(("hr", "sbp", "dbp"), zip(*rows))}
-        record = _patient_record("SYN-0-000", 50, 1, start_minute, cadence, channels)
+        record = _patient_record("SYN-0-000", 50, 1, start_minute, cadence, np.array(rows))
         want = as_patient("SYN-0-000", 50, 1, ref_synth_samples(start_minute, cadence, channels))
         assert_same_patients([record], [want])

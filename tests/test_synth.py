@@ -3,6 +3,7 @@ import hashlib
 import shutil
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from childproc import SRC, run_call
 from cohort_ref import irregular_series, ref_resample
-from synth_oracle import _ar1, _burst  # the Python loops the block kernel replaced
+# the Python loops the block kernel replaced, and the per-vital assembly
+from synth_oracle import _ar1, _burst, ref_assemble_patient
 from vitalnet import synth
 from vitalnet.data import (Cohort, PatientRecord, RegularSeries, resample, split_by_patient,
                            write_cohort)
@@ -19,6 +21,7 @@ from vitalnet.errors import ValidationError
 from vitalnet.synth import (
     STATS,
     VITALS,
+    Dynamics,
     SynthConfig,
     calibration_report,
     default_config,
@@ -48,6 +51,32 @@ def x4_config():
     for group in cfg.groups:
         group.patients_per_bin = [4 * n for n in group.patients_per_bin]
     return cfg
+
+
+def edge_config(short_stays: bool, clip_bounds: bool):
+    """The default config with stays under 15 minutes, so that every patient
+    has one sample and each vital's mixed path is constant; and/or with
+    targets that drive every vital past both of its clip bounds and dbp
+    under sbp - 10."""
+    cfg = default_config()
+    for group in cfg.groups:
+        if short_stays:
+            group.stay_days = (0.001, 0.01)
+        if clip_bounds:
+            t = group.targets
+            t["hr"]["mean"], t["hr"]["min"] = (195.0, 205.0), (25.0, 35.0)
+            t["sbp"]["mean"] = (245.0, 255.0)
+            t["dbp"]["mean"], t["dbp"]["min"] = (150.0, 160.0), (15.0, 25.0)
+    return cfg
+
+
+# SHA-256 of `write_cohort` for the edge configs, as written by the generator
+# that mixed and rescaled the vitals one at a time through dicts
+EDGE_SHA256 = {
+    (True, False): "c1b0567688ada8b7cb0eaf281f4ffcbcbacb0d6847a77a72474e53458ddc1341",
+    (False, True): "b5addebfd3ad9210cf5af100940f9663db58784b4e86b4eaf419ce8e3ae5eb79",
+    (True, True): "b803559ec805eab3766c927865f9712703ba841651a44c6255779f8fdc712b2e",
+}
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +185,23 @@ class TestGenerateCohort:
         write_cohort(cohort, path)
         assert sum(len(p.times) for p in cohort.patients) == 167_644
         assert hashlib.sha256(path.read_bytes()).hexdigest() == X4_SHA256
+
+    @pytest.mark.parametrize("short_stays,clip_bounds", sorted(EDGE_SHA256))
+    def test_pinned_edge_bytes(self, tmp_path, short_stays, clip_bounds):
+        cohort = generate_cohort(edge_config(short_stays, clip_bounds))
+        path = tmp_path / "cohort.csv"
+        write_cohort(cohort, path)
+        hr, sbp, dbp = np.concatenate([p.values for p in cohort.patients]).T
+        if short_stays:  # constant paths: kept at the latent mean, not clipped
+            assert all(len(p.times) == 1 for p in cohort.patients)
+            past_bounds = [(hr > 200).any(), (sbp > 250).any(), (dbp > 150).all()]
+            assert past_bounds == [clip_bounds] * 3
+        else:  # every bound binds, and so does dbp <= sbp - 10
+            assert all((v == b).sum() > 10 for v, b in [(hr, 30), (hr, 200), (sbp, 60),
+                                                        (sbp, 250), (dbp, 20), (dbp, 150)])
+            assert (np.abs(sbp - 10 - dbp) < 0.015).sum() > 100
+        want = EDGE_SHA256[short_stays, clip_bounds]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
     def test_x4_memory_peak(self):
         # the blocks bound what the recurrences hold: 6.4 MiB at the default
@@ -280,6 +326,68 @@ class TestRecurrenceBlocks:
             got = buf[:len(draws[i]), col]
             assert (got.view(np.int64) == expected[i].view(np.int64)).all(), specs[i]
             assert (buf[len(draws[i]):, col] == 7.0).all()  # past its end: untouched
+
+
+@st.composite
+def five_paths(draw):
+    """A block's five paths for one patient (n = 1-50): spikes and dips >= 0,
+    then the hr, sbp and independent dbp AR(1) paths. Each path, or all five
+    at once, may be constant."""
+    n = draw(st.integers(1, 50))
+    all_constant = draw(st.booleans())
+
+    def path(lo, hi):
+        if all_constant or draw(st.booleans()):
+            return [draw(st.floats(lo, hi))] * n
+        return draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    return np.array([path(0.0, 5.0), path(0.0, 5.0)] + [path(-4.0, 4.0) for _ in VITALS]).T
+
+
+# latent means that reach past both clip bounds of each vital, and dbp's past sbp - 10
+LATENT_MEANS = {"hr": (0.0, 260.0), "sbp": (30.0, 300.0), "dbp": (0.0, 260.0)}
+
+
+class TestAssembleOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(paths=five_paths(), data=st.data(),
+           amp=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), rho=st.floats(-1.0, 1.0),
+           cadence=st.sampled_from([1, 15, 60, 7 * 24 * 60]), phase=st.floats(0.0, 24.0))
+    def test_matches_per_vital_reference(self, paths, data, amp, rho, cadence, phase):
+        group = copy.deepcopy(default_config().groups[0])
+        group.circadian_hr_amp = amp
+        gain = st.floats(0.0, 3.0)
+        dyn = Dynamics(sbp_dbp_corr=rho, **{name: {v: data.draw(gain) for v in VITALS}
+                                            for name in ("base_sd", "spike_gain", "dip_gain")})
+        mu = {v: data.draw(st.floats(*LATENT_MEANS[v])) for v in VITALS}
+        mn = {v: min(data.draw(st.floats(-50.0, 250.0)), mu[v] - 5.0) for v in VITALS}
+        want = ref_assemble_patient("P", group, dyn, 50, cadence, paths, mu, mn, phase, 0)
+
+        # the paths as the generator passes them: a patient's columns of a block
+        n = len(paths)
+        buf = np.full((n + 2, 15), 7.0)
+        buf[:n, 5:10] = paths
+        gains = np.array([[dyn.base_sd[v], dyn.spike_gain[v], dyn.dip_gain[v]]
+                          for v in VITALS])
+        column = lambda d: np.array([[d[v]] for v in VITALS])  # noqa: E731
+        with mock.patch.object(synth, "_patient_record", lambda *args: args[-1]):
+            got = synth._assemble_patient("P", group, dyn, gains, 50, cadence, buf[:n, 5:10],
+                                          column(mu), column(mn), phase, 0)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           mids=st.lists(st.floats(-300.0, 300.0), min_size=6, max_size=6),
+           sds=st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6))
+    def test_one_call_draws_are_six_scalar_draws(self, seed, mids, sds):
+        # the latent (mean, min) draws of each vital in turn, as one call on
+        # (3, 2) arrays and as six scalar calls in the same order
+        one, six = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = one.normal(np.reshape(mids, (3, 2)), np.reshape(sds, (3, 2)))
+        want = np.array([six.normal(m, s) for m, s in zip(mids, sds)])
+        assert (got.ravel().view(np.int64) == want.view(np.int64)).all()
+        assert one.random() == six.random()  # the same stream position
 
 
 class TestCalibrationReport:
