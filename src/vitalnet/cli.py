@@ -571,11 +571,17 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        record = args.func(args)
+        # float64 overflow, division by zero and NaN from finite inputs are
+        # errors, not values to compute on; blocks that expect them say so
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            record = args.func(args)
         if record is not None:
             _write_manifest(args.command, record, time.perf_counter() - t0)
     except (VitalnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: float64 arithmetic failed: {exc}", file=sys.stderr)
         return 1
     except csv.Error as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Statistical analysis: point-biserial correlation with two-sided
-p-values, t-based confidence intervals and box-plot statistics. The
-per-patient summary features, the mean, std, min and max of each vital's
-hourly grid taken along its contiguous rows, are `synth.patient_feature_table`.
+p-values, t-based confidence intervals at the fixed 95% level (`CI_LEVEL`)
+and box-plot statistics. The per-patient summary features, the mean, std,
+min and max of each vital's hourly grid taken along its contiguous rows,
+are `synth.patient_feature_table`.
 
 The t-distribution tail probabilities are computed from scratch via the
 regularized incomplete beta function so the package has no runtime
@@ -34,10 +35,6 @@ class CorrelationResult:
     p: float
     n: int
 
-    def __post_init__(self):
-        if abs(self.r) > 1 + 1e-12 or not (0.0 <= self.p <= 1.0):
-            raise ValidationError(f"correlation out of range: r={self.r}, p={self.p}")
-
 
 # ---------------------------------------------------------------------------
 # t-distribution machinery (regularized incomplete beta, continued fraction)
@@ -61,25 +58,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # step m has an even term, then an odd one; converged after the odd
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETACF_TOL:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -112,8 +102,6 @@ def t_sf(t: float, df: int) -> float:
     t = float(t)
     if t == 0.0:
         return 0.5
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
     x = df / (df + t * t)
     tail = 0.5 * _betainc(df / 2.0, 0.5, x)
     return tail if t > 0 else 1.0 - tail
@@ -153,6 +141,8 @@ def t_quantile(p: float, df: int) -> float:
 # Correlation and intervals
 # ---------------------------------------------------------------------------
 
+CI_LEVEL = 0.95
+
 
 def point_biserial(x, y) -> CorrelationResult:
     """Point-biserial correlation of a continuous variable with a binary one.
@@ -190,20 +180,18 @@ def point_biserial(x, y) -> CorrelationResult:
     return CorrelationResult(r=r, p=min(p, 1.0), n=n)
 
 
-def confidence_interval(values, level: float = 0.95) -> tuple[float, float]:
-    """Two-sided t confidence interval for the mean: mean +/- t * s / sqrt(n).
+def confidence_interval(values) -> tuple[float, float]:
+    """Two-sided 95% t confidence interval for the mean: mean +/- t * s / sqrt(n).
 
     s is the sample standard deviation (divisor n-1).
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("confidence_interval: need at least 2 values")
-    if not 0.0 < level < 1.0:
-        raise ValidationError(f"confidence_interval: bad level {level}")
     n = x.size
     mean = float(np.mean(x))
     s = float(np.std(x, ddof=1))
-    half = t_quantile((1.0 + level) / 2.0, n - 1) * s / math.sqrt(n)
+    half = t_quantile((1.0 + CI_LEVEL) / 2.0, n - 1) * s / math.sqrt(n)
     return (mean - half, mean + half)
 
 

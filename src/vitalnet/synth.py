@@ -475,7 +475,7 @@ def calibration_report(
         for vital in VITALS:
             for stat in STATS:
                 values = table[f"{vital}_{stat}"][mask]
-                ci = confidence_interval(values, 0.95)
+                ci = confidence_interval(values)
                 target = group.targets[vital][stat]
                 overlaps = ci[0] <= target[1] and target[0] <= ci[1]
                 cells.append(

@@ -642,6 +642,78 @@ class TestOutOfRangeValues:
         assert not {"conv_activation", "dense1_units", "pool_size", "pool_stride"} & set(written)
 
 
+class TestEmptyAndOverflowingCohorts:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate", "--cohort", "{c}", "--out", "{o}"],
+             "calibration report needs a non-empty two-label cohort"),
+            (["stats", "--cohort", "{c}", "--out", "{o}"],
+             "stats: need both labels present in the cohort"),
+            (["split", "--cohort", "{c}", "--train-out", "{o}", "--test-out", "{o}2"],
+             "cohort too small to stratify: need at least 2 patients of each label"),
+            (["train", "--train", "{c}", "--out", "{o}"],
+             "compute_channel_stats: no series given"),
+            (["eval", "--model", "{m}", "--test", "{c}", "--out", "{o}"],
+             "no windows to score"),
+            (["sweep", "--model", "{m}", "--test", "{c}", "--out", "{o}"],
+             "day_sweep: empty test cohort"),
+            (["embed", "--model", "{m}", "--data", "{c}", "--out", "{o}"],
+             "embed: need at least 4 windows"),
+        ],
+    )
+    def test_header_only_cohort(self, tmp_path, small_cohort_csv, capsys, argv, message):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(small_cohort_csv.read_text().splitlines(True)[0])
+        model = tmp_path / "model.json"
+        if "{m}" in argv:
+            assert run(["train", "--train", str(small_cohort_csv), "--out", str(model),
+                        *FAST_TRAIN]) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        out = tmp_path / "out"
+        names = {"c": empty, "o": out, "m": model}
+        assert run([a.format(**names) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["stats", "validate", "train"])
+    def test_vitals_that_overflow_float64(self, tmp_path, capsys, command):
+        # every row of one patient at values each reader rule admits, whose
+        # sums and squares pass the largest float64
+        cohort = tmp_path / "cohort.csv"
+        assert run(["synth", "--out", str(cohort)]) == 0
+        rows = cohort.read_text().splitlines(True)
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            if fields[0] == "SYN-0-000":
+                fields[2:5] = ["1e308", "1.5e308", "1e308"]
+                rows[i] = ",".join(fields)
+        cohort.write_text("".join(rows))
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        flag = "--train" if command == "train" else "--cohort"
+        assert run([command, flag, str(cohort), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: float64 arithmetic failed: ") and err.count("\n") == 1
+        assert "Warning" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_two_samples_in_an_hour_whose_sum_overflows(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort.csv"
+        assert run(["synth", "--out", str(cohort)]) == 0
+        rows = cohort.read_text().splitlines(True)
+        first = rows[1].split(",")
+        first[2] = "1e308"
+        second = [first[0], first[1][:-3] + "59Z", *first[2:]]  # 59 s on: the same hourly slot
+        rows[1:2] = [",".join(first), ",".join(second)]
+        cohort.write_text("".join(rows))
+        capsys.readouterr()
+        assert run(["stats", "--cohort", str(cohort), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: regular series contains non-finite cells\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestEmbed:
     def test_more_windows_than_the_row_bound_is_validation_error(
         self, tmp_path, small_cohort_csv, small_model, capsys, monkeypatch

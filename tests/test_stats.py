@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import stats_oracle
 from vitalnet import stats
 from vitalnet.data import Cohort, PatientRecord
 from vitalnet.errors import ValidationError
@@ -203,14 +204,14 @@ class TestConfidenceInterval:
         assert confidence_interval([5.0, 5.0, 5.0]) == (5.0, 5.0)
 
     def test_worked_example(self):
-        lo, hi = confidence_interval([10, 12, 14, 16, 18], 0.95)
+        lo, hi = confidence_interval([10, 12, 14, 16, 18])
         assert lo == pytest.approx(10.0736, abs=1e-3)
         assert hi == pytest.approx(17.9264, abs=1e-3)
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(2)
         x = rng.normal(10, 3, size=23)
-        lo, hi = confidence_interval(x, 0.95)
+        lo, hi = confidence_interval(x)
         ref = sps.t.interval(0.95, len(x) - 1, loc=np.mean(x), scale=sps.sem(x))
         assert lo == pytest.approx(float(ref[0]), abs=1e-9)
         assert hi == pytest.approx(float(ref[1]), abs=1e-9)
@@ -225,6 +226,41 @@ class TestConfidenceInterval:
     def test_too_small(self):
         with pytest.raises(ValidationError):
             confidence_interval([1.0])
+
+
+def outcome(f, *args):
+    """f(*args) as its exact bits (`float.hex`), or as the type it raised."""
+    try:
+        return float.hex(f(*args))
+    except (ArithmeticError, ValidationError) as exc:
+        return type(exc)
+
+
+_SPECIAL_T = st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf])
+
+
+class TestParentOracle:
+    """The Student-t tail is bit-equal to `stats_oracle`, the parent's form."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(a=st.floats(1e-6, 1e6) | st.sampled_from([0.5, 1.0, 34.0]),
+           b=st.floats(1e-6, 1e6) | st.sampled_from([0.5, 1.0, 34.0]),
+           x=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53]))
+    def test_betacf_and_betainc(self, a, b, x):
+        assert outcome(stats._betacf, a, b, x) == outcome(stats_oracle._betacf, a, b, x)
+        assert outcome(stats._betainc, a, b, x) == outcome(stats_oracle._betainc, a, b, x)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(t=st.floats() | _SPECIAL_T, df=st.integers(0, 10**7) | st.sampled_from([1, 2, 5, 68]))
+    def test_t_sf(self, t, df):
+        assert outcome(t_sf, t, df) == outcome(stats_oracle.t_sf, t, df)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60))
+    def test_confidence_interval(self, values):
+        got = confidence_interval(values)
+        want = stats_oracle.confidence_interval(values, 0.95)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
 
 
 class TestBoxplotStats:

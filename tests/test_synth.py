@@ -242,6 +242,13 @@ class TestGenerateCohort:
         assert cadences <= {15, 30, 60}
         assert len(cadences) > 1
 
+    def test_group_with_no_patients_is_skipped(self):
+        cfg = default_config()
+        cfg.groups[0].patients_per_bin = [0] * len(cfg.groups[0].patients_per_bin)
+        cohort = generate_cohort(cfg)
+        assert [p.patient_id for p in cohort.patients] == [f"SYN-1-{i:03d}" for i in range(32)]
+        assert {p.label for p in cohort.patients} == {1}
+
     def test_impossible_config_rejected(self):
         cfg = default_config()
         cfg.groups[0].targets["hr"]["mean"] = (90.0, 80.0)  # lo > hi
@@ -344,6 +351,17 @@ def five_paths(draw):
     return np.array([path(0.0, 5.0), path(0.0, 5.0)] + [path(-4.0, 4.0) for _ in VITALS]).T
 
 
+def fp_outcome(f, *args):
+    """f(*args) with float overflow, division by zero and NaN raising, or
+    None if one did. A path whose spread is subnormal (a constant path whose
+    mean rounds above its minimum) overflows the rescale in both forms."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            return f(*args)
+        except FloatingPointError:
+            return None
+
+
 # latent means that reach past both clip bounds of each vital, and dbp's past sbp - 10
 LATENT_MEANS = {"hr": (0.0, 260.0), "sbp": (30.0, 300.0), "dbp": (0.0, 260.0)}
 
@@ -361,7 +379,8 @@ class TestAssembleOracle:
                                             for name in ("base_sd", "spike_gain", "dip_gain")})
         mu = {v: data.draw(st.floats(*LATENT_MEANS[v])) for v in VITALS}
         mn = {v: min(data.draw(st.floats(-50.0, 250.0)), mu[v] - 5.0) for v in VITALS}
-        want = ref_assemble_patient("P", group, dyn, 50, cadence, paths, mu, mn, phase, 0)
+        want = fp_outcome(ref_assemble_patient, "P", group, dyn, 50, cadence, paths, mu, mn,
+                          phase, 0)
 
         # the paths as the generator passes them: a patient's columns of a block
         n = len(paths)
@@ -371,8 +390,11 @@ class TestAssembleOracle:
                           for v in VITALS])
         column = lambda d: np.array([[d[v]] for v in VITALS])  # noqa: E731
         with mock.patch.object(synth, "_patient_record", lambda *args: args[-1]):
-            got = synth._assemble_patient("P", group, dyn, gains, 50, cadence, buf[:n, 5:10],
-                                          column(mu), column(mn), phase, 0)
+            got = fp_outcome(synth._assemble_patient, "P", group, dyn, gains, 50, cadence,
+                             buf[:n, 5:10], column(mu), column(mn), phase, 0)
+        if want is None:  # the reference overflowed
+            assert got is None
+            return
         assert got.shape == want.shape and got.flags.c_contiguous
         assert (got.view(np.int64) == want.view(np.int64)).all()
 
@@ -428,6 +450,12 @@ class TestCalibrationReport:
             p.label = 1
         with pytest.raises(ValidationError):
             calibration_report(single)
+
+    def test_needs_two_patients_of_each_label(self, cohort):
+        one_negative = Cohort([p for p in cohort.patients if p.label == 1]
+                              + [next(p for p in cohort.patients if p.label == 0)])
+        with pytest.raises(ValidationError, match="^need at least 2 patients with label 0$"):
+            calibration_report(one_negative)
 
 
 def ref_patient_feature_table(cohort, grid=resample):

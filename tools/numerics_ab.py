@@ -33,7 +33,9 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   of LOAD_SHAPES, with the same statistics per shape. Each of the same
   number of children alternates the trees call by call, as `step_ms`
   alternates steps: LOADS calls per tree of the file as written, then
-  SHAPE_LOADS of each other shape.
+  SHAPE_LOADS of each other shape. The shape `bad_last_row` times the error
+  path: each of its loads must raise the ValidationError that names the
+  file's last line.
 - `environment`: each tree's `vitalnet.cli._environment()` in its child.
 - `all_equal`: whether every gradient, probability and output hash is equal.
 
@@ -52,6 +54,7 @@ import json
 import statistics
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -78,6 +81,13 @@ def _cr_after_first_row(text: bytes) -> bytes:
     return header + b"\n" + first + b"\r" + rest
 
 
+def _dbp_at_sbp_in_last_row(text: bytes) -> bytes:
+    rest, last = text.rstrip(b"\n").rsplit(b"\n", 1)
+    fields = last.split(b",")
+    fields[4] = fields[3]  # dbp = sbp breaks the rule dbp < sbp
+    return rest + b"\n" + b",".join(fields) + b"\n"
+
+
 # the file as written, and each shape in which a reader may see it otherwise
 LOAD_SHAPES = {
     "as_written": lambda text: text,
@@ -86,6 +96,7 @@ LOAD_SHAPES = {
     "offset_stamp": lambda text: text.replace(b"Z,", b"+00:00,", 1),
     "quoted_id": _quote_first_id,  # the first row's
     "lone_cr": _cr_after_first_row,  # a CR, not an LF, ends the first row
+    "bad_last_row": _dbp_at_sbp_in_last_row,  # its load must fail, naming that line
 }
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
@@ -160,6 +171,18 @@ def time_steps(src_a: str, src_b: str, steps: int) -> dict[str, list[float]]:
     return _alternate(calls, steps, 10)
 
 
+def _load_failing_at(data, path: str, line: int) -> None:
+    """A `data.load_cohort(path)` that must raise the ValidationError that
+    names line `line`."""
+    try:
+        data.load_cohort(path)
+    except data.ValidationError as exc:
+        if not str(exc).startswith(f"line {line}: "):
+            raise
+    else:
+        raise AssertionError(f"{path} loaded without an error")
+
+
 def time_loads(src_a: str, src_b: str, paths: dict[str, str], loads: int,
                shape_loads: int) -> dict[str, dict[str, list[float]]]:
     """Child side: per shape, the milliseconds of each `load_cohort` of its
@@ -170,7 +193,9 @@ def time_loads(src_a: str, src_b: str, paths: dict[str, str], loads: int,
                for side, src in (("a", src_a), ("b", src_b))}
     out = {}
     for shape, path in paths.items():
-        calls = {side: lambda i, data=data, path=path: data.load_cohort(path)
+        load = (partial(_load_failing_at, line=Path(path).read_bytes().count(b"\n"))
+                if shape == "bad_last_row" else lambda data, path: data.load_cohort(path))
+        calls = {side: lambda i, data=data, path=path, load=load: load(data, path)
                  for side, data in modules.items()}
         count, warmup = (loads, 2) if shape == "as_written" else (shape_loads, shape_loads > 1)
         out[shape] = _alternate(calls, count, int(warmup))
