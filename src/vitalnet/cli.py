@@ -475,6 +475,7 @@ def _cmd_plot(args) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vitalnet",

@@ -12,15 +12,16 @@ counts, and gathers to forward-fill only when a slot is empty. `make_windows`
 windows the first `cut` slots of each grid, and each window records its end
 slot and its patient's grid length, which is what a day sweep selects on.
 
-The text path has one reader. Its byte path reads the bytes of rows by
-integer arithmetic on 8-byte words: an id of up to 32 bytes with no quote or
-CR, a canonical stamp, hr, sbp and dbp of 1-8 ASCII digits with at most one
-point inside, an age of 1-4 digits, a label of 1-2, and LF or CRLF line
-ends; any other file (say with a quote, a lone CR, or a stamp with an
-offset) is read whole by the row path, one row at a time, as Python parses
-it. An error names the first bad line, as a reader of one row at a time
-would. `write_cohort`
-formats up to `_CHUNK_ROWS` of a patient's rows at once in a byte array, by
+The text path has one reader, which reads a file's bytes once. Its byte
+path reads the bytes of rows by integer arithmetic on 8-byte words: an id of
+up to 32 bytes with no quote or CR, a canonical stamp, hr, sbp and dbp of
+1-8 ASCII digits with at most one point inside, an age of 1-4 digits, a
+label of 1-2, and LF or CRLF line ends; any other file (say with a quote, a
+lone CR, or a stamp with an offset) is read whole by the row path, one row
+at a time, as Python parses it. An error names the first bad line, as a
+reader of one row at a time would. `write_cohort` writes back the rows of
+a file in its own form as they were read (`load_cohort`), and formats
+others up to `_CHUNK_ROWS` of a patient's rows at once in a byte array, by
 table lookups and integer arithmetic, with the id quoted as `csv.writer`
 would; a block holding a value that is not a whole number of hundredths
 below 1e13, or a stamp outside years 1-9999, is formatted one `repr` per
@@ -32,11 +33,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import mmap
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -55,7 +56,7 @@ HOUR = timedelta(hours=1)
 MAX_WINDOW_LEN = 24 * 366
 
 _CHUNK_ROWS = 1024  # rows the writer formats at once; small blocks hold few strings at once
-_CHUNK_BYTES = 1 << 16  # bytes the byte path reads at once
+_CHUNK_BYTES = 1 << 16  # bytes the byte path parses at once
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +67,15 @@ _CHUNK_BYTES = 1 << 16  # bytes the byte path reads at once
 @dataclass
 class PatientRecord:
     """One patient's observations as two arrays: `times` (datetime64[us],
-    UTC, strictly increasing) and `values` (n x 3: hr, sbp, dbp)."""
+    UTC, strictly increasing) and `values` (n x 3: hr, sbp, dbp); `text`
+    (`load_cohort`) must not be kept on a record changed after loading."""
 
     patient_id: str
     age: int
     label: int
     times: np.ndarray
     values: np.ndarray
+    text: memoryview | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.label not in (0, 1):
@@ -111,7 +114,7 @@ class Cohort:
 
 @dataclass
 class RegularSeries:
-    """Hourly gridded T x 3 matrix (HR, SBP, DBP), no missing values."""
+    """Hourly gridded T x 3 matrix (HR, SBP, DBP), finite (`resample`)."""
 
     values: np.ndarray
 
@@ -119,8 +122,6 @@ class RegularSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != 3:
             raise ValidationError(f"values must be T x 3, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise ValidationError("regular series contains non-finite cells")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -271,6 +272,11 @@ _PAIRS = np.uint64(0xFF_0000_00FF)
 _PAIR_SCALES = np.uint64([100 + (10**6 << 32), 1 + (10**4 << 32)])
 _SCALE = np.ones(49)
 _SCALE[8::8] = [10**d for d in range(6, 0, -1)]
+# by 8k + n, for a field of n bytes with k before its point (0: none), the least digits m
+# with no leading zero in the whole part, and with a point, m / 10**(7 - k) >= 1e-4
+_LEAST = np.uint64([0] + [max(10 ** (n - 2) * (n + k > 9), 10 ** max(3 - k, 0)) if k else
+                          10 ** (n - 1) * (n > 1) for k in range(8) for n in range(1, 9)])
+_ZERO_END, _TEN_ENDS = np.uint64(0x3030 << 48), np.uint64(10 << 48)  # words ending '00' to '90'
 _ID_BYTES = 32  # the longest id that the byte path reads
 _HEADER_LINES = tuple((",".join(CSV_HEADER) + end).encode() for end in ("\n", "\r\n"))
 
@@ -278,12 +284,16 @@ _HEADER_LINES = tuple((",".join(CSV_HEADER) + end).encode() for end in ("\n", "\
 def _parse_numbers(x: np.ndarray, lengths: np.ndarray):
     """The hr, sbp and dbp (rows x 3 floats), ages and labels of fields given
     as the word that ends each (`x`, overwritten) and their lengths, field by
-    row; None unless each is 1 to `_FIELD_WIDTH` ASCII digits with, in hr,
-    sbp and dbp only, at most one point, neither its first byte nor its last:
-    then its digits make m < 10**8, d of them after the point, and m / 10**d
-    is `float` of its text, the one rounding of an exact quotient."""
-    if lengths.min(initial=1) < 1 or (lengths.max(axis=1, initial=0) > _FIELD_WIDTH).any():
+    row, and whether all are in the writer's form (`load_cohort`); None
+    unless each is 1 to `_FIELD_WIDTH` ASCII digits with, in hr, sbp and dbp
+    only, at most one point, neither its first byte nor its last: then its
+    digits make m < 10**8, d of them after the point, and m / 10**d is
+    `float` of its text, the one rounding of an exact quotient."""
+    widest = lengths.max(axis=1, initial=0)
+    if lengths.min(initial=1) < 1 or (widest > _FIELD_WIDTH).any():
         return None
+    # one-digit labels, and no hr, sbp or dbp whose last two bytes are a digit and '0'
+    canonical = widest[4] == 1 and not (x[:3] - _ZERO_END < _TEN_ENDS).any()
     keep = _KEEP.take(lengths)
     x ^= _ZEROS
     x &= keep  # the bytes before the field read as leading zeros
@@ -296,29 +306,36 @@ def _parse_numbers(x: np.ndarray, lengths: np.ndarray):
     if bad.any():
         return None
     point = np.maximum(point, 1) - 1  # the bytes before the point move up over it
-    scale = _SCALE.take(np.bitwise_count(point[:3]))
+    before = np.bitwise_count(point[:4])  # 8 x the bytes before the point; 0 with none
+    scale = _SCALE.take(before[:3])
     x += (x & point) * 255
     np.add(x * 10, x >> 8, out=x)  # bytes 0, 2, 4 and 6 hold two digits each
     pairs = (x >> 16 & _PAIRS) * _PAIR_SCALES[1]
     x &= _PAIRS
     np.add(x * _PAIR_SCALES[0], pairs, out=x)
     x >>= 32
-    return (x[:3].view(np.int64) / scale).T, x[3], x[4]
+    # a point in hr, sbp and dbp, no leading zero, no value below 1e-4 (`repr` gives exponents)
+    canonical = canonical and before[:3].all() and not (
+        x[:4] < _LEAST.take(before + lengths[:4])).any()
+    return (x[:3].view(np.int64) / scale).T, x[3], x[4], canonical
 
 
-def _parse_rows(text: bytes, end: int, index: dict[str, int]):
-    """The codes, times, values, ages and labels of the rows in the lines
-    after the LF at text[0], up to `end`; None unless each line is blank or
-    a row of the byte path (module docstring). The LFs and the commas are
-    found once, and each field is read as the 8-byte words at its bytes.
-    Ids come in runs, each decoded as UTF-8 and looked up in `index` (id ->
-    code, numbered in order of first row) once; one starts where an id's
-    length, or a word from its start, differs from the row before (past the
-    id, a word holds a comma and the first digits of the stamp)."""
-    raw = np.frombuffer(text, np.uint8, end)
+def _parse_rows(data: bytes, begin: int, end: int, index: dict[str, int]):
+    """The codes, times, values, ages and labels of the rows in the lines of
+    data[begin:end] after the LF at data[begin], and the offsets of the first
+    rows of patients first seen there if all are canonical (`load_cohort`);
+    None unless each line is blank or a row of the byte path (module
+    docstring). The LFs and commas are found once, and each field is read as
+    the 8-byte words at its bytes. Ids come in runs, each decoded as UTF-8
+    and looked up in `index` (id -> code, numbered in order of first row)
+    once; one starts where an id's length, or a word from its start, differs
+    from the row before (past the id, a word holds a comma and a stamp)."""
+    raw = np.frombuffer(data, np.uint8, end - begin, begin)
     lf = np.flatnonzero(raw == 10)
-    starts, stops = lf[:-1] + 1, lf[1:] - (cr := raw[lf[1:] - 1] == 13)  # less a CR before an LF
-    if b'"' in text or b"\r" in text and np.count_nonzero(raw == 13) != np.count_nonzero(cr):
+    starts, stops = lf[:-1] + 1, lf[1:]
+    if has_cr := data.find(b"\r", begin, end) >= 0:  # less a CR before an LF
+        stops = stops - (cr := raw[stops - 1] == 13)
+    if data.find(b'"', begin, end) >= 0 or has_cr and np.count_nonzero(raw == 13) != cr.sum():
         return None  # a quote, or a CR that does not end a line
     if (blank := stops == starts).any():
         starts, stops = starts[~blank], stops[~blank]
@@ -332,58 +349,64 @@ def _parse_rows(text: bytes, end: int, index: dict[str, int]):
     if not (((seps[0] - starts).view(np.uint64) <= _ID_BYTES).all()
             and (seps[5] < stops).all() and (seps[1] - seps[0] == 21).all()):
         return None
-    words = np.ndarray(max(end - 7, 0), _STAMP_WORD, raw, strides=(1,))  # the word at each byte
-    stamps = np.ndarray(max(end - 23, 0), "V24", raw, strides=(1,))[seps[0] + 1]
+    words = np.ndarray(max(len(raw) - 7, 0), _STAMP_WORD, raw, strides=(1,))  # each byte's word
+    stamps = np.ndarray(max(len(raw) - 23, 0), "V24", raw, strides=(1,))[seps[0] + 1]
     stamps = stamps.view(_STAMP_WORD).reshape(-1, 3).T.copy()
     stamps[2] &= 0xFFFF_FFFF  # the bytes after the stamp
     lengths = seps[2:] - seps[1:6] - 1  # of hr, sbp, dbp, age and label
     if (numbers := _parse_numbers(words[seps[2:] - 8], lengths)) is None or (
             times := _parse_stamps(stamps)) is None:
         return None
+    canonical = numbers[3] and not (has_cr or blank.any())
     lengths = seps[0] - starts  # of the ids
     at = np.arange(0, lengths.max(initial=0), 8)[:, None]
     ids = words[starts + at]
     new = np.ones(len(starts), bool)
     new[1:] = (lengths[1:] != lengths[:-1]) | (ids[:, 1:] != ids[:, :-1]).any(axis=0)
-    first = np.flatnonzero(new)
+    first, known = np.flatnonzero(new), len(index)
+    ats = (starts[first] + begin).tolist()  # where each run starts in data
     try:
-        runs = [index.setdefault(text[s:e].decode(), len(index))
-                for s, e in zip(starts[first].tolist(), seps[0, first].tolist())]
+        runs = [index.setdefault(data[s:e].decode(), len(index))
+                for s, e in zip(ats, (seps[0, first] + begin).tolist())]
     except UnicodeDecodeError:  # which the row path raises
         return None
-    return np.repeat(runs, np.append(first[1:], len(starts)) - first), times, *numbers
+    fresh = dict(zip(runs[::-1], range(len(runs))[::-1]))  # each code's first run
+    return (np.repeat(runs, np.append(first[1:], len(starts)) - first), times, *numbers[:3]), (
+        [ats[fresh[code]] for code in range(known, len(index))] if canonical else None)
 
 
-def _byte_columns(fh, capacity: int, path: Path):
-    """The byte path: parses the whole lines of each read of the rows after
-    the header (`_parse_rows`) into columns filled in place; no read is
-    shorter than the bytes it follows, so a long line is read in linear time.
-    Returns the patient index, the columns and None; or None if it gives up."""
+def _byte_columns(data: bytes, start: int):
+    """The byte path: parses the rows after the header (before data[start])
+    into columns that its LFs size, a slice at a time: the whole lines of
+    `_CHUNK_BYTES` bytes, or one longer line. Returns the patient index, the
+    columns, None and, if the file is canonical but for its rows' order
+    (`load_cohort`), the offsets of the patients' first rows; or None."""
+    heads = [] if start == len(_HEADER_LINES[0]) and data[-1:] == b"\n" else None
+    data = data if data[-1:] == b"\n" else data[:] + b"\n"  # the last line's end
+    raw = np.frombuffer(data, np.uint8)
+    capacity = sum(np.count_nonzero(raw[i:i + _CHUNK_BYTES] == 10)
+                   for i in range(start, len(raw), _CHUNK_BYTES))
     columns = [np.empty(capacity, dtype) for dtype in ("i4", "M8[us]", "3f8", "i2", "i1")]
     index: dict[str, int] = {}
-    n, carry = 0, b"\n"  # an LF and the bytes after the last LF; at the end an LF ends them
-    while text := fh.read(max(_CHUNK_BYTES, len(carry))) or b"\n"[:len(carry) - 1]:
-        text = carry + text
-        end = text.rfind(b"\n") + 1
-        carry = b"\n" + text[end:]
-        if end == 1:
-            continue
-        if (rows := _parse_rows(text, end, index)) is None:
+    n = 0
+    while start < len(data):
+        end = (data.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
+               or data.find(b"\n", start + _CHUNK_BYTES) + 1)
+        if (parsed := _parse_rows(data, start - 1, end, index)) is None:
             return None
-        stop = n + len(rows[0])
-        if stop > capacity:
-            raise ParseError(f"{path}: the file grew while it was read")
+        rows, found = parsed
         for column, part in zip(columns, rows):
-            column[n:stop] = part
-        n = stop
-    return index, tuple(column[:n] for column in columns), None
+            column[n:n + len(rows[0])] = part
+        n, start = n + len(rows[0]), end
+        heads = None if heads is None or found is None else heads + found
+    return index, tuple(column[:n] for column in columns), None, heads
 
 
 def _row_columns(path: Path):
     """The row path: `_numbered_rows` reads the rows after the header one at
     a time, up to the first that does not parse. Returns what the byte path
-    does, with the index of that row last (None if every row parses). Ages
-    and labels are Python ints, whatever their size."""
+    does, with the index of that row third (None if every row parses) and
+    None. Ages and labels are Python ints, whatever their size."""
     index: dict[str, int] = {}
     rows, bad = [], None
     with path.open(newline="", encoding="utf-8") as fh:
@@ -398,7 +421,7 @@ def _row_columns(path: Path):
     codes, times, values, ages, labels = zip(*rows) if rows else ((),) * 5
     columns = (np.array(codes, np.int32), np.array(times, np.int64).view("datetime64[us]"),
                np.array(values).reshape(-1, 3), np.array(ages, object), np.array(labels, object))
-    return index, columns, bad
+    return index, columns, bad, None
 
 
 def _row_error(row: list[str], line_no: int) -> VitalnetError | None:
@@ -474,30 +497,35 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
 def load_cohort(path) -> Cohort:
     """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
 
-    A first pass over the bytes counts the LFs, which bounds the rows of the
-    byte path (`_byte_columns`; a file that grows past it while it is read
-    is an error). A file whose header line is not exactly the header, or
-    that the byte path gives up on, is read whole by the row path
-    (`_row_columns`), which stops at the first row that does not parse. The
-    records are views of the columns. An error names the first bad line, as
-    a reader of one row at a time would: `_first_error` finds it among the
-    rows read and the row that stopped the row path.
+    The file's bytes are read once. If its header line is exactly the
+    header, the byte path (`_byte_columns`) parses them; a file whose header
+    line is not, or that the byte path gives up on, is read whole by the row
+    path (`_row_columns`), which stops at the first row that does not parse.
+    The records are views of the columns. An error names the first bad line,
+    as a reader of one row at a time would: `_first_error` finds it among
+    the rows read and the row that stopped the row path.
+
+    A file is in the writer's own form when the byte path reads it, its
+    header line ends in an LF, it has no CR and no blank line and ends in
+    an LF, its rows are grouped by patient in order of first row with times
+    increasing, each hr, sbp and dbp is `repr` of its float, and each age
+    has no leading zero and each label one digit. Then each record's `text`
+    is a view of the bytes of its rows, which `write_cohort` writes back.
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)  # reads the header's line(s) only
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    if header != CSV_HEADER:
-        raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-    with path.open("rb") as fh:  # a row per LF, and one after the last
-        capacity = 1 + sum(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
-                           for chunk in iter(partial(fh.read, _CHUNK_BYTES), b""))
-        fh.seek(0)
-        read = _byte_columns(fh, capacity, path) if fh.readline() in _HEADER_LINES else None
-    index, columns, bad = read or _row_columns(path)
+    with path.open("rb") as fh:  # into pages that go back to the OS when freed; heap may not
+        data = mmap.mmap(-1, max(path.stat().st_size, 1), access=mmap.ACCESS_COPY)
+        data = data if fh.readinto(data) == len(data) else data[:fh.tell()]
+    if not (start := next((len(line) for line in _HEADER_LINES if data[:len(line)] == line), 0)):
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)  # reads the header's line(s) only
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        if header != CSV_HEADER:
+            raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+    index, columns, bad, heads = start and _byte_columns(data, start) or _row_columns(path)
     codes, times, values, ages, labels = columns
     # each patient's first row: codes are numbered in order of first row
     first = np.flatnonzero(codes > np.r_[-1, np.maximum.accumulate(codes)[:-1]])
@@ -509,12 +537,17 @@ def load_cohort(path) -> Cohort:
     if bad is None and consistent:
         splits = np.searchsorted(codes[order], np.arange(1, len(index)))
         try:  # the records check values, labels, ages and repeated times
-            return Cohort([
+            cohort = Cohort([
                 PatientRecord(pid, int(ages[f]), int(labels[f]), t, v) for pid, f, t, v in zip(
                     index, first, np.split(times[order], splits), np.split(values[order], splits))
             ])
         except ValidationError as exc:  # if no row is bad, an age out of range
             error = exc
+        else:
+            if in_order and heads is not None:  # a patient's rows end where the next begins
+                for p, lo, hi in zip(cohort.patients, heads, [*heads[1:], len(data)]):
+                    p.text = memoryview(data)[lo:hi]
+            return cohort
     raise _first_error(path, *columns, first, order, bad) or error
 
 
@@ -641,6 +674,9 @@ def write_cohort(cohort: Cohort, path) -> None:
     with path.open("wb") as fh:
         fh.write((",".join(CSV_HEADER) + "\n").encode())
         for p in cohort.patients:
+            if p.text is not None:  # its rows as they were read
+                fh.write(p.text)
+                continue
             head, tail = _csv_field(p.patient_id) + ",", f"{p.age},{p.label}\n"
             fixed = head.encode(), tail.encode()
             for lo in range(0, len(p.times), _CHUNK_ROWS):
@@ -675,6 +711,9 @@ def resample(record: PatientRecord) -> RegularSeries:
     means = np.empty((n_slots, len(CHANNELS)))
     for c, col in enumerate(record.values.T):
         np.divide(np.bincount(slots, col, n_slots), divisor, out=means[:, c])
+    if not np.isfinite(means).all():  # a sum past float64
+        raise ValidationError(f"patient {record.patient_id}: an hourly mean of its vitals is "
+                              "not finite")
     if not counts.all():  # each slot reads the mean of the last filled slot at or before it
         means = means[np.maximum.accumulate(np.where(counts > 0, np.arange(n_slots), 0))]
     return RegularSeries(values=means)

@@ -78,6 +78,21 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == 2
 
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        assert run(["--help"]) == 0
+        help_text = capsys.readouterr().out
+        for _ in range(2):
+            assert run(["split", "--cohort"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: vitalnet split") and "expected one argument" in err
+            assert run(["synth", "--out", str(tmp_path / "c.csv")]) == 0
+            assert capsys.readouterr().out.startswith("wrote 70 patients")
+            assert run(["split", "--help"]) == 0
+            assert "--train-fraction" in capsys.readouterr().out
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out == help_text
+
     def test_missing_input_is_validation_error(self, tmp_path, capsys):
         code = run(["stats", "--cohort", str(tmp_path / "absent.csv"),
                     "--out", str(tmp_path / "s.csv")])
@@ -710,7 +725,8 @@ class TestEmptyAndOverflowingCohorts:
         cohort.write_text("".join(rows))
         capsys.readouterr()
         assert run(["stats", "--cohort", str(cohort), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: regular series contains non-finite cells\n"
+        assert capsys.readouterr().err == ("error: patient SYN-0-000: an hourly mean of its "
+                                           "vitals is not finite\n")
         assert not (tmp_path / "out").exists()
 
 

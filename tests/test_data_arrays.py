@@ -26,7 +26,7 @@ from vitalnet.errors import ParseError, ValidationError
 from vitalnet.synth import _patient_record, _round2
 
 UTC = timezone.utc
-CHUNKS = [1, 7, 64, data._CHUNK_BYTES]  # bytes per read of the byte path
+CHUNKS = [1, 7, 64, data._CHUNK_BYTES]  # bytes per slice of the byte path
 T0 = datetime(2020, 3, 21, tzinfo=UTC)
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

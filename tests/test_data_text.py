@@ -9,7 +9,8 @@ quotes an id holding a lone CR. The arithmetic stamp parser must accept the
 stamps that the NumPy round trip (`ref_parse_stamps`) and the per-block
 parser it replaced (`oracle_parse_stamps`) accept, with the same instants;
 the byte path's number parser must read every field that it accepts as
-`float` or `int` reads its text.
+`float` or `int` reads its text. A file in the writer's own form is written
+back as it was read, and only such a file.
 """
 
 import csv
@@ -29,6 +30,7 @@ from alloc_probe import LARGE_BLOCK, largest_line_rise
 from cohort_ref import (assert_same_outcome, assert_same_patients, outcome, ref_load_rows,
                         ref_write_cohort, unchecked_records)
 from vitalnet import data
+from vitalnet.cli import run as cli_run
 from vitalnet.data import (CSV_HEADER, Cohort, PatientRecord, load_cohort, split_by_patient,
                            write_cohort)
 from vitalnet.errors import ParseError, ValidationError
@@ -516,12 +518,12 @@ FILE_CORPUS = {
     "devanagari_in_age": HEADER + ROW.replace(",50,", ",5\u0930,") + ROW2,
 }
 
-# The byte path parses the whole lines of each read of `data._CHUNK_BYTES`
+# The byte path parses the whole lines of each slice of `data._CHUNK_BYTES`
 # at once: a slab, in these names. At the default size, "last_block" changes
-# the last row that the first read holds whole, "next_first_block" the row
-# that the first read cuts and the second ends, and "partial_end" the last
-# row, in a second read that the file ends.
-SLAB_ROWS = data._CHUNK_BYTES // 30  # of about 45 bytes: a read and a half
+# the last row that the first slice holds whole, "next_first_block" the row
+# that the first slice cuts and the second ends, and "partial_end" the last
+# row, in a second slice that the file ends.
+SLAB_ROWS = data._CHUNK_BYTES // 30  # of about 45 bytes: a slice and a half
 SLAB_CHANGES = {  # name: (field, its new text from the old)
     "offset_stamp": (1, lambda stamp: stamp.replace("Z", "+00:00")),
     "id_past_width": (0, lambda pid: "P" * (ID_WIDTH + 1)),
@@ -557,8 +559,8 @@ FILE_CORPUS.update({
 })
 
 
-# bytes per read of the byte path: a row spans many reads (1, 2, 7), or
-# about one (64); a read holds a few dozen rows (1024), or the default
+# bytes per slice of the byte path: a row spans many slices (1, 2, 7), or
+# about one (64); a slice holds a few dozen rows (1024), or the default
 CHUNKS = [1, 2, 7, 64, 1024, data._CHUNK_BYTES]
 
 
@@ -731,52 +733,24 @@ class TestBlockBoundaries:
         with pytest.raises(csv.Error, match="field larger than field limit"):
             load_cohort(path)
 
-    @staticmethod
-    def growing(path, lines: int, grown: str):
-        """`_parse_rows` as it is, but for appending `grown` to the file the
-        first time that it returns while the file has `lines` lines."""
+    def test_a_file_growing_while_read_loads_the_bytes_read(self, tmp_path):
+        # the file is read once, before the byte path parses it: rows that
+        # another writer appends while the rows are parsed are not seen
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + row("P0", 0) + row("P0", 1))
         real = data._parse_rows
 
         def parse_rows(*args):
-            rows = real(*args)
-            if len(path.read_text().splitlines()) == lines:
-                with path.open("a") as fh:
-                    fh.write(grown)
-            return rows
+            with path.open("a") as fh:
+                fh.write(row("P0", 9, stamp="2020-03-21T09:00:00+00:00"))
+            return real(*args)
 
-        return parse_rows
-
-    def test_file_growing_while_read_is_an_error(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text(HEADER + row("P0", 0))
-        parse_rows = self.growing(path, 2, row("P0", 1) + row("P0", 2) + row("P0", 3))
         with mock.patch.object(data, "_CHUNK_BYTES", 1), \
-                mock.patch.object(data, "_parse_rows", parse_rows):
-            with pytest.raises(ParseError, match=re.escape(f"{path}: the file grew")):
-                load_cohort(path)
-
-    @pytest.mark.parametrize("bad_block", ["pending", "growing"])
-    def test_file_growing_with_a_bad_stamp_in_the_slab_takes_the_row_path(self, tmp_path,
-                                                                          bad_block):
-        # reads of a byte, so that a read's whole lines are at most one row:
-        # the k rows read before the file grows leave room for two more (a
-        # row per LF and one after the last), so the third row read after
-        # it overflows; a stamp with an offset in the row before it
-        # ("pending"), or in it, sends the file to the row path before the
-        # growth is seen
-        k = 1
-        path = tmp_path / "c.csv"
-        path.write_text(HEADER + "".join(row("P0", h) for h in range(k)))
-        bad = k + 1 + (bad_block == "growing")  # the data row before the overflow, or it
-        grown = [row("P0", h, stamp="2020-03-21T%02d:00:00+00:00" % h if h == bad else None)
-                 for h in range(k, k + 4)]
-        with mock.patch.object(data, "_CHUNK_BYTES", 1), \
-                mock.patch.object(data, "_parse_rows", self.growing(path, k + 1, "".join(grown))), \
+                mock.patch.object(data, "_parse_rows", parse_rows), \
                 mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
-            got = load_cohort(path)
-        assert rows.called
-        assert_same_patients(got.patients, ref_load_rows(path))
-        assert len(got.patients[0].times) == k + 4
+            (patient,) = load_cohort(path).patients
+        assert not rows.called and len(patient.times) == 2
+        assert bytes(patient.text) == (row("P0", 0) + row("P0", 1)).encode()
 
     @pytest.fixture(scope="class")
     def x4_file(self, tmp_path_factory):
@@ -817,3 +791,174 @@ class TestBlockBoundaries:
                                      armed=lambda: reading and reads.called)
         assert reads.call_count > 100
         assert rise < LARGE_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Files in the writer's own form
+# ---------------------------------------------------------------------------
+
+# the ids of IDS that the byte path reads: no quote, comma, CR or LF
+BYTE_IDS = [pid for pid in IDS if not set(pid) & set('",\r\n')] + ["P" * ID_WIDTH]
+FORM_STARTS = [datetime(2020, 3, 21), datetime(999, 12, 31, 23), datetime(9999, 1, 1)]
+FORM_VALUES = st.integers(1, 30_000).map(lambda k: k / 100) | st.sampled_from(
+    [0.0001, 0.0005, 0.125, 0.001, 999999.5])
+
+
+def other_spelling(kind: str, lines: list[list[str]], at: int, other: int) -> None:
+    """Change `lines` (the rows' fields, in file order) one way that the
+    writer would not write: `kind` respells a field of row `at`, or moves
+    that row to `other`; the file still loads."""
+    row = lines[at]
+    if kind == "trailing_zero":
+        row[2] += "0" if len(row[2]) < 8 else ""
+    elif kind == "leading_zero":
+        row[3] = "0" + row[3] if len(row[3]) < 8 else row[3]
+    elif kind == "no_point":
+        row[2] = str(int(float(row[2])) + 1)
+    elif kind == "exponent_in_repr":
+        row[2] = "0.00005"
+    elif kind == "age_leading_zero":
+        row[5] = "0" + row[5]
+    elif kind == "label_of_two_digits":
+        row[6] = "0" + row[6]
+    elif kind == "rows_moved":  # out of time order, or one patient inside another
+        lines.insert(other, lines.pop(at))
+
+
+FORM_CHANGES = ["trailing_zero", "leading_zero", "no_point", "exponent_in_repr",
+                "age_leading_zero", "label_of_two_digits", "rows_moved", "crlf", "crlf_rows",
+                "crlf_header", "blank_line", "no_final_lf"]
+
+
+@st.composite
+def byte_path_files(draw):
+    """The bytes of files that the byte path reads: a few patients' rows as
+    the writer writes them, with no change, one of FORM_CHANGES (each as
+    likely), or now and then two."""
+    lines = []
+    for i, pid in enumerate(draw(st.lists(st.sampled_from(BYTE_IDS), min_size=1, max_size=4,
+                                          unique=True))):
+        n = draw(st.integers(1, 5))
+        t = draw(st.sampled_from(FORM_STARTS))
+        for step in draw(st.lists(st.integers(1, 3 * 86400), min_size=n, max_size=n)):
+            t += timedelta(seconds=step)
+            hr, sbp, dbp = draw(FORM_VALUES), draw(st.integers(100, 300)), draw(st.integers(1, 99))
+            lines.append([pid, f"{t:%Y-%m-%dT%H:%M:%SZ}".rjust(20, "0"), repr(hr),
+                          repr(sbp + 0.5), repr(dbp / 4), str(21 + 20 * i), str(i % 2)])
+    changes = {draw(st.sampled_from(["none", *FORM_CHANGES]))}
+    if draw(st.integers(0, 3)) == 0:
+        changes.add(draw(st.sampled_from(FORM_CHANGES)))
+    for kind in changes:
+        other_spelling(kind, lines, draw(st.integers(0, len(lines) - 1)),
+                       draw(st.integers(0, len(lines) - 1)))
+    text = "".join(",".join(row) + "\n" for row in lines)
+    if "blank_line" in changes:
+        at = draw(st.integers(0, text.count("\n")))
+        text = "\n".join(text.split("\n")[:at] + [""] + text.split("\n")[at:])
+    if "crlf_rows" in changes:
+        text = text.replace("\n", "\r\n")
+    text = HEADER + text
+    if "crlf" in changes:
+        text = text.replace("\n", "\r\n").replace("\r\r", "\r")
+    elif "crlf_header" in changes:
+        text = text.replace("\n", "\r\n", 1)
+    if "no_final_lf" in changes:
+        text = text[:-1]
+    return text.encode()
+
+
+def written(cohort, path, texts=True):
+    """`write_cohort`'s bytes for `cohort`, with each patient's `text` as
+    loaded, or (`texts` false) with none."""
+    kept = [p.text for p in cohort.patients]
+    if not texts:
+        for p in cohort.patients:
+            p.text = None
+    write_cohort(cohort, path)
+    for p, text in zip(cohort.patients, kept):
+        p.text = text
+    return path.read_bytes()
+
+
+class TestWritersOwnForm:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, data._CHUNK_BYTES])
+    @settings(max_examples=100, deadline=None)
+    @given(text=byte_path_files())
+    # an empty id, whose first word holds the stamp's, so that its rows make
+    # more than one run (`data._parse_rows`), before a patient first seen
+    @example(text=(HEADER + ",2020-03-31T23:00:00Z,80.5,120.5,70.5,21,0\n"
+                   ",2020-04-01T00:00:00Z,80.5,120.5,70.5,21,0\n"
+                   "P1,2020-03-21T00:00:00Z,80.5,120.5,70.5,41,1\n").encode())
+    def test_property_text_written_back_is_the_formatted_text(self, tmp_path_factory, chunk,
+                                                              text):
+        d = tmp_path_factory.mktemp("form")
+        (d / "in.csv").write_bytes(text)
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+            cohort = load_cohort(d / "in.csv")
+        assert not rows.called
+        formatted = written(cohort, d / "formatted.csv", texts=False)
+        assert written(cohort, d / "kept.csv") == formatted
+        # every patient keeps its text exactly when the file is the writer's
+        kept = {p.text is not None for p in cohort.patients}
+        assert kept == {text == formatted}
+
+    @pytest.fixture(scope="class")
+    def small_synth_file(self, tmp_path_factory):
+        cfg = default_config()
+        for group in cfg.groups:
+            group.patients_per_bin = [1, 1, 1, 1]
+        path = tmp_path_factory.mktemp("synth") / "c.csv"
+        write_cohort(generate_cohort(cfg), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("change", ["as_written", "72.50", "072.5", "72", "0.00005", "crlf",
+                                        "blank_line", "no_final_lf", "label_01", "age_065",
+                                        "rows_swapped", "patient_interleaved", "crlf_header"])
+    def test_split_of_another_spelling_writes_the_formatted_rows(self, tmp_path,
+                                                                 small_synth_file, change):
+        header, *lines = small_synth_file.decode().splitlines(True)
+        first = lines[0].rstrip("\n").split(",")
+        second = next(i for i, line in enumerate(lines) if not line.startswith(first[0] + ","))
+        respell = {"72.50": (2, first[2] + "0"), "072.5": (2, "0" + first[2]), "72": (2, "72"),
+                   "0.00005": (2, "0.00005"), "label_01": (6, "0" + first[6]),
+                   "age_065": (5, "0" + first[5])}
+        if change in respell:
+            field, spelling = respell[change]
+            first[field] = spelling
+            lines[0] = ",".join(first) + "\n"
+        elif change == "rows_swapped":
+            lines[:2] = lines[1::-1]
+        elif change == "patient_interleaved":
+            lines.insert(1, lines.pop(second))
+        elif change == "blank_line":
+            lines.insert(1, "\n")
+        text = header + "".join(lines)
+        text = {"crlf": text.replace("\n", "\r\n"), "no_final_lf": text[:-1],
+                "crlf_header": text.replace("\n", "\r\n", 1)}.get(change, text)
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        cohort = load_cohort(path)
+        assert [p.text is not None for p in cohort.patients] == [change == "as_written"] * 8
+        out = [tmp_path / "train.csv", tmp_path / "test.csv"]
+        with mock.patch.object(data, "_pack_rows", wraps=data._pack_rows) as pack_rows:
+            assert cli_run(["split", "--cohort", str(path), "--seed", "3",
+                            "--train-out", str(out[0]), "--test-out", str(out[1])]) == 0
+        assert pack_rows.called == (change != "as_written")  # as written, rows are copied
+        for part, got in zip(split_by_patient(cohort, 0.8, 3), out):
+            ref_write_cohort(part.patients, tmp_path / "ref.csv")
+            assert got.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_ids_the_byte_path_reads_are_written_as_they_are(self, tmp_path):
+        read = []
+        for pid in IDS:
+            path = tmp_path / "c.csv"
+            times = np.arange(3).astype("datetime64[h]").astype("datetime64[us]")
+            write_cohort(Cohort([PatientRecord(pid, 50, 1, times, [[80.0, 120.5, 70.25]] * 3)]),
+                         path)  # the id quoted as `csv.writer` quotes it
+            with mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+                (patient,) = load_cohort(path).patients
+            if not rows.called:
+                read.append(pid)
+                assert data._csv_field(pid) == pid and patient.patient_id == pid
+        assert read == BYTE_IDS[:-1]

@@ -1,6 +1,6 @@
 """Compare two vitalnet source trees: the bits of a training step's outputs
 and of the cohort subcommands' outputs, how long a training step takes, and
-how long a cohort load takes.
+how long a cohort load and a split take.
 
     python3 tools/numerics_ab.py A/src B/src --out ab.json [--rounds 10] [--steps 300]
     python3 tools/numerics_ab.py A/src B/src --out ab.json --quick
@@ -36,6 +36,10 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   SHAPE_LOADS of each other shape. The shape `bad_last_row` times the error
   path: each of its loads must raise the ValidationError that names the
   file's last line.
+- `split_ms`: the wall time of one `cli.run(["split", ...])` of the same
+  file as written, with the same statistics. Each of the same number of
+  children imports each tree's `vitalnet.cli` and runs one untimed split
+  and then one timed split per tree, the trees taking turns.
 - `environment`: each tree's `vitalnet.cli._environment()` in its child.
 - `all_equal`: whether every gradient, probability and output hash is equal.
 
@@ -202,6 +206,22 @@ def time_loads(src_a: str, src_b: str, paths: dict[str, str], loads: int,
     return out
 
 
+def time_splits(src_a: str, src_b: str, cohort: str, out: str) -> dict[str, list[float]]:
+    """Child side: the milliseconds of a `split` of `cohort` per tree, after
+    an untimed one, the trees taking turns; each writes into `out`."""
+    calls = {}
+    for side, src in (("a", src_a), ("b", src_b)):
+        argv = ["split", "--cohort", cohort, "--seed", str(LOAD_SEED), "--train-out",
+                f"{out}/{side}_train.csv", "--test-out", f"{out}/{side}_test.csv"]
+
+        def split(i, cli=_load(src, f"vitalnet_{side}", "cli"), argv=argv):
+            if cli.run(argv) != 0:
+                raise RuntimeError(f"split exited non-zero in {src}")
+
+        calls[side] = split
+    return _alternate(calls, 1, 1)
+
+
 def write_x4_config(out: str) -> str:
     """Child side: the benchmark's x4 synth config, written into the
     directory `out` by the benchmark's own set-up; its path."""
@@ -299,6 +319,7 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, shape_loa
             paths[shape] = str(work / f"{shape}.csv")
             Path(paths[shape]).write_bytes(reshape(cohort.read_bytes()))
         children = timing("time_loads", src_a, src_b, rounds, paths, loads, shape_loads)
+        splitting = summary(timing("time_splits", src_a, src_b, rounds, str(cohort), tmp))
     loading = {shape: summary([child[shape] for child in children]) for shape in LOAD_SHAPES}
     stepping = summary(timing("time_steps", src_a, src_b, rounds, steps))
     outputs_equal = hashes["a"] == hashes["b"]
@@ -314,6 +335,8 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, shape_loa
                     "loads_per_child": {shape: loads if shape == "as_written" else shape_loads
                                         for shape in LOAD_SHAPES},
                     "shapes": loading},
+        "split_ms": {"cohort": f"tree a's seed-{LOAD_SEED} synth output", "splits_per_child": 1,
+                     **splitting},
         "environment": {"a": probes[0]["environment"], "b": probes[1]["environment"]},
     }
 
@@ -334,7 +357,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"all_equal {report['all_equal']}  outputs equal {report['outputs']['equal']}")
     timings = [("step_ms", "steps", report["step_ms"])] + [
-        (f"load_ms {shape}", "loads", t) for shape, t in report["load_ms"]["shapes"].items()]
+        (f"load_ms {shape}", "loads", t) for shape, t in report["load_ms"]["shapes"].items()] + [
+        ("split_ms", "splits", report["split_ms"])]
     for name, unit, t in timings:
         print(f"{name} {t['median']}  ratio {t['ratio_b_over_a']:.3f}  b lower in "
               f"{t['b_lower_in_children']}/{len(t['per_child']['a'])} children, faster in "
