@@ -68,8 +68,8 @@ BCE_EPS = 1e-7
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to stay overflow-free in both tails
-    out = np.empty_like(x, dtype=float)
+    # split by sign to stay overflow-free in both tails; a float keeps its dtype
+    out = np.empty_like(x, dtype=np.result_type(x, 0.0))
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -78,10 +78,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """Reusable flat float64 buffers keyed by role.
+    """Reusable flat buffers keyed by role.
 
-    `take(role, shape)` returns the first prod(shape) elements of the role's
-    buffer, reshaped, and grows the buffer when it is too small; so a partial
+    `take(role, shape, dtype)` returns the first prod(shape) elements of the
+    role's buffer, reshaped, in the dtype of the arrays it serves, and makes
+    the buffer anew when it is too small or of another dtype; so a partial
     last batch reuses the full batch's memory. The contents are whatever the
     role's last user left. `layer(name)` is a view of the same buffers whose
     roles are prefixed by `name`, so two layers never share a buffer.
@@ -94,12 +95,12 @@ class Workspace:
     def layer(self, name: str) -> "Workspace":
         return Workspace(self._buffers, f"{self._prefix}{name}.")
 
-    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         key = self._prefix + role
         size = math.prod(shape)
         buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
@@ -113,7 +114,7 @@ def _im2col(x: np.ndarray, k: int, ws: Workspace) -> np.ndarray:
     x[c, :, j:j+T_out], matching w.reshape(F, K*C)."""
     c, b, t = x.shape
     t_out = t - k + 1
-    cols = ws.take("cols", (k, c, b, t_out))
+    cols = ws.take("cols", (k, c, b, t_out), x.dtype)
     for j in range(k):
         cols[j] = x[:, :, j : j + t_out]
     return cols.reshape(k * c, b * t_out)
@@ -128,7 +129,7 @@ def conv1d_forward(x, w, bias, ws):
     if t < k:
         raise ValidationError(f"conv1d: input length {t} shorter than kernel {k}")
     cols = _im2col(x, k, ws)
-    pre = ws.take("out", (f, b, t - k + 1))
+    pre = ws.take("out", (f, b, t - k + 1), x.dtype)
     np.matmul(w.reshape(f, k * c), cols, out=pre.reshape(f, -1))
     pre += bias[:, None, None]
     return pre, (x, w, cols)
@@ -148,7 +149,7 @@ def conv1d_backward(dpre, cache, ws, input_grad=True):
     if not input_grad:
         return None, dw, db
     dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
-    dx = ws.take("dx", x.shape)
+    dx = ws.take("dx", x.shape, x.dtype)
     np.add(dcols[0], 0.0, out=dx[:, :, :t_out])  # the bits of adding it into zeros
     dx[:, :, t_out:] = 0.0
     for j in range(1, k):
@@ -173,14 +174,14 @@ def maxpool1d_forward(x, ws):
     if t < 2:
         raise ValidationError(f"maxpool1d: input length {t} shorter than window 2")
     first, second = x[..., 0 : t - 1 : 2], x[..., 1:t:2]
-    out = np.maximum(first, second, out=ws.take("out", first.shape))
+    out = np.maximum(first, second, out=ws.take("out", first.shape, x.dtype))
     return out, (x.shape, second > first)
 
 
 def maxpool1d_backward(dout, cache, ws):
     shape, second = cache
     t = shape[2]
-    dx = ws.take("dx", shape)
+    dx = ws.take("dx", shape, dout.dtype)
     dx[..., t - t % 2 :] = 0.0  # an odd last slot takes no gradient
     # each half is written once, then + 0.0: the bits of adding into zeros
     for half, mask in ((dx[..., 0 : t - 1 : 2], ~second), (dx[..., 1:t:2], second)):
@@ -203,20 +204,20 @@ def lstm_forward(x, wx, wh, bias, ws):
     # sigmoid(z) = 0.5 + 0.5 * tanh(0.5 * z) for i, f, o; tanh(z) for g. The
     # inner 0.5 is folded into scaled copies of the weights and bias, which is
     # exact because 0.5 is a power of two.
-    scale = np.full((4 * h_dim, 1), 0.5)
+    scale = np.full((4 * h_dim, 1), 0.5, x.dtype)
     scale[2 * h_dim : 3 * h_dim] = 1.0
-    wx_s = np.multiply(wx.T, scale, out=ws.take("wx_s", (4 * h_dim, d)))
-    wh_s = np.multiply(wh.T, scale, out=ws.take("wh_s", (4 * h_dim, h_dim)))
+    wx_s = np.multiply(wx.T, scale, out=ws.take("wx_s", (4 * h_dim, d), x.dtype))
+    wh_s = np.multiply(wh.T, scale, out=ws.take("wh_s", (4 * h_dim, h_dim), x.dtype))
     # input projection of every step: one (4H, D) @ (D, B) GEMM per step
-    gates = np.matmul(wx_s, x.transpose(2, 0, 1), out=ws.take("gates", (t, 4 * h_dim, b)))
+    gates = np.matmul(wx_s, x.transpose(2, 0, 1), out=ws.take("gates", (t, 4 * h_dim, b), x.dtype))
     gates += bias[:, None] * scale
-    cs = ws.take("cs", (t + 1, h_dim, b))
-    hs = ws.take("hs", (t + 1, h_dim, b))
+    cs = ws.take("cs", (t + 1, h_dim, b), x.dtype)
+    hs = ws.take("hs", (t + 1, h_dim, b), x.dtype)
     cs[0] = 0.0  # every later row is written by its step
     hs[0] = 0.0
     # per-step scratch, reused so that the loop allocates no arrays
-    rec = ws.take("rec", (4 * h_dim, b))
-    ig = ws.take("ig", (h_dim, b))
+    rec = ws.take("rec", (4 * h_dim, b), x.dtype)
+    ig = ws.take("ig", (h_dim, b), x.dtype)
     for step in range(t):
         z = gates[step]
         z += np.matmul(wh_s, hs[step], out=rec)
@@ -244,7 +245,7 @@ def lstm_backward(dh_last, cache, ws):
     # unit dc for the i, f and g blocks and per unit dh for the o block. s(1-s)
     # of the i, f and o gates takes two passes over the whole buffer; the g
     # block is overwritten after.
-    dz = np.subtract(1.0, gates, out=ws.take("dz", gates.shape))
+    dz = np.subtract(1.0, gates, out=ws.take("dz", gates.shape, x.dtype))
     dz *= gates
     di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     di *= g
@@ -262,7 +263,7 @@ def lstm_backward(dh_last, cache, ws):
     dc_dh *= o
     # the carried dh and dc, and dh * dc_dh, are (H, B) blocks of the forward
     # pass's per-step scratch, so that the loop allocates no arrays
-    dh, dc, dh_dc = ws.take("rec", (4 * h_dim, b))[: 3 * h_dim].reshape(3, h_dim, b)
+    dh, dc, dh_dc = ws.take("rec", (4 * h_dim, b), x.dtype)[: 3 * h_dim].reshape(3, h_dim, b)
     np.copyto(dh, dh_last.T)
     dc.fill(0.0)
     for step in range(t - 1, -1, -1):
@@ -275,18 +276,18 @@ def lstm_backward(dh_last, cache, ws):
             dc *= f[step]
     # (4H, B*T), columns in x's (B, T) order, written over the cached gates,
     # which the loop has consumed
-    dz_t = ws.take("gates", (4 * h_dim, b, t))
+    dz_t = ws.take("gates", (4 * h_dim, b, t), x.dtype)
     np.copyto(dz_t, dz.transpose(1, 2, 0))
     dz_t = dz_t.reshape(4 * h_dim, b * t)
     # both weight gradients from one GEMM over the stacked [x; h_{t-1}], which
     # is written over dz once dz_t holds its values: rows :D are dwx, D: dwh
-    xh = ws.take("dz", (d + h_dim, b, t))
+    xh = ws.take("dz", (d + h_dim, b, t), x.dtype)
     np.copyto(xh[:d], x)
     np.copyto(xh[d:], hs[:-1].transpose(1, 2, 0))
     dw = np.matmul(xh.reshape(d + h_dim, b * t), dz_t.T,
-                   out=ws.take("dw", (d + h_dim, 4 * h_dim)))
+                   out=ws.take("dw", (d + h_dim, 4 * h_dim), x.dtype))
     db = dz_t.sum(axis=1)
-    dx = np.matmul(wx, dz_t, out=ws.take("dx", (d, b * t))).reshape(d, b, t)
+    dx = np.matmul(wx, dz_t, out=ws.take("dx", (d, b * t), x.dtype)).reshape(d, b, t)
     return dx, dw[:d], dw[d:], db
 
 

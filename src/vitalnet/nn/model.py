@@ -3,8 +3,9 @@ ReLU) -> dense(1, sigmoid), with seeded initialization and checkpoint I/O.
 
 The 100-unit dense layer's activations are the feature vectors consumed by
 the t-SNE projection; the final unit yields the positive-class probability.
-The parameter tensors are views of one float64 vector, `ModelParams.flat`,
-which Adam updates in one pass.
+The parameter tensors are views of one vector, `ModelParams.flat`, which
+Adam updates in one pass. A pass runs in its dtype: float32 in training, and
+float64 from `init_params` and `load_checkpoint` (gradient check, scoring).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class ModelConfig:
         return self.conv1_kernel + self.conv2_kernel
 
     def window_elements(self, window_len: int) -> int:
-        """Float64 elements that one window of `window_len` slots adds to a
+        """Elements that one window of `window_len` slots adds to a
         forward pass: both im2col matrices, the conv and pool outputs, and
         the LSTM's gates and states (20,116 at the defaults and 48 slots)."""
         if window_len < self.min_window_len():
@@ -119,7 +120,7 @@ class ModelConfig:
 @dataclass
 class ModelParams:
     """All weight tensors, keyed per TENSOR_ORDER. `flat` is one contiguous
-    float64 copy of the tensors passed in, and `tensors` becomes views of
+    copy of the tensors passed in, in their dtype, and `tensors` becomes views of
     it, so that an elementwise update of every tensor is one array operation."""
 
     tensors: dict[str, np.ndarray]
@@ -127,13 +128,18 @@ class ModelParams:
 
     def __post_init__(self):
         given = self.tensors
-        self.flat = np.concatenate([np.ravel(given[n]) for n in TENSOR_ORDER], dtype=float)
+        parts = [np.ravel(given[n]) for n in TENSOR_ORDER]
+        self.flat = np.concatenate(parts, dtype=np.result_type(*parts, 0.0))
         self.tensors, lo = {}, 0
         for name in TENSOR_ORDER:
             shape = np.shape(given[name])
             size = math.prod(shape)
             self.tensors[name] = self.flat[lo : lo + size].reshape(shape)
             lo += size
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy of these parameters in `dtype`."""
+        return ModelParams({n: t.astype(dtype) for n, t in self.tensors.items()}, self.config)
 
 
 def first_nonfinite(tensors: dict[str, np.ndarray]) -> str:
@@ -180,11 +186,11 @@ def forward(params: ModelParams, x: np.ndarray, ws: Workspace):
     The layers are linear; the model applies the three ReLUs in place, after
     conv1, after the pool and after dense1. Each ReLU output is cached once,
     as the input of the layer that reads it. The cache holds views of the
-    workspace's buffers, good until the next pass.
+    workspace's buffers, good until the next pass; x is cast to the params' dtype.
     """
     cfg = params.config
     t = params.tensors
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=params.flat.dtype)
     if x.ndim != 3 or x.shape[2] != N_CHANNELS:
         raise ValidationError(f"forward: expected (B, W, {N_CHANNELS}), got {x.shape}")
     if x.shape[1] < cfg.min_window_len():
@@ -230,10 +236,10 @@ def backward(dlogits: np.ndarray, cache, ws: Workspace):
 
 
 def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray, ws: Workspace):
-    """Mean BCE over the batch plus gradients for every parameter tensor."""
+    """Mean BCE over the batch, in float64, plus every tensor's gradient."""
     probs, _, cache = forward(params, x, ws)
     loss = layers.bce_loss(probs, y)
-    dlogits = (probs - np.asarray(y, dtype=float)) / len(y)
+    dlogits = (probs - np.asarray(y, dtype=probs.dtype)) / len(y)
     grads = backward(dlogits, cache, ws)
     return loss, probs, grads
 
@@ -249,8 +255,8 @@ def save_checkpoint(
     """JSON checkpoint of format CHECKPOINT_FORMAT_VERSION: `format_version`,
     `model_config`, `preprocess` and, per tensor in TENSOR_ORDER, an object
     `{name, shape, data}`, where `data` is the standard padded base64 of the
-    tensor's C-order little-endian float64 bytes: exact by construction, and
-    decoded without parsing a decimal per value."""
+    tensor's C-order little-endian float64 bytes: exact by construction, a
+    float32 tensor's too, and decoded without parsing a decimal per value."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(params.config),

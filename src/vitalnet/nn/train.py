@@ -13,8 +13,11 @@ from .layers import Workspace
 from .model import (TENSOR_ORDER, ModelConfig, ModelParams, first_nonfinite, init_params,
                     loss_and_grads)
 
+# every training pass and Adam step runs in this dtype
+TRAIN_DTYPE = np.float32
+
 # far above the paper's 30 epochs; one epoch over the default cohort takes
-# ~0.19 s (1 BLAS thread, 2-vCPU Xeon), so the bound keeps one flag from
+# ~0.13 s (1 BLAS thread, 2-vCPU Xeon), so the bound keeps one flag from
 # buying years of training
 MAX_EPOCHS = 10_000
 
@@ -52,8 +55,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, float64 vectors laid out like
-    `ModelParams.flat`; None until the first step."""
+    """First and second moment estimates, vectors laid out like
+    `ModelParams.flat` in the gradient's dtype; None until the first step."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -76,18 +79,19 @@ def adam_step(
     if t < 1:
         raise ValidationError(f"adam_step: step index must be >= 1, got {t}")
     ws = ws.layer("adam")
-    shape = params.flat.shape
-    g = np.concatenate([np.ravel(grads[n]) for n in TENSOR_ORDER], out=ws.take("grad", shape))
+    shape, dtype = params.flat.shape, params.flat.dtype
+    g = np.concatenate([np.ravel(grads[n]) for n in TENSOR_ORDER],
+                       out=ws.take("grad", shape, dtype))
     if not np.isfinite(g).all():
         raise ValidationError(f"non-finite gradient in tensor {first_nonfinite(grads)}")
     if state.m is None:
-        state.m, state.v = np.zeros(shape), np.zeros(shape)
+        state.m, state.v = np.zeros(shape, dtype), np.zeros(shape, dtype)
     b1, b2 = config.beta1, config.beta2
     m, v = state.m, state.v
     # one scratch vector, then also the gradient's own copy once the moments
     # have read it, carry every intermediate of
     # p -= lr * m_hat / (sqrt(v_hat) + eps), operand order as written
-    step = ws.take("step", shape)
+    step = ws.take("step", shape, dtype)
     m *= b1
     m += np.multiply(1.0 - b1, g, out=step)
     v *= b2
@@ -110,7 +114,8 @@ def train(
     """Mini-batch training with seeded shuffling; returns params and the
     per-epoch history (epoch, loss, accuracy on the training windows).
 
-    Every step's large arrays are views of one Workspace's buffers, which
+    Every step runs in TRAIN_DTYPE, from the rounding of `init_params`'s
+    draws, and its large arrays are views of one Workspace's buffers, which
     the first (and largest) batch allocates.
     """
     mcfg = mcfg or ModelConfig()
@@ -125,13 +130,13 @@ def train(
         raise ValidationError(f"train: need both labels present, got {sorted(classes)}")
     mcfg.check_batch(train_set.X.shape[1], min(tcfg.batch_size, n))
 
-    params = init_params(mcfg)
+    params = init_params(mcfg).astype(TRAIN_DTYPE)
     ws = Workspace()
     state = AdamState()
     rng = np.random.default_rng(tcfg.seed)
     history: list[dict] = []
     step = 0
-    x_all = train_set.X
+    x_all = train_set.X.astype(TRAIN_DTYPE)
     y_all = train_set.y
     # a step that overflows leaves a non-finite gradient, which adam_step rejects
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -16,11 +17,12 @@ import pytest
 from vitalnet import __version__, cli, evaluate, svg, tsne
 from vitalnet.cli import _openblas_core, run
 from vitalnet.data import write_cohort
-from vitalnet.nn import save_checkpoint
+from vitalnet.nn import load_checkpoint, save_checkpoint
 from vitalnet.nn.train import MAX_EPOCHS
 from vitalnet.synth import MAX_ROWS, MAX_STAY_DAYS, default_config
 
 from checkpoint_docs import write_version_1
+from childproc import run_cli
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -463,6 +465,29 @@ class TestTrainEvalSweep:
 
 
 class TestCheckpointVersions:
+    def test_train_writes_float32_weights_widened(self, tmp_path, small_cohort_csv):
+        # training runs in float32: two trains at one seed, each in its own
+        # interpreter, write the same bytes, every stored float64 is exactly
+        # a float32, and the loader hands scoring float64 parameters
+        outs = []
+        for run_dir in (tmp_path / "a", tmp_path / "b"):
+            run_dir.mkdir()
+            model, history = run_dir / "model.json", run_dir / "history.csv"
+            result = run_cli(["train", "--train", small_cohort_csv, "--seed", "5",
+                              "--set-train", "epochs=2", "--out", model,
+                              "--history-out", history])
+            assert result.code == 0, result.stderr
+            outs.append((model.read_bytes(), history.read_bytes()))
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0][0])
+        assert doc["format_version"] == 2
+        for entry in doc["tensors"]:
+            w = np.frombuffer(base64.b64decode(entry["data"]), "<f8")
+            assert np.array_equal(w, w.astype(np.float32)), entry["name"]
+        params, _ = load_checkpoint(tmp_path / "a" / "model.json")
+        assert params.flat.dtype == np.float64
+        assert all(t.dtype == np.float64 for t in params.tensors.values())
+
     def test_format_1_checkpoint_gives_the_same_bytes(self, tmp_path, pipeline):
         # the default model on the seed-11 held-out split, saved in format 2
         # and rewritten as the format-1 writer wrote it

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from childproc import run_call
-from test_nn_train import make_dataset
+from test_nn_train import make_dataset, train_module
 from vitalnet.nn import layers, model
 from vitalnet.nn.layers import (
     Workspace,
@@ -44,6 +44,11 @@ from vitalnet.nn.layers import (
 from vitalnet.nn.train import AdamState, TrainConfig, adam_step, train
 
 TOL = 1e-12
+# float32 against float64 from the same float32 inputs, relative to each
+# tensor's largest |entry|; measured at 1 OpenBLAS thread: <= 9.2e-7 in the
+# kernels below, and in loss_and_grads <= 9.4e-8 on the probabilities and
+# <= 2.7e-6 on the gradients
+F32_TOL = 1e-5
 
 
 def _time_windows(x, width, stride=1):
@@ -656,7 +661,7 @@ def oracle_conv1d_backward(dpre, cache, ws):
     flat = dpre.reshape(f, -1)
     dw = (flat @ cols.T).reshape(f, k, c)
     dcols = np.matmul(w.reshape(f, k * c).T, flat, out=cols).reshape(k, c, b, t_out)
-    dx = ws.take("dx", x.shape)
+    dx = ws.take("dx", x.shape, x.dtype)
     dx.fill(0.0)
     for j in range(k):
         dx[:, :, j : j + t_out] += dcols[j]
@@ -668,9 +673,9 @@ def oracle_maxpool1d_backward(dout, cache, ws):
     into a zero-filled dx."""
     shape, second = cache
     t = shape[2]
-    dx = ws.take("dx", shape)
+    dx = ws.take("dx", shape, dout.dtype)
     dx.fill(0.0)
-    tmp = ws.take("tmp", dout.shape)
+    tmp = ws.take("tmp", dout.shape, dout.dtype)
     dx[..., 0 : t - 1 : 2] += np.multiply(dout, ~second, out=tmp)
     dx[..., 1:t:2] += np.multiply(dout, second, out=tmp)
     return dx
@@ -683,7 +688,7 @@ def oracle_lstm_backward(dh_last, cache, ws):
     d, b, t = x.shape
     h_dim = wh.shape[0]
     i, f, g, o = (gates[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
-    dz = ws.take("dz", gates.shape)
+    dz = ws.take("dz", gates.shape, gates.dtype)
     di, df, dg, do = (dz[:, k * h_dim : (k + 1) * h_dim] for k in range(4))
     for dk, s in ((di, i), (df, f), (do, o)):
         np.subtract(1.0, s, out=dk)
@@ -700,7 +705,7 @@ def oracle_lstm_backward(dh_last, cache, ws):
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
     dh = dh_last.T
-    dc = np.zeros((h_dim, b))
+    dc = np.zeros((h_dim, b), dh_last.dtype)
     for step in range(t - 1, -1, -1):
         dc += dh * dc_dh[step]
         ifg = dz[step, : 3 * h_dim].reshape(3, h_dim, b)
@@ -709,15 +714,16 @@ def oracle_lstm_backward(dh_last, cache, ws):
         if step:
             dh = wh @ dz[step]
             dc *= f[step]
-    dz_t = ws.take("gates", (4 * h_dim, b, t))
+    dz_t = ws.take("gates", (4 * h_dim, b, t), gates.dtype)
     np.copyto(dz_t, dz.transpose(1, 2, 0))
     dz = dz_t.reshape(4 * h_dim, b * t)
-    hs_t = ws.take("cs", (h_dim, b, t))
+    hs_t = ws.take("cs", (h_dim, b, t), hs.dtype)
     np.copyto(hs_t, hs[:-1].transpose(1, 2, 0))
-    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=ws.take("dwx", (d, 4 * h_dim)))
-    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T, out=ws.take("dwh", (h_dim, 4 * h_dim)))
+    dwx = np.matmul(x.reshape(d, b * t), dz.T, out=ws.take("dwx", (d, 4 * h_dim), x.dtype))
+    dwh = np.matmul(hs_t.reshape(h_dim, b * t), dz.T,
+                    out=ws.take("dwh", (h_dim, 4 * h_dim), hs.dtype))
     db = dz.sum(axis=1)
-    dx = np.matmul(wx, dz, out=ws.take("dx", (d, b * t))).reshape(d, b, t)
+    dx = np.matmul(wx, dz, out=ws.take("dx", (d, b * t), x.dtype)).reshape(d, b, t)
     return dx, dwx, dwh, db
 
 
@@ -894,3 +900,128 @@ class TestBackwardAgainstOracle:
                 for got, want in zip(new, old):
                     assert np.array_equal(got, want), (coretype, b)
         assert len(cores) == 3, f"OpenBLAS did not take every OPENBLAS_CORETYPE: {cores}"
+
+
+def conv_pass(ws, x, w, bias, dpre):
+    pre, cache = conv1d_forward(x, w, bias, ws)
+    return (pre, *conv1d_backward(dpre, cache, ws))
+
+
+def pool_pass(ws, x, dout):
+    out, cache = maxpool1d_forward(x, ws)
+    return out, maxpool1d_backward(dout, cache, ws)
+
+
+def lstm_pass(ws, x, wx, wh, bias, dh):
+    h, cache = lstm_forward(x, wx, wh, bias, ws)
+    return (h, *lstm_backward(dh, cache, ws))
+
+
+def dense_pass(ws, x, w, bias, dout):
+    out, cache = dense_forward(x, w, bias)
+    return (out, *dense_backward(dout, cache))
+
+
+def float32_and_float64(kernel, *arrays):
+    """The outputs of `kernel(ws, *arrays)` with the arrays in float32 and in
+    float64, from the same float32-rounded values, each in a fresh workspace
+    whose every buffer must be of that dtype."""
+    outs = []
+    for dtype in (np.float32, np.float64):
+        ws = Workspace()
+        outs.append(kernel(ws, *(a.astype(np.float32).astype(dtype) for a in arrays)))
+        assert all(buf.dtype == dtype for buf in ws._buffers.values())
+    return outs
+
+
+def assert_float32_close(got, want):
+    assert got.dtype == np.float32 and want.dtype == np.float64
+    assert got.shape == want.shape
+    scale = np.abs(want).max(initial=0.0) or 1.0
+    assert np.abs(got - want).max(initial=0.0) <= F32_TOL * scale
+
+
+class TestFloat32AgainstFloat64:
+    """The kernels run in their inputs' dtype: in float32 they agree with
+    float64 to F32_TOL, and nothing they return or buffer is upcast."""
+
+    @pytest.mark.parametrize("b,t,c,f,k", CONV_CASES)
+    def test_conv(self, b, t, c, f, k):
+        rng = np.random.default_rng(b * 100 + t * 10 + k)
+        x, dpre = rng.standard_normal((c, b, t)), rng.standard_normal((f, b, t - k + 1))
+        w, bias = rng.standard_normal((f, k, c)) / np.sqrt(k * c), rng.standard_normal(f)
+        for got, want in zip(*float32_and_float64(conv_pass, x, w, bias, dpre)):
+            assert_float32_close(got, want)
+
+    @pytest.mark.parametrize("b,t", [(1, 44), (17, 43), (32, 44)])
+    def test_pool(self, b, t):
+        rng = np.random.default_rng(b * 100 + t)
+        x, dout = rng.standard_normal((64, b, t)), rng.standard_normal((64, b, t // 2))
+        for got, want in zip(*float32_and_float64(pool_pass, x, dout)):
+            assert_float32_close(got, want)
+
+    @pytest.mark.parametrize("b,t,d,h,scale", [(1, 22, 64, 64, 0.2), (17, 20, 64, 64, 0.2),
+                                               (32, 20, 64, 64, 0.2), (4, 6, 4, 5, 0.4)])
+    def test_lstm(self, b, t, d, h, scale):
+        rng = np.random.default_rng(7 * b + t + d * h)
+        x, wx, wh, bias = lstm_case(rng, b, t, d, h, scale)
+        dh = rng.standard_normal((b, h))
+        for got, want in zip(*float32_and_float64(lstm_pass, cf(x), wx, wh, bias, dh)):
+            assert_float32_close(got, want)
+
+    @pytest.mark.parametrize("b,d,u", [(1, 64, 100), (17, 64, 100), (32, 100, 1)])
+    def test_dense(self, b, d, u):
+        rng = np.random.default_rng(b + d + u)
+        x, w = rng.standard_normal((b, d)), rng.standard_normal((d, u)) / np.sqrt(d)
+        bias, dout = rng.standard_normal(u), rng.standard_normal((b, u))
+        for got, want in zip(*float32_and_float64(dense_pass, x, w, bias, dout)):
+            assert_float32_close(got, want)
+
+    @pytest.mark.parametrize("b", [1, 17, 32])
+    def test_loss_and_grads(self, b):
+        params = model.init_params(model.ModelConfig(seed=b)).astype(np.float32)
+        x = np.random.default_rng(b).standard_normal((b, 48, 3)).astype(np.float32)
+        y = np.arange(b) % 2
+        (loss, probs, grads), (ref_loss, ref_probs, ref_grads) = (
+            model.loss_and_grads(p, x, y, Workspace()) for p in (params, params.astype(float)))
+        assert type(loss) is float and abs(loss - ref_loss) <= F32_TOL * ref_loss
+        assert_float32_close(probs, ref_probs)
+        for name in model.TENSOR_ORDER:
+            assert_float32_close(grads[name], ref_grads[name])
+
+    def test_float32_params_upcast_nothing(self):
+        # a float64 batch is cast once, by forward; Adam's moments and
+        # buffers take the gradient's dtype
+        params = model.init_params(model.ModelConfig()).astype(np.float32)
+        x = np.random.default_rng(8).standard_normal((5, 48, 3))
+        ws, state = Workspace(), AdamState()
+        probs, feats, _ = model.forward(params, x, ws)
+        assert probs.dtype == feats.dtype == np.float32
+        _, probs, grads = model.loss_and_grads(params, x, np.arange(5) % 2, ws)
+        assert probs.dtype == np.float32
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        adam_step(params, grads, state, 1, TrainConfig(), ws)
+        assert params.flat.dtype == state.m.dtype == state.v.dtype == np.float32
+        assert {"adam.grad", "adam.step", "lstm.dz", "conv2.dx"} <= set(ws._buffers)
+        assert {buf.dtype for buf in ws._buffers.values()} == {np.dtype(np.float32)}
+
+    def test_sigmoid_keeps_a_float_dtype(self):
+        z = np.array([-40.0, -1.0, 0.0, 1.0, 40.0])
+        assert sigmoid(z.astype(np.float32)).dtype == np.float32
+        assert_float32_close(sigmoid(z.astype(np.float32)), sigmoid(z))
+        assert sigmoid(np.array([-1, 0, 1])).dtype == np.float64
+
+    def test_train_steps_in_float32(self, monkeypatch):
+        # every buffer of train()'s one workspace, and the params it returns
+        made = []
+
+        def recording():
+            made.append(Workspace())
+            return made[-1]
+
+        monkeypatch.setattr(train_module, "Workspace", recording)
+        ds = make_dataset(n_windows=40, window_len=48, seed=3)
+        params, _ = train(ds, model.ModelConfig(), TrainConfig(epochs=1))
+        assert params.flat.dtype == train_module.TRAIN_DTYPE == np.float32
+        assert len(made) == 1 and made[0]._buffers
+        assert {buf.dtype for buf in made[0]._buffers.values()} == {np.dtype(np.float32)}

@@ -23,7 +23,7 @@ from vitalnet.nn import (
 )
 from vitalnet.nn.layers import Workspace, conv1d_forward, dense_forward
 from vitalnet.nn.model import FIXED_KEYS, MAX_KERNEL, MAX_WIDTH, TENSOR_ORDER
-from vitalnet.nn.train import MAX_EPOCHS
+from vitalnet.nn.train import MAX_EPOCHS, TRAIN_DTYPE
 
 import gradcheck  # the finite-difference helper
 from checkpoint_docs import as_version, b64_floats, with_data
@@ -190,8 +190,9 @@ class TestTrain:
     def test_zero_epochs_returns_init(self):
         ds = make_dataset()
         params, history = train(ds, TINY, TrainConfig(epochs=0))
-        ref = init_params(TINY)
+        ref = init_params(TINY).astype(TRAIN_DTYPE)  # the rounding of the float64 draws
         assert history == []
+        assert params.flat.dtype == TRAIN_DTYPE
         for k in ref.tensors:
             assert np.array_equal(params.tensors[k], ref.tensors[k])
 
@@ -223,8 +224,10 @@ class TestTrain:
 
 def train_allocating(ds, mcfg, tcfg):
     """train()'s loop with a fresh workspace per step, so that every step
-    allocates its arrays: the oracle of the reused workspace."""
-    params, state = init_params(mcfg), AdamState()
+    allocates its arrays: the oracle of the reused workspace. It starts, as
+    train() does, from the TRAIN_DTYPE rounding of init_params, and each
+    step's workspace takes that dtype from the parameters."""
+    params, state = init_params(mcfg).astype(TRAIN_DTYPE), AdamState()
     rng = np.random.default_rng(tcfg.seed)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -252,6 +255,13 @@ class TestWorkspace:
         grown = ws.take("x", (5, 3))  # a larger one grows the buffer
         assert grown.shape == (5, 3) and grown.base is not a.base
 
+    def test_take_remakes_a_buffer_of_another_dtype(self):
+        ws = Workspace()
+        assert ws.take("x", (4, 3)).dtype == np.float64
+        single = ws.take("x", (4, 3), np.float32)  # no larger, but float32
+        assert single.dtype == np.float32
+        assert ws.take("x", (2, 3), np.float32).base is single.base
+
     @pytest.mark.parametrize("cfg", [ModelConfig(), TINY])
     def test_same_gradients_as_allocating_pass(self, cfg):
         # batch sizes that shrink, grow back and shrink again through one
@@ -276,6 +286,7 @@ class TestWorkspace:
         tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
         params, _ = train(ds, cfg, tcfg)
         ref = train_allocating(ds, cfg, tcfg)
+        assert params.flat.dtype == ref.flat.dtype == TRAIN_DTYPE
         assert np.array_equal(params.flat, ref.flat)
 
     def test_steps_after_the_first_allocate_no_large_block(self, monkeypatch):

@@ -1,7 +1,8 @@
 """tools/numerics_ab.py, run in its quick mode on this tree against itself:
 every gradient, probability and cohort-subcommand output is bit-equal, and
-both sides time a step, a cohort load in each shape and a split, taking
-turns in one child. Its full mode's x4 config is the benchmark's."""
+both sides time a step, an epoch of `train`, a cohort load in each shape and
+a split, taking turns in one child. Its full mode's x4 config is the
+benchmark's, and its held-out metrics are `eval`'s."""
 
 import importlib.util
 import json
@@ -40,7 +41,11 @@ def test_tree_against_itself(tmp_path, capsys):
     assert report["load_ms"]["loads_per_child"] == {
         shape: 3 if shape == "as_written" else 1 for shape in tool.LOAD_SHAPES}
     assert report["split_ms"]["splits_per_child"] == 1
-    for timing in [report["step_ms"], *shapes.values(), report["split_ms"]]:
+    assert {k: report["train_ms"][k] for k in ("windows", "epochs", "trains_per_child")} == {
+        "windows": tool.TRAIN_WINDOWS, "epochs": 1, "trains_per_child": 1}
+    assert report["heldout"] == {"seeds": []}  # full mode only
+    timings = [report["step_ms"], report["train_ms"], *shapes.values(), report["split_ms"]]
+    for timing in timings:
         assert len(timing["per_child"]["a"]) == len(timing["per_child"]["b"]) == 1
         assert timing["median"]["a"] > 0 and timing["median"]["b"] > 0
         assert timing["b_lower_in_children"] in (0, 1) and 0 <= timing["b_faster_share"] <= 1
@@ -55,3 +60,13 @@ def test_x4_config_is_the_benchmarks(tmp_path):
     config = json.loads(Path(path).read_text())
     assert [g["patients_per_bin"] for g in config["groups"]] == [
         [4 * n for n in g.patients_per_bin] for g in default_config().groups]
+
+
+def test_heldout_is_evals(tmp_path, monkeypatch):
+    # one seed pair of the six: the accuracy and AUC of the default
+    # walkthrough's model, which pass the held-out gate
+    tool = load_tool()
+    monkeypatch.setattr(tool, "HELDOUT_SEEDS", ((11, 7),))
+    metrics = tool.heldout(ROOT / "src", tmp_path / "heldout")
+    assert list(metrics) == ["11/7"]
+    assert metrics["11/7"]["accuracy"] >= 0.85 and metrics["11/7"]["auc"] >= 0.90

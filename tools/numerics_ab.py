@@ -1,6 +1,7 @@
 """Compare two vitalnet source trees: the bits of a training step's outputs
-and of the cohort subcommands' outputs, how long a training step takes, and
-how long a cohort load and a split take.
+and of the cohort subcommands' outputs, how long a training step and an
+epoch of `train` take, how long a cohort load and a split take, and the
+held-out metrics of trained models.
 
     python3 tools/numerics_ab.py A/src B/src --out ab.json [--rounds 10] [--steps 300]
     python3 tools/numerics_ab.py A/src B/src --out ab.json --quick
@@ -19,7 +20,8 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   subcommand run by `run_cli` with that tree first on PYTHONPATH; and
   whether the two trees' hashes are all equal. Manifests hold timings and
   are not hashed.
-- `step_ms`: the wall time of a B=32 `loss_and_grads` plus `adam_step`.
+- `step_ms`: the wall time of a B=32 `loss_and_grads` plus `adam_step`,
+  from `init_params`'s float64 parameters, so in float64.
   Each round is one child process that imports each tree's `vitalnet`
   under its own name (`vitalnet_a`, `vitalnet_b`; the package's relative
   imports keep each copy self-contained) and alternates them step by step,
@@ -28,6 +30,11 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   median of each tree's values, B's median over A's, the number of
   children in which B's median was the lower, and the share of paired
   steps in which B was faster.
+- `train_ms`: the wall time of a 1-epoch `nn.train` of the default model,
+  in the dtype and with the set-up that tree's `train` uses, on a fixed
+  seeded set of TRAIN_WINDOWS windows (the default seed-11 training split
+  has 766), with the same statistics: TRAINS calls per tree and child after
+  one untimed one, the trees taking turns as in `step_ms`.
 - `load_ms`: the wall time of one `data.load_cohort` of tree A's seed-11
   cohort file from `outputs`, as written and rewritten in each other shape
   of LOAD_SHAPES, with the same statistics per shape. Each of the same
@@ -40,14 +47,18 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   file as written, with the same statistics. Each of the same number of
   children imports each tree's `vitalnet.cli` and runs one untimed split
   and then one timed split per tree, the trees taking turns.
+- `heldout`: full mode only. Per tree, the held-out accuracy and AUC
+  that `eval` writes for a default `train` at each (split, train) seed pair
+  of HELDOUT_SEEDS, on the default cohort, each subcommand run by
+  `run_cli`; and each tree's lowest accuracy and AUC.
 - `environment`: each tree's `vitalnet.cli._environment()` in its child.
 - `all_equal`: whether every gradient, probability and output hash is equal.
 
-`--quick` takes one round of 20 timed steps, 3 timed loads of the file as
-written and one of each other shape, and runs the cohort subcommands at
-seed 11 only, on the x1 default config, whose cohort is then the one
-loaded: enough to check that both trees run and to compare their bytes, not
-to compare their speed.
+`--quick` takes one round of 20 timed steps, one timed epoch, 3 timed
+loads of the file as written and one of each other shape, runs the cohort
+subcommands at seed 11 only, on the x1 default config, whose cohort is then
+the one loaded, and leaves out `heldout`: enough to check that both trees
+run and to compare their bytes, not to compare their speed.
 """
 
 from __future__ import annotations
@@ -73,6 +84,9 @@ OUTPUT_SEEDS = (3, 11)
 LOAD_SEED = 11
 LOADS = 20
 SHAPE_LOADS = 5
+TRAIN_WINDOWS = 768
+TRAINS = 5
+HELDOUT_SEEDS = ((11, 7), (1, 7), (2, 7), (3, 7), (11, 1), (11, 2))
 
 
 def _quote_first_id(text: bytes) -> bytes:
@@ -175,6 +189,29 @@ def time_steps(src_a: str, src_b: str, steps: int) -> dict[str, list[float]]:
     return _alternate(calls, steps, 10)
 
 
+def time_trains(src_a: str, src_b: str, trains: int) -> dict[str, list[float]]:
+    """Child side: the milliseconds of each of `trains` 1-epoch trains per
+    tree, after one untimed one, the trees taking turns call by call."""
+    import importlib
+
+    import numpy as np
+
+    rng = np.random.default_rng(TRAIN_WINDOWS)
+    x = rng.standard_normal((TRAIN_WINDOWS, WINDOW_LEN, 3))
+    y = np.arange(TRAIN_WINDOWS) % 2
+    calls = {}
+    for side, src in (("a", src_a), ("b", src_b)):
+        nn = _load(src, f"vitalnet_{side}", "nn")
+        data = importlib.import_module(f"vitalnet_{side}.data")
+        windows = data.WindowedDataset(
+            X=x, y=y, patient_ids=[f"w{i}" for i in range(TRAIN_WINDOWS)],
+            padded=np.zeros(TRAIN_WINDOWS, dtype=bool),
+            ends=np.full(TRAIN_WINDOWS, WINDOW_LEN), lengths=np.full(TRAIN_WINDOWS, WINDOW_LEN))
+        calls[side] = lambda i, nn=nn, windows=windows: nn.train(
+            windows, nn.ModelConfig(seed=1), nn.TrainConfig(epochs=1, seed=1))
+    return _alternate(calls, trains, 1)
+
+
 def _load_failing_at(data, path: str, line: int) -> None:
     """A `data.load_cohort(path)` that must raise the ValidationError that
     names line `line`."""
@@ -263,6 +300,30 @@ def cli_outputs(src: Path, work: Path, config: Path | None, seeds) -> dict:
     return hashes
 
 
+def heldout(src: Path, work: Path) -> dict[str, dict[str, float]]:
+    """Per "split/train" seed pair of HELDOUT_SEEDS, the accuracy and AUC
+    that `eval` writes for a default `train` by the tree `src`, in `work`."""
+    def cli(*argv):
+        run = run_cli(argv, env=ONE_THREAD, src=src, timeout=600)
+        if run.code != 0:
+            raise SystemExit(f"vitalnet {argv[0]} failed in {src}:\n{run.stderr}")
+
+    work.mkdir(parents=True)
+    cohort, metrics = work / "cohort.csv", {}
+    cli("synth", "--out", cohort)
+    for split, seed in HELDOUT_SEEDS:
+        d = work / f"{split}_{seed}"
+        d.mkdir()
+        cli("split", "--cohort", cohort, "--seed", split, "--train-out", d / "train.csv",
+            "--test-out", d / "test.csv")
+        cli("train", "--train", d / "train.csv", "--seed", seed, "--out", d / "model.json")
+        cli("eval", "--model", d / "model.json", "--test", d / "test.csv",
+            "--out", d / "eval.json")
+        result = json.loads((d / "eval.json").read_text())
+        metrics[f"{split}/{seed}"] = {k: result[k] for k in ("accuracy", "auc")}
+    return metrics
+
+
 def compare(a: dict, b: dict) -> dict:
     import numpy as np
 
@@ -303,7 +364,7 @@ def summary(children: list[dict[str, list[float]]]) -> dict:
 
 
 def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, shape_loads: int,
-        quick: bool) -> dict:
+        trains: int, quick: bool) -> dict:
     probes = [_call("probe", src, BATCHES) for src in (src_a, src_b)]
     table = compare(probes[0]["outputs"], probes[1]["outputs"])
     seeds = (LOAD_SEED,) if quick else OUTPUT_SEEDS
@@ -320,8 +381,11 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, shape_loa
             Path(paths[shape]).write_bytes(reshape(cohort.read_bytes()))
         children = timing("time_loads", src_a, src_b, rounds, paths, loads, shape_loads)
         splitting = summary(timing("time_splits", src_a, src_b, rounds, str(cohort), tmp))
+        held = {} if quick else {side: heldout(src, work / f"heldout_{side}")
+                                 for side, src in (("a", src_a), ("b", src_b))}
     loading = {shape: summary([child[shape] for child in children]) for shape in LOAD_SHAPES}
     stepping = summary(timing("time_steps", src_a, src_b, rounds, steps))
+    training = summary(timing("time_trains", src_a, src_b, rounds, trains))
     outputs_equal = hashes["a"] == hashes["b"]
     return {
         "trees": {"a": str(src_a), "b": str(src_b)},
@@ -331,12 +395,18 @@ def run(src_a: Path, src_b: Path, rounds: int, steps: int, loads: int, shape_loa
         "outputs": {"config": "x1 default" if quick else "x4", "seeds": list(seeds),
                     "equal": outputs_equal, "sha256": hashes},
         "step_ms": {"batch": STEP_BATCH, "steps_per_child": steps, **stepping},
+        "train_ms": {"windows": TRAIN_WINDOWS, "epochs": 1, "trains_per_child": trains,
+                     **training},
         "load_ms": {"cohort": f"tree a's seed-{LOAD_SEED} synth output",
                     "loads_per_child": {shape: loads if shape == "as_written" else shape_loads
                                         for shape in LOAD_SHAPES},
                     "shapes": loading},
         "split_ms": {"cohort": f"tree a's seed-{LOAD_SEED} synth output", "splits_per_child": 1,
                      **splitting},
+        "heldout": {"seeds": [] if quick else [f"{s}/{t}" for s, t in HELDOUT_SEEDS],
+                    **{side: {"metrics": m, "lowest": {k: min(v[k] for v in m.values())
+                                                       for k in ("accuracy", "auc")}}
+                       for side, m in held.items()}},
         "environment": {"a": probes[0]["environment"], "b": probes[1]["environment"]},
     }
 
@@ -350,19 +420,24 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
-    rounds, steps, loads, shape_loads = ((1, 20, 3, 1) if args.quick else
-                                         (args.rounds, args.steps, LOADS, SHAPE_LOADS))
+    rounds, steps, loads, shape_loads, trains = (
+        (1, 20, 3, 1, 1) if args.quick else
+        (args.rounds, args.steps, LOADS, SHAPE_LOADS, TRAINS))
     report = run(args.src_a.resolve(), args.src_b.resolve(), rounds, steps, loads, shape_loads,
-                 args.quick)
+                 trains, args.quick)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"all_equal {report['all_equal']}  outputs equal {report['outputs']['equal']}")
-    timings = [("step_ms", "steps", report["step_ms"])] + [
+    timings = [("step_ms", "steps", report["step_ms"]),
+               ("train_ms", "trains", report["train_ms"])] + [
         (f"load_ms {shape}", "loads", t) for shape, t in report["load_ms"]["shapes"].items()] + [
         ("split_ms", "splits", report["split_ms"])]
     for name, unit, t in timings:
         print(f"{name} {t['median']}  ratio {t['ratio_b_over_a']:.3f}  b lower in "
               f"{t['b_lower_in_children']}/{len(t['per_child']['a'])} children, faster in "
               f"{t['b_faster_share']:.0%} of {unit}")
+    for side in ("a", "b") if report["heldout"]["seeds"] else ():
+        lowest = report["heldout"][side]["lowest"]
+        print(f"heldout {side} lowest accuracy {lowest['accuracy']:.4f}, auc {lowest['auc']:.4f}")
     return 0
 
 
