@@ -485,8 +485,10 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
         bad = int(flagged.argmax())
     elif bad is None:
         return None
-    with path.open(newline="", encoding="utf-8") as fh:
-        line_no, row = next(islice(_numbered_rows(fh), bad + 1, None))  # after the header
+    with path.open(newline="", encoding="utf-8") as fh:  # bad + 1: after the header
+        line_no, row = next(islice(_numbered_rows(fh), bad + 1, None), (0, None))
+    if row is None:  # the file lost rows between the two reads
+        return ValidationError(f"{path}: the file changed while it was read")
     if error := _row_error(row, line_no):
         return error
     if inconsistent[bad]:

@@ -116,7 +116,8 @@ def train(
 
     Every step runs in TRAIN_DTYPE, from the rounding of `init_params`'s
     draws, and its large arrays are views of one Workspace's buffers, which
-    the first (and largest) batch allocates.
+    the first (and largest) batch allocates. The params come back widened to
+    float64, as `save_checkpoint` writes them and `load_checkpoint` reads them.
     """
     mcfg = mcfg or ModelConfig()
     tcfg = tcfg or TrainConfig()
@@ -152,11 +153,5 @@ def train(
                 correct += int(((probs >= 0.5).astype(int) == yb).sum())
                 step += 1
                 adam_step(params, grads, state, step, tcfg, ws)
-            history.append(
-                {
-                    "epoch": epoch + 1,
-                    "loss": total_loss / n,
-                    "accuracy": correct / n,
-                }
-            )
-    return params, history
+            history.append({"epoch": epoch + 1, "loss": total_loss / n, "accuracy": correct / n})
+    return params.astype(np.float64), history

@@ -10,8 +10,8 @@ inside the target intervals by construction.
 
 Each patient's draws are made in turn; the AR(1) and burst recurrences,
 which draw nothing, then run for a block of patients at once (`_recur`).
-A patient's vitals are one (3, n) array, a row per vital; a constant row,
-as every single-sample patient's is, stays at its latent mean, unclipped.
+A patient's vitals are one (3, n) array, a row per vital; every row, a
+constant one (any single-sample patient's) too, is rescaled and clipped.
 """
 
 from __future__ import annotations
@@ -369,8 +369,8 @@ def _generate_block(rng, group: GroupSpec, dyn: Dynamics, first: int, ages, cade
 def _assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, gains, age: int,
                       cadence_min: int, paths, mu, mn, phase, start_minute) -> PatientRecord:
     """A patient from its five paths and latent draws, one (3, n) row per vital:
-    each mixed row is rescaled so its mean and minimum land on mu and mn, then
-    clipped; a row with spread <= 0 (a constant path) stays at mu, unclipped."""
+    each mixed row is rescaled so its mean and minimum land on mu and mn (a
+    constant row by 0), clipped to `_CLIP`, and dbp held to sbp - 10 at most."""
     spikes, dips = paths.T[:2]
     ar = paths.T[2:].copy()  # hr, sbp and the independent part of dbp
     rho = dyn.sbp_dbp_corr
@@ -384,10 +384,9 @@ def _assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, gains, age: int
 
     z_mean = z.mean(axis=1, keepdims=True)
     spread = z_mean - z.min(axis=1, keepdims=True)
-    live = spread > 0
-    scale = np.divide(mu - mn, spread, out=np.zeros_like(spread), where=live)
-    x = np.where(live, np.clip(mu + (z - z_mean) * scale, _CLIP[:, :1], _CLIP[:, 1:]), mu)
-    x[2] = np.maximum(np.minimum(x[2], x[1] - 10.0), _CLIP[2, 0])
+    scale = np.divide(mu - mn, spread, out=np.zeros_like(spread), where=spread > 0)
+    x = np.clip(mu + (z - z_mean) * scale, _CLIP[:, :1], _CLIP[:, 1:])
+    x[2] = np.minimum(x[2], x[1] - 10.0)
     return _patient_record(pid, age, group.label, start_minute, cadence_min, x.T.copy())
 
 

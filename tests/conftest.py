@@ -48,7 +48,6 @@ def pipeline(default_cohort) -> TrainedPipeline:
     t_train = time.time()
     params, history = train(dataset, ModelConfig(seed=7), TrainConfig(seed=7))
     train_seconds = time.time() - t_train
-    params = params.astype(float)  # as a checkpoint stores it and `eval` scores it
     test_grids = [resample(p) for p in test_cohort.patients]
     test_ds = windows_from_cohort(test_cohort, test_grids, stats, WINDOW_LEN, STRIDE)
     probs = predict(params, test_ds)

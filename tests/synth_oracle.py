@@ -3,9 +3,11 @@ the generator must match bit for bit:
 
 - its recurrences as Python float loops, one path at a time, for
   `synth._recur`, which runs a block of paths at once;
-- `ref_assemble_patient`, which mixes and rescales a patient's paths one
-  vital at a time through dicts, for `synth._assemble_patient`, which does
-  all three vitals as rows of one (3, n) array. Here `_patient_record`
+- `ref_assemble_patient`, which mixes (`ref_mix`) and rescales a patient's
+  paths one vital at a time through dicts, for `synth._assemble_patient`,
+  which does all three vitals as rows of one (3, n) array. It keeps a
+  constant row at its latent mean unclipped, as the generator once did; the
+  tests hand it that mean clipped. Here `_patient_record`
   returns the unrounded (n, 3) values in place of a record, so that the
   values are compared before rounding can hide a difference."""
 
@@ -43,19 +45,16 @@ def _burst(rng, n: int, rate: float, decay: float, dt_hours: float) -> np.ndarra
     return np.array(out)
 
 
-def ref_assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, age: int,
-                         cadence_min: int, paths, mu, mn, phase,
-                         start_minute) -> np.ndarray:
-    """A patient from its five paths and latent draws: the paths mixed per
-    vital, then rescaled so each series' mean and minimum land on mu and mn."""
+def ref_mix(group: GroupSpec, dyn: Dynamics, cadence_min: int, paths,
+            phase) -> dict[str, np.ndarray]:
+    """Each vital's series from a patient's five paths, before rescaling."""
     spikes, dips, ar_hr, ar_sbp, ar_ind = paths.T
-    n = len(paths)
-    t_hours = np.arange(n) * (cadence_min / 60.0)
+    t_hours = np.arange(len(paths)) * (cadence_min / 60.0)
     rho = dyn.sbp_dbp_corr
     ar_dbp = rho * ar_sbp + np.sqrt(1.0 - rho * rho) * ar_ind
     circadian = group.circadian_hr_amp * np.sin(2.0 * np.pi * (t_hours + phase) / 24.0)
 
-    z = {
+    return {
         "hr": dyn.base_sd["hr"] * ar_hr
         + circadian
         + dyn.spike_gain["hr"] * spikes
@@ -68,6 +67,14 @@ def ref_assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, age: int,
         - dyn.dip_gain["dbp"] * dips,
     }
 
+
+def ref_assemble_patient(pid: str, group: GroupSpec, dyn: Dynamics, age: int,
+                         cadence_min: int, paths, mu, mn, phase,
+                         start_minute) -> np.ndarray:
+    """A patient from its five paths and latent draws: the paths mixed per
+    vital, then rescaled so each series' mean and minimum land on mu and mn."""
+    n = len(paths)
+    z = ref_mix(group, dyn, cadence_min, paths, phase)
     channels = {}
     for vital in VITALS:
         zc = z[vital]

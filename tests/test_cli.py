@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -174,6 +175,28 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line 2") and "Traceback" not in err
+
+    def test_file_that_loses_rows_before_its_bad_line_is_reread(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # line 3 has dbp >= sbp; the text-mode re-read that would name it
+        # finds only the header, as if the file were cut between the reads
+        f = tmp_path / "c.csv"
+        header = "patient_id,timestamp,hr,sbp,dbp,age,label\n"
+        f.write_text(header + "p1,2020-03-21T00:00:00Z,80,120,70,55,1\n"
+                              "p1,2020-03-21T01:00:00Z,80,120,120,55,1\n")
+        real_open = Path.open
+
+        def open_(self, mode="r", *args, **kwargs):
+            if self == f and "b" not in mode:
+                return io.StringIO(header)
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+        code = run(["stats", "--cohort", str(f), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "changed while it was read" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["stats", "plot"])
     def test_field_over_csv_limit_is_validation_error(self, tmp_path, capsys, command):

@@ -1012,7 +1012,8 @@ class TestFloat32AgainstFloat64:
         assert sigmoid(np.array([-1, 0, 1])).dtype == np.float64
 
     def test_train_steps_in_float32(self, monkeypatch):
-        # every buffer of train()'s one workspace, and the params it returns
+        # every buffer of train()'s one workspace is float32; the params it
+        # returns are widened to float64, as a checkpoint holds them
         made = []
 
         def recording():
@@ -1022,6 +1023,7 @@ class TestFloat32AgainstFloat64:
         monkeypatch.setattr(train_module, "Workspace", recording)
         ds = make_dataset(n_windows=40, window_len=48, seed=3)
         params, _ = train(ds, model.ModelConfig(), TrainConfig(epochs=1))
-        assert params.flat.dtype == train_module.TRAIN_DTYPE == np.float32
+        assert train_module.TRAIN_DTYPE == np.float32 and params.flat.dtype == np.float64
+        assert np.array_equal(params.flat, params.flat.astype(np.float32))
         assert len(made) == 1 and made[0]._buffers
         assert {buf.dtype for buf in made[0]._buffers.values()} == {np.dtype(np.float32)}

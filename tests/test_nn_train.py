@@ -9,6 +9,7 @@ import pytest
 
 from vitalnet.data import WindowedDataset
 from vitalnet.errors import MAX_ELEMENTS, ValidationError, require
+from vitalnet.evaluate import extract_features, predict
 from vitalnet.nn import (
     AdamState,
     ModelConfig,
@@ -192,9 +193,21 @@ class TestTrain:
         params, history = train(ds, TINY, TrainConfig(epochs=0))
         ref = init_params(TINY).astype(TRAIN_DTYPE)  # the rounding of the float64 draws
         assert history == []
-        assert params.flat.dtype == TRAIN_DTYPE
+        assert params.flat.dtype == np.float64  # that rounding, widened back
         for k in ref.tensors:
-            assert np.array_equal(params.tensors[k], ref.tensors[k])
+            assert np.array_equal(params.tensors[k], ref.tensors[k].astype(np.float64))
+
+    def test_result_scores_as_its_checkpoint(self, tmp_path):
+        # a fresh model and its checkpoint round trip give the same bits
+        ds = make_dataset(n_windows=40, separation=1.0, seed=3)
+        params, _ = train(ds, TINY, TrainConfig(epochs=2, seed=1))
+        save_checkpoint(tmp_path / "model.json", params)
+        loaded, _ = load_checkpoint(tmp_path / "model.json")
+        assert params.flat.dtype == loaded.flat.dtype == np.float64
+        assert np.array_equal(params.flat, loaded.flat)
+        for score in (predict, extract_features):
+            got, want = score(params, ds), score(loaded, ds)
+            assert (got.view(np.int64) == want.view(np.int64)).all(), score.__name__
 
     def test_deterministic_history(self):
         ds = make_dataset()
@@ -281,17 +294,29 @@ class TestWorkspace:
                 assert np.array_equal(grads[name], ref_grads[name]), (batch, name)
 
     @pytest.mark.parametrize("cfg,n,batch", [(ModelConfig(seed=3), 72, 32), (TINY, 23, 5)])
-    def test_train_matches_allocating_loop(self, cfg, n, batch):
+    def test_train_matches_allocating_loop(self, cfg, n, batch, monkeypatch):
+        # every step runs in TRAIN_DTYPE; the result is its float64 widening
         ds = make_dataset(n_windows=n, window_len=48, seed=2)
         tcfg = TrainConfig(epochs=2, batch_size=batch, seed=4)
+        step_dtypes = set()
+        passes = train_module.loss_and_grads
+
+        def recording(params, x, *args):
+            step_dtypes.add((params.flat.dtype, x.dtype))
+            return passes(params, x, *args)
+
+        monkeypatch.setattr(train_module, "loss_and_grads", recording)
         params, _ = train(ds, cfg, tcfg)
         ref = train_allocating(ds, cfg, tcfg)
-        assert params.flat.dtype == ref.flat.dtype == TRAIN_DTYPE
-        assert np.array_equal(params.flat, ref.flat)
+        assert step_dtypes == {(np.dtype(TRAIN_DTYPE),) * 2}
+        assert ref.flat.dtype == TRAIN_DTYPE and params.flat.dtype == np.float64
+        assert np.array_equal(params.flat, ref.flat.astype(np.float64))
 
     def test_steps_after_the_first_allocate_no_large_block(self, monkeypatch):
         # default config and batch; 72 windows give two full batches and a
-        # partial one per epoch
+        # partial one per epoch. A line's rise is read at the next line, so
+        # the last step's Adam line is not read, nor the widening of the
+        # result to float64 (one 394 KiB block) that follows the loop
         steps = 0
         adam = train_module.adam_step
 
@@ -304,7 +329,7 @@ class TestWorkspace:
         monkeypatch.setattr(train_module, "adam_step", counting)
         ds = make_dataset(n_windows=72, window_len=48, seed=1)
         rise = largest_line_rise(lambda: train(ds, ModelConfig(), TrainConfig(epochs=2)),
-                                 armed=lambda: steps >= 1)
+                                 armed=lambda: 1 <= steps < 6)
         assert steps == 6
         assert rise < LARGE_BLOCK
 

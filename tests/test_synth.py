@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import json
 import shutil
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 from childproc import SRC, run_call
 from cohort_ref import irregular_series, ref_resample
 # the Python loops the block kernel replaced, and the per-vital assembly
-from synth_oracle import _ar1, _burst, ref_assemble_patient
+from synth_oracle import _CLIP, _ar1, _burst, ref_assemble_patient, ref_mix
 from vitalnet import synth
+from vitalnet.cli import run
 from vitalnet.data import (Cohort, PatientRecord, RegularSeries, resample, split_by_patient,
                            write_cohort)
 from vitalnet.errors import ValidationError
@@ -71,11 +74,12 @@ def edge_config(short_stays: bool, clip_bounds: bool):
 
 
 # SHA-256 of `write_cohort` for the edge configs, as written by the generator
-# that mixed and rescaled the vitals one at a time through dicts
+# that mixed and rescaled the vitals one at a time through dicts; (True, True)
+# as written once constant rows were clipped too (the others did not move)
 EDGE_SHA256 = {
     (True, False): "c1b0567688ada8b7cb0eaf281f4ffcbcbacb0d6847a77a72474e53458ddc1341",
     (False, True): "b5addebfd3ad9210cf5af100940f9663db58784b4e86b4eaf419ce8e3ae5eb79",
-    (True, True): "b803559ec805eab3766c927865f9712703ba841651a44c6255779f8fdc712b2e",
+    (True, True): "ce4df9bedc6aee9db90d52834840302bf6211b7e9ade11e7bb1239c2a8ed28cd",
 }
 
 
@@ -192,10 +196,10 @@ class TestGenerateCohort:
         path = tmp_path / "cohort.csv"
         write_cohort(cohort, path)
         hr, sbp, dbp = np.concatenate([p.values for p in cohort.patients]).T
-        if short_stays:  # constant paths: kept at the latent mean, not clipped
+        if short_stays:  # constant paths: each at its latent mean, clipped
             assert all(len(p.times) == 1 for p in cohort.patients)
-            past_bounds = [(hr > 200).any(), (sbp > 250).any(), (dbp > 150).all()]
-            assert past_bounds == [clip_bounds] * 3
+            at_bounds = [(hr == 200).any(), (sbp == 250).any(), (dbp == 150).all()]
+            assert at_bounds == [clip_bounds] * 3
         else:  # every bound binds, and so does dbp <= sbp - 10
             assert all((v == b).sum() > 10 for v, b in [(hr, 30), (hr, 200), (sbp, 60),
                                                         (sbp, 250), (dbp, 20), (dbp, 150)])
@@ -304,6 +308,41 @@ RECURRENCES = [(0.0,), (1.0,), (0.9**0.25,), (0.0, 0.9, 0.25), (0.05, 0.0, 1.0),
                (0.05, 1.0, 0.5), (100.0, 0.9, 0.25), (0.5, 1e-100, 1.0)]
 
 
+@st.composite
+def single_sample_configs(draw):
+    """The default config at a drawn seed, with stays under 15 minutes (the
+    shortest cadence), so that every patient has one sample and every row is
+    constant, and with each vital's mean and min targets centred at one of
+    its clip bounds or anywhere from 60 below the lower to 60 above the upper."""
+    cfg = default_config()
+    cfg.seed = draw(st.integers(0, 2**32 - 1))
+    for group in cfg.groups:
+        lo = draw(st.floats(0.0005, 0.0104))
+        group.stay_days = (lo, draw(st.floats(lo, 0.0104)))
+        for vital, (c_lo, c_hi) in _CLIP.items():
+            for stat in ("mean", "min"):
+                mid = draw(st.sampled_from([c_lo, c_hi]) | st.floats(c_lo - 60.0, c_hi + 60.0))
+                half = draw(st.floats(0.5, 10.0))
+                group.targets[vital][stat] = (mid - half, mid + half)
+    return cfg
+
+
+class TestOutputContract:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=single_sample_configs())
+    def test_every_row_inside_the_clip_bounds(self, cfg):
+        cohort = generate_cohort(cfg)
+        assert all(len(p.times) == 1 for p in cohort.patients)
+        values = np.concatenate([p.values for p in cohort.patients])
+        bounds = np.array([_CLIP[v] for v in VITALS])
+        assert ((bounds[:, 0] <= values) & (values <= bounds[:, 1])).all()
+        assert (values[:, 2] < values[:, 1]).all()
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp, "config.json"), Path(tmp, "cohort.csv")
+            config.write_text(json.dumps(cfg.to_dict()))
+            assert run(["synth", "--config", str(config), "--out", str(out)]) == 0
+
+
 class TestRecurrenceBlocks:
     @pytest.mark.parametrize("lengths", [[1], [2], [1, 2], [40] * 4, [2, 1, 300, 3, 1, 2]])
     def test_block_matches_python_loops(self, lengths):
@@ -379,8 +418,14 @@ class TestAssembleOracle:
                                             for name in ("base_sd", "spike_gain", "dip_gain")})
         mu = {v: data.draw(st.floats(*LATENT_MEANS[v])) for v in VITALS}
         mn = {v: min(data.draw(st.floats(-50.0, 250.0)), mu[v] - 5.0) for v in VITALS}
-        want = fp_outcome(ref_assemble_patient, "P", group, dyn, 50, cadence, paths, mu, mn,
-                          phase, 0)
+        # the reference keeps a constant row at the mean it is handed: hand it
+        # that row's mean clipped, and its dbp rule then applies as the
+        # generator's does; every other row is the reference's as it stands
+        z = ref_mix(group, dyn, cadence, paths, phase)
+        ref_mu = {v: np.clip(mu[v], *_CLIP[v]) if z[v].mean() - z[v].min() <= 0 else mu[v]
+                  for v in VITALS}
+        want = fp_outcome(ref_assemble_patient, "P", group, dyn, 50, cadence, paths, ref_mu,
+                          mn, phase, 0)
 
         # the paths as the generator passes them: a patient's columns of a block
         n = len(paths)

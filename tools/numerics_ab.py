@@ -21,7 +21,9 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   whether the two trees' hashes are all equal. Manifests hold timings and
   are not hashed.
 - `step_ms`: the wall time of a B=32 `loss_and_grads` plus `adam_step`,
-  from `init_params`'s float64 parameters, so in float64.
+  in the dtype that tree's `train` steps in: `init_params`' parameters and
+  the batch cast to its `nn.train.TRAIN_DTYPE`, or left float64 in a tree
+  that has none.
   Each round is one child process that imports each tree's `vitalnet`
   under its own name (`vitalnet_a`, `vitalnet_b`; the package's relative
   imports keep each copy self-contained) and alternates them step by step,
@@ -173,15 +175,23 @@ def _alternate(calls: dict, count: int, warmup: int) -> dict[str, list[float]]:
 
 def time_steps(src_a: str, src_b: str, steps: int) -> dict[str, list[float]]:
     """Child side: the milliseconds of each of `steps` B=32 training steps per
-    tree, after 10 untimed ones, the trees taking turns step by step."""
-    x, y = _batch(STEP_BATCH)
+    tree, after 10 untimed ones, the trees taking turns step by step. Each
+    tree's parameters and batch are in its `nn.train.TRAIN_DTYPE`, as its
+    `train` runs them, or float64 (`init_params`') in a tree that has none."""
+    import importlib
+
+    x64, y = _batch(STEP_BATCH)
     calls = {}
     for side, src in (("a", src_a), ("b", src_b)):
         nn = _load(src, f"vitalnet_{side}", "nn")
         params, state, cfg, ws = (nn.init_params(nn.ModelConfig(seed=1)), nn.AdamState(),
                                   nn.TrainConfig(), nn.Workspace())
+        x = x64
+        dtype = getattr(importlib.import_module(f"vitalnet_{side}.nn.train"), "TRAIN_DTYPE", None)
+        if dtype is not None:
+            params, x = params.astype(dtype), x64.astype(dtype)
 
-        def step(i, nn=nn, params=params, state=state, cfg=cfg, ws=ws):
+        def step(i, nn=nn, params=params, x=x, state=state, cfg=cfg, ws=ws):
             _, _, grads = nn.loss_and_grads(params, x, y, ws)
             nn.adam_step(params, grads, state, i, cfg, ws)
 
