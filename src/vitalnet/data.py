@@ -12,20 +12,22 @@ counts, and gathers to forward-fill only when a slot is empty. `make_windows`
 windows the first `cut` slots of each grid, and each window records its end
 slot and its patient's grid length, which is what a day sweep selects on.
 
-The text path has one reader, which reads a file's bytes once. Its byte
+The text path has one reader, which reads a regular file's bytes once;
+every later step reads those bytes, and none opens the file again. Its byte
 path reads the bytes of rows by integer arithmetic on 8-byte words: an id of
 up to 32 bytes with no quote or CR, a canonical stamp, hr, sbp and dbp of
 1-8 ASCII digits with at most one point inside, an age of 1-4 digits, a
 label of 1-2, and LF or CRLF line ends; any other file (say with a quote, a
 lone CR, or a stamp with an offset) is read whole by the row path, one row
-at a time, as Python parses it. An error names the first bad line, as a
-reader of one row at a time would. `write_cohort` writes back the rows of
-a file in its own form as they were read (`load_cohort`), and formats
-others up to `_CHUNK_ROWS` of a patient's rows at once in a byte array, by
-table lookups and integer arithmetic, with the id quoted as `csv.writer`
-would; a block holding a value that is not a whole number of hundredths
-below 1e13, or a stamp outside years 1-9999, is formatted one `repr` per
-value, with the same bytes.
+at a time, as Python parses it from a text-mode view of the bytes (`_text`).
+An error names the first bad line, as a reader of one row at a time would,
+or the offset of the first byte that is not UTF-8. `write_cohort` writes
+back the rows of a file in its own form as they were read (`load_cohort`),
+and formats others up to `_CHUNK_ROWS` of a patient's rows at once in a
+byte array, by table lookups and integer arithmetic, with the id quoted as
+`csv.writer` would; a block holding a value that is not a whole number of
+hundredths below 1e13, or a stamp outside years 1-9999, is formatted one
+`repr` per value, with the same bytes.
 """
 
 from __future__ import annotations
@@ -402,22 +404,26 @@ def _byte_columns(data: bytes, start: int):
     return index, tuple(column[:n] for column in columns), None, heads
 
 
-def _row_columns(path: Path):
-    """The row path: `_numbered_rows` reads the rows after the header one at
-    a time, up to the first that does not parse. Returns what the byte path
-    does, with the index of that row third (None if every row parses) and
-    None. Ages and labels are Python ints, whatever their size."""
+def _text(data) -> io.TextIOWrapper:
+    """`data` as UTF-8 text, in the lines and chunks that `open(newline="")` reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+
+def _row_columns(data):
+    """The row path: `_numbered_rows` reads the rows of `data` after the
+    header one at a time, up to the first that does not parse. Returns what
+    the byte path does, with the index of that row third (None if every row
+    parses) and None. Ages and labels are Python ints, whatever their size."""
     index: dict[str, int] = {}
     rows, bad = [], None
-    with path.open(newline="", encoding="utf-8") as fh:
-        for _, row in islice(_numbered_rows(fh), 1, None):
-            try:
-                pid, stamp, hr, sbp, dbp, age, label = row
-                rows.append((index.setdefault(pid, len(index)), _parse_timestamp(stamp, 0),
-                             (float(hr), float(sbp), float(dbp)), int(age), int(label)))
-            except (ValueError, ParseError):  # the line is named when the row is re-read
-                bad = len(rows)
-                break
+    for _, row in islice(_numbered_rows(_text(data)), 1, None):
+        try:
+            pid, stamp, hr, sbp, dbp, age, label = row
+            rows.append((index.setdefault(pid, len(index)), _parse_timestamp(stamp, 0),
+                         (float(hr), float(sbp), float(dbp)), int(age), int(label)))
+        except (ValueError, ParseError):  # `_first_error` names the line
+            bad = len(rows)
+            break
     codes, times, values, ages, labels = zip(*rows) if rows else ((),) * 5
     columns = (np.array(codes, np.int32), np.array(times, np.int64).view("datetime64[us]"),
                np.array(values).reshape(-1, 3), np.array(ages, object), np.array(labels, object))
@@ -469,12 +475,12 @@ def _numbered_rows(fh):
                 if row)
 
 
-def _first_error(path: Path, codes, times, values, ages, labels, first, order,
+def _first_error(data, codes, times, values, ages, labels, first, order,
                  bad: int | None) -> VitalnetError | None:
     """The error of the first row (blank lines not counted) to fail a value
     check, differ from its patient's first age or label, or repeat one of
     its patient's times (`order` sorts by patient and time), else of row
-    `bad`, else None; that row is re-read for its line number and fields."""
+    `bad`, else None; that row's line number and fields are read from `data`."""
     inconsistent = (ages != ages[first][codes]) | (labels != labels[first][codes])
     flagged = inconsistent | ((labels != 0) & (labels != 1)) | (values[:, 2] >= values[:, 1])
     flagged |= ~np.isfinite(values).all(axis=1) | (values <= 0).any(axis=1)
@@ -485,10 +491,7 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
         bad = int(flagged.argmax())
     elif bad is None:
         return None
-    with path.open(newline="", encoding="utf-8") as fh:  # bad + 1: after the header
-        line_no, row = next(islice(_numbered_rows(fh), bad + 1, None), (0, None))
-    if row is None:  # the file lost rows between the two reads
-        return ValidationError(f"{path}: the file changed while it was read")
+    line_no, row = next(islice(_numbered_rows(_text(data)), bad + 1, None))  # after the header
     if error := _row_error(row, line_no):
         return error
     if inconsistent[bad]:
@@ -496,38 +499,15 @@ def _first_error(path: Path, codes, times, values, ages, labels, first, order,
     return ValidationError(f"line {line_no}: duplicate timestamp {row[1]} for patient {row[0]}")
 
 
-def load_cohort(path) -> Cohort:
-    """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
-
-    The file's bytes are read once. If its header line is exactly the
-    header, the byte path (`_byte_columns`) parses them; a file whose header
-    line is not, or that the byte path gives up on, is read whole by the row
-    path (`_row_columns`), which stops at the first row that does not parse.
-    The records are views of the columns. An error names the first bad line,
-    as a reader of one row at a time would: `_first_error` finds it among
-    the rows read and the row that stopped the row path.
-
-    A file is in the writer's own form when the byte path reads it, its
-    header line ends in an LF, it has no CR and no blank line and ends in
-    an LF, its rows are grouped by patient in order of first row with times
-    increasing, each hr, sbp and dbp is `repr` of its float, and each age
-    has no leading zero and each label one digit. Then each record's `text`
-    is a view of the bytes of its rows, which `write_cohort` writes back.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
-    with path.open("rb") as fh:  # into pages that go back to the OS when freed; heap may not
-        data = mmap.mmap(-1, max(path.stat().st_size, 1), access=mmap.ACCESS_COPY)
-        data = data if fh.readinto(data) == len(data) else data[:fh.tell()]
+def _cohort(data, path: Path) -> Cohort:
+    """The cohort in `data`, the bytes of the file at `path` (`load_cohort`)."""
     if not (start := next((len(line) for line in _HEADER_LINES if data[:len(line)] == line), 0)):
-        with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)  # reads the header's line(s) only
+        header = next(csv.reader(_text(data)), None)  # decodes the first chunk only
         if header is None:
             raise ParseError(f"{path}: empty file")
         if header != CSV_HEADER:
             raise ParseError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-    index, columns, bad, heads = start and _byte_columns(data, start) or _row_columns(path)
+    index, columns, bad, heads = start and _byte_columns(data, start) or _row_columns(data)
     codes, times, values, ages, labels = columns
     # each patient's first row: codes are numbered in order of first row
     first = np.flatnonzero(codes > np.r_[-1, np.maximum.accumulate(codes)[:-1]])
@@ -550,7 +530,47 @@ def load_cohort(path) -> Cohort:
                 for p, lo, hi in zip(cohort.patients, heads, [*heads[1:], len(data)]):
                     p.text = memoryview(data)[lo:hi]
             return cohort
-    raise _first_error(path, *columns, first, order, bad) or error
+    raise _first_error(data, *columns, first, order, bad) or error
+
+
+def load_cohort(path) -> Cohort:
+    """Read a cohort CSV, grouping rows by patient and sorting by timestamp.
+
+    The file, which must be a regular file, is opened once and its bytes
+    read once; nothing after reads the file. If its header line is exactly
+    the header, the byte path (`_byte_columns`) parses the bytes; a file
+    whose header line is not, or that the byte path gives up on, is read
+    whole by the row path (`_row_columns`), which stops at the first row that
+    does not parse. The header check of the one and the row path read the
+    bytes through `_text`. The records are views of the columns. An error
+    names the first bad line, as a reader of one row at a time would:
+    `_first_error` finds it among the rows read and the row that stopped the
+    row path, and reads its line from the same bytes. A byte that is not
+    UTF-8 is an error that names its offset in the file.
+
+    A file is in the writer's own form when the byte path reads it, its
+    header line ends in an LF, it has no CR and no blank line and ends in
+    an LF, its rows are grouped by patient in order of first row with times
+    increasing, each hr, sbp and dbp is `repr` of its float, and each age
+    has no leading zero and each label one digit. Then each record's `text`
+    is a view of the bytes of its rows, which `write_cohort` writes back.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise ValidationError(f"no such file: {path}")
+    if not path.is_file():  # a pipe or a directory has no size to read
+        raise ValidationError(f"{path}: not a regular file")
+    with path.open("rb") as fh:  # into pages that go back to the OS when freed; heap may not
+        data = mmap.mmap(-1, max(path.stat().st_size, 1), access=mmap.ACCESS_COPY)
+        data = data if fh.readinto(data) == len(data) else data[:fh.tell()]
+    try:
+        return _cohort(data, path)
+    except UnicodeDecodeError:  # its offset is in the decoder's chunk; find it in the file
+        try:
+            str(data, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        raise
 
 
 def _csv_field(text) -> str:

@@ -178,8 +178,9 @@ class TestExitCodes:
 
     def test_file_that_loses_rows_before_its_bad_line_is_reread(self, tmp_path, monkeypatch,
                                                                  capsys):
-        # line 3 has dbp >= sbp; the text-mode re-read that would name it
-        # finds only the header, as if the file were cut between the reads
+        # line 3 has dbp >= sbp; a text-mode open of the file would find
+        # only the header, as if it were cut after the one binary read. The
+        # line is named from the bytes that read, so no such open happens
         f = tmp_path / "c.csv"
         header = "patient_id,timestamp,hr,sbp,dbp,age,label\n"
         f.write_text(header + "p1,2020-03-21T00:00:00Z,80,120,70,55,1\n"
@@ -194,9 +195,39 @@ class TestExitCodes:
         monkeypatch.setattr(Path, "open", open_)
         code = run(["stats", "--cohort", str(f), "--out", str(tmp_path / "s.csv")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "changed while it was read" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == "error: line 3: dbp (120.0) must be < sbp (120.0)\n"
+
+    def test_cohort_that_is_not_a_regular_file_is_validation_error(self, tmp_path, capsys):
+        # the one read is sized by the file's st_size, which a pipe or a
+        # directory does not give; the pipe holds a whole cohort, and its
+        # write end is closed, so no read of it can block
+        text = ("patient_id,timestamp,hr,sbp,dbp,age,label\n"
+                + "".join(f"p{i},2020-03-21T00:00:00Z,80,120,70,55,{i % 2}\n" for i in range(4)))
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            for src in (tmp_path, Path(f"/dev/fd/{r}")):
+                out = tmp_path / "s.csv"
+                assert run(["stats", "--cohort", str(src), "--out", str(out)]) == 1
+                assert capsys.readouterr().err == f"error: {src}: not a regular file\n"
+                assert not out.exists()
+        finally:
+            os.close(r)
+
+    def test_non_utf8_byte_past_the_first_chunk_names_file_and_offset(self, tmp_path, capsys):
+        # the row path decodes 8 KiB at a time; the offset is the file's.
+        # The byte follows a row with dbp >= sbp, and still decides the error
+        rows = [f"p{d},2020-03-{d}T{h:02d}:00:00Z,80,120,70,55,1\n"
+                for d in range(10, 28) for h in range(24)]
+        rows[3] = rows[3].replace(",70,", ",120,")
+        text = ("patient_id,timestamp,hr,sbp,dbp,age,label\n" + "".join(rows)).encode()
+        at = len(text) - len(rows[-1]) + 1  # in the last row's id
+        f = tmp_path / "c.csv"
+        f.write_bytes(text[:at] + b"\xff" + text[at:])
+        assert at > 8192
+        assert run(["stats", "--cohort", str(f), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {f}: not UTF-8 text at byte {at}\n"
 
     @pytest.mark.parametrize("command", ["stats", "plot"])
     def test_field_over_csv_limit_is_validation_error(self, tmp_path, capsys, command):

@@ -19,6 +19,7 @@ import re
 import sys
 import warnings
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -572,6 +573,16 @@ class TestLoadFiles:
         path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
         with mock.patch.object(data, "_CHUNK_BYTES", chunk):
             assert_loads_as_reference(path)
+
+    @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
+    def test_path_is_opened_once_in_binary(self, tmp_path, name):
+        # the header check, the row path and the line of an error read the
+        # bytes of the one read
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(FILE_CORPUS[name].encode("utf-8"))
+        with mock.patch.object(Path, "open", autospec=True, side_effect=Path.open) as open_:
+            outcome(load_cohort, path)
+        assert open_.call_args_list == [mock.call(path, "rb")]
 
     @pytest.mark.parametrize("name", sorted(FILE_CORPUS))
     def test_reference_states_every_rule_itself(self, tmp_path, name):

@@ -7,9 +7,12 @@ benchmark's, and its held-out metrics are `eval`'s."""
 import importlib.util
 import json
 from pathlib import Path
+from unittest import mock
 
+from vitalnet import data
+from vitalnet.data import load_cohort, write_cohort
 from vitalnet.nn.model import TENSOR_ORDER
-from vitalnet.synth import default_config
+from vitalnet.synth import default_config, generate_cohort
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,6 +56,22 @@ def test_tree_against_itself(tmp_path, capsys):
     assert env["a"] == env["b"]
     assert env["a"]["OPENBLAS_NUM_THREADS"] == "1"
     assert "all_equal True" in capsys.readouterr().out
+
+
+def test_quoted_header_shape_takes_the_header_check_then_the_row_path(tmp_path):
+    # the one shape whose header line is not exactly the header: its loads
+    # time the header check and then the row path
+    path = tmp_path / "c.csv"
+    write_cohort(generate_cohort(default_config()), path)
+    want = load_cohort(path)
+    path.write_bytes(load_tool().LOAD_SHAPES["quoted_header"](path.read_bytes()))
+    assert path.read_bytes().startswith(b'"patient_id",timestamp,')
+    with mock.patch.object(data, "_byte_columns", wraps=data._byte_columns) as bytes_read, \
+            mock.patch.object(data, "_row_columns", wraps=data._row_columns) as rows:
+        got = load_cohort(path)
+    assert rows.called and not bytes_read.called
+    assert [(p.patient_id, p.times.tobytes(), p.values.tobytes()) for p in got.patients] == [
+        (p.patient_id, p.times.tobytes(), p.values.tobytes()) for p in want.patients]
 
 
 def test_x4_config_is_the_benchmarks(tmp_path):

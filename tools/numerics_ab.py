@@ -42,9 +42,10 @@ Every measurement runs in a fresh interpreter with one BLAS thread
   of LOAD_SHAPES, with the same statistics per shape. Each of the same
   number of children alternates the trees call by call, as `step_ms`
   alternates steps: LOADS calls per tree of the file as written, then
-  SHAPE_LOADS of each other shape. The shape `bad_last_row` times the error
-  path: each of its loads must raise the ValidationError that names the
-  file's last line.
+  SHAPE_LOADS of each other shape. The shape `quoted_header` goes through
+  the header check that a header line other than the exact header takes,
+  then the row path. The shape `bad_last_row` times the error path: each of
+  its loads must raise the ValidationError that names the file's last line.
 - `split_ms`: the wall time of one `cli.run(["split", ...])` of the same
   file as written, with the same statistics. Each of the same number of
   children imports each tree's `vitalnet.cli` and runs one untimed split
@@ -116,6 +117,7 @@ LOAD_SHAPES = {
     "offset_stamp": lambda text: text.replace(b"Z,", b"+00:00,", 1),
     "quoted_id": _quote_first_id,  # the first row's
     "lone_cr": _cr_after_first_row,  # a CR, not an LF, ends the first row
+    "quoted_header": lambda text: text.replace(b"patient_id", b'"patient_id"', 1),  # header check
     "bad_last_row": _dbp_at_sbp_in_last_row,  # its load must fail, naming that line
 }
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
